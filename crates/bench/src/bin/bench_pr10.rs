@@ -26,7 +26,6 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use wsp_core::group_size_from_env;
 use wsp_microbench::json::Json;
 use wsp_pheap::HeapConfig;
 use wsp_units::ByteSize;
@@ -51,12 +50,8 @@ const COORD_FLOOR: f64 = 1.8;
 /// deterministic and measured once).
 const HOST_REPS: usize = 3;
 
-/// The headline group size: `WSP_TXN_GROUP` overrides the default 32
-/// (the gates below assume the default — re-gating at a tiny group is
-/// an explicit opt-out).
-fn headline_group() -> usize {
-    group_size_from_env(32)
-}
+/// The headline group size the gates are recorded at.
+const GROUP: usize = 32;
 
 fn xs_bench(quick: bool, coordinators: usize, decision_group: usize) -> CrossShardKvBench {
     CrossShardKvBench {
@@ -127,15 +122,15 @@ fn host_txns_per_sec(quick: bool, config: HeapConfig, coordinators: usize, group
 /// coordinators) so only the group size differs.
 fn gate_group_batching(quick: bool) -> f64 {
     let g1 = measure(quick, HeapConfig::FocUndo, 2, 1);
-    let gn = measure(quick, HeapConfig::FocUndo, 2, headline_group());
+    let gn = measure(quick, HeapConfig::FocUndo, 2, GROUP);
     gn.coord_txns_per_sec / g1.coord_txns_per_sec
 }
 
 /// Gate quantity 2: simulated-wall-clock speedup of four coordinators
 /// over one, at the headline group size.
 fn gate_coordinator_speedup(quick: bool) -> f64 {
-    let w1 = measure(quick, HeapConfig::FocUndo, 1, headline_group());
-    let w4 = measure(quick, HeapConfig::FocUndo, 4, headline_group());
+    let w1 = measure(quick, HeapConfig::FocUndo, 1, GROUP);
+    let w4 = measure(quick, HeapConfig::FocUndo, 4, GROUP);
     w1.wall_ns / w4.wall_ns
 }
 
@@ -177,7 +172,7 @@ fn measure_group_sweep(quick: bool) -> Json {
 }
 
 fn measure_coordinator_sweep(quick: bool) -> Json {
-    let group = headline_group();
+    let group = GROUP;
     let base = measure(quick, HeapConfig::FocUndo, COORDS[0], group);
     let mut rows = Vec::new();
     for coordinators in COORDS {
@@ -203,7 +198,7 @@ fn run_suite(quick: bool) -> Json {
     eprintln!(
         "bench_pr10: running {} suite (headline group {})",
         if quick { "quick" } else { "full" },
-        headline_group()
+        GROUP
     );
     let group_sweep = measure_group_sweep(quick);
     let coordinator_sweep = measure_coordinator_sweep(quick);
@@ -246,10 +241,6 @@ fn run_suite(quick: bool) -> Json {
                      times, and the pool wall clock is the slowest coordinator. The \
                      speedup is bounded by shard contention (two participants per \
                      transfer), not by the shared decision log.",
-                ),
-                Json::from(
-                    "WSP_TXN_GROUP overrides the headline group size for run and check; \
-                     the recorded gates assume the default of 32.",
                 ),
             ]),
         ),

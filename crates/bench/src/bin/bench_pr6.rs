@@ -189,7 +189,8 @@ fn run_suite(quick: bool) -> Json {
                     "Every transfer runs presumed-abort 2PC: durable per-shard PREPARED \
                      records (one log record per coalesced address, one flush per line, \
                      fenced), a fenced coordinator decision record, then per-shard commit \
-                     markers. A 0% cross-shard run still pays one prepare+marker; the \
+                     markers. Throughput is on the coordinator pool's wall clock. \
+                     A 0% cross-shard run still pays one prepare+marker; the \
                      sweep isolates the marginal cost of the second participant.",
                 ),
                 Json::from(

@@ -16,11 +16,12 @@
 //! * `run` sweeps epoch sizes 1/8/32/128 over both flush-on-commit
 //!   configurations with FliT on, records the elision counters per
 //!   cell, compares elision-on vs reference mode at epoch 32, and
-//!   re-runs the cross-shard overhead pair with prepare rebates.
+//!   re-runs the cross-shard overhead pair with participants preparing
+//!   concurrently on the coordinator pool's clock.
 //! * `check` re-measures the quick-mode gate quantities and fails
 //!   (exit 1) on regression beyond tolerance, on the hard epoch-32
 //!   FoC + STM floor of 1.8x, or if the cross-shard overhead multiple
-//!   climbs back to the pre-rebate 1.37x.
+//!   climbs back to the serial-participant 1.37x.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -45,7 +46,7 @@ const STM_SPEEDUP_FLOOR: f64 = 1.8;
 
 /// Hard ceiling for the all-cross-shard 2PC overhead multiple: with
 /// prepare-phase overlap it must stay below the 1.37x the PR 6 baseline
-/// measured without rebates.
+/// measured with participants running one after another.
 const XS_OVERHEAD_CEILING: f64 = 1.37;
 
 /// Best-of reps for host wall-clock numbers (simulated numbers are
@@ -145,7 +146,7 @@ fn gate_epoch_speedups() -> Vec<(HeapConfig, f64)> {
 }
 
 /// The all-cross-shard 2PC overhead multiple at quick scale, with
-/// prepare-phase rebates active.
+/// participants overlapping on the pool's wall clock.
 fn gate_xs_overhead() -> f64 {
     let run = |pct: f64| {
         let report = xs_bench(true, pct)
@@ -242,7 +243,8 @@ fn measure_flit_ablation(quick: bool) -> Json {
     Json::object([("epoch_size", Json::from(32u64)), ("by_config", Json::Obj(per_config))])
 }
 
-/// The cross-shard overhead pair with prepare-phase rebates active.
+/// The cross-shard overhead pair, participants overlapping on the pool's
+/// wall clock.
 fn measure_cross_shard(quick: bool) -> Json {
     let run = |pct: f64| {
         let report = xs_bench(quick, pct)
@@ -314,12 +316,12 @@ fn run_suite(quick: bool) -> Json {
                      pins at every interleaving.",
                 ),
                 Json::from(
-                    "Cross-shard 2PC now rebates all but the slowest participant's \
-                     prepare (and phase-2 commit) per phase, modelling shards that seal \
-                     concurrently. The overhead multiple falls below 1.0: an \
-                     all-cross-shard run spreads each transfer's seal work over two \
-                     shards' clocks while an all-single-shard run serializes it on one. \
-                     The gate only requires staying under the pre-rebate 1.37x.",
+                    "Cross-shard 2PC charges each phase (prepare, phase-2 commit) only \
+                     its slowest participant on the coordinator pool's wall clock, \
+                     modelling shards that seal concurrently. The overhead multiple falls \
+                     below 1.0: an all-cross-shard run spreads each transfer's seal work \
+                     over two shards while an all-single-shard run serializes it on one. \
+                     The gate only requires staying under the serial-participant 1.37x.",
                 ),
             ]),
         ),

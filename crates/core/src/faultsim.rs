@@ -59,7 +59,7 @@ use crate::supervisor::{
 };
 use crate::txn::{
     coordinator_of, resolve_cross_shard, CoordinatorPool, CrossShardTxn, GtxidOrigin,
-    SubmitOutcome, TxnCoordinator, TxnOutcome,
+    SubmitOutcome,
 };
 use crate::{layout, RestartStrategy, WspError};
 
@@ -921,8 +921,9 @@ impl TxnCrashPoint {
         }
     }
 
-    /// True for points driven through a [`CoordinatorPool`] rather than
-    /// a single [`TxnCoordinator`].
+    /// True for points driven through a two-coordinator pool with
+    /// decisions buffered across transactions, rather than one
+    /// coordinator deciding each transaction on its own record.
     fn is_group_family(&self) -> bool {
         matches!(
             self,
@@ -1194,31 +1195,29 @@ fn sweep_cross_shard_2pc_threads(
 }
 
 /// Stages the scripted ops of one transaction on a fresh handle from
-/// `coordinator`.
+/// the pool's only coordinator.
 fn build_cross_shard_txn(
-    coordinator: &mut TxnCoordinator,
+    pool: &mut CoordinatorPool,
     cells: &[Vec<(PmPtr, u64)>],
     ops: &[(usize, usize, u64)],
 ) -> CrossShardTxn {
-    let mut txn = coordinator.begin(cells.len());
+    let mut txn = pool.begin(0, cells.len());
     for &(shard, cell, value) in ops {
         txn.stage(shard, cells[shard][cell].0.offset(), value);
     }
     txn
 }
 
-/// Phase 1 on every participant, in ascending shard order.
-fn prepare_all(
-    coordinator: &mut TxnCoordinator,
+/// Phase 1 on every participant, then the durable decision: a group
+/// record covering `txn` alone.
+fn prepare_and_decide(
+    pool: &mut CoordinatorPool,
     heaps: &mut [PersistentHeap],
     txn: &CrossShardTxn,
-    participants: &[usize],
 ) {
-    for &shard in participants {
-        coordinator
-            .prepare_shard(&mut heaps[shard], shard, txn)
-            .unwrap();
-    }
+    assert!(pool.prepare(0, heaps, txn).unwrap().is_none());
+    pool.buffer_decision(0, txn);
+    pool.seal_decisions(0);
 }
 
 /// A shard-side crash flavor for the mid-seal crash points.
@@ -1231,10 +1230,11 @@ enum MidCrash {
 }
 
 /// One 2PC crash point: replay the committed prefix on clones of the
-/// baseline shards, drive the scripted transaction up to the crash
-/// point, cut power on the whole fleet, resolve it with
-/// [`resolve_cross_shard`], and check the all-or-nothing contract cell
-/// by cell.
+/// baseline shards through a one-coordinator, group-of-one pool, drive
+/// the scripted transaction up to the crash point (per-shard steps call
+/// the heap's distributed-commit primitives directly), cut power on the
+/// whole fleet, resolve it with [`resolve_cross_shard`], and check the
+/// all-or-nothing contract cell by cell.
 fn run_cross_shard_point(
     config: HeapConfig,
     baseline: &[PersistentHeap],
@@ -1244,17 +1244,17 @@ fn run_cross_shard_point(
     point: TxnCrashPoint,
 ) -> TxnPointVerdict {
     let mut heaps: Vec<PersistentHeap> = baseline.to_vec();
-    let mut coordinator = TxnCoordinator::new();
+    let mut pool = CoordinatorPool::new(1, 1);
     let k = point.txn();
     for ops in &script[..k] {
-        let txn = build_cross_shard_txn(&mut coordinator, cells, ops);
-        let outcome = coordinator.commit(&mut heaps, &txn).unwrap();
+        let txn = build_cross_shard_txn(&mut pool, cells, ops);
+        let outcome = pool.submit(0, &mut heaps, &txn).unwrap();
         assert!(
-            matches!(outcome, TxnOutcome::Committed),
+            matches!(outcome, SubmitOutcome::Committed { .. }),
             "{config}: prefix txn refused before {point:?}: {outcome:?}"
         );
     }
-    let txn = build_cross_shard_txn(&mut coordinator, cells, &script[k]);
+    let txn = build_cross_shard_txn(&mut pool, cells, &script[k]);
     let participants = txn.participants();
     let gtxid = txn.gtxid();
 
@@ -1265,45 +1265,39 @@ fn run_cross_shard_point(
         TxnCrashPoint::CoordPrePrepare { .. } => {}
         TxnCrashPoint::BetweenPrepares { prepared, .. } => {
             for &shard in participants.iter().take(prepared) {
-                coordinator
-                    .prepare_shard(&mut heaps[shard], shard, &txn)
+                heaps[shard]
+                    .prepare_distributed(gtxid, txn.writes_for(shard))
                     .unwrap();
             }
         }
         TxnCrashPoint::PostPrepareNoDecision { .. } => {
-            prepare_all(&mut coordinator, &mut heaps, &txn, &participants);
+            assert!(pool.prepare(0, &mut heaps, &txn).unwrap().is_none());
         }
         TxnCrashPoint::PostDecisionPreCommit { .. } => {
-            prepare_all(&mut coordinator, &mut heaps, &txn, &participants);
-            coordinator.record_decision(&txn);
+            prepare_and_decide(&mut pool, &mut heaps, &txn);
         }
         TxnCrashPoint::BetweenShardCommits { committed, .. } => {
-            prepare_all(&mut coordinator, &mut heaps, &txn, &participants);
-            coordinator.record_decision(&txn);
+            prepare_and_decide(&mut pool, &mut heaps, &txn);
             for &shard in participants.iter().take(committed) {
-                coordinator
-                    .commit_shard(&mut heaps[shard], shard, &txn)
-                    .unwrap();
+                heaps[shard].commit_distributed(gtxid).unwrap();
             }
         }
         TxnCrashPoint::ShardMidPrepare { step, .. } => {
             mid_crash = Some((participants[0], MidCrash::Prepare(step)));
         }
         TxnCrashPoint::ShardMidCommit { marker_durable, .. } => {
-            prepare_all(&mut coordinator, &mut heaps, &txn, &participants);
-            coordinator.record_decision(&txn);
+            prepare_and_decide(&mut pool, &mut heaps, &txn);
             mid_crash = Some((participants[0], MidCrash::Commit(marker_durable)));
         }
         TxnCrashPoint::ShardImageLost { .. } => {
-            prepare_all(&mut coordinator, &mut heaps, &txn, &participants);
-            coordinator.record_decision(&txn);
+            prepare_and_decide(&mut pool, &mut heaps, &txn);
             lost = Some(participants[0]);
         }
         other => unreachable!("group-family point {other:?} routed to run_group_point"),
     }
 
     // Power fails everywhere at once.
-    let coordinator_image = coordinator.crash_image();
+    let coordinator_image = pool.crash_image();
     let mut images: Vec<Option<CrashImage>> = Vec::with_capacity(heaps.len());
     for (shard, heap) in heaps.into_iter().enumerate() {
         images.push(if lost == Some(shard) {

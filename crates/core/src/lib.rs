@@ -100,9 +100,9 @@ pub use supervisor::{
 pub use system::{OutageReport, WspSystem};
 pub use tradeoff::{CapacitanceTradeoff, TradeoffPoint};
 pub use txn::{
-    coordinator_of, group_size_from_env, reapply_routed, recover_decisions, recover_routing,
-    recover_settled, resolve_cross_shard, ClusterTxnRecovery, CoordinatorPool, CrossShardTxn,
-    GtxidOrigin, RoutedWrite, ShardRecovery, SubmitOutcome, TxnCoordinator, TxnOutcome,
+    coordinator_of, reapply_routed, recover_decisions, recover_routing, recover_settled,
+    resolve_cross_shard, ClusterTxnRecovery, CoordinatorPool, CrossShardTxn, GtxidOrigin,
+    RoutedWrite, ShardRecovery, SubmitOutcome,
 };
 pub use vm::{VirtualizedHost, VmInstance, VmRestoreMilestone, VmRestoreSchedule};
 

@@ -43,7 +43,9 @@ use crate::domain::{
 };
 use crate::faultsim::{faultsim_threads, merge_point_captures, run_sharded};
 use crate::supervisor::{clean_failure_trace, MARKER_COST};
-use crate::txn::{reapply_routed, recover_routing, resolve_cross_shard, TxnCoordinator, TxnOutcome};
+use crate::txn::{
+    reapply_routed, recover_routing, resolve_cross_shard, CoordinatorPool, SubmitOutcome,
+};
 use crate::WspError;
 
 /// Cells committed per shard, on distinct cache lines: cell 0 carries
@@ -310,7 +312,8 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
         })
         .collect();
 
-    let mut coordinator = TxnCoordinator::with_routing();
+    // One coordinator deciding every transaction on its own record.
+    let mut coordinator = CoordinatorPool::with_routing(1, 1);
     let mut staleness = vec![Nanos::ZERO; shards];
     let cluster = ClusterSpec::memcache_tier(8);
 
@@ -336,13 +339,17 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
         let a = k % shards;
         let b = (k + 1) % shards;
         let (va, vb) = (rng.gen::<u64>(), rng.gen::<u64>());
-        let mut txn = coordinator.begin(shards);
+        let mut txn = coordinator.begin(0, shards);
         txn.stage(a, cells[a][0], va);
         txn.stage(b, cells[b][0], vb);
         let outcome = coordinator
-            .commit(&mut heaps, &txn)
+            .submit(0, &mut heaps, &txn)
             .expect("healthy fleet commits");
-        assert_eq!(outcome, TxnOutcome::Committed, "outage {k} foreground txn");
+        assert_eq!(
+            outcome,
+            SubmitOutcome::Committed { group: 1 },
+            "outage {k} foreground txn"
+        );
         model[a][0] = va;
         model[b][0] = vb;
         stats.committed_txns += 1;
@@ -355,25 +362,26 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
         if k % 3 == 0 {
             let c = (k + 2) % shards;
             let (wa, wb) = (rng.gen::<u64>(), rng.gen::<u64>());
-            let mut pair_a = coordinator.begin(shards);
+            let mut pair_a = coordinator.begin(0, shards);
             pair_a.stage(a, cells[a][1], wa);
             pair_a.stage(b, cells[b][1], wb);
-            let mut pair_b = coordinator.begin(shards);
+            let mut pair_b = coordinator.begin(0, shards);
             pair_b.stage(b, cells[b][2], rng.gen::<u64>());
             pair_b.stage(c, cells[c][2], rng.gen::<u64>());
-            coordinator
-                .prepare_shard(&mut heaps[a], a, &pair_a)
-                .expect("pair A prepares on its first shard");
-            coordinator
-                .prepare_shard(&mut heaps[b], b, &pair_b)
-                .expect("pair B prepares on the overlapping shard");
-            coordinator
-                .prepare_shard(&mut heaps[b], b, &pair_a)
-                .expect("pair A prepares on the overlapping shard");
-            coordinator
-                .prepare_shard(&mut heaps[c], c, &pair_b)
-                .expect("pair B prepares on its second shard");
-            coordinator.record_decision(&pair_a);
+            // Interleaved prepares need per-shard steps: drive the heap
+            // primitives directly, then seal A's decision alone.
+            for (shard, txn, what) in [
+                (a, &pair_a, "pair A prepares on its first shard"),
+                (b, &pair_b, "pair B prepares on the overlapping shard"),
+                (b, &pair_a, "pair A prepares on the overlapping shard"),
+                (c, &pair_b, "pair B prepares on its second shard"),
+            ] {
+                heaps[shard]
+                    .prepare_distributed(txn.gtxid(), txn.writes_for(shard))
+                    .expect(what);
+            }
+            coordinator.buffer_decision(0, &pair_a);
+            coordinator.seal_decisions(0);
             model[a][1] = wa;
             model[b][1] = wb;
             stats.committed_txns += 1;
@@ -470,7 +478,7 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
             })
             .collect();
         let coordinator_image = coordinator.crash_image();
-        coordinator = TxnCoordinator::recover_routed(&coordinator_image);
+        coordinator = CoordinatorPool::recover(&coordinator_image, 1, 1);
         machine.system_power_loss();
         machine.system_power_on();
         for dimm in machine.nvram_mut().dimms_mut() {

@@ -1,47 +1,53 @@
-//! Cross-shard transactions: a two-phase epoch seal over sharded
-//! persistent heaps.
+//! Cross-shard transactions: presumed-abort two-phase commit over
+//! sharded persistent heaps, decided in groups by a [`CoordinatorPool`].
 //!
 //! A single heap's durability point is its epoch seal (PR 5): records,
 //! fence, one covering marker. A transaction spanning shards needs the
-//! same shape *across* heaps, and this module provides it as classic
-//! presumed-abort two-phase commit built from the seal machinery:
+//! same shape *across* heaps, and the pool provides it with the seal
+//! machinery:
 //!
 //! 1. **Prepare** — each participant shard coalesces the transaction's
 //!    write set like an epoch seal (one log record per address, one
 //!    clflush per line) and covers it with a fenced
 //!    [`wsp_pheap::RecordKind::Prepare`] marker. From that marker on the
 //!    shard is bound by the coordinator's decision.
-//! 2. **Decide** — the coordinator appends one fenced commit record for
-//!    the global txid to its own durable torn-bit log. This single
-//!    store is the transaction's commit point.
+//! 2. **Decide** — the decision is buffered on its coordinator until a
+//!    size trigger seals every buffered decision under one fenced
+//!    [`wsp_pheap::RecordKind::GroupDecision`] record in the shared
+//!    decision log. That single store is the commit point for the whole
+//!    group, so N transactions pay one decision fence — the epoch seal's
+//!    amortization, applied to the coordinator path. A group of one is
+//!    the classic one-record-per-transaction protocol.
 //! 3. **Commit** — each participant writes a fenced local commit marker
 //!    (and the redo flavour applies its buffered writes in place), so
-//!    later recoveries never consult the coordinator again.
+//!    later recoveries never consult the coordinator again; a durable
+//!    [`wsp_pheap::RecordKind::Settle`] marker then lets the decision
+//!    log recycle the entry.
 //!
 //! **Presumed abort**: a shard that recovers with a durable PREPARED
 //! marker but no local decision is *in doubt* and asks the recovered
-//! coordinator log; if the decision record is absent the transaction
+//! decision log; if no intact group record names the transaction it
 //! aborts everywhere — safe because phase 2 starts only after every
-//! participant's marker is durable. A shard that lost its image outright
-//! cannot vote at all: [`resolve_cross_shard`] degrades it through the
-//! recovery-ladder verdict types with the staleness quantified from the
-//! cluster model, instead of failing the whole fleet.
+//! participant's marker is durable. A torn group record decides *none*
+//! of its members, so a group commits all-or-nothing. A shard that lost
+//! its image outright cannot vote at all: [`resolve_cross_shard`]
+//! degrades it through the recovery-ladder verdict types with the
+//! staleness quantified from the cluster model, instead of failing the
+//! whole fleet.
 //!
-//! # Group-decided commit
+//! Several coordinators share the one decision log. Each stamps its
+//! *generation number* into the group entries it seals, and a recovered
+//! pool [`CoordinatorPool::attribute`]s every decided gtxid in the image
+//! back to the coordinator generation that sealed it. Concurrency is
+//! modelled on the simulated clock: each coordinator owns a clock,
+//! shards and the shared log are resources with availability times, and
+//! the pool's [`CoordinatorPool::wall`] clock is the slowest
+//! coordinator.
 //!
-//! PR 7's prepare rebates left the *decision record* — one fenced store
-//! per transaction — as the dominant serial cost on the 2PC path. The
-//! [`CoordinatorPool`] amortizes it exactly the way the epoch seal
-//! amortizes local commits: coordinators buffer decided gtxids and seal
-//! the whole batch with a single fenced
-//! [`wsp_pheap::RecordKind::GroupDecision`] record, so N transactions
-//! pay one decision fence. Multiple coordinators share that one
-//! decision log, stamped with per-coordinator *generation numbers*
-//! packed into each group entry; recovery replays the shared log and
-//! [`CoordinatorPool::attribute`]s every decided gtxid back to the
-//! coordinator generation that sealed it. Presumed abort extends to
-//! torn group records: any strict prefix of the record's words recovers
-//! *no* member, so a group is decided all-or-nothing.
+//! A pool opened [`CoordinatorPool::with_routing`] also logs every
+//! decided write set, so a shard whose NVRAM image the power domain
+//! sacrificed can be rebuilt from a stale back-end checkpoint plus
+//! [`reapply_routed`].
 
 use std::collections::{HashMap, HashSet};
 
@@ -56,17 +62,18 @@ use wsp_units::{ByteSize, Nanos};
 use crate::error::WspError;
 use crate::ladder::{LadderRung, RecoveryOutcome};
 
-/// Coordinator decision-log layout inside its private region: one page
-/// of header (the persistent tail pointer word), then the log area.
+/// Decision-log layout inside the pool's private region: one page of
+/// header (the persistent tail pointer word), then the log area.
 const DECISION_TAIL_ADDR: u64 = 8;
 const DECISION_LOG_BASE: u64 = 4096;
 const DECISION_LOG_CAP: ByteSize = ByteSize::kib(8);
 const DECISION_REGION: ByteSize = ByteSize::kib(64);
 
 /// Optional write-routing log (same region, after the decision log):
-/// records every committed transaction's write set so a shard whose
+/// records every decided transaction's write set so a shard whose
 /// NVRAM image was sacrificed can be rebuilt from an old back-end
 /// checkpoint *plus* a replay of the cross-shard writes it voted for.
+/// Its tail word stays zero in a pool opened without routing.
 const ROUTING_TAIL_ADDR: u64 = 16;
 const ROUTING_LOG_BASE: u64 = 16_384;
 const ROUTING_LOG_CAP: ByteSize = ByteSize::kib(32);
@@ -77,7 +84,8 @@ const ROUTE_SHARD_SHIFT: u32 = 48;
 const ROUTE_ADDR_MASK: u64 = (1 << ROUTE_SHARD_SHIFT) - 1;
 
 /// A cross-shard transaction buffering writes per participant shard
-/// until [`TxnCoordinator::commit`] runs the two-phase seal.
+/// until [`CoordinatorPool::submit`] (or the step-wise calls it
+/// composes) runs the two-phase seal.
 #[derive(Debug, Clone)]
 pub struct CrossShardTxn {
     gtxid: u64,
@@ -121,469 +129,6 @@ impl CrossShardTxn {
     }
 }
 
-/// How a cross-shard commit ended.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TxnOutcome {
-    /// Decision marker durable and every participant holds its local
-    /// commit marker.
-    Committed,
-    /// A prepare was refused before the decision; every already-prepared
-    /// participant was rolled back.
-    Aborted {
-        /// The refusing shard's error.
-        reason: String,
-    },
-}
-
-/// The 2PC coordinator: assigns global txids and owns the durable
-/// decision log that in-doubt shards are resolved against.
-///
-/// # Examples
-///
-/// ```
-/// use wsp_core::TxnCoordinator;
-/// use wsp_pheap::{HeapConfig, PersistentHeap};
-/// use wsp_units::ByteSize;
-///
-/// let mut shards = vec![
-///     PersistentHeap::create(ByteSize::kib(256), HeapConfig::FocUndo),
-///     PersistentHeap::create(ByteSize::kib(256), HeapConfig::FocUndo),
-/// ];
-/// // One committed cell per shard to transact over.
-/// let mut cells = Vec::new();
-/// for heap in &mut shards {
-///     let mut tx = heap.begin();
-///     let p = tx.alloc(8).unwrap();
-///     tx.write_word(p, 100).unwrap();
-///     tx.set_root(p).unwrap();
-///     tx.commit().unwrap();
-///     cells.push(p.offset());
-/// }
-///
-/// let mut coordinator = TxnCoordinator::new();
-/// let mut txn = coordinator.begin(shards.len());
-/// txn.stage(0, cells[0], 70); // transfer 30 from shard 0 ...
-/// txn.stage(1, cells[1], 130); // ... to shard 1
-/// let outcome = coordinator.commit(&mut shards, &txn).unwrap();
-/// assert_eq!(outcome, wsp_core::TxnOutcome::Committed);
-/// ```
-#[derive(Debug, Clone)]
-pub struct TxnCoordinator {
-    mem: PersistentMemory,
-    log: TornLog,
-    next: u64,
-    /// Recorded decisions some participant may still ask for (no durable
-    /// local marker everywhere yet). While any remain the decision log
-    /// must not truncate; once the set drains every logged decision is
-    /// dead weight and the log can recycle.
-    unsettled: HashSet<u64>,
-    /// The write-routing log, when this coordinator was opened with
-    /// [`TxnCoordinator::with_routing`]. `None` keeps the classic
-    /// coordinator bit-for-bit unchanged.
-    routing: Option<TornLog>,
-}
-
-impl Default for TxnCoordinator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TxnCoordinator {
-    /// A fresh coordinator with an empty, initialized decision log.
-    #[must_use]
-    pub fn new() -> Self {
-        let mut mem = PersistentMemory::new(DECISION_REGION);
-        let log = TornLog::new(DECISION_LOG_BASE, DECISION_LOG_CAP, DECISION_TAIL_ADDR);
-        log.initialize(&mut mem);
-        TxnCoordinator {
-            mem,
-            log,
-            next: 0,
-            unsettled: HashSet::new(),
-            routing: None,
-        }
-    }
-
-    /// A fresh coordinator that additionally routes every committed
-    /// transaction's write set into a second durable log. Routing costs
-    /// one fenced append per write at decision time and buys the storm
-    /// path its strongest guarantee: a shard sacrificed by the power
-    /// domain's triage can be rebuilt from a *stale* back-end checkpoint
-    /// and still end up holding every committed cross-shard write.
-    #[must_use]
-    pub fn with_routing() -> Self {
-        let mut coordinator = Self::new();
-        let routing = TornLog::new(ROUTING_LOG_BASE, ROUTING_LOG_CAP, ROUTING_TAIL_ADDR);
-        routing.initialize(&mut coordinator.mem);
-        coordinator.routing = Some(routing);
-        coordinator
-    }
-
-    /// [`TxnCoordinator::recover`], for a coordinator that was opened
-    /// with [`TxnCoordinator::with_routing`]: the routed write history
-    /// is carried across the restart along with the decisions, so a
-    /// shard sacrificed *before* the coordinator itself crashed can
-    /// still be rebuilt afterwards.
-    #[must_use]
-    pub fn recover_routed(coordinator_image: &[u8]) -> Self {
-        let mut coordinator = Self::recover(coordinator_image);
-        let mut routing = TornLog::new(ROUTING_LOG_BASE, ROUTING_LOG_CAP, ROUTING_TAIL_ADDR);
-        routing.initialize(&mut coordinator.mem);
-        let mut routed = recover_routing(coordinator_image);
-        routed.sort_by_key(|w| (w.gtxid, w.shard, w.addr));
-        for w in &routed {
-            routing.append(
-                &mut coordinator.mem,
-                &LogRecord::write(
-                    w.gtxid,
-                    ((w.shard as u64) << ROUTE_SHARD_SHIFT) | w.addr,
-                    w.value,
-                ),
-                true,
-            );
-        }
-        // A settled decision is prunable for *in-doubt* resolution, but
-        // the routed-rebuild path still needs it: a shard sacrificed in
-        // a later outage is rebuilt from its checkpoint plus a replay of
-        // routed writes filtered on the decided set. Re-pin every
-        // settled decision the routing log still carries writes for —
-        // they stay answerable (and survive compaction as unsettled)
-        // until the routing history itself is pruned.
-        let decided = recover_decisions(coordinator_image);
-        let settled = recover_settled(coordinator_image);
-        let mut pins: Vec<u64> = routed
-            .iter()
-            .map(|w| w.gtxid)
-            .filter(|g| settled.contains(g) && decided.contains(g))
-            .collect();
-        pins.sort_unstable();
-        pins.dedup();
-        for &gtxid in &pins {
-            coordinator
-                .log
-                .append(&mut coordinator.mem, &LogRecord::commit(gtxid), true);
-            coordinator.unsettled.insert(gtxid);
-        }
-        coordinator.mem.sfence();
-        coordinator.routing = Some(routing);
-        coordinator
-    }
-
-    /// Rebuilds a coordinator from its crashed decision log: every
-    /// *unsettled* durable decision is re-appended to a fresh log (so
-    /// in-doubt shards can still be resolved against it) and the txid
-    /// counter resumes above every decided gtxid — settled or not — as a
-    /// restarted coordinator must never reissue a gtxid that a surviving
-    /// shard's log already holds a decision marker for, or that shard's
-    /// recovery would mistake a new in-doubt transaction for a decided
-    /// one.
-    ///
-    /// Decisions covered by a durable [`RecordKind::Settle`] marker are
-    /// *pruned* here: every participant already holds its local phase-2
-    /// marker, so no recovery will ever ask for them again and replaying
-    /// them forever would only grow the log. Decisions without a settle
-    /// marker start out unsettled; call [`TxnCoordinator::settle`] once
-    /// every participant is known to hold its local marker. An
-    /// issued-but-undecided gtxid from before the crash can be reissued,
-    /// which is safe: recovered shards resolved it by presumed abort and
-    /// scrubbed their logs, and a surviving shard still holding it
-    /// prepared refuses the reissue with a conflict.
-    #[must_use]
-    pub fn recover(coordinator_image: &[u8]) -> Self {
-        let mut coordinator = Self::new();
-        let settled = recover_settled(coordinator_image);
-        let mut decided: Vec<u64> = recover_decisions(coordinator_image).into_iter().collect();
-        decided.sort_unstable();
-        for &gtxid in decided.iter().filter(|g| !settled.contains(g)) {
-            coordinator
-                .log
-                .append(&mut coordinator.mem, &LogRecord::commit(gtxid), true);
-            coordinator.unsettled.insert(gtxid);
-        }
-        coordinator.mem.sfence();
-        coordinator.next = decided.last().map_or(0, |&g| g - GTXID_BASE + 1);
-        coordinator
-    }
-
-    /// Simulated time the coordinator's own durable operations have
-    /// cost.
-    #[must_use]
-    pub fn elapsed(&self) -> Nanos {
-        self.mem.elapsed()
-    }
-
-    /// Opens a cross-shard transaction over `shards` shards.
-    pub fn begin(&mut self, shards: usize) -> CrossShardTxn {
-        let gtxid = GTXID_BASE + self.next;
-        self.next += 1;
-        let txn = CrossShardTxn {
-            gtxid,
-            writes: vec![Vec::new(); shards],
-        };
-        obs::emit(
-            "txn",
-            "begin",
-            self.mem.elapsed(),
-            txn.short_id(),
-            shards as i64,
-        );
-        txn
-    }
-
-    /// Phase 1 on one participant: durable PREPARED record on `heap`.
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`PersistentHeap::prepare_distributed`] refuses with;
-    /// the caller (or [`TxnCoordinator::commit`]) must then abort the
-    /// already-prepared participants.
-    pub fn prepare_shard(
-        &mut self,
-        heap: &mut PersistentHeap,
-        shard: usize,
-        txn: &CrossShardTxn,
-    ) -> Result<(), HeapError> {
-        heap.prepare_distributed(txn.gtxid, txn.writes_for(shard))?;
-        obs::emit(
-            "txn",
-            "prepare",
-            heap.elapsed(),
-            shard as i64,
-            txn.short_id(),
-        );
-        obs::count(obs::Ctr::TxnPrepares);
-        Ok(())
-    }
-
-    /// The commit point: appends the fenced decision record for `txn` to
-    /// the coordinator's durable log. After this store the transaction
-    /// commits everywhere, no matter which nodes crash.
-    pub fn record_decision(&mut self, txn: &CrossShardTxn) {
-        self.truncate_if_settled();
-        // Route the write set *before* the decision record: a crash
-        // between the two leaves routed writes for an undecided gtxid,
-        // which replay ignores (presumed abort); the reverse order could
-        // leave a decided transaction with no routed writes to rebuild
-        // a sacrificed shard from.
-        if let Some(routing) = &mut self.routing {
-            for shard in txn.participants() {
-                for &(addr, value) in txn.writes_for(shard) {
-                    routing.append(
-                        &mut self.mem,
-                        &LogRecord::write(
-                            txn.gtxid,
-                            ((shard as u64) << ROUTE_SHARD_SHIFT) | addr,
-                            value,
-                        ),
-                        true,
-                    );
-                }
-            }
-        }
-        self.log
-            .append(&mut self.mem, &LogRecord::commit(txn.gtxid), true);
-        self.mem.sfence();
-        self.unsettled.insert(txn.gtxid);
-        obs::emit("txn", "decide", self.mem.elapsed(), txn.short_id(), 1);
-        obs::count(obs::Ctr::TxnDecisions);
-    }
-
-    /// Phase 2 on one participant: durable local commit marker on
-    /// `heap`.
-    ///
-    /// # Errors
-    ///
-    /// [`HeapError::NoTransaction`] if the txn was never prepared there.
-    pub fn commit_shard(
-        &mut self,
-        heap: &mut PersistentHeap,
-        shard: usize,
-        txn: &CrossShardTxn,
-    ) -> Result<(), HeapError> {
-        heap.commit_distributed(txn.gtxid)?;
-        obs::emit(
-            "txn",
-            "commit_shard",
-            heap.elapsed(),
-            shard as i64,
-            txn.short_id(),
-        );
-        obs::count(obs::Ctr::TxnShardCommits);
-        Ok(())
-    }
-
-    /// Rolls back a prepared participant (coordinator-initiated abort).
-    ///
-    /// # Errors
-    ///
-    /// [`HeapError::NoTransaction`] if the txn was never prepared there.
-    pub fn abort_shard(
-        &mut self,
-        heap: &mut PersistentHeap,
-        shard: usize,
-        txn: &CrossShardTxn,
-    ) -> Result<(), HeapError> {
-        heap.abort_distributed(txn.gtxid)?;
-        obs::emit(
-            "txn",
-            "abort_shard",
-            heap.elapsed(),
-            shard as i64,
-            txn.short_id(),
-        );
-        Ok(())
-    }
-
-    /// Marks `gtxid`'s decision as settled: every participant holds a
-    /// durable local marker, so no recovery will ever ask the decision
-    /// log for it again. Protocol drivers that record decisions directly
-    /// (via [`TxnCoordinator::record_decision`]) must call this once the
-    /// phase-2 markers land, or the decision log can never truncate.
-    ///
-    /// Settling is itself made durable with a [`RecordKind::Settle`]
-    /// marker (unfenced — it rides the next fence; losing it merely
-    /// means a conservative replay), which is what lets
-    /// [`TxnCoordinator::recover`] prune the decision instead of
-    /// carrying it forever.
-    pub fn settle(&mut self, gtxid: u64) {
-        self.unsettled.remove(&gtxid);
-        self.log
-            .append(&mut self.mem, &LogRecord::settle(gtxid), true);
-        self.truncate_if_settled();
-    }
-
-    /// Truncates the decision log when it is running low. With nothing
-    /// unsettled the whole log is dead weight and drops in one step;
-    /// otherwise the unsettled decisions are re-appended ahead of the
-    /// new tail first (the PR 6 preserving-truncation protocol), so an
-    /// in-doubt shard can still resolve against them at any crash point
-    /// while the settled bulk recycles.
-    fn truncate_if_settled(&mut self) {
-        if !self.log.needs_truncation() {
-            return;
-        }
-        if self.unsettled.is_empty() {
-            self.log.truncate(&mut self.mem, true);
-            return;
-        }
-        let mark = self.log.mark();
-        let mut live: Vec<u64> = self.unsettled.iter().copied().collect();
-        live.sort_unstable();
-        for &gtxid in &live {
-            self.log
-                .append(&mut self.mem, &LogRecord::commit(gtxid), true);
-        }
-        self.mem.sfence();
-        self.log.truncate_to(&mut self.mem, mark, true);
-    }
-
-    /// Runs the full two-phase seal for `txn` against `heaps`: prepares
-    /// every participant in ascending shard order, records the durable
-    /// decision, then writes every participant's commit marker. A
-    /// refused prepare aborts the already-prepared participants and
-    /// returns [`TxnOutcome::Aborted`] — the transaction is then visible
-    /// on no shard.
-    ///
-    /// # Errors
-    ///
-    /// Only on protocol misuse (e.g. a participant shard that was
-    /// swapped out mid-commit); prepare refusals are a normal
-    /// [`TxnOutcome::Aborted`], not an error.
-    pub fn commit(
-        &mut self,
-        heaps: &mut [PersistentHeap],
-        txn: &CrossShardTxn,
-    ) -> Result<TxnOutcome, HeapError> {
-        let participants = txn.participants();
-        let clock = |mem_elapsed: Nanos, heaps: &[PersistentHeap]| {
-            participants
-                .iter()
-                .fold(mem_elapsed, |acc, &s| acc + heaps[s].elapsed())
-        };
-        let t0 = clock(self.mem.elapsed(), heaps);
-        let mut prepared: Vec<usize> = Vec::with_capacity(participants.len());
-        let mut phase_times: Vec<(usize, Nanos)> = Vec::with_capacity(participants.len());
-        for &shard in &participants {
-            let p0 = heaps[shard].elapsed();
-            match self.prepare_shard(&mut heaps[shard], shard, txn) {
-                Ok(()) => {
-                    prepared.push(shard);
-                    phase_times.push((shard, heaps[shard].elapsed() - p0));
-                }
-                Err(refusal) => {
-                    for &p in &prepared {
-                        self.abort_shard(&mut heaps[p], p, txn)?;
-                    }
-                    obs::emit("txn", "abort", self.mem.elapsed(), txn.short_id(), 0);
-                    obs::count(obs::Ctr::TxnAborts);
-                    return Ok(TxnOutcome::Aborted {
-                        reason: refusal.to_string(),
-                    });
-                }
-            }
-        }
-        // The participants prepared concurrently in real time; only the
-        // slowest one bounds the phase. The fleet clock sums per-shard
-        // charges, so rebate every other participant's prepare.
-        Self::rebate_overlapped(heaps, &mut phase_times);
-        self.record_decision(txn);
-        for &shard in &participants {
-            let c0 = heaps[shard].elapsed();
-            self.commit_shard(&mut heaps[shard], shard, txn)?;
-            phase_times.push((shard, heaps[shard].elapsed() - c0));
-        }
-        // Phase-2 markers land concurrently too.
-        Self::rebate_overlapped(heaps, &mut phase_times);
-        self.settle(txn.gtxid());
-        let t1 = clock(self.mem.elapsed(), heaps);
-        obs::observe(obs::Hist::TxnCommit, t1 - t0);
-        Ok(TxnOutcome::Committed)
-    }
-
-    /// Rebates all but the slowest entry of one concurrent 2PC phase:
-    /// the participants ran their prepares (or phase-2 commits) in
-    /// parallel, so a fleet clock that sums per-shard time should
-    /// advance by the phase's maximum, not its total. Drains `times`
-    /// for reuse by the next phase.
-    fn rebate_overlapped(heaps: &mut [PersistentHeap], times: &mut Vec<(usize, Nanos)>) {
-        if times.len() < 2 {
-            times.clear();
-            return;
-        }
-        let slowest = times
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &(_, d))| d)
-            .map(|(i, _)| i)
-            .expect("non-empty");
-        for (i, (shard, d)) in times.drain(..).enumerate() {
-            if i != slowest {
-                heaps[shard].rebate(d);
-            }
-        }
-    }
-
-    /// The coordinator's durable bytes as they would survive a power
-    /// failure right now: every fenced decision record, nothing else.
-    /// Feed this to [`recover_decisions`] or [`resolve_cross_shard`].
-    #[must_use]
-    pub fn crash_image(&self) -> Vec<u8> {
-        self.mem.clone().crash(false)
-    }
-
-    /// Discards the routed write history (a no-op without routing).
-    /// Call only once every shard's back-end checkpoint is newer than
-    /// every routed write — replayed rebuilds reach no further back
-    /// than the surviving routing log.
-    pub fn prune_routing(&mut self) {
-        if let Some(routing) = &mut self.routing {
-            routing.truncate(&mut self.mem, true);
-            self.mem.sfence();
-        }
-    }
-}
-
 /// Where a gtxid's coordinator index lives inside the id: gtxids issued
 /// by a [`CoordinatorPool`] are `GTXID_BASE + (coordinator << 32) + seq`,
 /// so the id itself names its issuer across crashes.
@@ -596,8 +141,8 @@ pub fn coordinator_of(gtxid: u64) -> usize {
     ((gtxid - GTXID_BASE) >> POOL_COORD_SHIFT) as usize
 }
 
-/// The provenance of a decided gtxid after a pool recovery: which
-/// coordinator sealed it, under which generation.
+/// The provenance of a decided gtxid: which coordinator sealed it,
+/// under which generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GtxidOrigin {
     /// Issuing coordinator index (decoded from the gtxid).
@@ -610,7 +155,7 @@ pub struct GtxidOrigin {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitOutcome {
     /// Prepared everywhere and the decision is buffered — *not yet
-    /// durable*. A crash now presumes abort. The size/age trigger (or
+    /// durable*. A crash now presumes abort. The size trigger (or
     /// [`CoordinatorPool::drain`]) will seal it.
     Buffered,
     /// The submission tripped the group trigger: the whole buffered
@@ -653,19 +198,18 @@ struct CoordSlot {
     clock: Nanos,
 }
 
-/// A pool of concurrent 2PC coordinators sharing one durable decision
-/// log, with group-decided commit: decided gtxids buffer until a size
-/// (or age) trigger seals them all under a *single* fenced
+/// The 2PC coordinator: a pool of concurrent coordinators sharing one
+/// durable decision log, with group-decided commit. Decided gtxids
+/// buffer until the size trigger seals them all under a *single* fenced
 /// [`RecordKind::GroupDecision`] record — N transactions, one decision
-/// fence. Concurrency is modeled on the simulated clock exactly like
-/// PR 7's participant rebates: each coordinator owns a clock, shards
-/// and the shared log are resources with availability times, and the
-/// pool's wall clock is the maximum coordinator clock — so only the
-/// slowest coordinator in a group pays unrebated time.
+/// fence. Each coordinator owns a simulated clock; shards and the
+/// shared log are resources with availability times, and the pool's
+/// wall clock is the maximum coordinator clock, so only contention on a
+/// shard or on the log serializes work.
 ///
-/// The decision-log layout matches [`TxnCoordinator`]'s, so
-/// [`resolve_cross_shard`] and [`recover_decisions`] work unchanged on
-/// a pool's crash image.
+/// Feed [`CoordinatorPool::crash_image`] to [`resolve_cross_shard`] or
+/// [`recover_decisions`] after a crash, and to
+/// [`CoordinatorPool::recover`] to restart the pool.
 ///
 /// # Examples
 ///
@@ -706,20 +250,25 @@ pub struct CoordinatorPool {
     mem: PersistentMemory,
     log: TornLog,
     group_size: usize,
-    group_age: Option<Nanos>,
     coords: Vec<CoordSlot>,
     /// Decided, buffered, not yet sealed: a crash loses all of these.
     pending: Vec<PendingDecision>,
     /// Sealed (decision durable) but phase 2 not yet run.
     sealed: Vec<PendingDecision>,
-    /// Sealed decisions some participant may still ask for.
-    unsettled: HashSet<u64>,
-    /// Every durable decision, with the generation that sealed it.
-    decided: HashMap<u64, u64>,
+    /// Sealed decisions some participant may still ask for, with the
+    /// generation that sealed them (compaction re-seals them under it).
+    /// Settling drops the entry, so the map never outgrows the log.
+    unsettled: HashMap<u64, u64>,
+    /// Every decision in the image this pool recovered from, with its
+    /// sealing generation — bounded by the log that image held.
+    recovered: HashMap<u64, u64>,
     /// Discrete-event availability of each shard (grown on demand).
     shard_free: Vec<Nanos>,
     /// Discrete-event availability of the shared decision log.
     log_free: Nanos,
+    /// The write-routing log, when opened with
+    /// [`CoordinatorPool::with_routing`].
+    routing: Option<TornLog>,
 }
 
 impl CoordinatorPool {
@@ -744,7 +293,6 @@ impl CoordinatorPool {
             mem,
             log,
             group_size,
-            group_age: None,
             coords: vec![
                 CoordSlot {
                     generation: 1,
@@ -755,20 +303,33 @@ impl CoordinatorPool {
             ],
             pending: Vec::new(),
             sealed: Vec::new(),
-            unsettled: HashSet::new(),
-            decided: HashMap::new(),
+            unsettled: HashMap::new(),
+            recovered: HashMap::new(),
             shard_free: Vec::new(),
             log_free: Nanos::ZERO,
+            routing: None,
         }
     }
 
-    /// Adds an age trigger: a submission also seals when the oldest
-    /// buffered decision has waited at least `age` on the owner's clock,
-    /// bounding decision latency when traffic is slow.
+    /// [`CoordinatorPool::new`], additionally routing every decided
+    /// transaction's write set into a second durable log. Routing costs
+    /// one append per write when the decision is buffered and buys the
+    /// storm path its strongest guarantee: a shard sacrificed by the
+    /// power domain's triage can be rebuilt from a *stale* back-end
+    /// checkpoint and still end up holding every committed cross-shard
+    /// write. [`CoordinatorPool::recover`] carries the routed history
+    /// across restarts.
+    ///
+    /// # Panics
+    ///
+    /// As [`CoordinatorPool::new`].
     #[must_use]
-    pub fn with_group_age(mut self, age: Nanos) -> Self {
-        self.group_age = Some(age);
-        self
+    pub fn with_routing(coordinators: usize, group_size: usize) -> Self {
+        let mut pool = Self::new(coordinators, group_size);
+        let routing = TornLog::new(ROUTING_LOG_BASE, ROUTING_LOG_CAP, ROUTING_TAIL_ADDR);
+        routing.initialize(&mut pool.mem);
+        pool.routing = Some(routing);
+        pool
     }
 
     /// Number of coordinators in the pool.
@@ -840,6 +401,16 @@ impl CoordinatorPool {
         end
     }
 
+    /// Runs one step on the shared log: it starts when both the
+    /// coordinator and the log are free, holds the log until it ends,
+    /// and advances the coordinator to its end, which it returns.
+    fn run_on_log(&mut self, coordinator: usize, duration: Nanos) -> Nanos {
+        let end = self.coords[coordinator].clock.max(self.log_free) + duration;
+        self.log_free = end;
+        self.coords[coordinator].clock = end;
+        end
+    }
+
     /// Phase 1 for every participant of `txn`, on `coordinator`'s clock.
     /// Participants run concurrently (the phase ends at the slowest
     /// one), but two transactions contending for the same shard
@@ -891,31 +462,49 @@ impl CoordinatorPool {
     /// Buffers `txn`'s commit decision on `coordinator`. The decision is
     /// *volatile* until a seal covers it: a crash before the covering
     /// group record fences resolves the transaction by presumed abort.
+    ///
+    /// With routing, the write set is appended to the routing log here,
+    /// on `coordinator`'s clock — before any group record can cover the
+    /// decision. A crash in between leaves routed writes for an
+    /// undecided gtxid, which replay ignores (presumed abort); the
+    /// reverse order could leave a decided transaction with no routed
+    /// writes to rebuild a sacrificed shard from.
     pub fn buffer_decision(&mut self, coordinator: usize, txn: &CrossShardTxn) {
+        let participants = txn.participants();
+        if let Some(routing) = &mut self.routing {
+            let m0 = self.mem.elapsed();
+            for &shard in &participants {
+                for &(addr, value) in txn.writes_for(shard) {
+                    routing.append(
+                        &mut self.mem,
+                        &LogRecord::write(
+                            txn.gtxid,
+                            ((shard as u64) << ROUTE_SHARD_SHIFT) | addr,
+                            value,
+                        ),
+                        true,
+                    );
+                }
+            }
+            let cost = self.mem.elapsed() - m0;
+            self.run_on_log(coordinator, cost);
+        }
         let slot = &self.coords[coordinator];
         self.pending.push(PendingDecision {
             coordinator,
             generation: slot.generation,
             gtxid: txn.gtxid,
-            participants: txn.participants(),
+            participants,
             buffered_at: slot.clock,
         });
     }
 
-    /// True when the buffered group should seal: the size trigger is
-    /// met, or the age trigger (when configured) has expired on
-    /// `coordinator`'s clock.
+    /// True when the buffered group has reached the size trigger.
+    /// `coordinator` is the one about to act on it (every coordinator
+    /// shares the one buffer).
     #[must_use]
-    pub fn should_seal(&self, coordinator: usize) -> bool {
-        if self.pending.len() >= self.group_size {
-            return true;
-        }
-        match (self.group_age, self.pending.first()) {
-            (Some(age), Some(oldest)) => {
-                self.coords[coordinator].clock >= oldest.buffered_at + age
-            }
-            _ => false,
-        }
+    pub fn should_seal(&self, _coordinator: usize) -> bool {
+        self.pending.len() >= self.group_size
     }
 
     /// Seals every buffered decision under one fenced group record —
@@ -938,15 +527,11 @@ impl CoordinatorPool {
         self.log.append_group_decision(&mut self.mem, &entries, true);
         self.mem.sfence();
         let seal_cost = self.mem.elapsed() - m0;
-        let start = self.coords[sealer].clock.max(self.log_free);
-        let seal_end = start + seal_cost;
-        self.log_free = seal_end;
-        self.coords[sealer].clock = seal_end;
+        let seal_end = self.run_on_log(sealer, seal_cost);
 
         let group = self.pending.len();
         for p in &self.pending {
-            self.decided.insert(p.gtxid, p.generation);
-            self.unsettled.insert(p.gtxid);
+            self.unsettled.insert(p.gtxid, p.generation);
             let slot = &mut self.coords[p.coordinator];
             slot.clock = slot.clock.max(seal_end);
             obs::observe(
@@ -1054,23 +639,31 @@ impl CoordinatorPool {
             return;
         }
         let mark = self.log.mark();
-        if !self.unsettled.is_empty() {
-            let mut live: Vec<u64> = self.unsettled.iter().copied().collect();
-            live.sort_unstable();
-            let entries: Vec<u64> = live
-                .iter()
-                .map(|g| pack_group_entry(self.decided[g], *g))
-                .collect();
-            self.log.append_group_decision(&mut self.mem, &entries, true);
-            self.mem.sfence();
-        }
+        self.seal_unsettled();
         self.log.truncate_to(&mut self.mem, mark, true);
     }
 
+    /// Re-seals every unsettled decision, ascending by gtxid, under one
+    /// fenced group record carrying its original generation.
+    fn seal_unsettled(&mut self) {
+        if self.unsettled.is_empty() {
+            return;
+        }
+        let mut live: Vec<(u64, u64)> = self.unsettled.iter().map(|(&g, &gen)| (g, gen)).collect();
+        live.sort_unstable();
+        let entries: Vec<u64> = live
+            .iter()
+            .map(|&(gtxid, generation)| pack_group_entry(generation, gtxid))
+            .collect();
+        self.log
+            .append_group_decision(&mut self.mem, &entries, true);
+        self.mem.sfence();
+    }
+
     /// The pool's durable bytes as they would survive a power failure
-    /// right now: sealed group records, nothing buffered. Feed to
-    /// [`resolve_cross_shard`], [`recover_decisions`], or
-    /// [`CoordinatorPool::recover`].
+    /// right now: sealed group records (and routed writes), nothing
+    /// buffered. Feed to [`resolve_cross_shard`], [`recover_decisions`],
+    /// [`recover_routing`] or [`CoordinatorPool::recover`].
     #[must_use]
     pub fn crash_image(&self) -> Vec<u8> {
         self.mem.clone().crash(false)
@@ -1104,14 +697,29 @@ impl CoordinatorPool {
     /// ones are re-sealed under one fresh group record, keeping their
     /// original generations so [`CoordinatorPool::attribute`] still
     /// names the sealing incarnation. Every coordinator's sequence
-    /// counter resumes above its decided gtxids and its generation is
-    /// bumped past every generation the log holds for it.
+    /// counter resumes above its decided gtxids — settled or not, so a
+    /// restarted pool never reissues a gtxid a surviving shard holds a
+    /// decision marker for — and its generation is bumped past every
+    /// generation the log holds for it. An issued-but-undecided gtxid
+    /// may be reissued, which is safe: recovered shards resolved it by
+    /// presumed abort, and a surviving shard still holding it prepared
+    /// refuses the reissue with a conflict.
+    ///
+    /// An image with an initialized routing log recovers a routing pool:
+    /// the routed history is carried over, and every settled decision
+    /// the history still carries writes for is re-pinned as unsettled,
+    /// because a shard sacrificed in a later outage is rebuilt by
+    /// replaying routed writes filtered on the decided set. The pins
+    /// last until [`CoordinatorPool::prune_routing`].
     #[must_use]
     pub fn recover(coordinator_image: &[u8], coordinators: usize, group_size: usize) -> Self {
-        let mut pool = Self::new(coordinators, group_size);
-        let settled = recover_settled(coordinator_image);
+        let mut pool = if routing_tail(coordinator_image) == 0 {
+            Self::new(coordinators, group_size)
+        } else {
+            Self::with_routing(coordinators, group_size)
+        };
         let mut decided: Vec<(u64, u64)> = decision_records(coordinator_image)
-            .filter(|r| matches!(r.kind, RecordKind::Commit | RecordKind::GroupDecision))
+            .filter(|r| r.kind == RecordKind::GroupDecision)
             .map(|r| (r.txid, r.addr))
             .collect();
         decided.sort_unstable();
@@ -1124,60 +732,78 @@ impl CoordinatorPool {
                 slot.next_seq = slot.next_seq.max(seq + 1);
                 slot.generation = slot.generation.max((generation + 1).min(GROUP_ENTRY_GEN_MAX));
             }
-            pool.decided.insert(gtxid, generation);
+            pool.recovered.insert(gtxid, generation);
         }
-        let live: Vec<u64> = decided
+        let mut routed = recover_routing(coordinator_image);
+        routed.sort_by_key(|w| (w.gtxid, w.shard, w.addr));
+        if let Some(routing) = &mut pool.routing {
+            for w in &routed {
+                routing.append(
+                    &mut pool.mem,
+                    &LogRecord::write(
+                        w.gtxid,
+                        ((w.shard as u64) << ROUTE_SHARD_SHIFT) | w.addr,
+                        w.value,
+                    ),
+                    true,
+                );
+            }
+        }
+        let pinned: HashSet<u64> = routed.iter().map(|w| w.gtxid).collect();
+        let settled = recover_settled(coordinator_image);
+        pool.unsettled = pool
+            .recovered
             .iter()
-            .map(|&(g, _)| g)
-            .filter(|g| !settled.contains(g))
+            .filter(|(g, _)| !settled.contains(g) || pinned.contains(g))
+            .map(|(&g, &gen)| (g, gen))
             .collect();
-        if !live.is_empty() {
-            let entries: Vec<u64> = live
-                .iter()
-                .map(|g| pack_group_entry(pool.decided[g], *g))
-                .collect();
-            pool.log.append_group_decision(&mut pool.mem, &entries, true);
-            pool.mem.sfence();
-            pool.unsettled.extend(&live);
-        }
+        pool.seal_unsettled();
         pool
     }
 
     /// Attributes a decided gtxid to the coordinator generation that
-    /// sealed it; `None` for gtxids with no durable decision (in-doubt
-    /// prepares resolve by presumed abort, and their *issuer* is still
-    /// readable via [`coordinator_of`]).
+    /// sealed it: every decision still unsettled, and every decision in
+    /// the image this pool recovered from. `None` for gtxids with no
+    /// durable decision (in-doubt prepares resolve by presumed abort,
+    /// and their *issuer* is still readable via [`coordinator_of`]).
     #[must_use]
     pub fn attribute(&self, gtxid: u64) -> Option<GtxidOrigin> {
-        self.decided.get(&gtxid).map(|&generation| GtxidOrigin {
-            coordinator: coordinator_of(gtxid),
-            generation,
-        })
+        self.unsettled
+            .get(&gtxid)
+            .or_else(|| self.recovered.get(&gtxid))
+            .map(|&generation| GtxidOrigin {
+                coordinator: coordinator_of(gtxid),
+                generation,
+            })
     }
 
-    /// Marks a recovered decision as settled once every participant is
-    /// known to hold its phase-2 marker (mirror of
-    /// [`TxnCoordinator::settle`]).
-    pub fn settle(&mut self, gtxid: u64) {
-        self.unsettled.remove(&gtxid);
-        self.log
-            .append(&mut self.mem, &LogRecord::settle(gtxid), true);
+    /// Discards the routed write history (a no-op without routing).
+    /// Call only once every shard's back-end checkpoint is newer than
+    /// every routed write — replayed rebuilds reach no further back
+    /// than the surviving routing log.
+    pub fn prune_routing(&mut self) {
+        if let Some(routing) = &mut self.routing {
+            routing.truncate(&mut self.mem, true);
+            self.mem.sfence();
+        }
     }
 }
 
-/// Reads the `WSP_TXN_GROUP` environment knob: the decision group size
-/// for workloads and benches that honour it (clamped to at least 1);
-/// `default` when unset or unparsable.
-#[must_use]
-pub fn group_size_from_env(default: usize) -> usize {
-    std::env::var("WSP_TXN_GROUP")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map_or(default, |v| v.max(1))
+/// The routing log's persistent tail word in a crashed pool image. An
+/// initialized tail word is never zero (`TornLog::initialize` packs
+/// polarity = true), but a pool created without routing leaves the word
+/// zeroed — and a zeroed region would decode as an endless run of
+/// polarity-false Write records. Zero therefore means "no routing".
+fn routing_tail(coordinator_image: &[u8]) -> u64 {
+    u64::from_le_bytes(
+        coordinator_image[ROUTING_TAIL_ADDR as usize..ROUTING_TAIL_ADDR as usize + 8]
+            .try_into()
+            .expect("aligned read"),
+    )
 }
 
-/// One write of a committed cross-shard transaction, as recovered from
-/// the coordinator's routing log.
+/// One write of a decided cross-shard transaction, as recovered from
+/// the pool's routing log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoutedWrite {
     /// The transaction that carried the write.
@@ -1190,22 +816,13 @@ pub struct RoutedWrite {
     pub value: u64,
 }
 
-/// Scans a crashed coordinator's routing log (see
-/// [`TxnCoordinator::with_routing`]) and returns every durably routed
+/// Scans a crashed pool's routing log (see
+/// [`CoordinatorPool::with_routing`]) and returns every durably routed
 /// write, decided or not — filter against [`recover_decisions`] before
-/// replaying. Empty for a coordinator without routing.
+/// replaying. Empty for a pool without routing.
 #[must_use]
 pub fn recover_routing(coordinator_image: &[u8]) -> Vec<RoutedWrite> {
-    // An initialized tail word is never zero (TornLog::initialize packs
-    // polarity = true), but a coordinator created without routing leaves
-    // the word zeroed — and a zeroed region would decode as an endless
-    // run of polarity-false Write records. Distinguish the two here.
-    let tail = u64::from_le_bytes(
-        coordinator_image[ROUTING_TAIL_ADDR as usize..ROUTING_TAIL_ADDR as usize + 8]
-            .try_into()
-            .expect("aligned read"),
-    );
-    if tail == 0 {
+    if routing_tail(coordinator_image) == 0 {
         return Vec::new();
     }
     TornLog::recover(
@@ -1238,7 +855,7 @@ pub fn recover_routing(coordinator_image: &[u8]) -> Vec<RoutedWrite> {
 ///
 /// [`HeapError`] if a routed address is outside the rebuilt heap — the
 /// checkpoint predates the allocation, i.e. it is older than the
-/// routing log's reach (see [`TxnCoordinator::prune_routing`]).
+/// routing log's reach (see [`CoordinatorPool::prune_routing`]).
 pub fn reapply_routed(
     heap: &mut PersistentHeap,
     shard: usize,
@@ -1270,21 +887,20 @@ pub fn reapply_routed(
     Ok(mine.len() as u64)
 }
 
-/// Scans a crashed coordinator's durable log and returns the set of
-/// global txids with a durable commit decision — classic per-txn
-/// [`RecordKind::Commit`] records and every member of an intact
-/// [`RecordKind::GroupDecision`] record alike. Everything absent is, by
-/// the presumed-abort rule, aborted; a torn group record contributes
-/// *none* of its members.
+/// Scans a crashed pool's decision log and returns the set of global
+/// txids with a durable commit decision: every member of an intact
+/// [`RecordKind::GroupDecision`] record. Everything absent is, by the
+/// presumed-abort rule, aborted; a torn group record contributes *none*
+/// of its members.
 #[must_use]
 pub fn recover_decisions(coordinator_image: &[u8]) -> HashSet<u64> {
     decision_records(coordinator_image)
-        .filter(|r| matches!(r.kind, RecordKind::Commit | RecordKind::GroupDecision))
+        .filter(|r| r.kind == RecordKind::GroupDecision)
         .map(|r| r.txid)
         .collect()
 }
 
-/// Scans a crashed coordinator's durable log for [`RecordKind::Settle`]
+/// Scans a crashed pool's decision log for [`RecordKind::Settle`]
 /// markers: decisions every participant has already confirmed, which
 /// recovery-time compaction may prune.
 #[must_use]
@@ -1453,7 +1069,7 @@ pub fn resolve_cross_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsp_pheap::{HeapConfig, PmPtr};
+    use wsp_pheap::HeapConfig;
 
     fn shard_with_cell(config: HeapConfig, value: u64) -> (PersistentHeap, PmPtr) {
         let mut heap = PersistentHeap::create(ByteSize::kib(256), config);
@@ -1465,43 +1081,13 @@ mod tests {
         (heap, p)
     }
 
+    /// Reads the root cell (cell 0 of [`pool_rig`]).
     fn cell(heap: &mut PersistentHeap) -> u64 {
         let root = heap.root().unwrap();
         let mut tx = heap.begin();
         let v = tx.read_word(root).unwrap();
         tx.commit().unwrap();
         v
-    }
-
-    fn rig(config: HeapConfig) -> (TxnCoordinator, Vec<PersistentHeap>, Vec<u64>) {
-        let mut heaps = Vec::new();
-        let mut cells = Vec::new();
-        for value in [100u64, 200] {
-            let (heap, p) = shard_with_cell(config, value);
-            heaps.push(heap);
-            cells.push(p.offset());
-        }
-        (TxnCoordinator::new(), heaps, cells)
-    }
-
-    #[test]
-    fn two_shard_commit_is_visible_everywhere() {
-        for config in [HeapConfig::FocStm, HeapConfig::FocUndo] {
-            let (mut coordinator, mut heaps, cells) = rig(config);
-            let mut txn = coordinator.begin(2);
-            txn.stage(0, cells[0], 70);
-            txn.stage(1, cells[1], 230);
-            let outcome = coordinator.commit(&mut heaps, &txn).unwrap();
-            assert_eq!(outcome, TxnOutcome::Committed, "{config}");
-            for (heap, want) in heaps.iter_mut().zip([70, 230]) {
-                assert_eq!(cell(heap), want, "{config}");
-            }
-            // And it survives both shards crashing unsaved.
-            for (heap, want) in heaps.into_iter().zip([70, 230]) {
-                let mut r = PersistentHeap::recover(heap.crash(false)).unwrap();
-                assert_eq!(cell(&mut r), want, "{config}");
-            }
-        }
     }
 
     #[test]
@@ -1511,333 +1097,66 @@ mod tests {
         let (heap0, p0) = shard_with_cell(HeapConfig::FocUndo, 100);
         let (heap1, p1) = shard_with_cell(HeapConfig::Fof, 200);
         let mut heaps = vec![heap0, heap1];
-        let mut coordinator = TxnCoordinator::new();
-        let mut txn = coordinator.begin(2);
+        let mut pool = CoordinatorPool::new(1, 1);
+        let mut txn = pool.begin(0, 2);
         txn.stage(0, p0.offset(), 1);
         txn.stage(1, p1.offset(), 2);
-        let outcome = coordinator.commit(&mut heaps, &txn).unwrap();
-        assert!(matches!(outcome, TxnOutcome::Aborted { .. }), "{outcome:?}");
+        let outcome = pool.submit(0, &mut heaps, &txn).unwrap();
+        assert!(
+            matches!(outcome, SubmitOutcome::Aborted { .. }),
+            "{outcome:?}"
+        );
+        assert_eq!(pool.buffered(), 0, "a refused txn is never buffered");
+        assert!(recover_decisions(&pool.crash_image()).is_empty());
         assert_eq!(cell(&mut heaps[0]), 100);
         assert_eq!(cell(&mut heaps[1]), 200);
     }
 
     #[test]
-    fn decision_log_round_trips_through_a_crash() {
-        let (mut coordinator, mut heaps, cells) = rig(HeapConfig::FocUndo);
-        let mut committed_txn = coordinator.begin(2);
-        committed_txn.stage(0, cells[0], 1);
-        committed_txn.stage(1, cells[1], 2);
-        coordinator.commit(&mut heaps, &committed_txn).unwrap();
-        let undecided = coordinator.begin(2);
-        let decisions = recover_decisions(&coordinator.crash_image());
-        assert!(decisions.contains(&committed_txn.gtxid()));
-        assert!(!decisions.contains(&undecided.gtxid()));
-    }
+    fn recovered_pool_never_reissues_a_decided_gtxid() {
+        let (mut heaps, cells) = pool_rig(HeapConfig::FocUndo, 2);
+        let mut pool = CoordinatorPool::new(1, 1);
+        let mut txn = pool.begin(0, 2);
+        txn.stage(0, cells[0][0], 70);
+        txn.stage(1, cells[1][0], 230);
+        pool.submit(0, &mut heaps, &txn).unwrap();
 
-    #[test]
-    fn post_decision_crash_resolves_in_doubt_to_commit() {
-        for config in [HeapConfig::FocStm, HeapConfig::FocUndo] {
-            let (mut coordinator, mut heaps, cells) = rig(config);
-            let mut txn = coordinator.begin(2);
-            txn.stage(0, cells[0], 11);
-            txn.stage(1, cells[1], 22);
-            for shard in [0, 1] {
-                coordinator
-                    .prepare_shard(&mut heaps[shard], shard, &txn)
-                    .unwrap();
-            }
-            coordinator.record_decision(&txn);
-            // Power dies before any phase-2 marker.
-            let coordinator_image = coordinator.crash_image();
-            let images = heaps.into_iter().map(|h| Some(h.crash(false))).collect();
-            let recovery = resolve_cross_shard(
-                &coordinator_image,
-                images,
-                &ClusterSpec::memcache_tier(8),
-            );
-            assert!(recovery.fully_recovered(), "{config}");
-            for (s, want) in recovery.shards.into_iter().zip([11u64, 22]) {
-                let mut heap = s.heap.unwrap();
-                let resolution = s.resolution.unwrap();
-                assert_eq!(resolution.committed, vec![txn.gtxid()], "{config}");
-                assert_eq!(cell(&mut heap), want, "{config}");
-            }
-        }
-    }
-
-    #[test]
-    fn pre_decision_crash_resolves_in_doubt_to_abort() {
-        for config in [HeapConfig::FocStm, HeapConfig::FocUndo] {
-            let (mut coordinator, mut heaps, cells) = rig(config);
-            let mut txn = coordinator.begin(2);
-            txn.stage(0, cells[0], 11);
-            txn.stage(1, cells[1], 22);
-            for shard in [0, 1] {
-                coordinator
-                    .prepare_shard(&mut heaps[shard], shard, &txn)
-                    .unwrap();
-            }
-            // Coordinator dies before the decision record.
-            let coordinator_image = coordinator.crash_image();
-            let images = heaps.into_iter().map(|h| Some(h.crash(false))).collect();
-            let recovery = resolve_cross_shard(
-                &coordinator_image,
-                images,
-                &ClusterSpec::memcache_tier(8),
-            );
-            assert!(recovery.fully_recovered(), "{config}");
-            for (s, want) in recovery.shards.into_iter().zip([100u64, 200]) {
-                let mut heap = s.heap.unwrap();
-                let resolution = s.resolution.unwrap();
-                assert_eq!(resolution.aborted, vec![txn.gtxid()], "{config}");
-                assert_eq!(cell(&mut heap), want, "{config}");
-            }
-        }
-    }
-
-    #[test]
-    fn recovered_coordinator_never_reissues_a_decided_gtxid() {
-        let (mut coordinator, mut heaps, cells) = rig(HeapConfig::FocUndo);
-        let mut txn = coordinator.begin(2);
-        txn.stage(0, cells[0], 70);
-        txn.stage(1, cells[1], 230);
-        coordinator.commit(&mut heaps, &txn).unwrap();
-        let image = coordinator.crash_image();
-
-        let mut recovered = TxnCoordinator::recover(&image);
-        // commit() settled the decision, so recovery pruned it — but the
-        // gtxid is still never reissued, even against shards that did
-        // not crash.
-        let mut txn2 = recovered.begin(2);
+        // Whether or not recovery prunes the decision, its gtxid is never
+        // reissued, even against shards that did not crash.
+        let mut recovered = CoordinatorPool::recover(&pool.crash_image(), 1, 1);
+        let mut txn2 = recovered.begin(0, 2);
         assert!(txn2.gtxid() > txn.gtxid(), "gtxid reuse");
-        txn2.stage(0, cells[0], 60);
-        txn2.stage(1, cells[1], 240);
-        let outcome = recovered.commit(&mut heaps, &txn2).unwrap();
-        assert_eq!(outcome, TxnOutcome::Committed);
+        txn2.stage(0, cells[0][0], 60);
+        txn2.stage(1, cells[1][0], 240);
+        assert_eq!(
+            recovered.submit(0, &mut heaps, &txn2).unwrap(),
+            SubmitOutcome::Committed { group: 1 }
+        );
         for (heap, want) in heaps.iter_mut().zip([60, 240]) {
             assert_eq!(cell(heap), want);
         }
     }
 
     #[test]
-    fn recovery_prunes_settled_decisions_but_keeps_unsettled_ones() {
-        // Regression test for recovery-time compaction: a settled
-        // decision must vanish from the recovered log, an unsettled one
-        // must survive so an in-doubt shard can still resolve to commit,
-        // and the txid counter must still clear *both*.
-        let (mut coordinator, mut heaps, cells) = rig(HeapConfig::FocUndo);
-        let mut settled_txn = coordinator.begin(2);
-        settled_txn.stage(0, cells[0], 70);
-        settled_txn.stage(1, cells[1], 230);
-        coordinator.commit(&mut heaps, &settled_txn).unwrap(); // settles
-        let mut unsettled_txn = coordinator.begin(2);
-        unsettled_txn.stage(0, cells[0], 60);
-        unsettled_txn.stage(1, cells[1], 240);
-        for shard in [0, 1] {
-            coordinator
-                .prepare_shard(&mut heaps[shard], shard, &unsettled_txn)
-                .unwrap();
-        }
-        coordinator.record_decision(&unsettled_txn); // decided, never settled
-
-        let recovered = TxnCoordinator::recover(&coordinator.crash_image());
-        let replayed = recover_decisions(&recovered.crash_image());
-        assert!(
-            !replayed.contains(&settled_txn.gtxid()),
-            "settled decision must be pruned at recovery"
-        );
-        assert!(
-            replayed.contains(&unsettled_txn.gtxid()),
-            "unsettled decision must survive recovery"
-        );
-        // The in-doubt shards resolve the unsettled txn to commit
-        // against the *recovered* coordinator's log.
-        let images = heaps.into_iter().map(|h| Some(h.crash(false))).collect();
-        let recovery = resolve_cross_shard(
-            &recovered.crash_image(),
-            images,
-            &ClusterSpec::memcache_tier(8),
-        );
-        assert!(recovery.fully_recovered());
-        for (s, want) in recovery.shards.into_iter().zip([60u64, 240]) {
-            let mut heap = s.heap.unwrap();
-            assert_eq!(cell(&mut heap), want);
-        }
-        // And the counter cleared the pruned gtxid too.
-        let mut recovered = recovered;
-        assert!(recovered.begin(2).gtxid() > unsettled_txn.gtxid());
-    }
-
-    #[test]
-    fn preserving_truncation_keeps_unsettled_decisions_under_pressure() {
-        // Thousands of settled decisions around one long-lived unsettled
-        // decision: the log must recycle (no "log full" panic) while the
-        // unsettled decision stays answerable at every point.
-        let mut coordinator = TxnCoordinator::new();
-        let pinned = coordinator.begin(1);
-        coordinator.record_decision(&pinned);
-        for i in 0..4096 {
-            let txn = coordinator.begin(1);
-            coordinator.record_decision(&txn);
-            coordinator.settle(txn.gtxid());
-            if i % 64 == 0 {
-                assert!(
-                    recover_decisions(&coordinator.crash_image()).contains(&pinned.gtxid()),
-                    "unsettled decision lost to truncation"
-                );
-            }
-        }
-        assert!(recover_decisions(&coordinator.crash_image()).contains(&pinned.gtxid()));
-    }
-
-    #[test]
-    fn fresh_coordinator_recovers_to_empty_state() {
-        let coordinator = TxnCoordinator::new();
-        let mut recovered = TxnCoordinator::recover(&coordinator.crash_image());
-        assert_eq!(recovered.begin(1).gtxid(), GTXID_BASE);
-    }
-
-    #[test]
-    fn decision_log_truncates_once_decisions_settle() {
-        // Far more decisions than the 8 KiB decision log holds in one
-        // pass; settling each one lets the log recycle indefinitely
-        // (this used to diverge and panic after ~1000 decisions when
-        // decisions were recorded outside TxnCoordinator::commit).
-        let mut coordinator = TxnCoordinator::new();
-        for _ in 0..4096 {
-            let txn = coordinator.begin(1);
-            coordinator.record_decision(&txn);
-            coordinator.settle(txn.gtxid());
-        }
-    }
-
-    #[test]
-    fn routing_log_round_trips_committed_write_sets() {
-        let mut heaps = Vec::new();
-        let mut cells = Vec::new();
-        for value in [100u64, 200] {
-            let (heap, p) = shard_with_cell(HeapConfig::FocUndo, value);
-            heaps.push(heap);
-            cells.push(p.offset());
-        }
-        let mut coordinator = TxnCoordinator::with_routing();
-        let mut txn = coordinator.begin(2);
-        txn.stage(0, cells[0], 70);
-        txn.stage(1, cells[1], 230);
-        coordinator.commit(&mut heaps, &txn).unwrap();
-        // Prepared but never decided: routed nothing.
-        let mut undecided = coordinator.begin(2);
-        undecided.stage(0, cells[0], 1);
-        coordinator
-            .prepare_shard(&mut heaps[0], 0, &undecided)
-            .unwrap();
-
-        let image = coordinator.crash_image();
-        let routed = recover_routing(&image);
-        assert_eq!(
-            routed,
-            vec![
-                RoutedWrite {
-                    gtxid: txn.gtxid(),
-                    shard: 0,
-                    addr: cells[0],
-                    value: 70
-                },
-                RoutedWrite {
-                    gtxid: txn.gtxid(),
-                    shard: 1,
-                    addr: cells[1],
-                    value: 230
-                },
-            ]
-        );
-        // A classic coordinator routes nothing at all.
-        let (mut classic, mut classic_heaps, classic_cells) = rig(HeapConfig::FocUndo);
-        let mut t = classic.begin(2);
-        t.stage(0, classic_cells[0], 1);
-        t.stage(1, classic_cells[1], 2);
-        classic.commit(&mut classic_heaps, &t).unwrap();
-        assert!(recover_routing(&classic.crash_image()).is_empty());
-    }
-
-    #[test]
-    fn reapply_rebuilds_a_sacrificed_shard_from_a_stale_checkpoint() {
-        let mut heaps = Vec::new();
-        let mut cells = Vec::new();
-        let mut checkpoints = Vec::new();
-        for value in [100u64, 200] {
-            let (heap, p) = shard_with_cell(HeapConfig::FocUndo, value);
-            checkpoints.push(heap.clone());
-            heaps.push(heap);
-            cells.push(p.offset());
-        }
-        let mut coordinator = TxnCoordinator::with_routing();
-        // Two committed transactions touching shard 1; the later value
-        // must win the replay.
-        for value in [230u64, 260] {
-            let mut txn = coordinator.begin(2);
-            txn.stage(0, cells[0], 300 - value);
-            txn.stage(1, cells[1], value);
-            coordinator.commit(&mut heaps, &txn).unwrap();
-        }
-        let image = coordinator.crash_image();
-        let decided = recover_decisions(&image);
-        let routed = recover_routing(&image);
-        // Shard 1's NVRAM image is sacrificed: rebuild from the stale
-        // checkpoint, then replay its routed writes.
-        let mut rebuilt = checkpoints.into_iter().nth(1).unwrap();
-        assert_eq!(cell(&mut rebuilt), 200, "checkpoint is stale");
-        let applied = reapply_routed(&mut rebuilt, 1, &routed, &decided).unwrap();
-        assert_eq!(applied, 2);
-        assert_eq!(cell(&mut rebuilt), 260, "last committed value wins");
-        // Replaying again is idempotent (absolute values).
-        reapply_routed(&mut rebuilt, 1, &routed, &decided).unwrap();
-        assert_eq!(cell(&mut rebuilt), 260);
-        // Undecided gtxids replay nothing.
-        let none = reapply_routed(&mut rebuilt, 1, &routed, &HashSet::new()).unwrap();
-        assert_eq!(none, 0);
-    }
-
-    #[test]
-    fn recovered_routed_coordinator_keeps_the_write_history() {
-        let mut heaps = Vec::new();
-        let mut cells = Vec::new();
-        for value in [100u64, 200] {
-            let (heap, p) = shard_with_cell(HeapConfig::FocUndo, value);
-            heaps.push(heap);
-            cells.push(p.offset());
-        }
-        let mut coordinator = TxnCoordinator::with_routing();
-        let mut txn = coordinator.begin(2);
-        txn.stage(0, cells[0], 70);
-        txn.stage(1, cells[1], 230);
-        coordinator.commit(&mut heaps, &txn).unwrap();
-
-        // Coordinator crashes and restarts; the routed history must
-        // survive into the *new* coordinator's own crash image.
-        let recovered = TxnCoordinator::recover_routed(&coordinator.crash_image());
-        let routed = recover_routing(&recovered.crash_image());
-        assert_eq!(routed.len(), 2);
-        assert!(routed.iter().any(|w| w.shard == 1 && w.value == 230));
-        // Pruning empties it once checkpoints catch up.
-        let mut recovered = recovered;
-        recovered.prune_routing();
+    fn fresh_pool_recovers_to_empty_state() {
+        let pool = CoordinatorPool::new(2, 4);
+        let mut recovered = CoordinatorPool::recover(&pool.crash_image(), 2, 4);
+        assert_eq!(recovered.begin(0, 1).gtxid(), GTXID_BASE);
+        assert!(recover_decisions(&recovered.crash_image()).is_empty());
         assert!(recover_routing(&recovered.crash_image()).is_empty());
     }
 
     #[test]
     fn lost_shard_degrades_with_quantified_staleness() {
-        let (mut coordinator, mut heaps, cells) = rig(HeapConfig::FocUndo);
-        let mut txn = coordinator.begin(2);
-        txn.stage(0, cells[0], 11);
-        txn.stage(1, cells[1], 22);
-        for shard in [0, 1] {
-            coordinator
-                .prepare_shard(&mut heaps[shard], shard, &txn)
-                .unwrap();
-        }
-        coordinator.record_decision(&txn);
-        let coordinator_image = coordinator.crash_image();
+        let (mut heaps, cells) = pool_rig(HeapConfig::FocUndo, 2);
+        let mut pool = CoordinatorPool::new(1, 1);
+        let mut txn = pool.begin(0, 2);
+        txn.stage(0, cells[0][0], 11);
+        txn.stage(1, cells[1][0], 22);
+        assert!(pool.prepare(0, &mut heaps, &txn).unwrap().is_none());
+        pool.buffer_decision(0, &txn);
+        pool.seal_decisions(0);
+        let coordinator_image = pool.crash_image();
         let mut images: Vec<Option<CrashImage>> =
             heaps.into_iter().map(|h| Some(h.crash(false))).collect();
         images[0] = None; // shard 0's NVRAM image is gone
@@ -1846,10 +1165,7 @@ mod tests {
         assert!(!recovery.fully_recovered());
         let lost = &recovery.shards[0];
         assert!(
-            matches!(
-                lost.refusal,
-                Some(WspError::BackendRecoveryRequired { .. })
-            ),
+            matches!(lost.refusal, Some(WspError::BackendRecoveryRequired { .. })),
             "{:?}",
             lost.refusal
         );
@@ -1865,6 +1181,165 @@ mod tests {
         let survivor = recovery.shards.into_iter().nth(1).unwrap();
         let mut heap = survivor.heap.unwrap();
         assert_eq!(cell(&mut heap), 22);
+    }
+
+    #[test]
+    fn routing_log_round_trips_decided_write_sets() {
+        let (mut heaps, cells) = pool_rig(HeapConfig::FocUndo, 2);
+        let mut pool = CoordinatorPool::with_routing(1, 2);
+        let mut txn = pool.begin(0, 2);
+        txn.stage(0, cells[0][0], 70);
+        txn.stage(1, cells[1][0], 230);
+        assert_eq!(
+            pool.submit(0, &mut heaps, &txn).unwrap(),
+            SubmitOutcome::Buffered
+        );
+        // Routed when buffered, but durable only at the fence that also
+        // seals the covering group record: a crash first leaves neither.
+        let image = pool.crash_image();
+        assert!(recover_routing(&image).is_empty());
+        assert!(recover_decisions(&image).is_empty());
+        pool.drain(0, &mut heaps).unwrap();
+        // Prepared but never decided: routed nothing.
+        let mut undecided = pool.begin(0, 2);
+        undecided.stage(0, cells[0][1], 1);
+        assert!(pool.prepare(0, &mut heaps, &undecided).unwrap().is_none());
+
+        let image = pool.crash_image();
+        assert!(recover_decisions(&image).contains(&txn.gtxid()));
+        assert_eq!(
+            recover_routing(&image),
+            vec![
+                RoutedWrite {
+                    gtxid: txn.gtxid(),
+                    shard: 0,
+                    addr: cells[0][0],
+                    value: 70
+                },
+                RoutedWrite {
+                    gtxid: txn.gtxid(),
+                    shard: 1,
+                    addr: cells[1][0],
+                    value: 230
+                },
+            ]
+        );
+        // A pool without routing routes nothing at all.
+        let (mut plain_heaps, plain_cells) = pool_rig(HeapConfig::FocUndo, 2);
+        let mut plain = CoordinatorPool::new(1, 1);
+        let mut t = plain.begin(0, 2);
+        t.stage(0, plain_cells[0][0], 1);
+        t.stage(1, plain_cells[1][0], 2);
+        plain.submit(0, &mut plain_heaps, &t).unwrap();
+        assert!(recover_routing(&plain.crash_image()).is_empty());
+    }
+
+    #[test]
+    fn reapply_rebuilds_a_sacrificed_shard_from_a_stale_checkpoint() {
+        let (mut heaps, cells) = pool_rig(HeapConfig::FocUndo, 2);
+        let checkpoints = heaps.clone();
+        let mut pool = CoordinatorPool::with_routing(1, 1);
+        // Two committed transactions touching shard 1; the later value
+        // must win the replay.
+        for value in [230u64, 260] {
+            let mut txn = pool.begin(0, 2);
+            txn.stage(0, cells[0][0], 300 - value);
+            txn.stage(1, cells[1][0], value);
+            pool.submit(0, &mut heaps, &txn).unwrap();
+        }
+        let image = pool.crash_image();
+        let decided = recover_decisions(&image);
+        let routed = recover_routing(&image);
+        // Shard 1's NVRAM image is sacrificed: rebuild from the stale
+        // checkpoint, then replay its routed writes.
+        let mut rebuilt = checkpoints.into_iter().nth(1).unwrap();
+        assert_eq!(cell(&mut rebuilt), 100, "checkpoint is stale");
+        let applied = reapply_routed(&mut rebuilt, 1, &routed, &decided).unwrap();
+        assert_eq!(applied, 2);
+        assert_eq!(cell(&mut rebuilt), 260, "last committed value wins");
+        // Replaying again is idempotent (absolute values).
+        reapply_routed(&mut rebuilt, 1, &routed, &decided).unwrap();
+        assert_eq!(cell(&mut rebuilt), 260);
+        // Undecided gtxids replay nothing.
+        let none = reapply_routed(&mut rebuilt, 1, &routed, &HashSet::new()).unwrap();
+        assert_eq!(none, 0);
+    }
+
+    /// Two committed transfers through a group-of-one pool: the second
+    /// seal's fence makes the first one's settle marker durable.
+    fn settle_one(pool: &mut CoordinatorPool) -> (CrossShardTxn, Vec<u8>) {
+        let (mut heaps, cells) = pool_rig(HeapConfig::FocUndo, 2);
+        let mut txn = pool.begin(0, 2);
+        txn.stage(0, cells[0][0], 70);
+        txn.stage(1, cells[1][0], 230);
+        pool.submit(0, &mut heaps, &txn).unwrap();
+        let mut next = pool.begin(0, 2);
+        next.stage(0, cells[0][1], 1);
+        pool.submit(0, &mut heaps, &next).unwrap();
+        let image = pool.crash_image();
+        assert!(recover_settled(&image).contains(&txn.gtxid()));
+        (txn, image)
+    }
+
+    #[test]
+    fn routed_recovery_keeps_the_history_and_repins_settled_decisions() {
+        let (txn, image) = settle_one(&mut CoordinatorPool::with_routing(1, 1));
+
+        // The pool crashes and restarts; the routed history must survive
+        // into the *new* pool's own crash image ...
+        let mut recovered = CoordinatorPool::recover(&image, 1, 1);
+        let routed = recover_routing(&recovered.crash_image());
+        assert_eq!(routed.len(), 3);
+        assert!(routed.iter().any(|w| w.shard == 1 && w.value == 230));
+        // ... and the settled decision stays answerable: a shard
+        // sacrificed later is rebuilt by replaying routed writes
+        // filtered on the decided set.
+        assert!(recover_decisions(&recovered.crash_image()).contains(&txn.gtxid()));
+        assert_eq!(
+            recovered.attribute(txn.gtxid()),
+            Some(GtxidOrigin {
+                coordinator: 0,
+                generation: 1
+            })
+        );
+        // A plain pool prunes the same settled decision at recovery.
+        let (txn, image) = settle_one(&mut CoordinatorPool::new(1, 1));
+        let plain = CoordinatorPool::recover(&image, 1, 1);
+        assert!(!recover_decisions(&plain.crash_image()).contains(&txn.gtxid()));
+        assert_eq!(plain.attribute(txn.gtxid()).map(|o| o.generation), Some(1));
+        // Pruning empties the history once checkpoints catch up.
+        recovered.prune_routing();
+        assert!(recover_routing(&recovered.crash_image()).is_empty());
+    }
+
+    #[test]
+    fn decided_generations_are_kept_only_while_unsettled() {
+        // One shard with 32 cells: transaction t writes cell t % 32, so
+        // every buffered group of 32 holds pairwise-disjoint write sets.
+        let mut heap = PersistentHeap::create(ByteSize::kib(256), HeapConfig::FocUndo);
+        let mut tx = heap.begin();
+        let base = tx.alloc(32 * 64).unwrap();
+        tx.set_root(base).unwrap();
+        tx.commit().unwrap();
+        let mut heaps = vec![heap];
+        let mut pool = CoordinatorPool::new(1, 32);
+        for t in 0..50_000u64 {
+            let mut txn = pool.begin(0, 1);
+            txn.stage(0, base.byte_offset((t % 32) * 64).offset(), t);
+            let outcome = pool.submit(0, &mut heaps, &txn).unwrap();
+            assert!(
+                !matches!(outcome, SubmitOutcome::Aborted { .. }),
+                "{outcome:?}"
+            );
+            assert!(
+                pool.unsettled.len() <= pool.sealed.len(),
+                "{} generations kept for {} unsettled decisions",
+                pool.unsettled.len(),
+                pool.sealed.len()
+            );
+        }
+        assert!(pool.unsettled.is_empty());
+        assert!(pool.recovered.is_empty());
     }
 
     /// Builds `n` shards, each with four committed cells holding 100 —
@@ -2084,9 +1559,9 @@ mod tests {
     }
 
     #[test]
-    fn group_size_one_matches_classic_decision_count() {
-        // A pool with group size 1 seals every submission immediately —
-        // the degenerate case the bench compares against.
+    fn group_size_one_seals_every_submission() {
+        // A pool with group size 1 seals every submission immediately:
+        // one fenced decision record per transaction.
         let (mut heaps, cells) = pool_rig(HeapConfig::FocUndo, 2);
         let mut pool = CoordinatorPool::new(1, 1);
         for t in 0..3u64 {
@@ -2098,19 +1573,6 @@ mod tests {
             );
         }
         assert_eq!(pool.buffered(), 0);
-    }
-
-    #[test]
-    fn age_trigger_seals_a_lagging_group() {
-        let (mut heaps, cells) = pool_rig(HeapConfig::FocUndo, 2);
-        let mut pool = CoordinatorPool::new(1, 64).with_group_age(Nanos::ZERO);
-        let mut txn = pool.begin(0, 2);
-        txn.stage(0, cells[0][0], 5);
-        // Size trigger is far away, but a zero age expires immediately.
-        assert_eq!(
-            pool.submit(0, &mut heaps, &txn).unwrap(),
-            SubmitOutcome::Committed { group: 1 }
-        );
     }
 
     #[test]

@@ -424,14 +424,6 @@ impl PersistentHeap {
         &mut self.stm
     }
 
-    /// Credits back simulated time for work that overlapped execution
-    /// elsewhere (see [`PersistentMemory::rebate`]). Multi-shard drivers
-    /// whose fleet clock sums per-shard time use this to model
-    /// participants working concurrently instead of serially.
-    pub fn rebate(&mut self, d: Nanos) {
-        self.mem.rebate(d);
-    }
-
     /// Disables (or re-enables) the FliT per-word tracking table under
     /// epoch mode. `false` is the always-append *reference mode*: every
     /// write pushes its own record exactly as the pre-FliT barriers did,

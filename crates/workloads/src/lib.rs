@@ -64,6 +64,6 @@ pub use queue::PmQueue;
 pub use shard::{kv_worker_threads, ShardOutcome, ShardedKvBench, ShardedKvReport};
 pub use storm::{PowerStormBench, PowerStormSoakReport};
 pub use xshard::{
-    CrossShardKvBench, CrossShardKvReport, DegradedShard, Transfer, TransferOutcome,
+    CrossShardKvBench, CrossShardKvReport, DegradedShard, Transfer, TransferOutcome, TxnOutcome,
 };
 pub use ycsb::{YcsbDriver, YcsbMix, YcsbResult};

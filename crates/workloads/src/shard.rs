@@ -192,7 +192,7 @@ impl ShardedKvBench {
         seed: u64,
         threads: usize,
     ) -> Result<ShardedKvReport, HeapError> {
-        self.run_inner(config, seed, threads, false)
+        self.run_shards(config, seed, threads, false)
     }
 
     /// Runs the lock-free concurrent serving path: inside every shard,
@@ -236,10 +236,10 @@ impl ShardedKvBench {
         threads: usize,
     ) -> Result<ShardedKvReport, HeapError> {
         assert!(self.in_shard_threads > 0, "at least one in-shard thread");
-        self.run_inner(config, seed, threads, true)
+        self.run_shards(config, seed, threads, true)
     }
 
-    fn run_inner(
+    fn run_shards(
         &self,
         config: HeapConfig,
         seed: u64,

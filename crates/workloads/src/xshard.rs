@@ -1,7 +1,7 @@
 //! Cross-shard transactions over the sharded KV engine: a deterministic
 //! bank-transfer workload driven through `wsp_core`'s two-phase-commit
-//! coordinator, with the whole fleet crashed at the end and resolved
-//! against the coordinator's durable decision log.
+//! [`CoordinatorPool`], with the whole fleet crashed at the end and
+//! resolved against the pool's durable decision log.
 //!
 //! Each shard holds a column of fixed-location account cells (one per
 //! cache line, like the serving engine's records). A transfer debits an
@@ -21,8 +21,7 @@ use std::collections::HashSet;
 
 use wsp_cluster::ClusterSpec;
 use wsp_core::{
-    resolve_cross_shard, CoordinatorPool, LadderRung, RecoveryOutcome, SubmitOutcome,
-    TxnCoordinator, TxnOutcome, WspError,
+    resolve_cross_shard, CoordinatorPool, LadderRung, RecoveryOutcome, SubmitOutcome, WspError,
 };
 use wsp_det::{DetRng, Rng};
 use wsp_obs as obs;
@@ -30,7 +29,7 @@ use wsp_pheap::{HeapConfig, HeapError, PersistentHeap, PmPtr};
 use wsp_units::{ByteSize, Nanos};
 
 /// A deterministic cross-shard transfer workload over per-shard
-/// persistent heaps, committed through the 2PC coordinator.
+/// persistent heaps, committed through a [`CoordinatorPool`].
 ///
 /// # Examples
 ///
@@ -65,13 +64,11 @@ pub struct CrossShardKvBench {
     /// durable, no commit marker) when the fleet crashes: recovery must
     /// resolve it to commit from the coordinator log.
     pub in_doubt_tail: bool,
-    /// Concurrent coordinators sharing one decision log. `1` with
-    /// `decision_group == 1` runs the classic single-coordinator path,
-    /// bitwise identical to earlier revisions; anything else drives the
-    /// transfers through a [`CoordinatorPool`].
+    /// Concurrent coordinators sharing one decision log; transfers are
+    /// issued round-robin across them.
     pub coordinators: usize,
-    /// Decisions buffered per fenced group record in pool mode (the
-    /// `WSP_TXN_GROUP` knob): N transfers share one decision fence.
+    /// Decisions buffered per fenced group record: N transfers share
+    /// one decision fence. `1` writes one decision record per transfer.
     pub decision_group: usize,
 }
 
@@ -135,22 +132,21 @@ impl CrossShardKvBench {
         if let Some(s) = self.lose_shard {
             assert!(s < self.shards, "lose_shard out of range");
         }
-        let pooled = self.coordinators > 1 || self.decision_group > 1;
-        let (report, capture) = obs::capture(|| {
-            if pooled {
-                self.run_pool_inner(config, seed)
-            } else {
-                self.run_inner(config, seed)
-            }
-        });
+        let (report, capture) = obs::capture(|| self.run_pool_inner(config, seed));
         let mut report = report?;
         report.trace = capture.trace;
         report.metrics = capture.metrics;
         Ok(report)
     }
 
+    /// The measured phase: transfers round-robin across `coordinators`,
+    /// decisions buffered and sealed in groups of `decision_group` under
+    /// one fence each. Accounts referenced by a buffered-but-unsettled
+    /// decision are locked — the undo flavour applies prepared writes in
+    /// place, so a new transfer touching one drains the pool first,
+    /// keeping concurrently-prepared write sets pairwise disjoint.
     #[allow(clippy::too_many_lines)]
-    fn run_inner(&self, config: HeapConfig, seed: u64) -> Result<CrossShardKvReport, HeapError> {
+    fn run_pool_inner(&self, config: HeapConfig, seed: u64) -> Result<CrossShardKvReport, HeapError> {
         let mut rng = DetRng::seed_from_u64(seed);
 
         // Seed the fleet: one heap per shard, accounts on distinct
@@ -179,17 +175,19 @@ impl CrossShardKvBench {
         let total_balance =
             self.initial_balance * (self.shards * self.accounts_per_shard) as u64;
 
-        let mut coordinator = TxnCoordinator::new();
-        let clock = |coordinator: &TxnCoordinator, heaps: &[PersistentHeap]| {
-            heaps
-                .iter()
-                .fold(coordinator.elapsed(), |acc, h| acc + h.elapsed())
+        let mut pool = CoordinatorPool::new(self.coordinators, self.decision_group);
+        let clock = |pool: &CoordinatorPool, heaps: &[PersistentHeap]| {
+            heaps.iter().fold(pool.elapsed(), |acc, h| acc + h.elapsed())
         };
-        let t0 = clock(&coordinator, &heaps);
-        let c0 = coordinator.elapsed();
+        let t0 = clock(&pool, &heaps);
+        let c0 = pool.elapsed();
 
         let mut outcomes: Vec<TransferOutcome> = Vec::with_capacity(self.transfers);
         let mut in_doubt_gtxid: Option<u64> = None;
+        let mut decision_groups = 0usize;
+        // Accounts referenced by a buffered (decided-but-unsealed)
+        // transfer.
+        let mut open: HashSet<(usize, usize)> = HashSet::new();
         for t in 0..self.transfers {
             let src_shard = rng.gen_range(0..self.shards);
             let cross = rng.gen::<f64>() < self.cross_shard_pct;
@@ -217,239 +215,10 @@ impl CrossShardKvBench {
                 amount,
                 cross_shard: dst_shard != src_shard,
             };
+            let coordinator = t % self.coordinators;
 
             // Application-level admission check: an overdraft aborts
             // before anything touches NVRAM.
-            if model[src_shard][src_acct] < amount {
-                outcomes.push(TransferOutcome {
-                    transfer,
-                    outcome: TxnOutcome::Aborted {
-                        reason: format!(
-                            "insufficient funds: balance {} < amount {amount}",
-                            model[src_shard][src_acct]
-                        ),
-                    },
-                    resolved_in_doubt: false,
-                });
-                continue;
-            }
-
-            let mut txn = coordinator.begin(self.shards);
-            txn.stage(
-                src_shard,
-                accounts[src_shard][src_acct].offset(),
-                model[src_shard][src_acct] - amount,
-            );
-            let credited = model[dst_shard][dst_acct] + amount;
-            txn.stage(dst_shard, accounts[dst_shard][dst_acct].offset(), credited);
-
-            let last = t + 1 == self.transfers;
-            if last && self.in_doubt_tail && config.flush_on_commit() {
-                // Drive the final transfer to the canonical in-doubt
-                // point: prepared on every participant, decision
-                // durable, no commit marker anywhere.
-                for &shard in &txn.participants() {
-                    coordinator.prepare_shard(&mut heaps[shard], shard, &txn)?;
-                }
-                coordinator.record_decision(&txn);
-                in_doubt_gtxid = Some(txn.gtxid());
-                model[src_shard][src_acct] -= amount;
-                model[dst_shard][dst_acct] = credited;
-                outcomes.push(TransferOutcome {
-                    transfer,
-                    outcome: TxnOutcome::Committed,
-                    resolved_in_doubt: true,
-                });
-                continue;
-            }
-
-            let outcome = coordinator.commit(&mut heaps, &txn)?;
-            if matches!(outcome, TxnOutcome::Committed) {
-                model[src_shard][src_acct] -= amount;
-                model[dst_shard][dst_acct] = credited;
-            }
-            outcomes.push(TransferOutcome {
-                transfer,
-                outcome,
-                resolved_in_doubt: false,
-            });
-        }
-        let elapsed = clock(&coordinator, &heaps) - t0;
-        let coordinator_ns = coordinator.elapsed() - c0;
-
-        // Power fails everywhere at once; the lost shard (if any)
-        // never produces an image.
-        let coordinator_image = coordinator.crash_image();
-        let images = heaps
-            .into_iter()
-            .enumerate()
-            .map(|(shard, heap)| {
-                if self.lose_shard == Some(shard) {
-                    None
-                } else {
-                    // FoC shards recover from their logs alone; FoF
-                    // shards get the whole-system save they rely on.
-                    Some(heap.crash(!config.flush_on_commit()))
-                }
-            })
-            .collect();
-        let cluster = ClusterSpec::memcache_tier(self.shards.max(2));
-        let recovery = resolve_cross_shard(&coordinator_image, images, &cluster);
-        if let Some(gtxid) = in_doubt_gtxid {
-            assert!(
-                recovery.decided.contains(&gtxid),
-                "the in-doubt tail transfer has a durable decision"
-            );
-        }
-
-        // Audit every surviving shard cell-by-cell against the model.
-        let mut degraded = None;
-        let mut audited = HashSet::new();
-        for mut shard_rec in recovery.shards {
-            let shard = shard_rec.shard;
-            if self.lose_shard == Some(shard) {
-                let (reason, staleness) = match &shard_rec.outcome {
-                    RecoveryOutcome::Degraded { rung, reason, took } => {
-                        assert_eq!(*rung, LadderRung::ClusterRebuild);
-                        (reason.clone(), *took)
-                    }
-                    other => panic!("lost shard {shard} must degrade, got {other:?}"),
-                };
-                let kind = match shard_rec.refusal {
-                    Some(e @ WspError::BackendRecoveryRequired { .. }) => e.kind(),
-                    other => panic!("lost shard {shard} needs a typed refusal, got {other:?}"),
-                };
-                degraded = Some(DegradedShard {
-                    shard,
-                    kind,
-                    reason,
-                    staleness,
-                });
-                continue;
-            }
-            let heap = shard_rec
-                .heap
-                .as_mut()
-                .unwrap_or_else(|| panic!("shard {shard} must recover locally"));
-            let mut check = heap.begin();
-            for (acct, &cell) in accounts[shard].iter().enumerate() {
-                let got = check.read_word(cell)?;
-                assert_eq!(
-                    got, model[shard][acct],
-                    "shard {shard} account {acct} diverged after recovery"
-                );
-            }
-            check.commit()?;
-            audited.insert(shard);
-        }
-
-        let committed = outcomes
-            .iter()
-            .filter(|o| matches!(o.outcome, TxnOutcome::Committed))
-            .count();
-        let aborted = outcomes.len() - committed;
-        let cross_shard = outcomes.iter().filter(|o| o.transfer.cross_shard).count();
-        let model_total: u64 = model.iter().flatten().sum();
-
-        Ok(CrossShardKvReport {
-            config,
-            shards: self.shards,
-            transfers: self.transfers,
-            cross_shard,
-            committed,
-            aborted,
-            resolved_in_doubt: in_doubt_gtxid.is_some(),
-            balance_conserved: model_total == total_balance,
-            shards_audited: audited.len(),
-            txns_per_sec: self.transfers as f64 / elapsed.as_secs_f64().max(1e-12),
-            elapsed,
-            // One fenced decision record per committed transfer: the
-            // classic path has no batching to report.
-            decision_groups: committed,
-            wall: elapsed,
-            coordinator_ns,
-            degraded,
-            outcomes,
-            trace: obs::Trace::default(),
-            metrics: obs::MetricsSnapshot::default(),
-        })
-    }
-
-    /// The pool-mode measured phase: transfers round-robin across
-    /// `coordinators`, decisions buffered and sealed in groups of
-    /// `decision_group` under one fence each. Accounts referenced by a
-    /// buffered-but-unsettled decision are locked — the undo flavour
-    /// applies prepared writes in place, so a new transfer touching one
-    /// drains the pool first, keeping concurrently-prepared write sets
-    /// pairwise disjoint.
-    #[allow(clippy::too_many_lines)]
-    fn run_pool_inner(&self, config: HeapConfig, seed: u64) -> Result<CrossShardKvReport, HeapError> {
-        let mut rng = DetRng::seed_from_u64(seed);
-
-        // Seed the fleet exactly like the classic path.
-        let mut heaps: Vec<PersistentHeap> = Vec::with_capacity(self.shards);
-        let mut accounts: Vec<Vec<PmPtr>> = Vec::with_capacity(self.shards);
-        for _ in 0..self.shards {
-            let mut heap = PersistentHeap::create(self.region, config);
-            let mut tx = heap.begin();
-            let base = tx.alloc(self.accounts_per_shard as u64 * 64)?;
-            let mut cells = Vec::with_capacity(self.accounts_per_shard);
-            for i in 0..self.accounts_per_shard {
-                let p = base.byte_offset(i as u64 * 64);
-                tx.write_word(p, self.initial_balance)?;
-                cells.push(p);
-            }
-            tx.set_root(base)?;
-            tx.commit()?;
-            heap.seal_epoch();
-            heaps.push(heap);
-            accounts.push(cells);
-        }
-        let mut model: Vec<Vec<u64>> =
-            vec![vec![self.initial_balance; self.accounts_per_shard]; self.shards];
-        let total_balance =
-            self.initial_balance * (self.shards * self.accounts_per_shard) as u64;
-
-        let mut pool = CoordinatorPool::new(self.coordinators, self.decision_group);
-        let clock = |pool: &CoordinatorPool, heaps: &[PersistentHeap]| {
-            heaps.iter().fold(pool.elapsed(), |acc, h| acc + h.elapsed())
-        };
-        let t0 = clock(&pool, &heaps);
-        let c0 = pool.elapsed();
-
-        let mut outcomes: Vec<TransferOutcome> = Vec::with_capacity(self.transfers);
-        let mut in_doubt_gtxid: Option<u64> = None;
-        let mut decision_groups = 0usize;
-        // Accounts referenced by a buffered (decided-but-unsealed)
-        // transfer.
-        let mut open: HashSet<(usize, usize)> = HashSet::new();
-        for t in 0..self.transfers {
-            let src_shard = rng.gen_range(0..self.shards);
-            let cross = rng.gen::<f64>() < self.cross_shard_pct;
-            let dst_shard = if cross {
-                let d = rng.gen_range(0..self.shards - 1);
-                if d >= src_shard { d + 1 } else { d }
-            } else {
-                src_shard
-            };
-            let src_acct = rng.gen_range(0..self.accounts_per_shard);
-            let dst_acct = if dst_shard == src_shard {
-                let d = rng.gen_range(0..self.accounts_per_shard - 1);
-                if d >= src_acct { d + 1 } else { d }
-            } else {
-                rng.gen_range(0..self.accounts_per_shard)
-            };
-            let amount = rng.gen_range(1..16u64);
-
-            let transfer = Transfer {
-                txn: t,
-                src: (src_shard, src_acct),
-                dst: (dst_shard, dst_acct),
-                amount,
-                cross_shard: dst_shard != src_shard,
-            };
-            let coordinator = t % self.coordinators;
-
             if model[src_shard][src_acct] < amount {
                 outcomes.push(TransferOutcome {
                     transfer,
@@ -547,6 +316,8 @@ impl CrossShardKvBench {
         let coordinator_ns = pool.elapsed() - c0;
         let wall = pool.wall();
 
+        // Power fails everywhere at once; the lost shard (if any)
+        // never produces an image.
         let coordinator_image = pool.crash_image();
         let images = heaps
             .into_iter()
@@ -555,6 +326,8 @@ impl CrossShardKvBench {
                 if self.lose_shard == Some(shard) {
                     None
                 } else {
+                    // FoC shards recover from their logs alone; FoF
+                    // shards get the whole-system save they rely on.
                     Some(heap.crash(!config.flush_on_commit()))
                 }
             })
@@ -568,6 +341,7 @@ impl CrossShardKvBench {
             );
         }
 
+        // Audit every surviving shard cell-by-cell against the model.
         let mut degraded = None;
         let mut audited = HashSet::new();
         for mut shard_rec in recovery.shards {
@@ -626,7 +400,7 @@ impl CrossShardKvBench {
             resolved_in_doubt: in_doubt_gtxid.is_some(),
             balance_conserved: model_total == total_balance,
             shards_audited: audited.len(),
-            txns_per_sec: self.transfers as f64 / elapsed.as_secs_f64().max(1e-12),
+            txns_per_sec: self.transfers as f64 / wall.as_secs_f64().max(1e-12),
             elapsed,
             decision_groups,
             wall,
@@ -637,6 +411,20 @@ impl CrossShardKvBench {
             metrics: obs::MetricsSnapshot::default(),
         })
     }
+}
+
+/// How a cross-shard transfer ended.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TxnOutcome {
+    /// The decision is durable and every participant holds its local
+    /// commit marker (or will, once recovery resolves it in doubt).
+    Committed,
+    /// Aborted everywhere: an overdraft refused at admission, or a
+    /// refused prepare rolled back on every already-prepared shard.
+    Aborted {
+        /// Why the transfer aborted.
+        reason: String,
+    },
 }
 
 /// One scripted transfer: debit `src`, credit `dst`.
@@ -704,15 +492,18 @@ pub struct CrossShardKvReport {
     pub balance_conserved: bool,
     /// Shards audited cell-by-cell after recovery.
     pub shards_audited: usize,
-    /// Simulated transfer throughput through the two-phase seal.
+    /// Simulated transfer throughput: transfers per second of the
+    /// pool's wall clock ([`CoordinatorPool::wall`], the slowest
+    /// coordinator), on which concurrent participants and coordinators
+    /// overlap.
     pub txns_per_sec: f64,
-    /// Simulated time of the measured phase (coordinator + all shards).
+    /// Simulated time of the measured phase summed over the shared
+    /// decision log and every shard, with no overlap.
     pub elapsed: Nanos,
-    /// Fenced decision records written: in pool mode one per sealed
-    /// group (the batching win), in classic mode one per commit.
+    /// Fenced decision records written: one per sealed group (the
+    /// batching win).
     pub decision_groups: usize,
-    /// Pool-mode wall clock (slowest coordinator); equals `elapsed` on
-    /// the serial classic path.
+    /// The pool's wall clock at the end of the measured phase.
     pub wall: Nanos,
     /// Simulated time spent on the shared decision log alone — the
     /// coordinator-path cost that group sealing amortizes.
@@ -857,13 +648,12 @@ mod tests {
             transfers: 120,
             ..CrossShardKvBench::quick(3)
         };
-        let classic = CrossShardKvBench {
+        let per_commit = CrossShardKvBench {
             decision_group: 1,
-            coordinators: 2, // stay on the pool path for a fair clock
             ..grouped
         };
         let g = grouped.run(HeapConfig::FocUndo, 21).unwrap();
-        let c = classic.run(HeapConfig::FocUndo, 21).unwrap();
+        let c = per_commit.run(HeapConfig::FocUndo, 21).unwrap();
         assert!(
             g.coordinator_ns < c.coordinator_ns,
             "grouped {:?} vs per-commit {:?}",

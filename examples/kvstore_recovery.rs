@@ -13,8 +13,7 @@
 use wsp_repro::det::{DetRng, Rng};
 use wsp_repro::pheap::{HeapConfig, HeapError, PersistentHeap};
 use wsp_repro::units::ByteSize;
-use wsp_repro::workloads::{CrossShardKvBench, PmHashTable, TransferOutcome};
-use wsp_repro::wsp::TxnOutcome;
+use wsp_repro::workloads::{CrossShardKvBench, PmHashTable, TransferOutcome, TxnOutcome};
 
 const ENTRIES: u64 = 5_000;
 const SHARD_ENTRIES: u64 = 1_000;
@@ -157,8 +156,8 @@ fn describe(outcome: &TransferOutcome) -> String {
 fn run_cross_shard_demo(shards: u64, cross_shard_pct: u64, seed: u64) -> Result<(), HeapError> {
     let shards = (shards.max(2)) as usize;
     println!(
-        "\n-- cross-shard transfers: {shards} shards, two-phase epoch seal, \
-         {cross_shard_pct}% spanning two shards --"
+        "\n-- cross-shard transfers: {shards} shards, two-phase epoch seal through \
+         one coordinator, {cross_shard_pct}% spanning two shards --"
     );
     let bench = CrossShardKvBench {
         transfers: 12,
@@ -171,7 +170,7 @@ fn run_cross_shard_demo(shards: u64, cross_shard_pct: u64, seed: u64) -> Result<
     }
     println!(
         "{} committed, {} aborted; balances conserved: {}; \
-         {:.0} txn/s through the two-phase seal",
+         {:.0} txn/s on the coordinator pool's simulated wall clock",
         report.committed, report.aborted, report.balance_conserved, report.txns_per_sec,
     );
 

@@ -69,6 +69,13 @@ cargo run --release --offline -p wsp-bench --features bench --bin bench_pr9 -- c
 echo "== group-decided 2PC gate (batching floor 2.0x, coordinator floor 1.8x) =="
 cargo run --release --offline -p wsp-bench --features bench --bin bench_pr10 -- check BENCH_PR10.json
 
+echo "== repo benchmark audits over the 2PC pool (balances, acked values after recovery) =="
+for workload in xshard_group outage_resume; do
+    cargo run --release --quiet --offline \
+        --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
+        run --workload "$workload" --seed 7 --seconds 1
+done
+
 echo "== grouped split-resolution sweep: serial and sharded must agree =="
 WSP_FAULTSIM_THREADS=1 cargo test -q --offline --test crash_consistency grouped_split
 WSP_FAULTSIM_THREADS=4 cargo test -q --offline --test crash_consistency grouped_split

@@ -609,7 +609,7 @@ fn check_cross_shard_all_or_nothing(
 ) {
     use wsp_repro::cluster::ClusterSpec;
     use wsp_repro::pheap::PmPtr;
-    use wsp_repro::wsp::{resolve_cross_shard, TxnCoordinator};
+    use wsp_repro::wsp::{resolve_cross_shard, CoordinatorPool};
 
     const SHARDS: usize = 3;
     const CELLS: usize = 4;
@@ -639,8 +639,10 @@ fn check_cross_shard_all_or_nothing(
         cells.push(sc);
     }
 
-    let mut coordinator = TxnCoordinator::new();
-    let mut txn = coordinator.begin(SHARDS);
+    // One coordinator deciding each transaction on its own record;
+    // per-shard steps call the heap's distributed-commit primitives.
+    let mut pool = CoordinatorPool::new(1, 1);
+    let mut txn = pool.begin(0, SHARDS);
     for &(shard, cell, value) in ops {
         let (shard, cell) = (shard % SHARDS, cell % CELLS);
         txn.stage(shard, cells[shard][cell].0.offset(), value);
@@ -657,36 +659,31 @@ fn check_cross_shard_all_or_nothing(
     let mut decided = false;
     let mut mid_prepare: Option<u64> = None;
     let mut mid_commit: Option<bool> = None;
+    let decide = |pool: &mut CoordinatorPool, heaps: &mut [PersistentHeap]| {
+        assert!(pool.prepare(0, heaps, &txn).unwrap().is_none());
+        pool.buffer_decision(0, &txn);
+        pool.seal_decisions(0);
+    };
     match step_pick % 7 {
         0 => {}
         1 => {
-            coordinator
-                .prepare_shard(&mut heaps[first], first, &txn)
+            heaps[first]
+                .prepare_distributed(gtxid, txn.writes_for(first))
                 .unwrap();
         }
         2 => {
-            for &s in &participants {
-                coordinator.prepare_shard(&mut heaps[s], s, &txn).unwrap();
-            }
+            assert!(pool.prepare(0, &mut heaps, &txn).unwrap().is_none());
         }
         3 | 4 => {
-            for &s in &participants {
-                coordinator.prepare_shard(&mut heaps[s], s, &txn).unwrap();
-            }
-            coordinator.record_decision(&txn);
+            decide(&mut pool, &mut heaps);
             decided = true;
             if step_pick % 7 == 4 {
-                coordinator
-                    .commit_shard(&mut heaps[first], first, &txn)
-                    .unwrap();
+                heaps[first].commit_distributed(gtxid).unwrap();
             }
         }
         5 => mid_prepare = Some(sub_step),
         6 => {
-            for &s in &participants {
-                coordinator.prepare_shard(&mut heaps[s], s, &txn).unwrap();
-            }
-            coordinator.record_decision(&txn);
+            decide(&mut pool, &mut heaps);
             decided = true;
             mid_commit = Some(sub_step.is_multiple_of(2));
         }
@@ -694,7 +691,7 @@ fn check_cross_shard_all_or_nothing(
     }
 
     // Power fails everywhere at once.
-    let coordinator_image = coordinator.crash_image();
+    let coordinator_image = pool.crash_image();
     let images = heaps
         .into_iter()
         .enumerate()
@@ -788,7 +785,7 @@ fn cross_shard_fixed_seed_corpus() {
 fn check_interleaved_in_flight_txns(use_stm: bool, interleave: usize) {
     use wsp_repro::cluster::ClusterSpec;
     use wsp_repro::pheap::PmPtr;
-    use wsp_repro::wsp::{resolve_cross_shard, TxnCoordinator};
+    use wsp_repro::wsp::{resolve_cross_shard, CoordinatorPool};
 
     const SHARDS: usize = 3;
     let config = if use_stm {
@@ -820,11 +817,11 @@ fn check_interleaved_in_flight_txns(use_stm: bool, interleave: usize) {
         cells.push(sc);
     }
 
-    let mut coordinator = TxnCoordinator::new();
-    let mut txn_a = coordinator.begin(SHARDS);
+    let mut pool = CoordinatorPool::new(1, 1);
+    let mut txn_a = pool.begin(0, SHARDS);
     txn_a.stage(0, cells[0][0].0.offset(), 7_001);
     txn_a.stage(1, cells[1][0].0.offset(), 7_002);
-    let mut txn_b = coordinator.begin(SHARDS);
+    let mut txn_b = pool.begin(0, SHARDS);
     txn_b.stage(1, cells[1][1].0.offset(), 8_001);
     txn_b.stage(2, cells[2][1].0.offset(), 8_002);
 
@@ -837,12 +834,15 @@ fn check_interleaved_in_flight_txns(use_stm: bool, interleave: usize) {
     };
     for &(shard, is_a) in order {
         let txn = if is_a { &txn_a } else { &txn_b };
-        coordinator.prepare_shard(&mut heaps[shard], shard, txn).unwrap();
+        heaps[shard]
+            .prepare_distributed(txn.gtxid(), txn.writes_for(shard))
+            .unwrap();
     }
-    coordinator.record_decision(&txn_a);
+    pool.buffer_decision(0, &txn_a);
+    pool.seal_decisions(0);
 
     // One outage takes the whole fleet.
-    let coordinator_image = coordinator.crash_image();
+    let coordinator_image = pool.crash_image();
     let images = heaps.into_iter().map(|h| Some(h.crash(false))).collect();
     let recovery =
         resolve_cross_shard(&coordinator_image, images, &ClusterSpec::memcache_tier(8));

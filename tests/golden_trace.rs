@@ -237,20 +237,24 @@ fn xshard_rig(seed: u64) -> (Vec<PersistentHeap>, Vec<wsp_repro::pheap::PmPtr>) 
 /// fleet-wide crash resolved against the coordinator's decision log:
 /// the transaction stays visible on both shards.
 fn cross_shard_commit(seed: u64) -> Capture {
-    use wsp_repro::wsp::{resolve_cross_shard, TxnCoordinator, TxnOutcome};
+    use wsp_repro::wsp::{resolve_cross_shard, CoordinatorPool, SubmitOutcome};
 
     let (mut heaps, cells) = xshard_rig(seed);
     let ((), cap) = obs::capture(|| {
         obs::emit("golden", "scenario", Nanos::ZERO, seed as i64, 0);
-        let mut coordinator = TxnCoordinator::new();
-        let mut txn = coordinator.begin(2);
+        let mut pool = CoordinatorPool::new(1, 1);
+        let mut txn = pool.begin(0, 2);
         txn.stage(0, cells[0].offset(), seed + 10);
         txn.stage(1, cells[1].offset(), seed + 20);
         let gtxid = txn.gtxid();
-        let outcome = coordinator.commit(&mut heaps, &txn).unwrap();
-        assert!(matches!(outcome, TxnOutcome::Committed), "seed {seed}");
+        let outcome = pool.submit(0, &mut heaps, &txn).unwrap();
+        assert_eq!(
+            outcome,
+            SubmitOutcome::Committed { group: 1 },
+            "seed {seed}"
+        );
 
-        let coordinator_image = coordinator.crash_image();
+        let coordinator_image = pool.crash_image();
         let images = heaps.drain(..).map(|h| Some(h.crash(false))).collect();
         let recovery = resolve_cross_shard(
             &coordinator_image,
@@ -274,23 +278,19 @@ fn cross_shard_commit(seed: u64) -> Capture {
 /// but before its decision record: both shards recover in doubt and
 /// presumed abort erases the write-set everywhere.
 fn cross_shard_coordinator_death(seed: u64) -> Capture {
-    use wsp_repro::wsp::{resolve_cross_shard, TxnCoordinator};
+    use wsp_repro::wsp::{resolve_cross_shard, CoordinatorPool};
 
     let (mut heaps, cells) = xshard_rig(seed);
     let ((), cap) = obs::capture(|| {
         obs::emit("golden", "scenario", Nanos::ZERO, seed as i64, 0);
-        let mut coordinator = TxnCoordinator::new();
-        let mut txn = coordinator.begin(2);
+        let mut pool = CoordinatorPool::new(1, 1);
+        let mut txn = pool.begin(0, 2);
         txn.stage(0, cells[0].offset(), seed + 10);
         txn.stage(1, cells[1].offset(), seed + 20);
         let gtxid = txn.gtxid();
-        for shard in txn.participants() {
-            coordinator
-                .prepare_shard(&mut heaps[shard], shard, &txn)
-                .unwrap();
-        }
+        assert!(pool.prepare(0, &mut heaps, &txn).unwrap().is_none());
         // The decision record never lands: coordinator death.
-        let coordinator_image = coordinator.crash_image();
+        let coordinator_image = pool.crash_image();
         let images = heaps.drain(..).map(|h| Some(h.crash(false))).collect();
         let recovery = resolve_cross_shard(
             &coordinator_image,
