@@ -45,29 +45,14 @@ cargo build --offline -p wsp-bench --features bench --benches
 echo "== bench smoke (quick mode) =="
 cargo test -q --offline -p wsp-bench --features bench
 
-echo "== host-time throughput gate (>20% hash-table regression fails) =="
-cargo run --release --offline -p wsp-bench --features bench --bin bench_pr2 -- check BENCH_PR2.json
+echo "== recorded bench gates: every BENCH_PR*.json, sim and host clocks =="
+cargo run --release --offline -p wsp-bench --features bench --bin bench -- check
 
-echo "== recovery-ladder time gate (>20% sweep slowdown fails) =="
-cargo run --release --offline -p wsp-bench --features bench --bin bench_pr3 -- check BENCH_PR3.json
-
-echo "== epoch group-commit + shard-scaling gate =="
-cargo run --release --offline -p wsp-bench --features bench --bin bench_pr5 -- check BENCH_PR5.json
-
-echo "== cross-shard 2PC throughput gate =="
-cargo run --release --offline -p wsp-bench --features bench --bin bench_pr6 -- check BENCH_PR6.json
-
-echo "== FliT elision + seal-pipeline gate (epoch-32 STM floor 1.8x) =="
-cargo run --release --offline -p wsp-bench --features bench --bin bench_pr7 -- check BENCH_PR7.json
-
-echo "== shared-domain triage + storm-survival gate =="
-cargo run --release --offline -p wsp-bench --features bench --bin bench_pr8 -- check BENCH_PR8.json
-
-echo "== concurrent in-shard scaling + FoF-gap gate (floor 1.8x at 4 threads) =="
-cargo run --release --offline -p wsp-bench --features bench --bin bench_pr9 -- check BENCH_PR9.json
-
-echo "== group-decided 2PC gate (batching floor 2.0x, coordinator floor 1.8x) =="
-cargo run --release --offline -p wsp-bench --features bench --bin bench_pr10 -- check BENCH_PR10.json
+echo "== every bench scenario reports at quick scale =="
+for scenario in host_paths ladder group_commit xshard flit power_domain lockfree group_2pc; do
+    cargo run --release --quiet --offline -p wsp-bench --features bench --bin bench -- \
+        run "$scenario" --quick > /dev/null
+done
 
 echo "== repo benchmark audits over the 2PC pool (balances, acked values after recovery) =="
 for workload in xshard_group outage_resume; do
