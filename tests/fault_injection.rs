@@ -360,3 +360,108 @@ fn power_storm_soak_scorecard_survives() {
     assert!(report.rerouted_writes > 0);
     assert!(report.coordinator_shard_sacrifices > 0);
 }
+
+// ---- sweep digest corpus ------------------------------------------------
+
+/// FNV-1a over a string: a stable, dependency-free digest for the
+/// corpus lines below.
+fn fnv(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// One corpus line: crash points, a digest of the outcome list (the
+/// summary fields for sweeps that only assert), the merged trace's
+/// event count and JSONL digest, and the merged metrics' JSON digest.
+fn digest_line(
+    sweep: &str,
+    case: &str,
+    seed: u64,
+    crash_points: usize,
+    outcomes: &str,
+    trace: &wsp_repro::obs::Trace,
+    metrics: &wsp_repro::obs::MetricsSnapshot,
+) -> String {
+    format!(
+        "{{\"sweep\":\"{sweep}\",\"case\":\"{case}\",\"seed\":{seed},\"crash_points\":{crash_points},\
+         \"outcomes\":\"{:016x}\",\"events\":{},\"trace\":\"{:016x}\",\"metrics\":\"{:016x}\"}}\n",
+        fnv(outcomes),
+        trace.len(),
+        fnv(&wsp_repro::obs::trace_to_jsonl(trace)),
+        fnv(&metrics.to_json()),
+    )
+}
+
+/// Every corpus line, in a fixed order: the five crash sweeps and the
+/// power-storm sweep at seeds 7 and 42, per testbed or heap
+/// configuration.
+fn sweep_digest_corpus() -> String {
+    use wsp_repro::wsp::{sweep_cross_shard_2pc, sweep_mid_epoch, sweep_power_storm};
+
+    let testbeds: [(&str, fn() -> Machine, SystemLoad); 2] = [
+        ("intel_busy", Machine::intel_testbed, SystemLoad::Busy),
+        ("amd_idle", Machine::amd_testbed, SystemLoad::Idle),
+    ];
+    let foc = [HeapConfig::FocUndo, HeapConfig::FocStm];
+    let mut out = String::new();
+    for seed in [7u64, 42] {
+        for (case, make, load) in testbeds {
+            let r = sweep_save_path(make, load, RestartStrategy::RestorePathReinit, seed);
+            let outcomes = format!("{:?}", r.outcomes);
+            out += &digest_line("save_path", case, seed, r.outcomes.len(), &outcomes, &r.trace, &r.metrics);
+        }
+        for config in HeapConfig::all() {
+            let r = sweep_mid_transaction(config, seed);
+            let summary = format!("{:?}", (r.config, r.crash_points));
+            let case = format!("{config:?}");
+            out += &digest_line("mid_transaction", &case, seed, r.crash_points, &summary, &r.trace, &r.metrics);
+        }
+        for config in foc {
+            let r = sweep_mid_epoch(config, seed);
+            let summary = format!("{:?}", (r.config, r.epoch_size, r.crash_points));
+            let case = format!("{config:?}");
+            out += &digest_line("mid_epoch", &case, seed, r.crash_points, &summary, &r.trace, &r.metrics);
+        }
+        for config in foc {
+            let r = sweep_cross_shard_2pc(config, seed);
+            let outcomes = format!("{:?}", r.outcomes);
+            let case = format!("{config:?}");
+            out += &digest_line("cross_shard_2pc", &case, seed, r.crash_points, &outcomes, &r.trace, &r.metrics);
+        }
+        for (case, make, load) in testbeds {
+            let r = sweep_recovery_ladder(make, load, seed);
+            let outcomes = format!("{:?}", r.outcomes);
+            out += &digest_line("recovery_ladder", case, seed, r.outcomes.len(), &outcomes, &r.trace, &r.metrics);
+        }
+        for config in foc {
+            let r = sweep_power_storm(config, seed);
+            let outcomes = format!("{:?}", r.points);
+            let case = format!("{config:?}");
+            out += &digest_line("power_storm", &case, seed, r.points.len(), &outcomes, &r.trace, &r.metrics);
+        }
+    }
+    out
+}
+
+/// Pins each sweep's outcomes, merged trace and merged metrics across
+/// commits (and, run under different `WSP_FAULTSIM_THREADS` values,
+/// across worker counts). Re-record after an intentional change with
+/// `WSP_UPDATE_GOLDEN=1 cargo test --test fault_injection sweep_digests`.
+#[test]
+fn sweep_digests_are_pinned() {
+    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden/sweep_digests.jsonl");
+    let got = sweep_digest_corpus();
+    if wsp_repro::obs::update_mode() {
+        std::fs::write(&path, &got).expect("record sweep digests");
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("missing corpus {} ({e}); record with WSP_UPDATE_GOLDEN=1", path.display())
+    });
+    for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+        assert_eq!(g, w, "sweep digest line {} diverged", i + 1);
+    }
+    assert_eq!(got.lines().count(), want.lines().count(), "sweep digest line count");
+}

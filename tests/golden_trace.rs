@@ -436,10 +436,12 @@ fn golden_corpus_is_schema_valid() {
         }
         let text = std::fs::read_to_string(&path).unwrap();
         let name = path.file_name().unwrap().to_str().unwrap();
-        if name.starts_with("lockfree_") {
-            // Lock-free sweep corpus: its own line schema, pinned by exact
-            // string replay in tests/lockfree_detect.rs. Here only check
-            // that every line is a JSON object.
+        if name.starts_with("lockfree_") || name == "sweep_digests.jsonl" {
+            // Sweep digest corpora (lock-free tallies, crash-sweep
+            // digests): their own line schemas, pinned by exact string
+            // replay in tests/lockfree_detect.rs and
+            // tests/fault_injection.rs. Here only check that every line
+            // is a JSON object.
             assert!(!text.trim().is_empty(), "{} is empty", path.display());
             for (i, line) in text.lines().enumerate() {
                 assert!(
@@ -449,7 +451,7 @@ fn golden_corpus_is_schema_valid() {
                     i + 1
                 );
             }
-            lockfree += 1;
+            lockfree += usize::from(name.starts_with("lockfree_"));
             continue;
         }
         let events = obs::parse_jsonl(&text)
