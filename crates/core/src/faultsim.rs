@@ -44,7 +44,7 @@ use wsp_cluster::ClusterSpec;
 use wsp_det::{DetRng, Rng};
 use wsp_machine::{CpuContext, Machine, SystemLoad};
 use wsp_obs as obs;
-use wsp_obs::{Capture, Ctr, MetricsSnapshot, Trace};
+use wsp_obs::{MetricsSnapshot, Trace};
 use wsp_pheap::{
     BackendStore, CrashImage, HeapConfig, HeapError, PersistentHeap, PmPtr, RecoveryLadder,
 };
@@ -57,6 +57,7 @@ use crate::save::{flush_on_fail_save_with_fault, SaveFault, SaveReport, SaveStep
 use crate::supervisor::{
     clean_failure_trace, glitch_storm_trace, supervised_save, SaveBudget, SaveVerdict,
 };
+use crate::sweep;
 use crate::txn::{
     coordinator_of, resolve_cross_shard, CoordinatorPool, CrossShardTxn, GtxidOrigin,
     SubmitOutcome,
@@ -64,75 +65,12 @@ use crate::txn::{
 use crate::{layout, RestartStrategy, WspError};
 
 pub use crate::lockfree_sweep::{
-    classify_recovery, sweep_lockfree, sweep_lockfree_threads, LfScenarioOutcome, LfStructure,
-    LockfreeSweepReport,
+    classify_recovery, sweep_lockfree, LfScenarioOutcome, LfStructure, LockfreeSweepReport,
 };
 
 /// How many equal batches the cache flush is split into for
 /// mid-flush injection points.
 pub const FLUSH_BATCHES: usize = 4;
-
-/// Worker count for the crash-point sweeps.
-///
-/// `WSP_FAULTSIM_THREADS` overrides (set `1` to force the serial path);
-/// otherwise the host's available parallelism is used. Results are
-/// bitwise identical either way: every per-point PRNG is split from the
-/// sweep seed *serially* before any worker starts, and outcomes are
-/// reassembled in crash-point order.
-#[must_use]
-pub fn faultsim_threads() -> usize {
-    if let Ok(v) = std::env::var("WSP_FAULTSIM_THREADS") {
-        return v.trim().parse::<usize>().map_or(1, |n| n.max(1));
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// Distributes `items` round-robin over `threads` scoped workers, runs
-/// `work` on each, and returns the results in the original item order.
-/// Worker panics (invariant violations) propagate to the caller.
-pub(crate) fn run_sharded<T, R, F>(items: Vec<T>, threads: usize, work: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let total = items.len();
-    let threads = threads.clamp(1, total.max(1));
-    if threads <= 1 {
-        return items.into_iter().map(work).collect();
-    }
-    let mut queues: Vec<Vec<(usize, T)>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        queues[i % threads].push((i, item));
-    }
-    let mut slots: Vec<Option<R>> = (0..total).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = queues
-            .into_iter()
-            .map(|queue| {
-                let work = &work;
-                s.spawn(move || {
-                    queue
-                        .into_iter()
-                        .map(|(i, item)| (i, work(item)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            let results = handle
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            for (i, r) in results {
-                slots[i] = Some(r);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every sharded item produces a result"))
-        .collect()
-}
 
 /// The result of one injected fault.
 #[derive(Debug, Clone)]
@@ -160,18 +98,6 @@ pub struct SaveSweepReport {
     pub trace: Trace,
     /// Metrics aggregated across every point, in the same order.
     pub metrics: MetricsSnapshot,
-}
-
-/// Merges per-point captures in point order into one sweep-level trace
-/// and metrics snapshot. Each point is recorded wholly on the worker
-/// that ran it, so merging in point order makes the result independent
-/// of the thread count.
-pub(crate) fn merge_point_captures(captures: impl IntoIterator<Item = Capture>) -> Capture {
-    let mut merged = Capture::default();
-    for cap in captures {
-        merged.absorb(cap);
-    }
-    merged
 }
 
 /// Enumerates every injectable power-failure point of the save path:
@@ -226,10 +152,10 @@ pub fn sweep_save_path(
     strategy: RestartStrategy,
     seed: u64,
 ) -> SaveSweepReport {
-    sweep_save_path_threads(make_machine, load, strategy, seed, faultsim_threads())
+    sweep_save_path_threads(make_machine, load, strategy, seed, sweep::threads())
 }
 
-fn sweep_save_path_threads(
+pub(crate) fn sweep_save_path_threads(
     make_machine: impl Fn() -> Machine + Sync,
     load: SystemLoad,
     strategy: RestartStrategy,
@@ -246,27 +172,10 @@ fn sweep_save_path_threads(
         .map(|fault| (fault, parent.split()))
         .enumerate()
         .collect();
-    let pairs = run_sharded(points, threads, |(idx, (fault, rng))| {
-        obs::capture(|| {
-            obs::emit_detail(
-                "faultsim",
-                "inject",
-                Nanos::ZERO,
-                idx as i64,
-                0,
-                format!("{fault:?}"),
-            );
-            obs::count(Ctr::FaultsInjected);
-            run_save_point(&make_machine, load, strategy, seed, fault, rng)
-        })
+    let (outcomes, merged) = sweep::run(points, threads, |(idx, (fault, rng))| {
+        sweep::inject(idx as i64, 0, &fault);
+        run_save_point(&make_machine, load, strategy, seed, fault, rng)
     });
-    let mut outcomes = Vec::with_capacity(pairs.len());
-    let mut captures = Vec::with_capacity(pairs.len());
-    for (outcome, cap) in pairs {
-        outcomes.push(outcome);
-        captures.push(cap);
-    }
-    let merged = merge_point_captures(captures);
     let locally_restored = outcomes.iter().filter(|o| o.locally_restored).count();
     SaveSweepReport {
         outcomes,
@@ -401,31 +310,55 @@ pub struct MidTxSweepReport {
 ///
 /// Panics when recovery diverges from the model at any crash point.
 pub fn sweep_mid_transaction(config: HeapConfig, seed: u64) -> MidTxSweepReport {
-    sweep_mid_transaction_threads(config, seed, faultsim_threads())
+    sweep_mid_transaction_threads(config, seed, sweep::threads())
 }
 
-fn sweep_mid_transaction_threads(config: HeapConfig, seed: u64, threads: usize) -> MidTxSweepReport {
+/// The committed baseline every heap-level sweep starts from: `heaps`
+/// fresh heaps, each holding `cells` root-reachable cells `stride`
+/// bytes apart, with values drawn from `rng` heap by heap, cell by
+/// cell.
+pub(crate) fn committed_fleet(
+    config: HeapConfig,
+    heaps: usize,
+    cells: usize,
+    stride: u64,
+    rng: &mut DetRng,
+) -> (Vec<PersistentHeap>, Vec<Vec<(PmPtr, u64)>>) {
+    (0..heaps)
+        .map(|_| {
+            let mut heap = PersistentHeap::create(ByteSize::kib(256), config);
+            let mut tx = heap.begin();
+            let base = tx
+                .alloc(cells as u64 * stride)
+                .expect("fresh heap has room");
+            let committed = (0..cells as u64)
+                .map(|i| {
+                    let p = base.byte_offset(i * stride);
+                    let v = rng.gen::<u64>();
+                    tx.write_word(p, v).expect("fresh allocation is writable");
+                    (p, v)
+                })
+                .collect();
+            tx.set_root(base).expect("root update");
+            tx.commit().expect("baseline commit on a fresh heap");
+            (heap, committed)
+        })
+        .unzip()
+}
+
+pub(crate) fn sweep_mid_transaction_threads(
+    config: HeapConfig,
+    seed: u64,
+    threads: usize,
+) -> MidTxSweepReport {
     let mut rng = DetRng::seed_from_u64(seed);
 
     // Committed baseline: eight root-reachable cells with known values.
     // The setup commit is captured so its pheap metrics land in the
     // sweep's snapshot, not in the caller's ambient recorder.
     let cells = 8usize;
-    let ((heap, committed), setup) = obs::capture(|| {
-        let mut heap = PersistentHeap::create(ByteSize::kib(256), config);
-        let mut committed: Vec<(PmPtr, u64)> = Vec::new();
-        let mut tx = heap.begin();
-        let base = tx.alloc(cells as u64 * 8).unwrap();
-        for i in 0..cells {
-            let p = base.field(i as u64);
-            let v = rng.gen::<u64>();
-            tx.write_word(p, v).unwrap();
-            committed.push((p, v));
-        }
-        tx.set_root(base).unwrap();
-        tx.commit().unwrap();
-        (heap, committed)
-    });
+    let ((heaps, fleet), setup) = obs::capture(|| committed_fleet(config, 1, cells, 8, &mut rng));
+    let (heap, committed) = (&heaps[0], &fleet[0]);
 
     // The scripted in-flight transaction: twelve writes over the cells.
     let script: Vec<(usize, u64)> = (0..12)
@@ -438,24 +371,15 @@ fn sweep_mid_transaction_threads(config: HeapConfig, seed: u64, threads: usize) 
     // across workers; every point is pure assertion, so the sweep's
     // outcome is schedule-independent by construction.
     let save_runs = !config.flush_on_commit();
-    let points: Vec<usize> = (0..=script.len()).collect();
-    let captures = run_sharded(points, threads, |crash_at| {
-        let ((), cap) = obs::capture(|| {
-            obs::emit_detail(
-                "faultsim",
-                "inject",
-                Nanos::ZERO,
-                crash_at as i64,
-                0,
-                format!("MidTx {{ crash_at: {crash_at} }}"),
-            );
-            obs::count(Ctr::FaultsInjected);
-            run_tx_point(&heap, &committed, &script, config, save_runs, crash_at);
-        });
-        cap
+    let points: Vec<MidTx> = (0..=script.len())
+        .map(|crash_at| MidTx { crash_at })
+        .collect();
+    let (_, points_cap) = sweep::run(points, threads, |point| {
+        sweep::inject(point.crash_at as i64, 0, &point);
+        run_tx_point(heap, committed, &script, config, save_runs, point.crash_at);
     });
     let mut merged = setup;
-    merged.absorb(merge_point_captures(captures));
+    merged.absorb(points_cap);
 
     MidTxSweepReport {
         config,
@@ -463,6 +387,13 @@ fn sweep_mid_transaction_threads(config: HeapConfig, seed: u64, threads: usize) 
         trace: merged.trace,
         metrics: merged.metrics,
     }
+}
+
+/// A mid-transaction crash point: power fails after `crash_at` writes of
+/// the open transaction.
+#[derive(Debug)]
+struct MidTx {
+    crash_at: usize,
 }
 
 /// One mid-transaction crash point: replay the script prefix inside an
@@ -571,10 +502,14 @@ pub struct MidEpochSweepReport {
 /// group commit is a documented no-op there, so the sweep would be
 /// vacuous), or when recovery diverges from the model at any point.
 pub fn sweep_mid_epoch(config: HeapConfig, seed: u64) -> MidEpochSweepReport {
-    sweep_mid_epoch_threads(config, seed, faultsim_threads())
+    sweep_mid_epoch_threads(config, seed, sweep::threads())
 }
 
-fn sweep_mid_epoch_threads(config: HeapConfig, seed: u64, threads: usize) -> MidEpochSweepReport {
+pub(crate) fn sweep_mid_epoch_threads(
+    config: HeapConfig,
+    seed: u64,
+    threads: usize,
+) -> MidEpochSweepReport {
     assert!(
         config.flush_on_commit(),
         "mid-epoch sweep needs a flush-on-commit configuration, got {config}"
@@ -588,22 +523,12 @@ fn sweep_mid_epoch_threads(config: HeapConfig, seed: u64, threads: usize) -> Mid
 
     // Committed baseline on distinct cache lines (so the seal's
     // coalesced flush spans several lines), then epoch mode on.
-    let ((heap, committed), setup) = obs::capture(|| {
-        let mut heap = PersistentHeap::create(ByteSize::kib(256), config);
-        let mut committed: Vec<(PmPtr, u64)> = Vec::new();
-        let mut tx = heap.begin();
-        let base = tx.alloc(cells as u64 * 64).unwrap();
-        for i in 0..cells {
-            let p = base.byte_offset(i as u64 * 64);
-            let v = rng.gen::<u64>();
-            tx.write_word(p, v).unwrap();
-            committed.push((p, v));
-        }
-        tx.set_root(base).unwrap();
-        tx.commit().unwrap();
-        heap.set_epoch_size(epoch_size as u64);
-        (heap, committed)
+    let ((heaps, fleet), setup) = obs::capture(|| {
+        let (mut heaps, fleet) = committed_fleet(config, 1, cells, 64, &mut rng);
+        heaps[0].set_epoch_size(epoch_size as u64);
+        (heaps, fleet)
     });
+    let (heap, committed) = (&heaps[0], &fleet[0]);
 
     // The scripted epoch workload: one single-write transaction per
     // entry; every `epoch_size`-th commit auto-seals.
@@ -619,9 +544,9 @@ fn sweep_mid_epoch_threads(config: HeapConfig, seed: u64, threads: usize) -> Mid
     // `early_txs` only the open buffer exists.
     let ((mid_steps, staged_boundary, open_steps), _) = obs::capture(|| {
         let mut probe = heap.clone();
-        replay_epoch_txs(&mut probe, &committed, &script[..mid_txs]);
+        replay_epoch_txs(&mut probe, committed, &script[..mid_txs]);
         let mut open_probe = heap.clone();
-        replay_epoch_txs(&mut open_probe, &committed, &script[..early_txs]);
+        replay_epoch_txs(&mut open_probe, committed, &script[..early_txs]);
         (
             probe.seal_steps(),
             probe.staged_seal_steps(),
@@ -639,29 +564,25 @@ fn sweep_mid_epoch_threads(config: HeapConfig, seed: u64, threads: usize) -> Mid
     points.extend((0..=open_steps).map(EpochCrashPoint::MidSealOpen));
     let crash_points = points.len();
 
-    let captures = run_sharded(points, threads, |point| {
-        let ((), cap) = obs::capture(|| {
-            let (a, b) = match point {
-                EpochCrashPoint::AfterTx(t) => (t as i64, -1),
-                EpochCrashPoint::MidSeal(s) => (mid_txs as i64, s as i64),
-                EpochCrashPoint::MidSealOpen(s) => (early_txs as i64, s as i64),
-            };
-            obs::emit_detail("faultsim", "inject", Nanos::ZERO, a, b, format!("{point:?}"));
-            obs::count(Ctr::FaultsInjected);
-            run_epoch_point(
-                &heap,
-                &committed,
-                &script,
-                epoch_size,
-                config,
-                (mid_txs, early_txs, staged_boundary),
-                point,
-            );
-        });
-        cap
+    let (_, points_cap) = sweep::run(points, threads, |point| {
+        let (a, b) = match point {
+            EpochCrashPoint::AfterTx(t) => (t as i64, -1),
+            EpochCrashPoint::MidSeal(s) => (mid_txs as i64, s as i64),
+            EpochCrashPoint::MidSealOpen(s) => (early_txs as i64, s as i64),
+        };
+        sweep::inject(a, b, &point);
+        run_epoch_point(
+            heap,
+            committed,
+            &script,
+            epoch_size,
+            config,
+            (mid_txs, early_txs, staged_boundary),
+            point,
+        );
     });
     let mut merged = setup;
-    merged.absorb(merge_point_captures(captures));
+    merged.absorb(points_cap);
 
     MidEpochSweepReport {
         config,
@@ -1022,7 +943,7 @@ impl CrossShard2pcReport {
 /// quantified staleness while its peers still apply the decided
 /// outcome.
 ///
-/// Sharded over [`faultsim_threads`] workers, bitwise identical to the
+/// Sharded over [`sweep::threads`] workers, bitwise identical to the
 /// serial order.
 ///
 /// # Panics
@@ -1032,10 +953,10 @@ impl CrossShard2pcReport {
 /// point violates the all-or-nothing contract.
 #[must_use]
 pub fn sweep_cross_shard_2pc(config: HeapConfig, seed: u64) -> CrossShard2pcReport {
-    sweep_cross_shard_2pc_threads(config, seed, faultsim_threads())
+    sweep_cross_shard_2pc_threads(config, seed, sweep::threads())
 }
 
-fn sweep_cross_shard_2pc_threads(
+pub(crate) fn sweep_cross_shard_2pc_threads(
     config: HeapConfig,
     seed: u64,
     threads: usize,
@@ -1048,27 +969,8 @@ fn sweep_cross_shard_2pc_threads(
 
     // The baseline fleet: XS_SHARDS heaps, each with XS_CELLS committed
     // cells on distinct cache lines.
-    let ((heaps, cells), setup) = obs::capture(|| {
-        let mut heaps: Vec<PersistentHeap> = Vec::with_capacity(XS_SHARDS);
-        let mut cells: Vec<Vec<(PmPtr, u64)>> = Vec::with_capacity(XS_SHARDS);
-        for _ in 0..XS_SHARDS {
-            let mut heap = PersistentHeap::create(ByteSize::kib(256), config);
-            let mut shard_cells = Vec::with_capacity(XS_CELLS);
-            let mut tx = heap.begin();
-            let base = tx.alloc(XS_CELLS as u64 * 64).unwrap();
-            for i in 0..XS_CELLS {
-                let p = base.byte_offset(i as u64 * 64);
-                let v = rng.gen::<u64>();
-                tx.write_word(p, v).unwrap();
-                shard_cells.push((p, v));
-            }
-            tx.set_root(base).unwrap();
-            tx.commit().unwrap();
-            heaps.push(heap);
-            cells.push(shard_cells);
-        }
-        (heaps, cells)
-    });
+    let ((heaps, cells), setup) =
+        obs::capture(|| committed_fleet(config, XS_SHARDS, XS_CELLS, 64, &mut rng));
 
     // The scripted workload: each transaction spans two adjacent shards
     // with two writes per participant.
@@ -1136,32 +1038,17 @@ fn sweep_cross_shard_2pc_threads(
     }
     let crash_points = points.len();
 
-    let results = run_sharded(points, threads, |point| {
-        let (verdict, cap) = obs::capture(|| {
-            obs::emit_detail(
-                "faultsim",
-                "inject",
-                Nanos::ZERO,
-                point.txn() as i64,
-                point.family_code(),
-                format!("{point:?}"),
-            );
-            obs::count(Ctr::FaultsInjected);
-            if point.is_group_family() {
-                run_group_point(config, &heaps, &cells, &pool_script, &cluster, point)
-            } else {
-                run_cross_shard_point(config, &heaps, &cells, &script, &cluster, point)
-            }
-        });
-        (point, verdict, cap)
+    let (outcomes, points_cap) = sweep::run(points, threads, |point| {
+        sweep::inject(point.txn() as i64, point.family_code(), &point);
+        let verdict = if point.is_group_family() {
+            run_group_point(config, &heaps, &cells, &pool_script, &cluster, point)
+        } else {
+            run_cross_shard_point(config, &heaps, &cells, &script, &cluster, point)
+        };
+        (point, verdict)
     });
-
     let mut merged = setup;
-    let mut outcomes = Vec::with_capacity(results.len());
-    for (point, verdict, cap) in results {
-        merged.absorb(cap);
-        outcomes.push((point, verdict));
-    }
+    merged.absorb(points_cap);
     let committed = outcomes
         .iter()
         .filter(|(_, v)| *v == TxnPointVerdict::CommittedEverywhere)
@@ -1684,10 +1571,10 @@ pub fn sweep_recovery_ladder(
     load: SystemLoad,
     seed: u64,
 ) -> LadderSweepReport {
-    sweep_recovery_ladder_threads(make_machine, load, seed, faultsim_threads())
+    sweep_recovery_ladder_threads(make_machine, load, seed, sweep::threads())
 }
 
-fn sweep_recovery_ladder_threads(
+pub(crate) fn sweep_recovery_ladder_threads(
     make_machine: impl Fn() -> Machine + Sync,
     load: SystemLoad,
     seed: u64,
@@ -1700,27 +1587,10 @@ fn sweep_recovery_ladder_threads(
         .map(|fault| (fault, parent.split()))
         .enumerate()
         .collect();
-    let pairs = run_sharded(points, threads, |(idx, (fault, rng))| {
-        obs::capture(|| {
-            obs::emit_detail(
-                "faultsim",
-                "inject",
-                Nanos::ZERO,
-                idx as i64,
-                0,
-                format!("{fault:?}"),
-            );
-            obs::count(Ctr::FaultsInjected);
-            run_ladder_point(&make_machine, load, seed, fault, rng)
-        })
+    let (outcomes, merged) = sweep::run(points, threads, |(idx, (fault, rng))| {
+        sweep::inject(idx as i64, 0, &fault);
+        run_ladder_point(&make_machine, load, seed, fault, rng)
     });
-    let mut outcomes = Vec::with_capacity(pairs.len());
-    let mut captures = Vec::with_capacity(pairs.len());
-    for (outcome, cap) in pairs {
-        outcomes.push(outcome);
-        captures.push(cap);
-    }
-    let merged = merge_point_captures(captures);
     let recovered = outcomes
         .iter()
         .filter(|o| matches!(o.outcome, Some(RecoveryOutcome::Recovered { .. })))
@@ -2080,59 +1950,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_save_sweep_matches_serial() {
-        // The acceptance contract for the sharded engine: outcomes are
-        // bitwise identical to the serial order regardless of workers,
-        // because per-point PRNGs are split before dispatch and results
-        // are reassembled in point order.
-        let serial = sweep_save_path_threads(
-            Machine::intel_testbed,
-            SystemLoad::Busy,
-            RestartStrategy::RestorePathReinit,
-            42,
-            1,
-        );
-        for threads in [2, 4, 7] {
-            let parallel = sweep_save_path_threads(
-                Machine::intel_testbed,
-                SystemLoad::Busy,
-                RestartStrategy::RestorePathReinit,
-                42,
-                threads,
-            );
-            assert_eq!(parallel.locally_restored, serial.locally_restored);
-            assert_eq!(format!("{:?}", parallel.outcomes), format!("{:?}", serial.outcomes));
-            // The merged observability stream is part of the contract:
-            // bitwise-identical trace and metrics at any thread count.
-            if let Err(report) =
-                wsp_obs::diff_traces(&serial.trace, &parallel.trace, wsp_obs::DiffMode::Full)
-            {
-                panic!("{threads}-thread save-sweep trace diverges:\n{report}");
-            }
-            if let Some(diff) = serial.metrics.first_difference(&parallel.metrics) {
-                panic!("{threads}-thread save-sweep metrics diverge: {diff}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_mid_tx_sweep_matches_serial() {
-        for config in HeapConfig::all() {
-            let serial = sweep_mid_transaction_threads(config, 1234, 1);
-            let parallel = sweep_mid_transaction_threads(config, 1234, 4);
-            assert_eq!(parallel.crash_points, serial.crash_points, "{config}");
-            if let Err(report) =
-                wsp_obs::diff_traces(&serial.trace, &parallel.trace, wsp_obs::DiffMode::Full)
-            {
-                panic!("{config}: mid-tx sweep trace diverges:\n{report}");
-            }
-            if let Some(diff) = serial.metrics.first_difference(&parallel.metrics) {
-                panic!("{config}: mid-tx sweep metrics diverge: {diff}");
-            }
-        }
-    }
-
-    #[test]
     fn mid_epoch_sweep_holds_for_foc_configs() {
         for config in [HeapConfig::FocUndo, HeapConfig::FocStm] {
             let report = sweep_mid_epoch(config, 4242);
@@ -2146,25 +1963,6 @@ mod tests {
     #[should_panic(expected = "flush-on-commit")]
     fn mid_epoch_sweep_rejects_flush_on_fail_configs() {
         let _ = sweep_mid_epoch(HeapConfig::Fof, 1);
-    }
-
-    #[test]
-    fn parallel_mid_epoch_sweep_matches_serial() {
-        for config in [HeapConfig::FocUndo, HeapConfig::FocStm] {
-            let serial = sweep_mid_epoch_threads(config, 4242, 1);
-            for threads in [2, 5] {
-                let parallel = sweep_mid_epoch_threads(config, 4242, threads);
-                assert_eq!(parallel.crash_points, serial.crash_points, "{config}");
-                if let Err(report) =
-                    wsp_obs::diff_traces(&serial.trace, &parallel.trace, wsp_obs::DiffMode::Full)
-                {
-                    panic!("{config}: {threads}-thread mid-epoch sweep trace diverges:\n{report}");
-                }
-                if let Some(diff) = serial.metrics.first_difference(&parallel.metrics) {
-                    panic!("{config}: {threads}-thread mid-epoch sweep metrics diverge: {diff}");
-                }
-            }
-        }
     }
 
     #[test]
@@ -2204,43 +2002,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_cross_shard_sweep_matches_serial() {
-        for config in [HeapConfig::FocUndo, HeapConfig::FocStm] {
-            let serial = sweep_cross_shard_2pc_threads(config, 4242, 1);
-            for threads in [2, 4] {
-                let parallel = sweep_cross_shard_2pc_threads(config, 4242, threads);
-                assert_eq!(parallel.crash_points, serial.crash_points, "{config}");
-                assert_eq!(
-                    format!("{:?}", parallel.outcomes),
-                    format!("{:?}", serial.outcomes),
-                    "{config}"
-                );
-                if let Err(report) =
-                    wsp_obs::diff_traces(&serial.trace, &parallel.trace, wsp_obs::DiffMode::Full)
-                {
-                    panic!("{config}: {threads}-thread cross-shard sweep trace diverges:\n{report}");
-                }
-                if let Some(diff) = serial.metrics.first_difference(&parallel.metrics) {
-                    panic!("{config}: {threads}-thread cross-shard sweep metrics diverge: {diff}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn run_sharded_preserves_item_order() {
-        for threads in [1, 2, 3, 8, 64] {
-            let out = run_sharded((0..37u64).collect(), threads, |x| x * x);
-            assert_eq!(out, (0..37u64).map(|x| x * x).collect::<Vec<_>>(), "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn faultsim_threads_is_at_least_one() {
-        assert!(faultsim_threads() >= 1);
-    }
-
-    #[test]
     fn ladder_points_cover_every_fault_class_and_module() {
         let points = ladder_crash_points(4);
         // 11 machine-independent classes + 2 per module.
@@ -2272,28 +2033,5 @@ mod tests {
         let report = sweep_recovery_ladder(Machine::amd_testbed, SystemLoad::Idle, 7);
         assert_eq!(report.glitches_ignored, 2);
         assert_eq!(report.recovered, 4);
-    }
-
-    #[test]
-    fn parallel_ladder_sweep_matches_serial() {
-        let serial = sweep_recovery_ladder_threads(Machine::intel_testbed, SystemLoad::Busy, 42, 1);
-        for threads in [2, 5] {
-            let parallel =
-                sweep_recovery_ladder_threads(Machine::intel_testbed, SystemLoad::Busy, 42, threads);
-            assert_eq!(parallel.recovered, serial.recovered);
-            assert_eq!(parallel.degraded, serial.degraded);
-            assert_eq!(
-                format!("{:?}", parallel.outcomes),
-                format!("{:?}", serial.outcomes)
-            );
-            if let Err(report) =
-                wsp_obs::diff_traces(&serial.trace, &parallel.trace, wsp_obs::DiffMode::Full)
-            {
-                panic!("{threads}-thread ladder-sweep trace diverges:\n{report}");
-            }
-            if let Some(diff) = serial.metrics.first_difference(&parallel.metrics) {
-                panic!("{threads}-thread ladder-sweep metrics diverge: {diff}");
-            }
-        }
     }
 }

@@ -59,6 +59,7 @@ mod restore;
 mod save;
 mod storm;
 mod supervisor;
+pub mod sweep;
 mod system;
 mod tradeoff;
 mod txn;
@@ -70,7 +71,7 @@ pub use domain::{
 };
 pub use error::WspError;
 pub use faultsim::{
-    faultsim_threads, ladder_crash_points, save_path_crash_points, sweep_cross_shard_2pc,
+    ladder_crash_points, save_path_crash_points, sweep_cross_shard_2pc,
     sweep_mid_epoch, sweep_mid_transaction, sweep_recovery_ladder, sweep_save_path,
     CrossShard2pcReport, FaultOutcome, LadderFault, LadderPointOutcome, LadderSweepReport,
     MidEpochSweepReport, MidTxSweepReport, SaveSweepReport, TxnCrashPoint, TxnPointVerdict,
@@ -82,16 +83,15 @@ pub use feasibility::{
 };
 pub use ladder::{run_recovery_ladder, LadderInput, LadderReport, LadderRung, RecoveryOutcome, RungAttempt};
 pub use lockfree_sweep::{
-    classify_recovery, sweep_lockfree, sweep_lockfree_threads, LfScenarioOutcome, LfStructure,
-    LockfreeSweepReport,
+    classify_recovery, sweep_lockfree, LfScenarioOutcome, LfStructure, LockfreeSweepReport,
 };
 pub use process::{ProcessPersistence, ProcessSaveReport};
 pub use restart::RestartStrategy;
 pub use restore::{restore, RestoreReport, RestoreStep};
 pub use save::{flush_on_fail_save, flush_on_fail_save_with_fault, SaveFault, SaveReport, SaveStep};
 pub use storm::{
-    run_power_storm, sweep_power_storm, sweep_power_storm_threads, PowerStormReport, StormPoint,
-    StormPointOutcome, StormSpec, StormStats,
+    run_power_storm, sweep_power_storm, PowerStormReport, StormPoint, StormPointOutcome, StormSpec,
+    StormStats,
 };
 pub use supervisor::{
     clean_failure_trace, glitch_storm_trace, priority_stage_window, supervised_save,

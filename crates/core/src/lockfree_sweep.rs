@@ -32,16 +32,17 @@
 //! the same bytes share one audit without weakening coverage (each
 //! node still contributes its own path-tagged fingerprint term).
 //!
-//! Sharding follows the faultsim convention: a serial frontier phase
+//! Sharding goes through [`crate::sweep::run`]: a serial frontier phase
 //! explores the first few tree levels, then the frontier subtrees (or
-//! the seeded schedules) are distributed over `WSP_FAULTSIM_THREADS`
-//! workers and their tallies and traces are merged in deterministic
-//! order — reports are bitwise identical for serial and sharded runs.
+//! the seeded schedules) are the points the runner distributes over
+//! `WSP_FAULTSIM_THREADS` workers, and their tallies and traces are
+//! merged in point order — reports are bitwise identical for serial and
+//! sharded runs.
 
 use std::collections::HashMap;
 
 use wsp_det::{DetRng, Rng};
-use wsp_obs::{self as obs, Capture, Ctr, Event, MetricsSnapshot};
+use wsp_obs::{self as obs, Capture, Ctr, MetricsSnapshot, Trace};
 use wsp_pheap::lockfree::{
     desc_snapshot, payload, preload_hash, preload_stack, recover_op, recovered_arena_next,
     recovered_pop_value, FlushPolicy, LfLayout, LfRegion, OpKind, OpResult, OpVerdict, StepKind,
@@ -49,8 +50,7 @@ use wsp_pheap::lockfree::{
 };
 use wsp_units::Nanos;
 
-use crate::faultsim::{faultsim_threads, merge_point_captures, run_sharded};
-use crate::WspError;
+use crate::{sweep, WspError};
 
 /// Which lock-free structure a sweep exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -125,7 +125,7 @@ pub struct LockfreeSweepReport {
     /// Order-sensitive digest over every audit of every scenario.
     pub fingerprint: u64,
     /// Structured trace of the sweep.
-    pub trace: Vec<Event>,
+    pub trace: Trace,
     /// Metrics accumulated during the sweep.
     pub metrics: MetricsSnapshot,
 }
@@ -719,63 +719,62 @@ fn expand_frontier(sc: &Scenario, state: &SweepState, t: &mut Tally) {
     debug_assert!(no_frontier.is_empty());
 }
 
-fn run_exhaustive(sc: &Scenario, threads: usize) -> (Tally, Vec<Capture>) {
+/// Explores the frontier serially, then expands every frontier subtree
+/// as one runner point.
+fn run_exhaustive(sc: &Scenario, threads: usize) -> (Tally, Capture) {
     let mut frontier = Vec::new();
     let mut tally = Tally::new();
-    let ((), head_cap) = obs::capture(|| {
+    let ((), mut cap) = obs::capture(|| {
         let mut cache = AuditCache::new();
-        explore(sc, SweepState::new(sc), Some(FRONTIER_DEPTH), &mut frontier, &mut tally, &mut cache);
+        explore(
+            sc,
+            SweepState::new(sc),
+            Some(FRONTIER_DEPTH),
+            &mut frontier,
+            &mut tally,
+            &mut cache,
+        );
     });
-    let shards = run_sharded(frontier, threads, |state| {
-        obs::capture(|| {
-            let mut t = Tally::new();
-            expand_frontier(sc, &state, &mut t);
-            t
-        })
+    let (subtrees, subtrees_cap) = sweep::run(frontier, threads, |state| {
+        let mut t = Tally::new();
+        expand_frontier(sc, &state, &mut t);
+        t
     });
-    let mut captures = vec![head_cap];
-    for (t, cap) in shards {
-        tally.merge(&t);
-        captures.push(cap);
-    }
-    (tally, captures)
+    cap.absorb(subtrees_cap);
+    subtrees.iter().for_each(|t| tally.merge(t));
+    (tally, cap)
 }
 
+/// Replays `schedules` seeded schedules, one runner point each.
 fn run_seeded(
     sc: &Scenario,
     schedules: usize,
     rng: &mut DetRng,
     threads: usize,
-) -> (Tally, Vec<Capture>) {
+) -> (Tally, Capture) {
     // Split every schedule's PRNG serially before any worker runs —
     // the sharded replay order cannot perturb the streams.
     let rngs: Vec<DetRng> = (0..schedules).map(|_| rng.split()).collect();
-    let shards = run_sharded(rngs, threads, |mut srng| {
-        obs::capture(|| {
-            let mut t = Tally::new();
-            let mut cache = AuditCache::new();
-            let mut state = SweepState::new(sc);
-            loop {
-                let runnable = state.runnable();
-                if runnable.is_empty() {
-                    t.schedules += 1;
-                    audit_leaf(sc, &state, &mut t);
-                    break;
-                }
-                audit_node(sc, &state, &mut t, &mut cache);
-                let pick = runnable[srng.gen_range(0..runnable.len())];
-                state.step(pick);
+    let (replays, cap) = sweep::run(rngs, threads, |mut srng| {
+        let mut t = Tally::new();
+        let mut cache = AuditCache::new();
+        let mut state = SweepState::new(sc);
+        loop {
+            let runnable = state.runnable();
+            if runnable.is_empty() {
+                t.schedules += 1;
+                audit_leaf(sc, &state, &mut t);
+                break;
             }
-            t
-        })
+            audit_node(sc, &state, &mut t, &mut cache);
+            let pick = runnable[srng.gen_range(0..runnable.len())];
+            state.step(pick);
+        }
+        t
     });
     let mut tally = Tally::new();
-    let mut captures = Vec::new();
-    for (t, cap) in shards {
-        tally.merge(&t);
-        captures.push(cap);
-    }
-    (tally, captures)
+    replays.iter().for_each(|t| tally.merge(t));
+    (tally, cap)
 }
 
 fn colliding_key(lay: &LfLayout, base: u64) -> u64 {
@@ -904,13 +903,10 @@ fn scenarios(structure: LfStructure, policy: FlushPolicy) -> Vec<Scenario> {
 /// Sweeps `structure` under `policy` with the ambient worker count.
 #[must_use]
 pub fn sweep_lockfree(structure: LfStructure, policy: FlushPolicy, seed: u64) -> LockfreeSweepReport {
-    sweep_lockfree_threads(structure, policy, seed, faultsim_threads())
+    sweep_lockfree_threads(structure, policy, seed, sweep::threads())
 }
 
-/// Sweeps with an explicit worker count (`1` forces the serial path;
-/// any count yields a bitwise-identical report).
-#[must_use]
-pub fn sweep_lockfree_threads(
+pub(crate) fn sweep_lockfree_threads(
     structure: LfStructure,
     policy: FlushPolicy,
     seed: u64,
@@ -919,7 +915,7 @@ pub fn sweep_lockfree_threads(
     let mut rng = DetRng::seed_from_u64(seed ^ (policy.code() << 32) ^ structure as u64);
     let mut total = Tally::new();
     let mut scenario_outs = Vec::new();
-    let mut merged: Option<Capture> = None;
+    let mut cap = Capture::default();
     for sc in scenarios(structure, policy) {
         let ((), hdr) = obs::capture(|| {
             obs::emit_detail(
@@ -931,10 +927,12 @@ pub fn sweep_lockfree_threads(
                 format!("{} [{}/{}]", sc.name, structure.label(), policy.label()),
             );
         });
-        let (tally, captures) = match sc.mode {
+        let (tally, scenario_cap) = match sc.mode {
             Mode::Exhaustive => run_exhaustive(&sc, threads),
             Mode::Seeded(n) => run_seeded(&sc, n, &mut rng, threads),
         };
+        cap.absorb(hdr);
+        cap.absorb(scenario_cap);
         scenario_outs.push(LfScenarioOutcome {
             name: sc.name,
             schedules: tally.schedules,
@@ -945,17 +943,7 @@ pub fn sweep_lockfree_threads(
             fingerprint: tally.fingerprint,
         });
         total.merge(&tally);
-        let mut scenario_cap = hdr;
-        scenario_cap.absorb(merge_point_captures(captures));
-        merged = Some(match merged.take() {
-            None => scenario_cap,
-            Some(mut m) => {
-                m.absorb(scenario_cap);
-                m
-            }
-        });
     }
-    let cap = merged.expect("at least one scenario per structure");
     LockfreeSweepReport {
         structure,
         policy,
@@ -971,7 +959,7 @@ pub fn sweep_lockfree_threads(
         helps: total.helps,
         conflicts: total.conflicts,
         fingerprint: total.fingerprint,
-        trace: cap.trace.events().to_vec(),
+        trace: cap.trace,
         metrics: cap.metrics,
     }
 }
@@ -994,12 +982,5 @@ mod tests {
         assert!(r.cas_points > 0);
         assert_eq!(r.flush_points, 0);
         assert_eq!(r.fence_points, 0);
-    }
-
-    #[test]
-    fn hash_serial_matches_sharded() {
-        let a = sweep_lockfree_threads(LfStructure::Hash, FlushPolicy::FlushOnCommit, 42, 1);
-        let b = sweep_lockfree_threads(LfStructure::Hash, FlushPolicy::FlushOnCommit, 42, 4);
-        assert_eq!(a, b);
     }
 }

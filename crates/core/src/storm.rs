@@ -23,7 +23,7 @@
 //!   that gap — see [`crate::reapply_routed`]).
 //!
 //! [`sweep_power_storm`] fans the storm over rung phases and triage
-//! biases, sharded over [`faultsim_threads`] workers with bitwise
+//! biases, sharded over [`crate::sweep::threads`] workers with bitwise
 //! deterministic results.
 
 use std::collections::BTreeSet;
@@ -36,13 +36,14 @@ use wsp_obs as obs;
 use wsp_obs::{Ctr, MetricsSnapshot, Trace};
 use wsp_pheap::{BackendStore, CrashImage, HeapConfig, PersistentHeap, PmPtr, RecoveryLadder};
 use wsp_power::{PowerDomain, Psu, Ultracapacitor};
-use wsp_units::{ByteSize, Farads, Nanos, Volts, Watts};
+use wsp_units::{Farads, Nanos, Volts, Watts};
 
 use crate::domain::{
     domain_decision_points, domain_save, DomainBudget, DomainInput, DomainVerdict, ShardVerdict,
 };
-use crate::faultsim::{faultsim_threads, merge_point_captures, run_sharded};
+use crate::faultsim::committed_fleet;
 use crate::supervisor::{clean_failure_trace, MARKER_COST};
+use crate::sweep;
 use crate::txn::{
     reapply_routed, recover_routing, resolve_cross_shard, CoordinatorPool, SubmitOutcome,
 };
@@ -281,28 +282,15 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
     // checkpoint each shard to its back end ONCE — every later rebuild
     // must climb back from this deliberately stale state via the
     // routing log.
-    let mut heaps: Vec<PersistentHeap> = Vec::with_capacity(shards);
-    let mut cells: Vec<Vec<u64>> = Vec::with_capacity(shards);
-    let mut model: Vec<Vec<u64>> = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let mut heap = PersistentHeap::create(ByteSize::kib(256), spec.config);
-        let mut tx = heap.begin();
-        let base = tx.alloc(STORM_CELLS as u64 * 64).expect("seed allocation");
-        let mut shard_cells = Vec::with_capacity(STORM_CELLS);
-        let mut shard_model = Vec::with_capacity(STORM_CELLS);
-        for c in 0..STORM_CELLS {
-            let p = base.byte_offset(c as u64 * 64);
-            let v = rng.gen::<u64>();
-            tx.write_word(p, v).expect("seed cell writable");
-            shard_cells.push(p.offset());
-            shard_model.push(v);
-        }
-        tx.set_root(base).expect("root");
-        tx.commit().expect("seed commit");
-        heaps.push(heap);
-        cells.push(shard_cells);
-        model.push(shard_model);
-    }
+    let (mut heaps, fleet) = committed_fleet(spec.config, shards, STORM_CELLS, 64, &mut rng);
+    let cells: Vec<Vec<u64>> = fleet
+        .iter()
+        .map(|shard| shard.iter().map(|&(p, _)| p.offset()).collect())
+        .collect();
+    let mut model: Vec<Vec<u64>> = fleet
+        .iter()
+        .map(|shard| shard.iter().map(|&(_, v)| v).collect())
+        .collect();
     let backends: Vec<RecoveryLadder> = heaps
         .iter()
         .map(|heap| {
@@ -583,8 +571,8 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
 }
 
 /// Runs [`run_power_storm`] across every rung phase and both triage
-/// biases, sharded over [`faultsim_threads`] workers — bitwise
-/// identical to the serial order.
+/// biases, sharded over [`sweep::threads`] workers — bitwise identical
+/// to the serial order.
 ///
 /// # Panics
 ///
@@ -592,17 +580,10 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
 /// invariant.
 #[must_use]
 pub fn sweep_power_storm(config: HeapConfig, seed: u64) -> PowerStormReport {
-    sweep_power_storm_threads(config, seed, faultsim_threads())
+    sweep_power_storm_threads(config, seed, sweep::threads())
 }
 
-/// [`sweep_power_storm`] with an explicit worker count, for proving the
-/// sharding invisible: any `threads` yields a bitwise-identical report.
-///
-/// # Panics
-///
-/// As [`run_power_storm`].
-#[must_use]
-pub fn sweep_power_storm_threads(
+pub(crate) fn sweep_power_storm_threads(
     config: HeapConfig,
     seed: u64,
     threads: usize,
@@ -619,34 +600,22 @@ pub fn sweep_power_storm_threads(
         }
     }
 
-    let results = run_sharded(points, threads, |(point, point_seed)| {
-        let (stats, cap) = obs::capture(|| {
-            obs::emit_detail(
-                "faultsim",
-                "inject",
-                Nanos::ZERO,
-                point.phase as i64,
-                i64::from(point.sacrifice_coordinator),
-                format!("{point:?}"),
-            );
-            obs::count(Ctr::FaultsInjected);
-            let spec = StormSpec {
-                sacrifice_coordinator: point.sacrifice_coordinator,
-                rung_phase: point.phase,
-                ..StormSpec::standard(config)
-            };
-            run_power_storm(&spec, point_seed)
-        });
-        (point, stats, cap)
+    let (outcomes, merged) = sweep::run(points, threads, |(point, point_seed)| {
+        sweep::inject(
+            point.phase as i64,
+            i64::from(point.sacrifice_coordinator),
+            &point,
+        );
+        let spec = StormSpec {
+            sacrifice_coordinator: point.sacrifice_coordinator,
+            rung_phase: point.phase,
+            ..StormSpec::standard(config)
+        };
+        StormPointOutcome {
+            point,
+            stats: run_power_storm(&spec, point_seed),
+        }
     });
-
-    let mut outcomes = Vec::with_capacity(results.len());
-    let mut captures = Vec::with_capacity(results.len());
-    for (point, stats, cap) in results {
-        captures.push(cap);
-        outcomes.push(StormPointOutcome { point, stats });
-    }
-    let merged = merge_point_captures(captures);
 
     let mut cuts: BTreeSet<usize> = BTreeSet::new();
     let mut rungs: BTreeSet<usize> = BTreeSet::new();
@@ -744,25 +713,5 @@ mod tests {
     #[should_panic(expected = "flush-on-commit")]
     fn storm_rejects_flush_on_fail_configs() {
         let _ = run_power_storm(&StormSpec::standard(HeapConfig::Fof), 1);
-    }
-
-    #[test]
-    fn parallel_storm_sweep_matches_serial() {
-        let serial = sweep_power_storm_threads(HeapConfig::FocUndo, 4242, 1);
-        assert_eq!(serial.points.len(), 6);
-        assert_eq!(serial.decision_cuts_covered, domain_decision_points(3));
-        assert_eq!(serial.crash_rungs_covered, 3);
-        for threads in [2, 4] {
-            let parallel = sweep_power_storm_threads(HeapConfig::FocUndo, 4242, threads);
-            assert_eq!(parallel.points, serial.points, "{threads} threads");
-            if let Err(report) =
-                wsp_obs::diff_traces(&serial.trace, &parallel.trace, wsp_obs::DiffMode::Full)
-            {
-                panic!("{threads}-thread storm sweep trace diverges:\n{report}");
-            }
-            if let Some(diff) = serial.metrics.first_difference(&parallel.metrics) {
-                panic!("{threads}-thread storm sweep metrics diverge: {diff}");
-            }
-        }
     }
 }

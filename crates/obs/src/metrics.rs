@@ -345,8 +345,9 @@ impl MetricsSnapshot {
     }
 
     /// A readable first-difference report against `other`, or `None`
-    /// when every slot matches. Used by the `parallel_*_matches_serial`
-    /// contract tests to explain a sharding-order regression.
+    /// when every slot matches. Used by the sweep runner's
+    /// serial-vs-sharded contract test to explain a sharding-order
+    /// regression.
     #[must_use]
     pub fn first_difference(&self, other: &MetricsSnapshot) -> Option<String> {
         for &id in Ctr::ALL {

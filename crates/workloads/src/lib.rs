@@ -61,7 +61,7 @@ pub use generators::{random_dn, KeyDistribution, Op, OpMix, Zipfian};
 pub use hashtable::PmHashTable;
 pub use kvserver::{Command, KvServer, ProtocolError, Response, ServeError};
 pub use queue::PmQueue;
-pub use shard::{kv_worker_threads, ShardOutcome, ShardedKvBench, ShardedKvReport};
+pub use shard::{ShardOutcome, ShardedKvBench, ShardedKvReport};
 pub use storm::{PowerStormBench, PowerStormSoakReport};
 pub use xshard::{
     CrossShardKvBench, CrossShardKvReport, DegradedShard, Transfer, TransferOutcome, TxnOutcome,

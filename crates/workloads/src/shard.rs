@@ -1,14 +1,15 @@
 //! A sharded, deterministic KV serving engine: [`KvServer`] hash-
 //! partitioned across per-shard persistent heaps, driven by closed-loop
-//! multi-client YCSB command mixes on `std::thread::scope` workers.
+//! multi-client YCSB command mixes on the crash sweeps' runner,
+//! [`wsp_core::sweep::run`].
 //!
-//! The determinism recipe is the same one `wsp_core::faultsim` uses for
-//! its crash-point sweeps: every per-shard (and per-client) PRNG is
-//! split *serially* from the run seed before any worker starts, each
-//! shard runs against its own heap under its own `wsp-obs` recorder,
-//! and per-shard results — stats, latency histograms, traces, metrics —
-//! are merged in shard order. The outcome is bitwise identical for any
-//! `WSP_KV_SHARDS` worker count, including the fully serial path.
+//! Each shard is one runner point: every per-shard (and per-client)
+//! PRNG is split *serially* from the run seed before any worker starts,
+//! each shard runs against its own heap under its own `wsp-obs`
+//! recorder, and per-shard results — stats, latency histograms, traces,
+//! metrics — are merged in shard order. The outcome is bitwise
+//! identical for any `WSP_FAULTSIM_THREADS` worker count, including the
+//! fully serial path.
 //!
 //! Sharding is by key: shard `s` of `N` owns exactly the keys
 //! `k * N + s`, so the same logical store partitions cleanly and each
@@ -16,6 +17,7 @@
 //! cross-shard coordination — the serving-path analogue of the paper's
 //! per-core flush argument.
 
+use wsp_core::sweep;
 use wsp_det::{DetRng, Rng};
 use wsp_obs as obs;
 use wsp_pheap::lockfree::{
@@ -25,68 +27,6 @@ use wsp_pheap::{HeapConfig, HeapError, PersistentHeap};
 use wsp_units::{ByteSize, LatencyHistogram, Nanos};
 
 use crate::{Command, KvServer, YcsbMix, Zipfian};
-
-/// Worker count for sharded KV runs.
-///
-/// `WSP_KV_SHARDS` overrides (set `1` to force the serial path);
-/// otherwise the host's available parallelism is used. Results are
-/// bitwise identical either way: per-shard PRNGs are split from the run
-/// seed serially before any worker starts, and shard results are merged
-/// in shard order.
-#[must_use]
-pub fn kv_worker_threads() -> usize {
-    if let Ok(v) = std::env::var("WSP_KV_SHARDS") {
-        return v.trim().parse::<usize>().map_or(1, |n| n.max(1));
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// Distributes `items` round-robin over `threads` scoped workers and
-/// returns results in the original item order (the `faultsim` sharding
-/// recipe). Worker panics propagate.
-fn run_on_workers<T, R, F>(items: Vec<T>, threads: usize, work: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let total = items.len();
-    let threads = threads.clamp(1, total.max(1));
-    if threads <= 1 {
-        return items.into_iter().map(work).collect();
-    }
-    let mut queues: Vec<Vec<(usize, T)>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        queues[i % threads].push((i, item));
-    }
-    let mut slots: Vec<Option<R>> = (0..total).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = queues
-            .into_iter()
-            .map(|queue| {
-                let work = &work;
-                s.spawn(move || {
-                    queue
-                        .into_iter()
-                        .map(|(i, item)| (i, work(item)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            let results = handle
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            for (i, r) in results {
-                slots[i] = Some(r);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every shard produces a result"))
-        .collect()
-}
 
 /// A sharded multi-client KV benchmark: the serving-path driver the
 /// ROADMAP's "heavy traffic" north star asks for.
@@ -162,7 +102,7 @@ impl ShardedKvBench {
         }
     }
 
-    /// Runs the benchmark with the ambient [`kv_worker_threads`] worker
+    /// Runs the benchmark with the ambient [`sweep::threads`] worker
     /// count.
     ///
     /// # Errors
@@ -173,7 +113,7 @@ impl ShardedKvBench {
     ///
     /// Panics if `shards` or `clients_per_shard` is zero.
     pub fn run(&self, config: HeapConfig, seed: u64) -> Result<ShardedKvReport, HeapError> {
-        self.run_on(config, seed, kv_worker_threads())
+        self.run_on(config, seed, sweep::threads())
     }
 
     /// Runs the benchmark on an explicit worker count. The report is
@@ -215,7 +155,7 @@ impl ShardedKvBench {
     ///
     /// Panics if `shards` or `in_shard_threads` is zero.
     pub fn run_concurrent(&self, config: HeapConfig, seed: u64) -> Result<ShardedKvReport, HeapError> {
-        self.run_concurrent_on(config, seed, kv_worker_threads())
+        self.run_concurrent_on(config, seed, sweep::threads())
     }
 
     /// [`ShardedKvBench::run_concurrent`] on an explicit cross-shard
@@ -255,26 +195,21 @@ impl ShardedKvBench {
         let plans: Vec<(usize, DetRng)> =
             (0..self.shards).map(|s| (s, parent.split())).collect();
 
-        let outcomes = run_on_workers(plans, threads, |(shard, rng)| {
-            let (outcome, capture) = obs::capture(|| {
-                if concurrent {
-                    self.run_shard_concurrent(config, shard, rng)
-                } else {
-                    self.run_shard(config, shard, rng)
-                }
-            });
-            (outcome, capture)
+        let (outcomes, merged) = sweep::run(plans, threads, |(shard, rng)| {
+            if concurrent {
+                self.run_shard_concurrent(config, shard, rng)
+            } else {
+                self.run_shard(config, shard, rng)
+            }
         });
 
         // Merge in shard order — the only order there is.
-        let mut merged = obs::Capture::default();
         let mut latencies = LatencyHistogram::new();
         let mut shards = Vec::with_capacity(self.shards);
         let mut total_ops = 0u64;
         let mut wall = Nanos::ZERO;
-        for (outcome, capture) in outcomes {
+        for outcome in outcomes {
             let outcome = outcome?;
-            merged.absorb(capture);
             obs::count(obs::Ctr::KvShardMerges);
             latencies.merge(&outcome.latencies);
             total_ops += outcome.ops;
@@ -619,11 +554,6 @@ mod tests {
         // FoF shards never seal (epoch mode is a documented no-op).
         let fof = bench.run(HeapConfig::Fof, 3).unwrap();
         assert_eq!(fof.metrics.counter(obs::Ctr::EpochSeals), 0);
-    }
-
-    #[test]
-    fn kv_worker_threads_is_at_least_one() {
-        assert!(kv_worker_threads() >= 1);
     }
 
     #[test]

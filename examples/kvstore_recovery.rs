@@ -112,7 +112,7 @@ fn run_shard(
     Ok((intact, inserts - intact))
 }
 
-fn run_sharded_demo(shards: u64, epoch: u64, seed: u64) -> Result<(), HeapError> {
+fn sharded_kv_demo(shards: u64, epoch: u64, seed: u64) -> Result<(), HeapError> {
     println!(
         "\n-- sharded group commit: {shards} shards, epoch size {epoch}, crash mid-epoch --"
     );
@@ -214,7 +214,7 @@ fn main() -> Result<(), HeapError> {
         run_one(config, false, seed)?;
     }
 
-    run_sharded_demo(shards, epoch, seed)?;
+    sharded_kv_demo(shards, epoch, seed)?;
     run_cross_shard_demo(shards, cross_shard_pct, seed)?;
 
     println!("\nthe trade the paper quantifies: FoF's zero runtime overhead");

@@ -29,8 +29,8 @@ cargo run --release --offline --example trace_export -- --out target/trace-gate.
 
 echo "== crash-sweep soak: three seeds, serial and sharded =="
 for seed in 11 42 1337; do
-    echo "  -- seed $seed (thread default)"
-    WSP_DET_SEED=$seed cargo test -q --offline --test fault_injection
+    echo "  -- seed $seed (WSP_FAULTSIM_THREADS=4)"
+    WSP_DET_SEED=$seed WSP_FAULTSIM_THREADS=4 cargo test -q --offline --test fault_injection
     echo "  -- seed $seed (WSP_FAULTSIM_THREADS=1)"
     WSP_DET_SEED=$seed WSP_FAULTSIM_THREADS=1 cargo test -q --offline --test fault_injection
 done
@@ -84,7 +84,7 @@ WSP_DET_SEED=7 WSP_FAULTSIM_THREADS=1 cargo test -q --offline --test crash_consi
 WSP_DET_SEED=7 WSP_FAULTSIM_THREADS=4 cargo test -q --offline --test crash_consistency mid_epoch
 
 echo "== sharded KV determinism spot-check (single worker) =="
-WSP_KV_SHARDS=1 cargo test -q --offline -p wsp-workloads shard::
+WSP_FAULTSIM_THREADS=1 cargo test -q --offline -p wsp-workloads shard::
 
 echo "== deny-warnings build =="
 RUSTFLAGS="-D warnings" cargo build --offline --workspace --all-targets

@@ -4,13 +4,14 @@
 //! randomized seeds under the deterministic harness.
 
 use wsp_det::{gen, Forall};
+use wsp_repro::machine::{Machine, SystemLoad};
+use wsp_repro::obs;
 use wsp_repro::pheap::HeapConfig;
 use wsp_repro::wsp::{
     ladder_crash_points, save_path_crash_points, sweep_mid_transaction, sweep_recovery_ladder,
     sweep_save_path, LadderFault, LadderRung, RecoveryOutcome, RestartStrategy, SaveFault,
     SaveStep, FLUSH_BATCHES,
 };
-use wsp_repro::machine::{Machine, SystemLoad};
 
 /// The sweep enumerates one point per Figure-4 step (the ACPI suspend
 /// step only on the strawman strategy), one per cache-flush batch, and
@@ -319,34 +320,6 @@ fn power_storm_survives_with_full_triage_coverage() {
     }
 }
 
-/// Sharding the storm sweep over worker threads is invisible: points,
-/// merged trace, and metrics are bitwise identical to the serial run
-/// (per-point seeds are split serially before dispatch, captures merged
-/// in point order).
-#[test]
-fn power_storm_sweep_is_bitwise_identical_serial_vs_sharded() {
-    use wsp_repro::obs;
-    use wsp_repro::wsp::sweep_power_storm_threads;
-
-    let serial = sweep_power_storm_threads(HeapConfig::FocUndo, 7, 1);
-    for threads in [2, 4] {
-        let sharded = sweep_power_storm_threads(HeapConfig::FocUndo, 7, threads);
-        assert_eq!(
-            format!("{:?}", sharded.points),
-            format!("{:?}", serial.points),
-            "{threads} threads"
-        );
-        if let Err(report) =
-            obs::diff_traces(&serial.trace, &sharded.trace, obs::DiffMode::Full)
-        {
-            panic!("{threads}-thread storm sweep trace diverges:\n{report}");
-        }
-        if let Some(diff) = serial.metrics.first_difference(&sharded.metrics) {
-            panic!("{threads}-thread storm sweep metrics diverge: {diff}");
-        }
-    }
-}
-
 /// The multi-seed soak the roadmap's verify gate runs: full coverage
 /// and a clean survival verdict on every seed, for the workload-level
 /// driver too.
@@ -371,27 +344,30 @@ fn fnv(text: &str) -> u64 {
     })
 }
 
-/// One corpus line: crash points, a digest of the outcome list (the
-/// summary fields for sweeps that only assert), the merged trace's
-/// event count and JSONL digest, and the merged metrics' JSON digest.
+/// One corpus line for one sweep run, identified by sweep, case
+/// (testbed or heap configuration) and seed: crash points, a digest of
+/// the outcome list's `Debug` form (the summary fields for sweeps that
+/// only assert), the merged trace's event count and JSONL digest, and
+/// the merged metrics' JSON digest.
 fn digest_line(
-    sweep: &str,
-    case: &str,
-    seed: u64,
+    (sweep, case, seed): (&str, &str, u64),
     crash_points: usize,
-    outcomes: &str,
-    trace: &wsp_repro::obs::Trace,
-    metrics: &wsp_repro::obs::MetricsSnapshot,
+    outcomes: &dyn std::fmt::Debug,
+    trace: &obs::Trace,
+    metrics: &obs::MetricsSnapshot,
 ) -> String {
     format!(
         "{{\"sweep\":\"{sweep}\",\"case\":\"{case}\",\"seed\":{seed},\"crash_points\":{crash_points},\
          \"outcomes\":\"{:016x}\",\"events\":{},\"trace\":\"{:016x}\",\"metrics\":\"{:016x}\"}}\n",
-        fnv(outcomes),
+        fnv(&format!("{outcomes:?}")),
         trace.len(),
-        fnv(&wsp_repro::obs::trace_to_jsonl(trace)),
+        fnv(&obs::trace_to_jsonl(trace)),
         fnv(&metrics.to_json()),
     )
 }
+
+/// A save-path or ladder testbed: corpus label, machine, load.
+type Testbed = (&'static str, fn() -> Machine, SystemLoad);
 
 /// Every corpus line, in a fixed order: the five crash sweeps and the
 /// power-storm sweep at seeds 7 and 42, per testbed or heap
@@ -399,7 +375,7 @@ fn digest_line(
 fn sweep_digest_corpus() -> String {
     use wsp_repro::wsp::{sweep_cross_shard_2pc, sweep_mid_epoch, sweep_power_storm};
 
-    let testbeds: [(&str, fn() -> Machine, SystemLoad); 2] = [
+    let testbeds: [Testbed; 2] = [
         ("intel_busy", Machine::intel_testbed, SystemLoad::Busy),
         ("amd_idle", Machine::amd_testbed, SystemLoad::Idle),
     ];
@@ -408,37 +384,35 @@ fn sweep_digest_corpus() -> String {
     for seed in [7u64, 42] {
         for (case, make, load) in testbeds {
             let r = sweep_save_path(make, load, RestartStrategy::RestorePathReinit, seed);
-            let outcomes = format!("{:?}", r.outcomes);
-            out += &digest_line("save_path", case, seed, r.outcomes.len(), &outcomes, &r.trace, &r.metrics);
+            let id = ("save_path", case, seed);
+            out += &digest_line(id, r.outcomes.len(), &r.outcomes, &r.trace, &r.metrics);
         }
         for config in HeapConfig::all() {
             let r = sweep_mid_transaction(config, seed);
-            let summary = format!("{:?}", (r.config, r.crash_points));
-            let case = format!("{config:?}");
-            out += &digest_line("mid_transaction", &case, seed, r.crash_points, &summary, &r.trace, &r.metrics);
+            let id = ("mid_transaction", &*format!("{config:?}"), seed);
+            let summary = (r.config, r.crash_points);
+            out += &digest_line(id, r.crash_points, &summary, &r.trace, &r.metrics);
         }
         for config in foc {
             let r = sweep_mid_epoch(config, seed);
-            let summary = format!("{:?}", (r.config, r.epoch_size, r.crash_points));
-            let case = format!("{config:?}");
-            out += &digest_line("mid_epoch", &case, seed, r.crash_points, &summary, &r.trace, &r.metrics);
+            let id = ("mid_epoch", &*format!("{config:?}"), seed);
+            let summary = (r.config, r.epoch_size, r.crash_points);
+            out += &digest_line(id, r.crash_points, &summary, &r.trace, &r.metrics);
         }
         for config in foc {
             let r = sweep_cross_shard_2pc(config, seed);
-            let outcomes = format!("{:?}", r.outcomes);
-            let case = format!("{config:?}");
-            out += &digest_line("cross_shard_2pc", &case, seed, r.crash_points, &outcomes, &r.trace, &r.metrics);
+            let id = ("cross_shard_2pc", &*format!("{config:?}"), seed);
+            out += &digest_line(id, r.crash_points, &r.outcomes, &r.trace, &r.metrics);
         }
         for (case, make, load) in testbeds {
             let r = sweep_recovery_ladder(make, load, seed);
-            let outcomes = format!("{:?}", r.outcomes);
-            out += &digest_line("recovery_ladder", case, seed, r.outcomes.len(), &outcomes, &r.trace, &r.metrics);
+            let id = ("recovery_ladder", case, seed);
+            out += &digest_line(id, r.outcomes.len(), &r.outcomes, &r.trace, &r.metrics);
         }
         for config in foc {
             let r = sweep_power_storm(config, seed);
-            let outcomes = format!("{:?}", r.points);
-            let case = format!("{config:?}");
-            out += &digest_line("power_storm", &case, seed, r.points.len(), &outcomes, &r.trace, &r.metrics);
+            let id = ("power_storm", &*format!("{config:?}"), seed);
+            out += &digest_line(id, r.points.len(), &r.points, &r.trace, &r.metrics);
         }
     }
     out
@@ -453,15 +427,22 @@ fn sweep_digests_are_pinned() {
     let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden/sweep_digests.jsonl");
     let got = sweep_digest_corpus();
-    if wsp_repro::obs::update_mode() {
+    if obs::update_mode() {
         std::fs::write(&path, &got).expect("record sweep digests");
         return;
     }
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing corpus {} ({e}); record with WSP_UPDATE_GOLDEN=1", path.display())
+        panic!(
+            "missing corpus {} ({e}); record with WSP_UPDATE_GOLDEN=1",
+            path.display()
+        )
     });
     for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
         assert_eq!(g, w, "sweep digest line {} diverged", i + 1);
     }
-    assert_eq!(got.lines().count(), want.lines().count(), "sweep digest line count");
+    assert_eq!(
+        got.lines().count(),
+        want.lines().count(),
+        "sweep digest line count"
+    );
 }

@@ -1,13 +1,14 @@
 //! The concurrent detectable structures, driven end to end: crash-point
-//! coverage of the interleaving sweep, bitwise serial-vs-sharded
-//! determinism, typed refusals on corrupt durable metadata, and a
-//! fixed-seed regression corpus of sweep outcomes under `tests/golden/`.
+//! coverage of the interleaving sweep, typed refusals on corrupt durable
+//! metadata, and a fixed-seed regression corpus of sweep outcomes under
+//! `tests/golden/`. That worker count cannot change a single byte of the
+//! report is proven with every other sweep by the runner's identity
+//! table in `wsp_core::sweep`.
 //!
 //! The sweep itself asserts exactly-once semantics at every injected
 //! crash (misclassification panics inside `sweep_lockfree`); these
 //! tests pin the *shape* of that proof — which step kinds were crash
-//! points, that all three verdicts actually occur, that worker count
-//! cannot change a single byte of the report — and freeze the
+//! points, that all three verdicts actually occur — and freeze the
 //! per-scenario tallies against a recorded corpus. Regenerate the
 //! corpus after an intentional protocol change with
 //!
@@ -21,9 +22,7 @@ use wsp_repro::obs::{self, Ctr, Event};
 use wsp_repro::pheap::lockfree::{
     FlushPolicy, LfLayout, LfRegion, OpVerdict, HEAD_ADDR, OP_PUSH,
 };
-use wsp_repro::wsp::{
-    classify_recovery, sweep_lockfree, sweep_lockfree_threads, LfStructure, LockfreeSweepReport,
-};
+use wsp_repro::wsp::{classify_recovery, sweep_lockfree, LfStructure, LockfreeSweepReport};
 
 fn refusal_events<'a>(events: &'a [Event], subsystem: &str) -> Vec<&'a Event> {
     events
@@ -88,39 +87,6 @@ fn stack_fof_sweep_covers_every_crash_point_kind() {
         FlushPolicy::FlushOnFail,
         42,
     ));
-}
-
-// ---- serial vs sharded determinism -------------------------------------
-
-/// The heavy stack/FoC sweep: one seed, serial worker against four
-/// workers, the full report (tallies, per-scenario fingerprints, trace,
-/// metrics) must be bitwise identical — and it doubles as the FoC
-/// coverage check for the stack.
-#[test]
-fn stack_foc_sweep_is_worker_count_invariant() {
-    let serial = sweep_lockfree_threads(LfStructure::Stack, FlushPolicy::FlushOnCommit, 42, 1);
-    let sharded = sweep_lockfree_threads(LfStructure::Stack, FlushPolicy::FlushOnCommit, 42, 4);
-    assert_eq!(serial, sharded);
-    assert_foc_coverage(&serial);
-}
-
-#[test]
-fn hash_foc_sweep_is_worker_count_invariant_across_seeds() {
-    for seed in [42, 7, 4242] {
-        let serial = sweep_lockfree_threads(LfStructure::Hash, FlushPolicy::FlushOnCommit, seed, 1);
-        let sharded =
-            sweep_lockfree_threads(LfStructure::Hash, FlushPolicy::FlushOnCommit, seed, 4);
-        assert_eq!(serial, sharded, "seed {seed}");
-    }
-}
-
-#[test]
-fn stack_fof_sweep_is_worker_count_invariant_across_seeds() {
-    for seed in [42, 7, 4242] {
-        let serial = sweep_lockfree_threads(LfStructure::Stack, FlushPolicy::FlushOnFail, seed, 1);
-        let sharded = sweep_lockfree_threads(LfStructure::Stack, FlushPolicy::FlushOnFail, seed, 4);
-        assert_eq!(serial, sharded, "seed {seed}");
-    }
 }
 
 // ---- typed refusals on corrupt durable metadata ------------------------
@@ -208,8 +174,9 @@ fn corpus_lines(report: &LockfreeSweepReport) -> String {
 
 /// Pins one sweep's per-scenario tallies and path-sensitive
 /// fingerprints against the recorded corpus. Worker count cannot
-/// change the report (proven above), so the corpus is machine-stable.
-fn pin_corpus(structure: LfStructure, policy: FlushPolicy, seed: u64) {
+/// change the report (proven in `wsp_core::sweep`), so the corpus is
+/// machine-stable. Returns the report for further checks.
+fn pin_corpus(structure: LfStructure, policy: FlushPolicy, seed: u64) -> LockfreeSweepReport {
     let report = sweep_lockfree(structure, policy, seed);
     let got = corpus_lines(&report);
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -221,7 +188,7 @@ fn pin_corpus(structure: LfStructure, policy: FlushPolicy, seed: u64) {
         ));
     if std::env::var("WSP_UPDATE_GOLDEN").is_ok() {
         std::fs::write(&path, &got).expect("record corpus");
-        return;
+        return report;
     }
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!("missing corpus {} ({e}); record with WSP_UPDATE_GOLDEN=1", path.display())
@@ -232,6 +199,7 @@ fn pin_corpus(structure: LfStructure, policy: FlushPolicy, seed: u64) {
         "lockfree sweep diverged from recorded corpus {}",
         path.display()
     );
+    report
 }
 
 #[test]
@@ -252,9 +220,14 @@ fn corpus_hash_foc() {
     pin_corpus(LfStructure::Hash, FlushPolicy::FlushOnCommit, 7);
 }
 
-/// The heavy pair runs at one seed; the worker-invariance test above
-/// already proves seed-42 stability across worker counts.
+/// The heavy pair runs at one seed (the runner's identity table in
+/// `wsp_core::sweep` proves seed-42 stability across worker counts),
+/// and doubles as the FoC coverage check for the stack.
 #[test]
 fn corpus_stack_foc() {
-    pin_corpus(LfStructure::Stack, FlushPolicy::FlushOnCommit, 42);
+    assert_foc_coverage(&pin_corpus(
+        LfStructure::Stack,
+        FlushPolicy::FlushOnCommit,
+        42,
+    ));
 }
