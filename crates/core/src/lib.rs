@@ -71,11 +71,10 @@ pub use domain::{
 };
 pub use error::WspError;
 pub use faultsim::{
-    ladder_crash_points, save_path_crash_points, sweep_cross_shard_2pc,
-    sweep_mid_epoch, sweep_mid_transaction, sweep_recovery_ladder, sweep_save_path,
-    CrossShard2pcReport, FaultOutcome, LadderFault, LadderPointOutcome, LadderSweepReport,
-    MidEpochSweepReport, MidTxSweepReport, SaveSweepReport, TxnCrashPoint, TxnPointVerdict,
-    FLUSH_BATCHES,
+    ladder_crash_points, save_path_crash_points, sweep_cross_shard_2pc, sweep_mid_epoch,
+    sweep_mid_transaction, sweep_recovery_ladder, sweep_save_path, CrossShard2pcReport,
+    FaultOutcome, LadderFault, LadderPointOutcome, LadderSweepReport, MidEpochSweepReport,
+    MidTxSweepReport, SaveSweepReport, TxnCrashPoint, TxnPointVerdict, FLUSH_BATCHES,
 };
 pub use feasibility::{
     feasibility_matrix, nvdimm_save_feasibility, pool_save_feasibility, FeasibilityRow,

@@ -230,8 +230,9 @@ mod tests {
 
     type Row = (String, Box<dyn Fn(usize) -> Observed>);
 
-    /// One row per (sweep, configuration, seed) the per-sweep identity
-    /// tests used to cover.
+    /// One row per (sweep, configuration, seed) under test: every
+    /// sweep's default case plus the configurations and seeds its
+    /// heavier variants are pinned at.
     fn rows() -> Vec<Row> {
         let mut rows: Vec<Row> = vec![
             (
