@@ -514,6 +514,13 @@ impl CoordinatorPool {
     /// the slowest coordinator in the group pays unrebated time.
     /// Returns the number of decisions sealed (0 = no-op).
     pub fn seal_decisions(&mut self, sealer: usize) -> usize {
+        self.seal_cut(sealer, None)
+    }
+
+    /// [`CoordinatorPool::seal_decisions`], with the group record cut
+    /// after its first `durable_words` words when that is `Some`: those
+    /// words are fenced, then power fails before anything is booked.
+    fn seal_cut(&mut self, sealer: usize, durable_words: Option<usize>) -> usize {
         if self.pending.is_empty() {
             return 0;
         }
@@ -524,8 +531,12 @@ impl CoordinatorPool {
             .map(|p| pack_group_entry(p.generation, p.gtxid))
             .collect();
         let m0 = self.mem.elapsed();
-        self.log.append_group_decision(&mut self.mem, &entries, true);
+        self.log
+            .append_group_decision(&mut self.mem, &entries, true, durable_words);
         self.mem.sfence();
+        if durable_words.is_some() {
+            return 0;
+        }
         let seal_cost = self.mem.elapsed() - m0;
         let seal_end = self.run_on_log(sealer, seal_cost);
 
@@ -656,7 +667,7 @@ impl CoordinatorPool {
             .map(|&(gtxid, generation)| pack_group_entry(generation, gtxid))
             .collect();
         self.log
-            .append_group_decision(&mut self.mem, &entries, true);
+            .append_group_decision(&mut self.mem, &entries, true, None);
         self.mem.sfence();
     }
 
@@ -669,11 +680,12 @@ impl CoordinatorPool {
         self.mem.clone().crash(false)
     }
 
-    /// Crashes the pool mid-group-seal: only the first `durable_words`
-    /// words of the covering group record (header first, then one entry
-    /// per buffered decision) reach NVRAM before the power dies.
-    /// Recovery must presume abort for *every* member unless the record
-    /// is complete — the torn-group-record crash family.
+    /// Crashes the pool mid-group-seal ([`CoordinatorPool::seal_decisions`]
+    /// run with a cut, compaction included): only the first
+    /// `durable_words` words of the covering group record (header first,
+    /// then one entry per buffered decision) reach NVRAM before the power
+    /// dies. Recovery must presume abort for *every* member unless the
+    /// record is complete — the torn-group-record crash family.
     ///
     /// # Panics
     ///
@@ -682,13 +694,8 @@ impl CoordinatorPool {
     #[must_use]
     pub fn crash_mid_group_seal(&mut self, durable_words: usize) -> Vec<u8> {
         assert!(!self.pending.is_empty(), "nothing buffered to seal");
-        let entries: Vec<u64> = self
-            .pending
-            .iter()
-            .map(|p| pack_group_entry(p.generation, p.gtxid))
-            .collect();
-        self.log
-            .append_group_decision_torn(&mut self.mem, &entries, durable_words);
+        // The sealer only pays for a seal that completes.
+        self.seal_cut(0, Some(durable_words));
         self.mem.clone().crash(false)
     }
 
@@ -1601,5 +1608,55 @@ mod tests {
             recover_decisions(&pool.crash_image()).contains(&pinned.gtxid()),
             "pinned unsettled decision lost to pool compaction"
         );
+    }
+
+    #[test]
+    fn torn_group_seal_after_compaction_is_all_or_nothing() {
+        // The seal a torn crash cuts compacts the decision log first:
+        // the pinned unsettled decision is re-sealed ahead of the new
+        // tail, then the group record tears at every word.
+        let (mut heaps, cells) = pool_rig(HeapConfig::FocUndo, 2);
+        let mut pool = CoordinatorPool::new(2, 4);
+        let mut pinned = pool.begin(0, 2);
+        pinned.stage(0, cells[0][0], 9);
+        assert!(pool.prepare(0, &mut heaps, &pinned).unwrap().is_none());
+        pool.buffer_decision(0, &pinned);
+        pool.seal_decisions(0);
+        pool.sealed.clear();
+        // Submit until three decisions are buffered on a log that is due
+        // for compaction.
+        let mut t = 0u64;
+        while !(pool.log.needs_truncation() && pool.buffered() == 3) {
+            assert!(t < 4096, "decision log never came due for compaction");
+            let coord = (t % 2) as usize;
+            let mut txn = pool.begin(coord, 2);
+            txn.stage(1, cells[1][(t % 4) as usize], t);
+            pool.submit(coord, &mut heaps, &txn).unwrap();
+            t += 1;
+        }
+        let members: Vec<u64> = pool.pending.iter().map(|p| p.gtxid).collect();
+        let full = members.len() + 1;
+        for durable_words in 0..=full {
+            let mut torn = pool.clone();
+            let image = torn.crash_mid_group_seal(durable_words);
+            assert!(!torn.log.needs_truncation(), "the cut seal compacted first");
+            let images = heaps.iter().map(|h| Some(h.clone().crash(false))).collect();
+            let recovery = resolve_cross_shard(&image, images, &ClusterSpec::memcache_tier(8));
+            assert!(recovery.fully_recovered(), "{durable_words} words");
+            assert!(
+                recovery.decided.contains(&pinned.gtxid()),
+                "pinned decision lost at {durable_words} words"
+            );
+            let resolution = recovery.shards[1].resolution.as_ref().unwrap();
+            let (decided, undecided) = if durable_words == full {
+                (&resolution.committed, &resolution.aborted)
+            } else {
+                (&resolution.aborted, &resolution.committed)
+            };
+            for gtxid in &members {
+                assert!(decided.contains(gtxid), "{durable_words} words: {gtxid:#x}");
+                assert!(!undecided.contains(gtxid), "{durable_words} words: {gtxid:#x}");
+            }
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! The persistent heap: region layout, transactions, commit protocols,
 //! crash images and recovery — in all five paper configurations.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashSet;
 
 use crate::fasthash::{FastMap, FastSet};
@@ -266,6 +267,13 @@ impl EpochCommitter {
             && self.walk.is_empty()
     }
 
+    /// Swaps a fresh open batch in (next generation) and returns the
+    /// full one, for staging or draining.
+    fn take_open(&mut self) -> SealBatch {
+        let next_gen = self.open.gen + 1;
+        std::mem::replace(&mut self.open, SealBatch::fresh(next_gen))
+    }
+
     /// The epoch buffers' value for `addr`, if a committed-but-unapplied
     /// write to it exists in either generation. The open batch is newer,
     /// so it wins.
@@ -287,6 +295,41 @@ impl EpochCommitter {
             }
         }
     }
+}
+
+/// A crash point's cut through a production durability path: `None`
+/// runs the path to completion, `Some(n)` lets `n` more durable steps
+/// run and fails power before the next.
+type Cut = Option<u64>;
+
+/// Takes one durable step from `cut`; `false` means power has failed.
+fn step(cut: &mut Cut) -> bool {
+    match cut {
+        None => true,
+        Some(0) => false,
+        Some(n) => {
+            *n -= 1;
+            true
+        }
+    }
+}
+
+/// Coalesces a write set to one `(addr, final value)` per distinct
+/// address, in first-write order — the plan every seal and prepare
+/// persists and every step count is taken from.
+fn coalesce(writes: &[(u64, u64)]) -> Vec<(u64, u64)> {
+    let mut slots: FastMap<u64, usize> = FastMap::default();
+    let mut plan: Vec<(u64, u64)> = Vec::with_capacity(writes.len());
+    for &(addr, value) in writes {
+        match slots.entry(addr) {
+            Entry::Occupied(slot) => plan[*slot.get()].1 = value,
+            Entry::Vacant(slot) => {
+                slot.insert(plan.len());
+                plan.push((addr, value));
+            }
+        }
+    }
+    plan
 }
 
 /// An NVRAM-backed persistent heap in one of the five paper
@@ -475,19 +518,27 @@ impl PersistentHeap {
     /// is off or nothing is buffered: an empty seal writes no records,
     /// no marker, and grows the log by nothing.
     pub fn seal_epoch(&mut self) {
-        if self.epoch.is_none() {
+        self.seal_cut(&mut None);
+    }
+
+    /// [`PersistentHeap::seal_epoch`] under a crash-point `cut`: the
+    /// staged batch's steps come first, its marker is the next one, and
+    /// the open batch's steps follow. A batch cut short stops the seal.
+    fn seal_cut(&mut self, cut: &mut Cut) {
+        // Lifted out for the seal, so each drain can borrow the
+        // committer beside the heap (nothing a drain calls reads
+        // `self.epoch`; `stage_open_batch` relies on the same).
+        let Some(mut epoch) = self.epoch.take() else {
             return;
+        };
+        let staged = epoch.in_flight.take();
+        let open = (!epoch.open.buffered.is_empty()).then(|| epoch.take_open());
+        for batch in staged.into_iter().chain(open) {
+            if !self.drain_batch(&mut epoch, batch, cut) {
+                break;
+            }
         }
-        if let Some(staged) = self.epoch.as_mut().and_then(|e| e.in_flight.take()) {
-            self.drain_batch(staged);
-        }
-        let epoch = self.epoch.as_mut().expect("epoch mode active");
-        if epoch.open.buffered.is_empty() {
-            return;
-        }
-        let next_gen = epoch.open.gen + 1;
-        let batch = std::mem::replace(&mut epoch.open, SealBatch::fresh(next_gen));
-        self.drain_batch(batch);
+        self.epoch = Some(epoch);
     }
 
     /// Pipelines a full open batch: drains the previously staged batch
@@ -497,110 +548,60 @@ impl PersistentHeap {
     /// raw crash loses both the open and the staged batch, exactly the
     /// window the extended `crash_mid_seal` sweep covers.
     fn stage_open_batch(&mut self) {
-        if let Some(staged) = self.epoch.as_mut().and_then(|e| e.in_flight.take()) {
-            self.drain_batch(staged);
+        let Some(mut epoch) = self.epoch.take() else {
+            return;
+        };
+        if let Some(staged) = epoch.in_flight.take() {
+            self.drain_batch(&mut epoch, staged, &mut None);
         }
-        let now = self.mem.elapsed();
-        let epoch = self.epoch.as_mut().expect("epoch mode active");
-        let next_gen = epoch.open.gen + 1;
-        let mut batch = std::mem::replace(&mut epoch.open, SealBatch::fresh(next_gen));
-        batch.handoff = Some(now);
+        let mut batch = epoch.take_open();
+        batch.handoff = Some(self.mem.elapsed());
         epoch.in_flight = Some(batch);
+        self.epoch = Some(epoch);
     }
 
-    /// Makes one batch durable: coalesces it to one log record per
-    /// distinct address, makes the records durable behind a single
-    /// fence, writes one fenced [`RecordKind::EpochCommit`] marker
-    /// covering every absorbed transaction, and applies the write-behind
+    /// Makes one batch durable through [`PersistentHeap::persist_write_set`]
+    /// under one fenced [`RecordKind::EpochCommit`] marker covering every
+    /// absorbed transaction, then (redo flavour) applies the write-behind
     /// buffer. A staged batch additionally rebates the portion of its
-    /// seal that overlapped foreground commits since the handoff.
-    fn drain_batch(&mut self, batch: SealBatch) {
+    /// seal that overlapped foreground commits since the handoff. Returns
+    /// `false`, having booked nothing, when `cut` fails power before the
+    /// marker.
+    fn drain_batch(&mut self, epoch: &mut EpochCommitter, batch: SealBatch, cut: &mut Cut) -> bool {
         let t0 = self.mem.elapsed();
-        let mut walk = {
-            let epoch = self.epoch.as_mut().expect("epoch mode active");
-            std::mem::take(&mut epoch.walk)
-        };
-        // Coalesce: one record per distinct address, first-write order
-        // (deterministic). Duplicate writes within the batch cost nothing
-        // durable — under FliT they were merged at absorb time, in
-        // reference mode they are merged here; either way the durable
-        // record set is identical.
-        let mut seen: FastSet<u64> = FastSet::default();
-        let mut unique: Vec<u64> = Vec::with_capacity(batch.index.len());
-        for &(addr, _) in &batch.buffered {
-            if seen.insert(addr) {
-                unique.push(addr);
-            }
-        }
-        let dupes = (batch.buffered.len() - unique.len()) as u64;
-        self.stats.epoch_coalesced_lines += dupes;
-        obs::count_by(obs::Ctr::EpochLinesCoalesced, dupes);
+        // Duplicate writes within the batch cost nothing durable — under
+        // FliT they were merged at absorb time, in reference mode they
+        // are merged here; either way the durable record set is
+        // identical.
+        let plan = coalesce(&batch.buffered);
         // Room for the whole coalesced record set plus the marker. Prior
         // epochs' records are dead (their data was applied durably), so
         // truncation is always safe here — in-doubt prepared records are
         // carried across it by the preserving truncation.
-        let needed = unique.len() as u64 * 4 + 1;
+        let needed = plan.len() as u64 * 4 + 1;
         if self.log.free_words() < needed + 8 {
             self.make_log_room();
         }
-        if self.config.uses_undo_log() {
-            // Undo flavour: log the OLD values, fence, apply the buffer in
-            // place and coalesce-flush its lines, fence — only then the
-            // marker. A crash mid-seal finds the undo records durable and
-            // rolls the half-applied epoch back.
-            self.stats.undo_records += unique.len() as u64;
-            // Read every old value before the first append: loads must not
-            // interleave with pending non-temporal stores (store-forwarding
-            // checks make that path far more expensive).
-            let mut olds = Vec::with_capacity(unique.len());
-            for &addr in &unique {
-                olds.push(self.mem.read_u64(addr));
-            }
-            for (&addr, &old) in unique.iter().zip(&olds) {
-                self.log
-                    .append(&mut self.mem, &LogRecord::write(batch.max_txid, addr, old), true);
-            }
-            self.mem.sfence();
-            for &(addr, value) in &batch.buffered {
-                self.mem.write_u64(addr, value);
-            }
-            walk.clear();
-            walk.extend(unique.iter().map(|&a| a / LINE_SIZE));
-            let lines = walk.coalesce();
-            obs::count_by(obs::Ctr::FlushIssued, lines.len() as u64);
-            for &line in lines {
-                self.mem.clflush_range(line * LINE_SIZE, LINE_SIZE);
-            }
-            self.mem.sfence();
-            self.log
-                .append(&mut self.mem, &LogRecord::epoch_commit(batch.max_txid), true);
-            self.mem.sfence();
-            walk.clear();
-        } else {
-            // Redo flavour: log the FINAL values, fence, marker, fence —
-            // only then apply the write-behind buffer (cached). NVRAM never
-            // holds a byte of the batch until the marker commits it
-            // wholesale; a crash mid-seal leaves the records uncovered and
-            // recovery ignores them.
-            // No per-record `redo_append` charge here: that models the
-            // pipeline stalls of the *fenced* per-transaction append path.
-            // A batched unfenced stream pays only the non-temporal store
-            // cost the cache model already charges.
-            self.stats.redo_records += unique.len() as u64;
-            for &addr in &unique {
-                let value = batch.index[&addr];
-                self.log
-                    .append(&mut self.mem, &LogRecord::write(batch.max_txid, addr, value), true);
-            }
-            self.mem.sfence();
-            self.log
-                .append(&mut self.mem, &LogRecord::epoch_commit(batch.max_txid), true);
-            self.mem.sfence();
-            for &(addr, value) in &batch.buffered {
+        let marker = LogRecord::epoch_commit(batch.max_txid);
+        let applies = &batch.buffered;
+        if self
+            .persist_write_set(&mut epoch.walk, &plan, applies, &marker, cut)
+            .is_none()
+        {
+            return false;
+        }
+        if !self.config.uses_undo_log() {
+            // Redo flavour: NVRAM never held a byte of the batch until the
+            // marker committed it wholesale; a crash mid-seal leaves the
+            // records uncovered. Only now apply the buffer (cached).
+            for &(addr, value) in applies {
                 self.mem.write_u64(addr, value);
                 self.unflushed_lines.insert(addr / LINE_SIZE);
             }
         }
+        let dupes = (batch.buffered.len() - plan.len()) as u64;
+        self.stats.epoch_coalesced_lines += dupes;
+        obs::count_by(obs::Ctr::EpochLinesCoalesced, dupes);
         obs::count(obs::Ctr::EpochSeals);
         obs::count_by(obs::Ctr::EpochTxs, batch.pending);
         let d = self.mem.elapsed() - t0;
@@ -614,13 +615,107 @@ impl PersistentHeap {
             obs::observe(obs::Hist::SealStall, d.saturating_sub(overlap));
         }
         self.stats.epochs_sealed += 1;
-        let epoch = self.epoch.as_mut().expect("epoch mode active");
         epoch.sealed += 1;
-        epoch.walk = walk;
         if self.log.needs_truncation() {
             // Undo flavour: the batch's data lines were just flushed, so
             // the records before the marker are dead.
             self.make_log_room();
+        }
+        true
+    }
+
+    /// The write-set durability protocol the epoch seal and the 2PC
+    /// prepare share. `plan` is the coalesced write set (one final value
+    /// per address, first-write order) and `marker` covers it; records
+    /// carry `marker`'s txid. In order:
+    ///
+    /// 1. one record append per planned address — the OLD value for the
+    ///    undo flavour, the final value for redo;
+    /// 2. a fence, after which the undo flavour applies `applies` in
+    ///    place (loads never interleave with pending non-temporal
+    ///    stores: every old value is read before the first append);
+    /// 3. undo only: one clflush per distinct planned line;
+    /// 4. the marker between fences (redo's step-2 fence already orders
+    ///    its records, so it skips the first).
+    ///
+    /// A crash after step 2 finds the undo records durable and rolls the
+    /// half-applied set back. No per-record `redo_append` charge: that
+    /// models the stalls of the *fenced* per-transaction append path,
+    /// and this batched unfenced stream pays only the non-temporal store
+    /// cost the cache model already charges.
+    ///
+    /// Each append, the step-2 fence and each flush is one durable step
+    /// and the marker one more; `cut` fails power before the first step
+    /// it has no budget for. Returns the undo records' `(addr, old)`
+    /// pairs (empty for redo) once the marker is durable, and `None`
+    /// when cut — having booked no statistics or counters.
+    fn persist_write_set(
+        &mut self,
+        walk: &mut LineWalk,
+        plan: &[(u64, u64)],
+        applies: &[(u64, u64)],
+        marker: &LogRecord,
+        cut: &mut Cut,
+    ) -> Option<Vec<(u64, u64)>> {
+        let undo = self.config.uses_undo_log();
+        let olds: Vec<(u64, u64)> = if undo {
+            plan.iter().map(|&(addr, _)| (addr, self.mem.read_u64(addr))).collect()
+        } else {
+            Vec::new()
+        };
+        for &(addr, value) in if undo { &olds[..] } else { plan } {
+            if !step(cut) {
+                return None;
+            }
+            self.log
+                .append(&mut self.mem, &LogRecord::write(marker.txid, addr, value), true);
+        }
+        if !step(cut) {
+            return None;
+        }
+        self.mem.sfence();
+        walk.clear();
+        if undo {
+            for &(addr, value) in applies {
+                self.mem.write_u64(addr, value);
+            }
+            walk.extend(plan.iter().map(|&(addr, _)| addr / LINE_SIZE));
+            for &line in walk.coalesce() {
+                if !step(cut) {
+                    return None;
+                }
+                self.mem.clflush_range(line * LINE_SIZE, LINE_SIZE);
+            }
+        }
+        if !step(cut) {
+            return None;
+        }
+        if undo {
+            self.mem.sfence();
+        }
+        self.log.append(&mut self.mem, marker, true);
+        self.mem.sfence();
+        if undo {
+            self.stats.undo_records += plan.len() as u64;
+            obs::count_by(obs::Ctr::FlushIssued, walk.raw_len() as u64);
+        } else {
+            self.stats.redo_records += plan.len() as u64;
+        }
+        walk.clear();
+        Some(olds)
+    }
+
+    /// Durable steps [`PersistentHeap::persist_write_set`] runs before
+    /// its marker for the plan coalesced from `writes`.
+    fn persist_steps(&self, writes: &[(u64, u64)]) -> u64 {
+        let plan = coalesce(writes);
+        let records = plan.len() as u64;
+        if self.config.uses_undo_log() {
+            let mut walk = LineWalk::default();
+            walk.extend(plan.iter().map(|&(addr, _)| addr / LINE_SIZE));
+            records + 1 + walk.coalesce().len() as u64
+        } else {
+            records + 1
         }
     }
 
@@ -635,6 +730,7 @@ impl PersistentHeap {
         // them.
         let pinned = self.prepared_log_words();
         let flit_on = self.flit_enabled;
+        // Only `Tx::commit` calls this, and only after seeing epoch mode on.
         let epoch = self.epoch.as_mut().expect("epoch mode active");
         let gen = epoch.open.gen;
         let mut elided = 0u64;
@@ -836,14 +932,16 @@ impl PersistentHeap {
         let Some(epoch) = &self.epoch else {
             return 0;
         };
-        let staged = epoch.in_flight.as_ref().map(|b| self.batch_steps(b));
-        let open = (!epoch.open.buffered.is_empty()).then(|| self.batch_steps(&epoch.open));
-        match (staged, open) {
-            (None, None) => 0,
-            (Some(s), None) => s,
-            (None, Some(o)) => o,
-            (Some(s), Some(o)) => s + 1 + o,
-        }
+        let open = (!epoch.open.buffered.is_empty()).then_some(&epoch.open);
+        // Every batch's steps plus its marker, except the last marker:
+        // no crash point reaches it.
+        epoch
+            .in_flight
+            .iter()
+            .chain(open)
+            .map(|b| self.persist_steps(&b.buffered) + 1)
+            .sum::<u64>()
+            .saturating_sub(1)
     }
 
     /// Durable steps belonging to the staged (in-flight) batch alone —
@@ -855,116 +953,28 @@ impl PersistentHeap {
         self.epoch
             .as_ref()
             .and_then(|e| e.in_flight.as_ref())
-            .map_or(0, |b| self.batch_steps(b))
-    }
-
-    fn batch_steps(&self, batch: &SealBatch) -> u64 {
-        let records = batch.index.len() as u64;
-        if self.config.uses_undo_log() {
-            let mut walk = LineWalk::default();
-            walk.extend(batch.index.keys().map(|&a| a / LINE_SIZE));
-            records + 1 + walk.coalesce().len() as u64
-        } else {
-            records + 1
-        }
+            .map_or(0, |b| self.persist_steps(&b.buffered))
     }
 
     /// Simulates power failing `step` durable operations into the full
-    /// seal of both write-behind generations. With a staged batch live,
-    /// steps up to [`PersistentHeap::staged_seal_steps`] crash inside
-    /// *its* seal — neither generation's marker is durable and recovery
-    /// rolls back to the last fully drained epoch; one step later its
-    /// marker lands, and every further step crashes inside the open
-    /// batch's seal with the staged epoch already durable. Within a
-    /// batch the durable prefix runs exactly as before: coalesced record
-    /// appends, then (past the fence step) the post-append `sfence` and,
-    /// for the undo flavour, the in-place applies and a prefix of the
-    /// coalesced line flushes — but that batch's covering
+    /// seal of both write-behind generations ([`PersistentHeap::seal_epoch`]
+    /// run with a cut). With a staged batch live, steps up to
+    /// [`PersistentHeap::staged_seal_steps`] crash inside *its* seal —
+    /// neither generation's marker is durable and recovery rolls back to
+    /// the last fully drained epoch; one step later its marker lands,
+    /// and every further step crashes inside the open batch's seal with
+    /// the staged epoch already durable. Within a batch the durable
+    /// prefix is coalesced record appends, then the post-append `sfence`
+    /// and, for the undo flavour, the in-place applies and a prefix of
+    /// the coalesced line flushes — but the last batch's covering
     /// [`RecordKind::EpochCommit`] marker is never written. `step` past
     /// [`PersistentHeap::seal_steps`] behaves as the largest crash
     /// point. With epoch mode off or nothing buffered this is a plain
     /// unsaved crash.
     #[must_use]
     pub fn crash_mid_seal(mut self, step: u64) -> CrashImage {
-        if self.epoch.is_none() {
-            return self.crash(false);
-        }
-        let staged = self.epoch.as_mut().and_then(|e| e.in_flight.take());
-        if let Some(batch) = staged {
-            let boundary = self.batch_steps(&batch);
-            if step <= boundary {
-                // Power dies inside the staged batch's seal: its marker
-                // never lands, and the open batch never even starts.
-                return self.crash_mid_batch(batch, step);
-            }
-            // The staged batch seals completely (step `boundary + 1` is
-            // its marker); power then dies inside the open batch's seal.
-            self.drain_batch(batch);
-            return self.crash_open_mid_seal(step - boundary - 1);
-        }
-        self.crash_open_mid_seal(step)
-    }
-
-    fn crash_open_mid_seal(mut self, step: u64) -> CrashImage {
-        let epoch = self.epoch.as_mut().expect("epoch mode active");
-        if epoch.open.buffered.is_empty() {
-            return self.crash(false);
-        }
-        let next_gen = epoch.open.gen + 1;
-        let batch = std::mem::replace(&mut epoch.open, SealBatch::fresh(next_gen));
-        self.crash_mid_batch(batch, step)
-    }
-
-    fn crash_mid_batch(mut self, batch: SealBatch, step: u64) -> CrashImage {
-        // Coalesce and make room exactly as the real drain does.
-        let mut seen: FastSet<u64> = FastSet::default();
-        let mut unique: Vec<u64> = Vec::with_capacity(batch.index.len());
-        for &(addr, _) in &batch.buffered {
-            if seen.insert(addr) {
-                unique.push(addr);
-            }
-        }
-        let needed = unique.len() as u64 * 4 + 1;
-        if self.log.free_words() < needed + 8 {
-            self.make_log_room();
-        }
-        let records = unique.len() as u64;
-        let appends = step.min(records) as usize;
-        if self.config.uses_undo_log() {
-            let mut olds = Vec::with_capacity(unique.len());
-            for &addr in &unique {
-                olds.push(self.mem.read_u64(addr));
-            }
-            for (&addr, &old) in unique.iter().zip(&olds).take(appends) {
-                self.log
-                    .append(&mut self.mem, &LogRecord::write(batch.max_txid, addr, old), true);
-            }
-            if step > records {
-                // Past the fence: every record is durable, the buffer is
-                // applied in place, and `step - records - 1` of the
-                // coalesced line flushes complete before power dies.
-                self.mem.sfence();
-                for &(addr, value) in &batch.buffered {
-                    self.mem.write_u64(addr, value);
-                }
-                let mut walk = LineWalk::default();
-                walk.extend(unique.iter().map(|&a| a / LINE_SIZE));
-                let flushes = (step - records - 1) as usize;
-                for &line in walk.coalesce().iter().take(flushes) {
-                    self.mem.clflush_range(line * LINE_SIZE, LINE_SIZE);
-                }
-            }
-        } else {
-            for &addr in unique.iter().take(appends) {
-                let value = batch.index[&addr];
-                self.log
-                    .append(&mut self.mem, &LogRecord::write(batch.max_txid, addr, value), true);
-            }
-            if step > records {
-                self.mem.sfence();
-            }
-        }
-        // Power dies before this batch's marker append — always.
+        let mut cut = Some(step.min(self.seal_steps()));
+        self.seal_cut(&mut cut);
         self.crash(false)
     }
 
@@ -1000,6 +1010,16 @@ impl PersistentHeap {
         gtxid: u64,
         writes: &[(u64, u64)],
     ) -> Result<(), HeapError> {
+        self.prepare_cut(gtxid, writes, &mut None)
+    }
+
+    /// [`PersistentHeap::prepare_distributed`] under a crash-point `cut`.
+    fn prepare_cut(
+        &mut self,
+        gtxid: u64,
+        writes: &[(u64, u64)],
+        cut: &mut Cut,
+    ) -> Result<(), HeapError> {
         assert!(
             gtxid >= GTXID_BASE,
             "global txids live at or above GTXID_BASE"
@@ -1017,13 +1037,13 @@ impl PersistentHeap {
             self.check_word_addr(addr)?;
         }
         self.seal_epoch();
-        let (unique, finals) = Self::coalesce_writes(writes);
+        let plan = coalesce(writes);
         // Room for the records, the PREPARED marker and the later
         // decision marker. Truncation preserves any other in-doubt
         // transaction's records; if the pinned set still leaves too
         // little room, refuse with a typed error so the coordinator can
         // abort cleanly instead of the append panicking.
-        let needed = unique.len() as u64 * 4 + 2;
+        let needed = plan.len() as u64 * 4 + 2;
         if self.log.free_words() < needed + 8 {
             self.make_log_room();
         }
@@ -1033,46 +1053,12 @@ impl PersistentHeap {
                 free_words: self.log.free_words(),
             });
         }
-        let mut olds = Vec::new();
-        if self.config.uses_undo_log() {
-            self.stats.undo_records += unique.len() as u64;
-            olds.reserve(unique.len());
-            for &addr in &unique {
-                olds.push((addr, self.mem.read_u64(addr)));
-            }
-            for &(addr, old) in &olds {
-                self.log
-                    .append(&mut self.mem, &LogRecord::write(gtxid, addr, old), true);
-            }
-            self.mem.sfence();
-            let mut walk = LineWalk::default();
-            for &addr in &unique {
-                self.mem.write_u64(addr, finals[&addr]);
-                walk.extend([addr / LINE_SIZE]);
-            }
-            let lines = walk.coalesce();
-            obs::count_by(obs::Ctr::FlushIssued, lines.len() as u64);
-            for &line in lines {
-                self.mem.clflush_range(line * LINE_SIZE, LINE_SIZE);
-            }
-            self.mem.sfence();
-        } else {
-            self.stats.redo_records += unique.len() as u64;
-            for &addr in &unique {
-                self.log
-                    .append(&mut self.mem, &LogRecord::write(gtxid, addr, finals[&addr]), true);
-            }
-            self.mem.sfence();
+        // The undo flavour applies one final value per address in place.
+        let marker = LogRecord::prepare(gtxid);
+        let mut walk = LineWalk::default();
+        if let Some(olds) = self.persist_write_set(&mut walk, &plan, &plan, &marker, cut) {
+            self.prepared.insert(gtxid, PreparedTxn { writes: plan, olds });
         }
-        self.log.append(&mut self.mem, &LogRecord::prepare(gtxid), true);
-        self.mem.sfence();
-        self.prepared.insert(
-            gtxid,
-            PreparedTxn {
-                writes: unique.iter().map(|&a| (a, finals[&a])).collect(),
-                olds,
-            },
-        );
         Ok(())
     }
 
@@ -1086,17 +1072,28 @@ impl PersistentHeap {
     ///
     /// [`HeapError::NoTransaction`] if `gtxid` was never prepared here.
     pub fn commit_distributed(&mut self, gtxid: u64) -> Result<(), HeapError> {
-        if !self.prepared.contains_key(&gtxid) {
-            return Err(HeapError::NoTransaction);
-        }
+        self.commit_cut(gtxid, &mut None)
+    }
+
+    /// [`PersistentHeap::commit_distributed`] under a crash-point `cut`:
+    /// the marker append is one durable step, its fence the next.
+    fn commit_cut(&mut self, gtxid: u64, cut: &mut Cut) -> Result<(), HeapError> {
         // Make room for the marker while `gtxid` is still in the
         // prepared map, so a preserving truncation keeps its records.
-        if self.log.free_words() < 1 {
+        if self.log.free_words() < 1 && self.prepared.contains_key(&gtxid) {
             self.make_log_room();
         }
-        let p = self.prepared.remove(&gtxid).expect("checked above");
+        let Some(p) = self.prepared.remove(&gtxid) else {
+            return Err(HeapError::NoTransaction);
+        };
+        if !step(cut) {
+            return Ok(());
+        }
         self.log
             .append(&mut self.mem, &LogRecord::commit(gtxid), true);
+        if !step(cut) {
+            return Ok(());
+        }
         self.mem.sfence();
         if self.config.uses_redo_log() {
             for &(addr, value) in &p.writes {
@@ -1122,15 +1119,14 @@ impl PersistentHeap {
     ///
     /// [`HeapError::NoTransaction`] if `gtxid` was never prepared here.
     pub fn abort_distributed(&mut self, gtxid: u64) -> Result<(), HeapError> {
-        if !self.prepared.contains_key(&gtxid) {
-            return Err(HeapError::NoTransaction);
-        }
         // Room for the abort marker, preserving every in-doubt record
         // set (including this one — rollback has not run yet).
-        if self.log.free_words() < 1 {
+        if self.log.free_words() < 1 && self.prepared.contains_key(&gtxid) {
             self.make_log_room();
         }
-        let p = self.prepared.remove(&gtxid).expect("checked above");
+        let Some(p) = self.prepared.remove(&gtxid) else {
+            return Err(HeapError::NoTransaction);
+        };
         if self.config.uses_undo_log() {
             let mut walk = LineWalk::default();
             for &(addr, old) in p.olds.iter().rev() {
@@ -1158,24 +1154,18 @@ impl PersistentHeap {
     /// by presumed abort.
     #[must_use]
     pub fn prepare_steps(&self, writes: &[(u64, u64)]) -> u64 {
-        let (unique, _) = Self::coalesce_writes(writes);
-        let records = unique.len() as u64;
-        if self.config.uses_undo_log() {
-            let mut walk = LineWalk::default();
-            walk.extend(unique.iter().map(|&a| a / LINE_SIZE));
-            records + 1 + walk.coalesce().len() as u64
-        } else {
-            records + 1
-        }
+        self.persist_steps(writes)
     }
 
     /// Simulates power failing `step` durable operations into preparing
-    /// `gtxid`: the prepare's durable prefix runs, but the PREPARED
-    /// marker is never written — after recovery the shard holds no
-    /// PREPARED record, so the coordinator cannot have decided commit
-    /// and presumed abort is the only consistent outcome. `step` past
+    /// `gtxid` ([`PersistentHeap::prepare_distributed`] run with a cut):
+    /// the prepare's durable prefix runs, but the PREPARED marker is
+    /// never written — after recovery the shard holds no PREPARED
+    /// record, so the coordinator cannot have decided commit and
+    /// presumed abort is the only consistent outcome. `step` past
     /// [`PersistentHeap::prepare_steps`] behaves as the largest crash
-    /// point (everything durable except the marker).
+    /// point (everything durable except the marker); a prepare that
+    /// would be refused crashes before any record lands.
     ///
     /// # Panics
     ///
@@ -1191,64 +1181,21 @@ impl PersistentHeap {
             self.config.flush_on_commit(),
             "prepare is flush-on-commit only"
         );
-        self.seal_epoch();
-        let (unique, finals) = Self::coalesce_writes(writes);
-        let records = unique.len() as u64;
-        let needed = records * 4 + 2;
-        if self.log.free_words() < needed + 8 {
-            self.make_log_room();
-        }
-        if self.log.free_words() < needed {
-            // prepare_distributed would have refused with LogFull; the
-            // crash happens before any record lands.
-            return self.crash(false);
-        }
-        let appends = step.min(records) as usize;
-        if self.config.uses_undo_log() {
-            let mut olds = Vec::with_capacity(unique.len());
-            for &addr in &unique {
-                olds.push(self.mem.read_u64(addr));
-            }
-            for (&addr, &old) in unique.iter().zip(&olds).take(appends) {
-                self.log
-                    .append(&mut self.mem, &LogRecord::write(gtxid, addr, old), true);
-            }
-            if step > records {
-                // Past the fence: every record is durable, the new values
-                // go in place, and `step - records - 1` of the coalesced
-                // line flushes complete before power dies.
-                self.mem.sfence();
-                let mut walk = LineWalk::default();
-                for &addr in &unique {
-                    self.mem.write_u64(addr, finals[&addr]);
-                    walk.extend([addr / LINE_SIZE]);
-                }
-                let flushes = (step - records - 1) as usize;
-                for &line in walk.coalesce().iter().take(flushes) {
-                    self.mem.clflush_range(line * LINE_SIZE, LINE_SIZE);
-                }
-            }
-        } else {
-            for &addr in unique.iter().take(appends) {
-                self.log
-                    .append(&mut self.mem, &LogRecord::write(gtxid, addr, finals[&addr]), true);
-            }
-            if step > records {
-                self.mem.sfence();
-            }
-        }
-        // Power dies before the PREPARED marker append — always.
+        let mut cut = Some(step.min(self.prepare_steps(writes)));
+        // A refusal leaves nothing durable to cut into.
+        let _ = self.prepare_cut(gtxid, writes, &mut cut);
         self.crash(false)
     }
 
     /// Simulates power failing while this shard writes its phase-2
-    /// commit marker for a prepared `gtxid`: the marker's non-temporal
-    /// store issues, and power dies just after the covering fence
-    /// (`marker_durable`) or just before it. Without the fence the
-    /// marker is torn away and the shard recovers still in doubt; with
-    /// it the local decision is already durable. Either way the
-    /// coordinator's decision log agrees (phase 2 only starts after the
-    /// decision marker), so recovery converges on commit.
+    /// commit marker for a prepared `gtxid`
+    /// ([`PersistentHeap::commit_distributed`] run with a cut): the
+    /// marker's non-temporal store issues, and power dies just after the
+    /// covering fence (`marker_durable`) or just before it. Without the
+    /// fence the marker is torn away and the shard recovers still in
+    /// doubt; with it the local decision is already durable. Either way
+    /// the coordinator's decision log agrees (phase 2 only starts after
+    /// the decision marker), so recovery converges on commit.
     ///
     /// # Panics
     ///
@@ -1259,25 +1206,10 @@ impl PersistentHeap {
             self.prepared.contains_key(&gtxid),
             "crash_mid_commit needs a prepared gtxid"
         );
-        self.log
-            .append(&mut self.mem, &LogRecord::commit(gtxid), true);
-        if marker_durable {
-            self.mem.sfence();
-        }
+        let mut cut = Some(1 + u64::from(marker_durable));
+        // Cannot fail: `gtxid` is prepared.
+        let _ = self.commit_cut(gtxid, &mut cut);
         self.crash(false)
-    }
-
-    /// Coalesces a raw write set the way an epoch seal does: unique
-    /// addresses in first-write order, last write per address wins.
-    fn coalesce_writes(writes: &[(u64, u64)]) -> (Vec<u64>, FastMap<u64, u64>) {
-        let mut finals: FastMap<u64, u64> = FastMap::default();
-        let mut unique: Vec<u64> = Vec::with_capacity(writes.len());
-        for &(addr, value) in writes {
-            if finals.insert(addr, value).is_none() {
-                unique.push(addr);
-            }
-        }
-        (unique, finals)
     }
 
     /// Simulates a power failure: the flush-on-fail save runs iff
@@ -1349,6 +1281,7 @@ impl PersistentHeap {
             return Err(HeapError::CorruptHeader);
         }
         let word = |addr: u64| -> u64 {
+            // An 8-byte slice always converts to `[u8; 8]`.
             u64::from_le_bytes(bytes[addr as usize..addr as usize + 8].try_into().expect("aligned"))
         };
         if word(MAGIC_ADDR) != MAGIC {

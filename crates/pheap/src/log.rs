@@ -372,15 +372,21 @@ impl TornLog {
     /// burst; the caller fences once afterwards, which is the whole
     /// point — N decisions, one fence.
     ///
+    /// `durable_words: Some(n)` is a crash point: only the record's
+    /// first `n` words (header first) go out before the power fails
+    /// mid-burst. Recovery treats any strict prefix as a torn record and
+    /// presumes abort for every member.
+    ///
     /// # Panics
     ///
-    /// Panics if `entries` is empty or the log lacks room; the owner
-    /// must truncate first.
+    /// Panics if `entries` is empty, `durable_words` exceeds the record
+    /// length, or the log lacks room; the owner must truncate first.
     pub fn append_group_decision(
         &mut self,
         mem: &mut PersistentMemory,
         entries: &[u64],
         flush: bool,
+        durable_words: Option<usize>,
     ) {
         let count = entries.len() as u64;
         assert!(count > 0, "a group decision must cover at least one gtxid");
@@ -388,32 +394,12 @@ impl TornLog {
             self.free_words() > count,
             "log full: truncation was not performed in time"
         );
+        let words = durable_words.unwrap_or(entries.len() + 1);
+        assert!(words <= entries.len() + 1, "record is only {} words", entries.len() + 1);
         let header = (count << 8) | RecordKind::GroupDecision.code();
-        self.push_word(mem, header, flush);
-        for &entry in entries {
-            self.push_word(mem, entry, flush);
+        for &payload in std::iter::once(&header).chain(entries).take(words) {
+            self.push_word(mem, payload, flush);
         }
-    }
-
-    /// Crash-emulation variant of [`TornLog::append_group_decision`]:
-    /// only the first `durable` words of the record (header first, then
-    /// entries) reach NVRAM before the fence — the power failed mid-
-    /// burst. Recovery must treat any strict prefix as a torn record and
-    /// presume abort for every member. With `durable == entries.len() + 1`
-    /// the record is complete and fenced, the all-or-nothing other edge.
-    pub fn append_group_decision_torn(
-        &mut self,
-        mem: &mut PersistentMemory,
-        entries: &[u64],
-        durable: usize,
-    ) {
-        assert!(!entries.is_empty(), "a group decision must cover at least one gtxid");
-        assert!(durable <= entries.len() + 1, "record is only {} words", entries.len() + 1);
-        let header = ((entries.len() as u64) << 8) | RecordKind::GroupDecision.code();
-        for &payload in std::iter::once(&header).chain(entries).take(durable) {
-            self.push_word(mem, payload, true);
-        }
-        mem.sfence();
     }
 
     /// Truncates the log: everything before the current head is dead.
@@ -772,7 +758,7 @@ mod tests {
         let entries: Vec<u64> = (0..4u64)
             .map(|i| pack_group_entry(3 + i, (1 << 48) + 10 + i))
             .collect();
-        log.append_group_decision(&mut mem, &entries, true);
+        log.append_group_decision(&mut mem, &entries, true, None);
         mem.sfence();
         let records = recover_from(mem, false);
         assert_eq!(records.len(), 4);
@@ -792,14 +778,8 @@ mod tests {
             let (mut mem, mut log) = fresh();
             log.append(&mut mem, &LogRecord::commit(7), true);
             mem.sfence();
-            // Replay the record word by word, fencing only the prefix.
-            let header = (4u64 << 8) | 5 /* GroupDecision */;
-            let mut words = vec![header];
-            words.extend(&entries);
-            for (i, payload) in words.iter().enumerate().take(durable_words) {
-                let addr = BASE + (log.head + i as u64) * 8;
-                mem.ntstore_u64(addr, payload | (1 << 63));
-            }
+            // Only the prefix goes out before the fence.
+            log.append_group_decision(&mut mem, &entries, true, Some(durable_words));
             mem.sfence();
             let records = recover_from(mem, false);
             assert_eq!(
@@ -813,11 +793,11 @@ mod tests {
 
     #[test]
     fn complete_fenced_group_record_is_all_or_nothing() {
-        // The same word-by-word replay with ALL words durable recovers
-        // every member: the only two outcomes are none or all.
+        // The same cut with ALL words durable recovers every member: the
+        // only two outcomes are none or all.
         let (mut mem, mut log) = fresh();
         let entries: Vec<u64> = (0..4u64).map(|i| pack_group_entry(2, 200 + i)).collect();
-        log.append_group_decision(&mut mem, &entries, true);
+        log.append_group_decision(&mut mem, &entries, true, Some(entries.len() + 1));
         mem.sfence();
         let records = recover_from(mem, false);
         assert_eq!(records.len(), 4);
@@ -828,7 +808,7 @@ mod tests {
     fn unfenced_group_decision_is_lost() {
         let (mut mem, mut log) = fresh();
         let entries = [pack_group_entry(1, 300), pack_group_entry(1, 301)];
-        log.append_group_decision(&mut mem, &entries, true);
+        log.append_group_decision(&mut mem, &entries, true, None);
         // No fence: the batch never reached NVRAM.
         let records = recover_from(mem, false);
         assert!(records.is_empty());

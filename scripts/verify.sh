@@ -82,6 +82,10 @@ done
 echo "== extended mid-seal crash sweep: serial and sharded must agree =="
 WSP_DET_SEED=7 WSP_FAULTSIM_THREADS=1 cargo test -q --offline --test crash_consistency mid_epoch
 WSP_DET_SEED=7 WSP_FAULTSIM_THREADS=4 cargo test -q --offline --test crash_consistency mid_epoch
+# The FliT differential and the 2PC properties cut the production seal,
+# prepare and commit paths; run them at a second seed too.
+WSP_DET_SEED=7 cargo test -q --offline --test crash_consistency flit_elision
+WSP_DET_SEED=7 cargo test -q --offline --test crash_consistency cross_shard
 
 echo "== sharded KV determinism spot-check (single worker) =="
 WSP_FAULTSIM_THREADS=1 cargo test -q --offline -p wsp-workloads shard::
