@@ -5,9 +5,9 @@
 //! object holds the quick-scale values its gates compare against.
 //!
 //! ```text
-//! cargo run --release -p wsp-bench --features bench --bin bench -- run <scenario> [--quick]
-//! cargo run --release -p wsp-bench --features bench --bin bench -- check [BENCH_PR*.json ...]
-//! cargo run --release -p wsp-bench --features bench --bin bench -- trend
+//! cargo run --release -p wsp-bench --bin bench -- run <scenario> [--quick]
+//! cargo run --release -p wsp-bench --bin bench -- check [BENCH_PR*.json ...]
+//! cargo run --release -p wsp-bench --bin bench -- trend
 //! ```
 //!
 //! * `run` prints a scenario's report: its sections at full (or quick)
@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::process::ExitCode;
 
-use wsp_microbench::json::Json;
+use wsp_obs::json::Json;
 
 use registry::{Gate, Quantity, Scenario, SCENARIOS};
 
@@ -283,6 +283,25 @@ mod tests {
                     gate.key
                 );
             }
+        }
+    }
+
+    #[test]
+    fn every_recorded_baseline_round_trips_through_json() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files: Vec<_> = std::fs::read_dir(&root)
+            .expect("repository root lists")
+            .map(|entry| entry.expect("directory entry").file_name())
+            .filter_map(|name| name.into_string().ok())
+            .filter(|name| name.starts_with("BENCH_PR") && name.ends_with(".json"))
+            .collect();
+        files.sort();
+        assert!(files.len() >= SCENARIOS.len(), "{files:?}");
+        for name in files {
+            let doc = repo_file(&name);
+            let back = Json::parse(&doc.to_string_pretty())
+                .unwrap_or_else(|e| panic!("{name} does not re-parse: {e}"));
+            assert_eq!(back, doc, "{name}");
         }
     }
 

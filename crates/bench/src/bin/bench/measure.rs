@@ -19,7 +19,7 @@ use wsp_core::{
     ShardVerdict, StormStats,
 };
 use wsp_machine::{Machine, SystemLoad};
-use wsp_microbench::json::Json;
+use wsp_obs::json::Json;
 use wsp_obs::{self as obs, Ctr};
 use wsp_pheap::lockfree::FlushPolicy;
 use wsp_pheap::{HeapConfig, PersistentHeap};

@@ -5,7 +5,7 @@
 //! under that file's `gate` object, the quantity re-measured against
 //! it, and how the recorded value bounds the measurement.
 
-use wsp_microbench::json::Json;
+use wsp_obs::json::Json;
 use wsp_pheap::HeapConfig::{self, FocStm, FocUndo, Fof, FofStm, FofUndo};
 
 use crate::measure as m;

@@ -2,7 +2,7 @@
 //!
 //! Usage: `repro <experiment> [--paper]` where experiment is one of
 //! `table1 table2 fig1 fig2 fig5 fig6 fig7 fig8 fig9 feasibility
-//! recovery-storm drills ycsb tradeoff hybrid fleet all`. `--paper`
+//! recovery-storm drills ycsb tradeoff hybrid fleet ablation all`. `--paper`
 //! runs the full-size workloads for `table1`/`fig5` (slower); the
 //! default is a scaled sweep that preserves the shape.
 
@@ -12,7 +12,8 @@ use std::process::ExitCode;
 use wsp_bench::table::TextTable;
 use wsp_bench::{
     capacitance_curve, feasibility, fig1, fig2, fig5, fig6, fig7, fig8, fig9, fleet_year,
-    hybrid_placement, recovery_storm, strategy_drills, table1, table2, ycsb_matrix, Fig5Config,
+    hybrid_placement, index_structure_ablation, recovery_storm, scm_penalty_ablation,
+    strategy_drills, table1, table2, ycsb_matrix, Fig5Config,
 };
 use wsp_workloads::YcsbDriver;
 use wsp_units::Nanos;
@@ -325,6 +326,26 @@ fn print_fleet() {
     print!("{}", t.render());
 }
 
+fn print_ablation() {
+    println!("(ablation: SCM write penalty on the S6 save path; index structures under FoC + STM)");
+    let mut t = TextTable::new(
+        "Ablation: state save (wbinvd, 6 MiB dirty) vs SCM write penalty, AMD testbed",
+        &["Write penalty", "Save (ms)"],
+    );
+    for (penalty, save) in scm_penalty_ablation() {
+        t.row(&[format!("{penalty:.0}x"), ms(save)]);
+    }
+    print!("{}", t.render());
+    let mut t = TextTable::new(
+        "Ablation: FoC + STM create + 2000 inserts by index structure",
+        &["Structure", "Simulated (ms)"],
+    );
+    for (structure, time) in index_structure_ablation() {
+        t.row(&[structure.to_owned(), ms(time)]);
+    }
+    print!("{}", t.render());
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     let paper = args.iter().any(|a| a == "--paper");
@@ -332,7 +353,7 @@ fn main() -> ExitCode {
     let known = [
         "table1", "table2", "fig1", "fig2", "fig5", "fig6", "fig7", "fig8", "fig9",
         "feasibility", "recovery-storm", "drills", "ycsb", "tradeoff", "hybrid", "fleet",
-        "all",
+        "ablation", "all",
     ];
     if !known.contains(&which) {
         eprintln!("unknown experiment '{which}'; expected one of: {}", known.join(" "));
@@ -401,6 +422,10 @@ fn main() -> ExitCode {
     }
     if run("fleet") {
         print_fleet();
+        println!();
+    }
+    if run("ablation") {
+        print_ablation();
     }
     ExitCode::SUCCESS
 }

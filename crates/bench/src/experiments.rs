@@ -7,9 +7,11 @@ use wsp_core::{feasibility_matrix, CapacitanceTradeoff, FeasibilityRow, RestartS
 use wsp_machine::{DeviceModel, HybridMemory, Machine, PlacementPolicy, SystemLoad};
 use wsp_nvram::{NvDimm, SaveTracePoint};
 use wsp_power::{AgingModel, EnergyCell, Oscilloscope, Psu, ScopeTrace};
-use wsp_pheap::HeapConfig;
+use wsp_pheap::{HeapConfig, HeapError, PersistentHeap};
 use wsp_units::{ByteSize, Nanos, OnlineStats, Summary, Watts};
-use wsp_workloads::{HashBenchmark, LdapBenchmark, YcsbDriver, YcsbMix, YcsbResult};
+use wsp_workloads::{
+    HashBenchmark, LdapBenchmark, PmAvlTree, PmBTree, PmHashTable, YcsbDriver, YcsbMix, YcsbResult,
+};
 
 /// One row of Table 1 (OpenLDAP update throughput).
 #[derive(Debug, Clone)]
@@ -420,6 +422,55 @@ pub fn fleet_year() -> (AvailabilityReport, AvailabilityReport) {
     FleetTimeline::typical_year(2012).compare(&ClusterSpec::memcache_tier(100))
 }
 
+/// Ablation (paper §6 "SCM-based NVRAMs"): the Figure-4 state save
+/// (`wbinvd` with 6 MiB dirty) on the AMD testbed as SCM write penalty
+/// grows, as `(write penalty, save time)` rows. Penalty 1 is DRAM.
+#[must_use]
+pub fn scm_penalty_ablation() -> Vec<(f64, Nanos)> {
+    [1.0, 10.0, 100.0]
+        .into_iter()
+        .map(|penalty| {
+            let analysis = FlushAnalysis::new(CpuProfile::amd_4180().with_scm(penalty));
+            (
+                penalty,
+                analysis.state_save_time(FlushMethod::Wbinvd, ByteSize::mib(6)),
+            )
+        })
+        .collect()
+}
+
+/// Ablation (index structure): simulated FoC + STM time to create each
+/// persistent index and insert 2 000 keys, as `(structure, time)` rows.
+/// The B-tree is the CDDS-style store with two-cache-line nodes.
+#[must_use]
+pub fn index_structure_ablation() -> Vec<(&'static str, Nanos)> {
+    fn timed<T>(
+        create: impl FnOnce(&mut PersistentHeap) -> Result<T, HeapError>,
+        insert: impl Fn(&T, &mut PersistentHeap, u64) -> Result<Option<u64>, HeapError>,
+    ) -> Nanos {
+        let mut heap = PersistentHeap::create(ByteSize::mib(8), HeapConfig::FocStm);
+        let index = create(&mut heap).expect("index fits the heap");
+        for key in 0..2_000 {
+            insert(&index, &mut heap, key).expect("2000 keys fit the heap");
+        }
+        heap.elapsed()
+    }
+    vec![
+        (
+            "hash table",
+            timed(|h| PmHashTable::create(h, 512), |t, h, k| t.insert(h, k, k)),
+        ),
+        (
+            "AVL tree",
+            timed(PmAvlTree::create, |t, h, k| t.insert(h, k, k)),
+        ),
+        (
+            "B-tree",
+            timed(PmBTree::create, |t, h, k| t.insert(h, k, k)),
+        ),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,5 +539,18 @@ mod tests {
         assert!(reports
             .windows(2)
             .all(|w| w[1].backend_time >= w[0].backend_time));
+    }
+
+    #[test]
+    fn ablation_tables_have_their_shape() {
+        let scm = scm_penalty_ablation();
+        assert_eq!(scm.len(), 3);
+        assert!(
+            scm.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 <= w[1].1),
+            "{scm:?}"
+        );
+        let index = index_structure_ablation();
+        assert_eq!(index.len(), 3);
+        assert!(index.iter().all(|(_, t)| *t > Nanos::ZERO), "{index:?}");
     }
 }

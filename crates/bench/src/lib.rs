@@ -1,7 +1,7 @@
 //! Experiment drivers regenerating every table and figure of the WSP
 //! paper's evaluation, as structured data. The `repro` binary prints
-//! them; the Criterion benches measure the host-time cost of the same
-//! code paths; `EXPERIMENTS.md` records paper-vs-measured.
+//! them; the `bench` binary gates the recorded `BENCH_PR*.json`
+//! baselines; `EXPERIMENTS.md` records paper-vs-measured.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -14,7 +14,8 @@
 //!   deterministic trace merging for sharded sweeps.
 //! - [`metrics`] — allocation-free counters/gauges plus latency
 //!   histograms reusing [`wsp_units::LatencyHistogram`].
-//! - [`json`] — JSONL export and the strict schema parser/validator.
+//! - [`json`] — the general [`json::Json`] value, JSONL export and the
+//!   strict schema parser/validator.
 //! - [`diff`] — full/structural diffing with readable first-divergence
 //!   reports.
 //! - [`golden`] — golden-file checking with `WSP_UPDATE_GOLDEN=1`

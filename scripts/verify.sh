@@ -39,18 +39,18 @@ echo "== cross-shard 2PC sweep: serial and sharded must agree =="
 WSP_DET_SEED=7 WSP_FAULTSIM_THREADS=1 cargo test -q --offline --test fault_injection cross_shard
 WSP_DET_SEED=7 WSP_FAULTSIM_THREADS=4 cargo test -q --offline --test fault_injection cross_shard
 
-echo "== benches compile (bench feature) =="
-cargo build --offline -p wsp-bench --features bench --benches
-
 echo "== bench smoke (quick mode) =="
-cargo test -q --offline -p wsp-bench --features bench
+cargo test -q --offline -p wsp-bench
+
+echo "== ablation tables (simulated clock) =="
+cargo run --release --quiet --offline -p wsp-bench --bin repro -- ablation > /dev/null
 
 echo "== recorded bench gates: every BENCH_PR*.json, sim and host clocks =="
-cargo run --release --offline -p wsp-bench --features bench --bin bench -- check
+cargo run --release --offline -p wsp-bench --bin bench -- check
 
 echo "== every bench scenario reports at quick scale =="
 for scenario in host_paths ladder group_commit xshard flit power_domain lockfree group_2pc; do
-    cargo run --release --quiet --offline -p wsp-bench --features bench --bin bench -- \
+    cargo run --release --quiet --offline -p wsp-bench --bin bench -- \
         run "$scenario" --quick > /dev/null
 done
 
