@@ -19,6 +19,13 @@
 //! programming model, with no transactions at all — must recover
 //! exactly the words written so far.
 //!
+//! Every heap-level sweep here — mid-transaction, mid-epoch and
+//! cross-shard 2PC — and the power storm start from one baseline,
+//! [`crate::committed_fleet`], and check recovery against one oracle,
+//! its [`CellModel`]: the baseline overlaid by exactly what the crash
+//! point made durable. The 2PC property tests drive the same crash
+//! points through [`run_2pc_point`].
+//!
 //! # Examples
 //!
 //! ```
@@ -37,21 +44,18 @@
 //! assert!(report.locally_restored >= 1);
 //! ```
 
-use std::collections::HashMap;
-
 use wsp_cache::FlushMethod;
 use wsp_cluster::ClusterSpec;
 use wsp_det::{DetRng, Rng};
 use wsp_machine::{CpuContext, Machine, SystemLoad};
 use wsp_obs as obs;
 use wsp_obs::{MetricsSnapshot, Trace};
-use wsp_pheap::{
-    BackendStore, CrashImage, HeapConfig, HeapError, PersistentHeap, PmPtr, RecoveryLadder,
-};
+use wsp_pheap::{BackendStore, CrashImage, HeapConfig, PersistentHeap, RecoveryLadder};
 use wsp_power::{AgingModel, Ultracapacitor};
 use wsp_units::{ByteSize, Farads, Nanos, Volts, Watts};
 
 use crate::ladder::{run_recovery_ladder, LadderInput, LadderRung, RecoveryOutcome};
+use crate::model::{committed_fleet, CellModel};
 use crate::restore::restore;
 use crate::save::{flush_on_fail_save_with_fault, SaveFault, SaveReport, SaveStep};
 use crate::supervisor::{
@@ -313,39 +317,6 @@ pub fn sweep_mid_transaction(config: HeapConfig, seed: u64) -> MidTxSweepReport 
     sweep_mid_transaction_threads(config, seed, sweep::threads())
 }
 
-/// The committed baseline every heap-level sweep starts from: `heaps`
-/// fresh heaps, each holding `cells` root-reachable cells `stride`
-/// bytes apart, with values drawn from `rng` heap by heap, cell by
-/// cell.
-pub(crate) fn committed_fleet(
-    config: HeapConfig,
-    heaps: usize,
-    cells: usize,
-    stride: u64,
-    rng: &mut DetRng,
-) -> (Vec<PersistentHeap>, Vec<Vec<(PmPtr, u64)>>) {
-    (0..heaps)
-        .map(|_| {
-            let mut heap = PersistentHeap::create(ByteSize::kib(256), config);
-            let mut tx = heap.begin();
-            let base = tx
-                .alloc(cells as u64 * stride)
-                .expect("fresh heap has room");
-            let committed = (0..cells as u64)
-                .map(|i| {
-                    let p = base.byte_offset(i * stride);
-                    let v = rng.gen::<u64>();
-                    tx.write_word(p, v).expect("fresh allocation is writable");
-                    (p, v)
-                })
-                .collect();
-            tx.set_root(base).expect("root update");
-            tx.commit().expect("baseline commit on a fresh heap");
-            (heap, committed)
-        })
-        .unzip()
-}
-
 pub(crate) fn sweep_mid_transaction_threads(
     config: HeapConfig,
     seed: u64,
@@ -357,12 +328,11 @@ pub(crate) fn sweep_mid_transaction_threads(
     // The setup commit is captured so its pheap metrics land in the
     // sweep's snapshot, not in the caller's ambient recorder.
     let cells = 8usize;
-    let ((heaps, fleet), setup) = obs::capture(|| committed_fleet(config, 1, cells, 8, &mut rng));
-    let (heap, committed) = (&heaps[0], &fleet[0]);
+    let ((heaps, model), setup) = obs::capture(|| committed_fleet(config, 1, cells, 8, &mut rng));
 
     // The scripted in-flight transaction: twelve writes over the cells.
-    let script: Vec<(usize, u64)> = (0..12)
-        .map(|_| (rng.gen_range(0..cells), rng.gen::<u64>()))
+    let script: Vec<(usize, usize, u64)> = (0..12)
+        .map(|_| (0, rng.gen_range(0..cells), rng.gen::<u64>()))
         .collect();
 
     // FoC crashes raw (no save — that is the configuration's claim);
@@ -376,7 +346,7 @@ pub(crate) fn sweep_mid_transaction_threads(
         .collect();
     let (_, points_cap) = sweep::run(points, threads, |point| {
         sweep::inject(point.crash_at as i64, 0, &point);
-        run_tx_point(heap, committed, &script, config, save_runs, point.crash_at);
+        run_tx_point(&heaps[0], &model, &script, config, save_runs, point.crash_at);
     });
     let mut merged = setup;
     merged.absorb(points_cap);
@@ -401,50 +371,41 @@ struct MidTx {
 /// and compare against the in-memory model.
 fn run_tx_point(
     heap: &PersistentHeap,
-    committed: &[(PmPtr, u64)],
-    script: &[(usize, u64)],
+    model: &CellModel,
+    script: &[(usize, usize, u64)],
     config: HeapConfig,
     save_runs: bool,
     crash_at: usize,
 ) {
     let mut h = heap.clone();
     let mut tx = h.begin();
-    for &(idx, value) in &script[..crash_at] {
-        tx.write_word(committed[idx].0, value).unwrap();
+    for &(shard, cell, value) in &script[..crash_at] {
+        tx.write_word(model.cell(shard, cell), value).unwrap();
     }
     // Power failure mid-transaction: the abort path never runs, the
     // log keeps whatever records were appended so far.
     std::mem::forget(tx);
 
-    let mut recovered = match PersistentHeap::recover(h.crash(save_runs)) {
-        Ok(r) => r,
-        Err(HeapError::Unrecoverable { .. }) if !save_runs => {
-            unreachable!("FoC heaps recover without the save")
-        }
-        Err(e) => panic!("{config}: recovery failed at crash point {crash_at}: {e}"),
-    };
-
     // The model: committed values, overlaid — for the plain
     // non-transactional heap only — by the prefix that ran.
-    let mut expected: HashMap<u64, u64> =
-        committed.iter().map(|&(p, v)| (p.offset(), v)).collect();
+    let mut expected = model.clone();
     if !config.transactional() {
-        for &(idx, value) in &script[..crash_at] {
-            expected.insert(committed[idx].0.offset(), value);
-        }
+        expected.apply(&script[..crash_at]);
     }
+    recover_and_audit(
+        h.crash(save_runs),
+        &expected,
+        format_args!("{config} at crash point {crash_at}"),
+    );
+}
 
-    let root = recovered.root().expect("root survives");
-    assert_eq!(root, committed[0].0, "{config}: root at point {crash_at}");
-    let mut check = recovered.begin();
-    for (&addr, &want) in &expected {
-        let got = check.read_word(PmPtr::new(addr).unwrap()).unwrap();
-        assert_eq!(
-            got, want,
-            "{config}: cell {addr:#x} at crash point {crash_at}"
-        );
-    }
-    check.commit().unwrap();
+/// Recovers the crashed heap of a single-heap sweep and checks it
+/// against `expected`: the root survives and every cell matches.
+fn recover_and_audit(image: CrashImage, expected: &CellModel, at: impl std::fmt::Display) {
+    let mut recovered =
+        PersistentHeap::recover(image).unwrap_or_else(|e| panic!("{at}: recovery failed: {e}"));
+    assert_eq!(recovered.root(), Some(expected.cell(0, 0)), "{at}: root");
+    expected.audit(0, &mut recovered, at);
 }
 
 /// One crash point of the mid-epoch sweep.
@@ -523,17 +484,17 @@ pub(crate) fn sweep_mid_epoch_threads(
 
     // Committed baseline on distinct cache lines (so the seal's
     // coalesced flush spans several lines), then epoch mode on.
-    let ((heaps, fleet), setup) = obs::capture(|| {
-        let (mut heaps, fleet) = committed_fleet(config, 1, cells, 64, &mut rng);
+    let ((heaps, model), setup) = obs::capture(|| {
+        let (mut heaps, model) = committed_fleet(config, 1, cells, 64, &mut rng);
         heaps[0].set_epoch_size(epoch_size as u64);
-        (heaps, fleet)
+        (heaps, model)
     });
-    let (heap, committed) = (&heaps[0], &fleet[0]);
+    let heap = &heaps[0];
 
     // The scripted epoch workload: one single-write transaction per
     // entry; every `epoch_size`-th commit auto-seals.
-    let script: Vec<(usize, u64)> = (0..txs_total)
-        .map(|_| (rng.gen_range(0..cells), rng.gen::<u64>()))
+    let script: Vec<(usize, usize, u64)> = (0..txs_total)
+        .map(|_| (0, rng.gen_range(0..cells), rng.gen::<u64>()))
         .collect();
 
     // How many durable steps each crash-sweep seal has, measured
@@ -544,9 +505,9 @@ pub(crate) fn sweep_mid_epoch_threads(
     // `early_txs` only the open buffer exists.
     let ((mid_steps, staged_boundary, open_steps), _) = obs::capture(|| {
         let mut probe = heap.clone();
-        replay_epoch_txs(&mut probe, committed, &script[..mid_txs]);
+        replay_epoch_txs(&mut probe, &model, &script[..mid_txs]);
         let mut open_probe = heap.clone();
-        replay_epoch_txs(&mut open_probe, committed, &script[..early_txs]);
+        replay_epoch_txs(&mut open_probe, &model, &script[..early_txs]);
         (
             probe.seal_steps(),
             probe.staged_seal_steps(),
@@ -573,7 +534,7 @@ pub(crate) fn sweep_mid_epoch_threads(
         sweep::inject(a, b, &point);
         run_epoch_point(
             heap,
-            committed,
+            &model,
             &script,
             epoch_size,
             config,
@@ -596,14 +557,10 @@ pub(crate) fn sweep_mid_epoch_threads(
 /// Commits one single-write transaction per script entry against the
 /// baseline cells (epoch absorption and auto-sealing happen inside the
 /// heap).
-fn replay_epoch_txs(
-    heap: &mut PersistentHeap,
-    committed: &[(PmPtr, u64)],
-    prefix: &[(usize, u64)],
-) {
-    for &(idx, value) in prefix {
+fn replay_epoch_txs(heap: &mut PersistentHeap, model: &CellModel, prefix: &[(usize, usize, u64)]) {
+    for &(shard, cell, value) in prefix {
         let mut tx = heap.begin();
-        tx.write_word(committed[idx].0, value).unwrap();
+        tx.write_word(model.cell(shard, cell), value).unwrap();
         tx.commit().unwrap();
     }
 }
@@ -613,8 +570,8 @@ fn replay_epoch_txs(
 /// seal), recover, and compare against the pipelined-durability model.
 fn run_epoch_point(
     heap: &PersistentHeap,
-    committed: &[(PmPtr, u64)],
-    script: &[(usize, u64)],
+    model: &CellModel,
+    script: &[(usize, usize, u64)],
     epoch_size: usize,
     config: HeapConfig,
     (mid_txs, early_txs, staged_boundary): (usize, usize, u64),
@@ -630,36 +587,23 @@ fn run_epoch_point(
     // seal) nothing new survives.
     let (durable, image) = match point {
         EpochCrashPoint::AfterTx(t) => {
-            replay_epoch_txs(&mut h, committed, &script[..t]);
+            replay_epoch_txs(&mut h, model, &script[..t]);
             let staged = t / epoch_size;
             (staged.saturating_sub(1) * epoch_size, h.crash(false))
         }
         EpochCrashPoint::MidSeal(step) => {
-            replay_epoch_txs(&mut h, committed, &script[..mid_txs]);
+            replay_epoch_txs(&mut h, model, &script[..mid_txs]);
             let durable = if step > staged_boundary { epoch_size } else { 0 };
             (durable, h.crash_mid_seal(step))
         }
         EpochCrashPoint::MidSealOpen(step) => {
-            replay_epoch_txs(&mut h, committed, &script[..early_txs]);
+            replay_epoch_txs(&mut h, model, &script[..early_txs]);
             (0, h.crash_mid_seal(step))
         }
     };
-    let mut expected: HashMap<u64, u64> =
-        committed.iter().map(|&(p, v)| (p.offset(), v)).collect();
-    for &(idx, value) in &script[..durable] {
-        expected.insert(committed[idx].0.offset(), value);
-    }
-
-    let mut recovered = PersistentHeap::recover(image)
-        .unwrap_or_else(|e| panic!("{config}: recovery failed at {point:?}: {e}"));
-    let root = recovered.root().expect("root survives");
-    assert_eq!(root, committed[0].0, "{config}: root at {point:?}");
-    let mut check = recovered.begin();
-    for (&addr, &want) in &expected {
-        let got = check.read_word(PmPtr::new(addr).unwrap()).unwrap();
-        assert_eq!(got, want, "{config}: cell {addr:#x} at {point:?}");
-    }
-    check.commit().unwrap();
+    let mut expected = model.clone();
+    expected.apply(&script[..durable]);
+    recover_and_audit(image, &expected, format_args!("{config} at {point:?}"));
 }
 
 /// Shards in the cross-shard 2PC sweep.
@@ -762,6 +706,21 @@ pub enum TxnCrashPoint {
     },
 }
 
+/// Family names of [`TxnCrashPoint`], indexed by its trace ordinal.
+const FAMILIES: [&str; 11] = [
+    "coord-pre-prepare",
+    "between-prepares",
+    "post-prepare-no-decision",
+    "post-decision-pre-commit",
+    "between-shard-commits",
+    "shard-mid-prepare",
+    "shard-mid-commit",
+    "shard-image-lost",
+    "group-boundary",
+    "interleaved-split",
+    "torn-group-record",
+];
+
 /// Coordinators in the pool driven by the group-family crash points.
 const XS_POOL_COORDS: usize = 2;
 /// Words of a group record covering all [`XS_TXNS`] scripted
@@ -791,19 +750,7 @@ impl TxnCrashPoint {
     /// The protocol-step family this point belongs to.
     #[must_use]
     pub fn family(&self) -> &'static str {
-        match self {
-            Self::CoordPrePrepare { .. } => "coord-pre-prepare",
-            Self::BetweenPrepares { .. } => "between-prepares",
-            Self::PostPrepareNoDecision { .. } => "post-prepare-no-decision",
-            Self::PostDecisionPreCommit { .. } => "post-decision-pre-commit",
-            Self::BetweenShardCommits { .. } => "between-shard-commits",
-            Self::ShardMidPrepare { .. } => "shard-mid-prepare",
-            Self::ShardMidCommit { .. } => "shard-mid-commit",
-            Self::ShardImageLost { .. } => "shard-image-lost",
-            Self::GroupBoundary { .. } => "group-boundary",
-            Self::GroupInterleavedSplit { .. } => "interleaved-split",
-            Self::TornGroupRecord { .. } => "torn-group-record",
-        }
+        FAMILIES[self.family_code() as usize]
     }
 
     /// True when a durable decision record covers at least one in-flight
@@ -825,7 +772,8 @@ impl TxnCrashPoint {
         }
     }
 
-    /// Stable ordinal for trace payloads.
+    /// Stable ordinal for trace payloads (pinned by the sweep digests),
+    /// indexing [`FAMILIES`].
     fn family_code(&self) -> i64 {
         match self {
             Self::CoordPrePrepare { .. } => 0,
@@ -935,13 +883,8 @@ impl CrossShard2pcReport {
 /// every group boundary with decisions buffered, an interleaved seal
 /// whose single flush splits the in-flight set into a committed prefix
 /// and an aborted tail, and a crash after every durable word of the
-/// group record itself — then resolves the whole fleet
-/// with [`resolve_cross_shard`] and checks the all-or-nothing contract
-/// against an in-memory model: a transaction with a durable coordinator
-/// decision is visible on every shard, one without vanishes from every
-/// shard, and a lost shard yields a typed degraded verdict with
-/// quantified staleness while its peers still apply the decided
-/// outcome.
+/// group record itself — and checks every point's all-or-nothing
+/// contract with [`run_2pc_point`].
 ///
 /// Sharded over [`sweep::threads`] workers, bitwise identical to the
 /// serial order.
@@ -969,36 +912,21 @@ pub(crate) fn sweep_cross_shard_2pc_threads(
 
     // The baseline fleet: XS_SHARDS heaps, each with XS_CELLS committed
     // cells on distinct cache lines.
-    let ((heaps, cells), setup) =
+    let ((heaps, model), setup) =
         obs::capture(|| committed_fleet(config, XS_SHARDS, XS_CELLS, 64, &mut rng));
 
     // The scripted workload: each transaction spans two adjacent shards
     // with two writes per participant.
+    let spans = |t: usize| [t, t, t + 1, t + 1].map(|s| s % XS_SHARDS);
     let script: Vec<Vec<(usize, usize, u64)>> = (0..XS_TXNS)
-        .map(|t| {
-            let mut ops = Vec::new();
-            for shard in [t % XS_SHARDS, (t + 1) % XS_SHARDS] {
-                for _ in 0..2 {
-                    ops.push((shard, rng.gen_range(0..XS_CELLS), rng.gen::<u64>()));
-                }
-            }
-            ops
-        })
+        .map(|t| spans(t).map(|s| (s, rng.gen_range(0..XS_CELLS), rng.gen())).to_vec())
         .collect();
 
     // The group-family workload: same shard spans, but transaction `t`
     // owns cell `t` on each participant so concurrently-prepared
     // write sets stay pairwise disjoint.
     let pool_script: Vec<Vec<(usize, usize, u64)>> = (0..XS_TXNS)
-        .map(|t| {
-            let mut ops = Vec::new();
-            for shard in [t % XS_SHARDS, (t + 1) % XS_SHARDS] {
-                for _ in 0..2 {
-                    ops.push((shard, t, rng.gen::<u64>()));
-                }
-            }
-            ops
-        })
+        .map(|t| spans(t).map(|s| (s, t, rng.gen())).to_vec())
         .collect();
 
     let cluster = ClusterSpec::memcache_tier(8);
@@ -1011,7 +939,7 @@ pub(crate) fn sweep_cross_shard_2pc_threads(
     let mid_writes: Vec<(u64, u64)> = script[mid]
         .iter()
         .filter(|&&(s, _, _)| s == mid_shard)
-        .map(|&(_, cell, v)| (cells[mid_shard][cell].0.offset(), v))
+        .map(|&(_, cell, v)| (model.cell(mid_shard, cell).offset(), v))
         .collect();
     let seal_steps = heaps[mid_shard].prepare_steps(&mid_writes);
 
@@ -1040,31 +968,16 @@ pub(crate) fn sweep_cross_shard_2pc_threads(
 
     let (outcomes, points_cap) = sweep::run(points, threads, |point| {
         sweep::inject(point.txn() as i64, point.family_code(), &point);
-        let verdict = if point.is_group_family() {
-            run_group_point(config, &heaps, &cells, &pool_script, &cluster, point)
-        } else {
-            run_cross_shard_point(config, &heaps, &cells, &script, &cluster, point)
-        };
-        (point, verdict)
+        let script = if point.is_group_family() { &pool_script } else { &script };
+        (point, run_2pc_point(config, &heaps, &model, script, &cluster, point))
     });
     let mut merged = setup;
     merged.absorb(points_cap);
-    let committed = outcomes
-        .iter()
-        .filter(|(_, v)| *v == TxnPointVerdict::CommittedEverywhere)
-        .count();
-    let aborted = outcomes
-        .iter()
-        .filter(|(_, v)| *v == TxnPointVerdict::AbortedEverywhere)
-        .count();
-    let degraded = outcomes
-        .iter()
-        .filter(|(_, v)| matches!(v, TxnPointVerdict::DegradedShard { .. }))
-        .count();
-    let split = outcomes
-        .iter()
-        .filter(|(_, v)| matches!(v, TxnPointVerdict::SplitResolved { .. }))
-        .count();
+    let count = |hit: fn(&TxnPointVerdict) -> bool| outcomes.iter().filter(|(_, v)| hit(v)).count();
+    let committed = count(|v| *v == TxnPointVerdict::CommittedEverywhere);
+    let aborted = count(|v| *v == TxnPointVerdict::AbortedEverywhere);
+    let degraded = count(|v| matches!(v, TxnPointVerdict::DegradedShard { .. }));
+    let split = count(|v| matches!(v, TxnPointVerdict::SplitResolved { .. }));
 
     CrossShard2pcReport {
         config,
@@ -1081,16 +994,52 @@ pub(crate) fn sweep_cross_shard_2pc_threads(
     }
 }
 
+/// Runs one 2PC crash point against clones of the `baseline` shards,
+/// whose committed cells `model` describes, resolves the whole fleet
+/// with [`resolve_cross_shard`], and checks the all-or-nothing contract
+/// with [`CellModel::audit_fleet`]: a transaction with a durable
+/// coordinator decision is visible on every shard, one without vanishes
+/// from every shard, and a lost shard degrades with a typed refusal and
+/// quantified staleness while its peers apply the decided outcome.
+/// `script` holds one `(shard, cell, value)` write set per transaction;
+/// [`sweep_cross_shard_2pc`] runs every point through here, and so can a
+/// property test with its own generated script.
+///
+/// The group families drive a four-transaction script through a
+/// two-coordinator pool, so their write sets must be pairwise disjoint
+/// (they are prepared concurrently).
+///
+/// # Panics
+///
+/// Panics when the point violates the contract, or when a group-family
+/// point gets a script of other than four transactions.
+#[must_use]
+pub fn run_2pc_point(
+    config: HeapConfig,
+    baseline: &[PersistentHeap],
+    model: &CellModel,
+    script: &[Vec<(usize, usize, u64)>],
+    cluster: &ClusterSpec,
+    point: TxnCrashPoint,
+) -> TxnPointVerdict {
+    if point.is_group_family() {
+        run_group_point(config, baseline, model, script, cluster, point)
+    } else {
+        run_cross_shard_point(config, baseline, model, script, cluster, point)
+    }
+}
+
 /// Stages the scripted ops of one transaction on a fresh handle from
-/// the pool's only coordinator.
+/// `coordinator`.
 fn build_cross_shard_txn(
     pool: &mut CoordinatorPool,
-    cells: &[Vec<(PmPtr, u64)>],
+    coordinator: usize,
+    model: &CellModel,
     ops: &[(usize, usize, u64)],
 ) -> CrossShardTxn {
-    let mut txn = pool.begin(0, cells.len());
+    let mut txn = pool.begin(coordinator, model.shards());
     for &(shard, cell, value) in ops {
-        txn.stage(shard, cells[shard][cell].0.offset(), value);
+        txn.stage(shard, model.cell(shard, cell).offset(), value);
     }
     txn
 }
@@ -1107,25 +1056,15 @@ fn prepare_and_decide(
     pool.seal_decisions(0);
 }
 
-/// A shard-side crash flavor for the mid-seal crash points.
-#[derive(Clone, Copy)]
-enum MidCrash {
-    /// Crash after this many durable words of the prepare seal.
-    Prepare(u64),
-    /// Crash on the phase-2 commit marker (fenced or torn).
-    Commit(bool),
-}
-
-/// One 2PC crash point: replay the committed prefix on clones of the
-/// baseline shards through a one-coordinator, group-of-one pool, drive
-/// the scripted transaction up to the crash point (per-shard steps call
-/// the heap's distributed-commit primitives directly), cut power on the
-/// whole fleet, resolve it with [`resolve_cross_shard`], and check the
-/// all-or-nothing contract cell by cell.
+/// One single-coordinator 2PC crash point: replay the committed prefix
+/// through a one-coordinator, group-of-one pool, drive the scripted
+/// transaction up to the crash point (per-shard steps call the heap's
+/// distributed-commit primitives directly), cut power on the whole
+/// fleet, and resolve it with [`resolve_cross_shard`].
 fn run_cross_shard_point(
     config: HeapConfig,
     baseline: &[PersistentHeap],
-    cells: &[Vec<(PmPtr, u64)>],
+    model: &CellModel,
     script: &[Vec<(usize, usize, u64)>],
     cluster: &ClusterSpec,
     point: TxnCrashPoint,
@@ -1134,22 +1073,21 @@ fn run_cross_shard_point(
     let mut pool = CoordinatorPool::new(1, 1);
     let k = point.txn();
     for ops in &script[..k] {
-        let txn = build_cross_shard_txn(&mut pool, cells, ops);
+        let txn = build_cross_shard_txn(&mut pool, 0, model, ops);
         let outcome = pool.submit(0, &mut heaps, &txn).unwrap();
         assert!(
             matches!(outcome, SubmitOutcome::Committed { .. }),
             "{config}: prefix txn refused before {point:?}: {outcome:?}"
         );
     }
-    let txn = build_cross_shard_txn(&mut pool, cells, &script[k]);
+    let txn = build_cross_shard_txn(&mut pool, 0, model, &script[k]);
     let participants = txn.participants();
     let gtxid = txn.gtxid();
 
-    // Drive the protocol up to the crash instant.
-    let mut lost: Option<usize> = None;
-    let mut mid_crash: Option<(usize, MidCrash)> = None;
+    // Drive the protocol up to the crash instant. Shard-side points
+    // crash the first participant.
     match point {
-        TxnCrashPoint::CoordPrePrepare { .. } => {}
+        TxnCrashPoint::CoordPrePrepare { .. } | TxnCrashPoint::ShardMidPrepare { .. } => {}
         TxnCrashPoint::BetweenPrepares { prepared, .. } => {
             for &shard in participants.iter().take(prepared) {
                 heaps[shard]
@@ -1160,7 +1098,9 @@ fn run_cross_shard_point(
         TxnCrashPoint::PostPrepareNoDecision { .. } => {
             assert!(pool.prepare(0, &mut heaps, &txn).unwrap().is_none());
         }
-        TxnCrashPoint::PostDecisionPreCommit { .. } => {
+        TxnCrashPoint::PostDecisionPreCommit { .. }
+        | TxnCrashPoint::ShardMidCommit { .. }
+        | TxnCrashPoint::ShardImageLost { .. } => {
             prepare_and_decide(&mut pool, &mut heaps, &txn);
         }
         TxnCrashPoint::BetweenShardCommits { committed, .. } => {
@@ -1169,37 +1109,28 @@ fn run_cross_shard_point(
                 heaps[shard].commit_distributed(gtxid).unwrap();
             }
         }
-        TxnCrashPoint::ShardMidPrepare { step, .. } => {
-            mid_crash = Some((participants[0], MidCrash::Prepare(step)));
-        }
-        TxnCrashPoint::ShardMidCommit { marker_durable, .. } => {
-            prepare_and_decide(&mut pool, &mut heaps, &txn);
-            mid_crash = Some((participants[0], MidCrash::Commit(marker_durable)));
-        }
-        TxnCrashPoint::ShardImageLost { .. } => {
-            prepare_and_decide(&mut pool, &mut heaps, &txn);
-            lost = Some(participants[0]);
-        }
         other => unreachable!("group-family point {other:?} routed to run_group_point"),
     }
 
     // Power fails everywhere at once.
+    let first = participants[0];
+    let lost = matches!(point, TxnCrashPoint::ShardImageLost { .. }).then_some(first);
     let coordinator_image = pool.crash_image();
-    let mut images: Vec<Option<CrashImage>> = Vec::with_capacity(heaps.len());
-    for (shard, heap) in heaps.into_iter().enumerate() {
-        images.push(if lost == Some(shard) {
-            None
-        } else if let Some((_, crash)) = mid_crash.filter(|&(s, _)| s == shard) {
-            Some(match crash {
-                MidCrash::Prepare(step) => {
-                    heap.crash_mid_prepare(gtxid, txn.writes_for(shard), step)
-                }
-                MidCrash::Commit(durable) => heap.crash_mid_commit(gtxid, durable),
-            })
-        } else {
-            Some(heap.crash(false))
-        });
-    }
+    let images: Vec<Option<CrashImage>> = heaps
+        .into_iter()
+        .enumerate()
+        .map(|(shard, heap)| match point {
+            _ if shard != first => Some(heap.crash(false)),
+            TxnCrashPoint::ShardImageLost { .. } => None,
+            TxnCrashPoint::ShardMidPrepare { step, .. } => {
+                Some(heap.crash_mid_prepare(gtxid, txn.writes_for(shard), step))
+            }
+            TxnCrashPoint::ShardMidCommit { marker_durable, .. } => {
+                Some(heap.crash_mid_commit(gtxid, marker_durable))
+            }
+            _ => Some(heap.crash(false)),
+        })
+        .collect();
 
     let recovery = resolve_cross_shard(&coordinator_image, images, cluster);
     let txn_committed = recovery.decided.contains(&gtxid);
@@ -1212,55 +1143,11 @@ fn run_cross_shard_point(
     // The model: the baseline overlaid by the committed prefix, plus
     // the crashed transaction exactly when its decision was durable.
     let visible = if txn_committed { k + 1 } else { k };
-    let mut expected: Vec<HashMap<u64, u64>> = cells
-        .iter()
-        .map(|sc| sc.iter().map(|&(p, v)| (p.offset(), v)).collect())
-        .collect();
+    let mut expected = model.clone();
     for ops in &script[..visible] {
-        for &(shard, cell, value) in ops {
-            expected[shard].insert(cells[shard][cell].0.offset(), value);
-        }
+        expected.apply(ops);
     }
-
-    for mut shard_rec in recovery.shards {
-        let shard = shard_rec.shard;
-        if lost == Some(shard) {
-            match &shard_rec.outcome {
-                RecoveryOutcome::Degraded { rung, reason, took } => {
-                    assert_eq!(*rung, LadderRung::ClusterRebuild, "{config}: {point:?}");
-                    assert!(!reason.is_empty(), "{config}: staleness reason at {point:?}");
-                    assert!(
-                        *took > Nanos::ZERO,
-                        "{config}: staleness quantified at {point:?}"
-                    );
-                }
-                other => {
-                    panic!("{config}: lost shard {shard} must degrade at {point:?}, got {other:?}")
-                }
-            }
-            assert!(
-                matches!(
-                    shard_rec.refusal,
-                    Some(WspError::BackendRecoveryRequired { .. })
-                ),
-                "{config}: lost shard {shard} needs a typed refusal at {point:?}"
-            );
-            continue;
-        }
-        let heap = shard_rec
-            .heap
-            .as_mut()
-            .unwrap_or_else(|| panic!("{config}: shard {shard} must recover at {point:?}"));
-        let mut check = heap.begin();
-        for (&addr, &want) in &expected[shard] {
-            let got = check.read_word(PmPtr::new(addr).unwrap()).unwrap();
-            assert_eq!(
-                got, want,
-                "{config}: shard {shard} cell {addr:#x} at {point:?}"
-            );
-        }
-        check.commit().unwrap();
-    }
+    expected.audit_fleet(recovery, lost, format_args!("{config} at {point:?}"));
 
     match lost {
         Some(shard) => TxnPointVerdict::DegradedShard { shard },
@@ -1278,11 +1165,16 @@ fn run_cross_shard_point(
 fn run_group_point(
     config: HeapConfig,
     baseline: &[PersistentHeap],
-    cells: &[Vec<(PmPtr, u64)>],
+    model: &CellModel,
     pool_script: &[Vec<(usize, usize, u64)>],
     cluster: &ClusterSpec,
     point: TxnCrashPoint,
 ) -> TxnPointVerdict {
+    assert_eq!(
+        pool_script.len(),
+        XS_TXNS,
+        "{config}: group-family points drive a {XS_TXNS}-transaction script"
+    );
     let mut heaps: Vec<PersistentHeap> = baseline.to_vec();
     // The group size sits above anything the script stages: sealing is
     // driven by the crash point, never by the trigger.
@@ -1297,10 +1189,7 @@ fn run_group_point(
     let mut gtxids: Vec<u64> = Vec::with_capacity(in_flight);
     for (t, ops) in pool_script.iter().take(in_flight).enumerate() {
         let coordinator = t % XS_POOL_COORDS;
-        let mut txn = pool.begin(coordinator, cells.len());
-        for &(shard, cell, value) in ops {
-            txn.stage(shard, cells[shard][cell].0.offset(), value);
-        }
+        let txn = build_cross_shard_txn(&mut pool, coordinator, model, ops);
         let outcome = pool.submit(coordinator, &mut heaps, &txn).unwrap();
         assert_eq!(
             outcome,
@@ -1331,73 +1220,35 @@ fn run_group_point(
 
     let recovery = resolve_cross_shard(&coordinator_image, images, cluster);
     let committed_txns = match point {
-        TxnCrashPoint::GroupBoundary { .. } => 0,
         TxnCrashPoint::GroupInterleavedSplit { sealed } => sealed,
-        TxnCrashPoint::TornGroupRecord { durable_words } => {
-            if durable_words == XS_GROUP_WORDS {
-                in_flight
-            } else {
-                0
-            }
-        }
-        _ => unreachable!(),
+        _ if point.decision_durable() => in_flight,
+        _ => 0,
     };
-    for (t, &gtxid) in gtxids.iter().enumerate() {
-        assert_eq!(
-            recovery.decided.contains(&gtxid),
-            t < committed_txns,
-            "{config}: decision durability of pool txn {t} at {point:?}"
-        );
-    }
 
-    // Attribution: the recovered pool names the sealing coordinator
-    // generation for every durable decision and disowns the rest, while
-    // the issuer stays decodable from the gtxid either way.
+    // Per transaction: its decision is durable exactly when sealed, and
+    // the recovered pool attributes it to the sealing coordinator
+    // generation (or disowns it), while the issuer stays decodable from
+    // the gtxid either way.
     let recovered = CoordinatorPool::recover(&coordinator_image, XS_POOL_COORDS, XS_TXNS + 1);
     for (t, &gtxid) in gtxids.iter().enumerate() {
-        assert_eq!(
-            coordinator_of(gtxid),
-            t % XS_POOL_COORDS,
-            "{config}: issuer of pool txn {t} at {point:?}"
-        );
-        let want = (t < committed_txns).then_some(GtxidOrigin {
-            coordinator: t % XS_POOL_COORDS,
-            generation: 1,
-        });
+        let (coordinator, sealed) = (t % XS_POOL_COORDS, t < committed_txns);
+        let at = format_args!("{config}: pool txn {t} at {point:?}");
+        assert_eq!(recovery.decided.contains(&gtxid), sealed, "{at}: decision durability");
+        assert_eq!(coordinator_of(gtxid), coordinator, "{at}: issuer");
         assert_eq!(
             recovered.attribute(gtxid),
-            want,
-            "{config}: attribution of pool txn {t} at {point:?}"
+            sealed.then_some(GtxidOrigin { coordinator, generation: 1 }),
+            "{at}: attribution"
         );
     }
 
     // The model: the baseline overlaid by every committed transaction's
     // writes — all-or-nothing per transaction, on every shard.
-    let mut expected: Vec<HashMap<u64, u64>> = cells
-        .iter()
-        .map(|sc| sc.iter().map(|&(p, v)| (p.offset(), v)).collect())
-        .collect();
+    let mut expected = model.clone();
     for ops in &pool_script[..committed_txns] {
-        for &(shard, cell, value) in ops {
-            expected[shard].insert(cells[shard][cell].0.offset(), value);
-        }
+        expected.apply(ops);
     }
-    for mut shard_rec in recovery.shards {
-        let shard = shard_rec.shard;
-        let heap = shard_rec
-            .heap
-            .as_mut()
-            .unwrap_or_else(|| panic!("{config}: shard {shard} must recover at {point:?}"));
-        let mut check = heap.begin();
-        for (&addr, &want) in &expected[shard] {
-            let got = check.read_word(PmPtr::new(addr).unwrap()).unwrap();
-            assert_eq!(
-                got, want,
-                "{config}: shard {shard} cell {addr:#x} at {point:?}"
-            );
-        }
-        check.commit().unwrap();
-    }
+    expected.audit_fleet(recovery, None, format_args!("{config} at {point:?}"));
 
     match point {
         TxnCrashPoint::GroupInterleavedSplit { sealed } => TxnPointVerdict::SplitResolved {

@@ -53,6 +53,7 @@ pub mod faultsim;
 mod feasibility;
 mod ladder;
 mod lockfree_sweep;
+mod model;
 mod process;
 mod restart;
 mod restore;
@@ -84,6 +85,7 @@ pub use ladder::{run_recovery_ladder, LadderInput, LadderReport, LadderRung, Rec
 pub use lockfree_sweep::{
     classify_recovery, sweep_lockfree, LfScenarioOutcome, LfStructure, LockfreeSweepReport,
 };
+pub use model::{committed_fleet, CellModel};
 pub use process::{ProcessPersistence, ProcessSaveReport};
 pub use restart::RestartStrategy;
 pub use restore::{restore, RestoreReport, RestoreStep};

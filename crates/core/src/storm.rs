@@ -41,7 +41,7 @@ use wsp_units::{Farads, Nanos, Volts, Watts};
 use crate::domain::{
     domain_decision_points, domain_save, DomainBudget, DomainInput, DomainVerdict, ShardVerdict,
 };
-use crate::faultsim::committed_fleet;
+use crate::model::committed_fleet;
 use crate::supervisor::{clean_failure_trace, MARKER_COST};
 use crate::sweep;
 use crate::txn::{
@@ -173,8 +173,7 @@ pub struct PowerStormReport {
     pub metrics: MetricsSnapshot,
 }
 
-fn read_cell(heap: &mut PersistentHeap, addr: u64) -> u64 {
-    let p = PmPtr::new(addr).expect("storm cells are aligned");
+fn read_cell(heap: &mut PersistentHeap, p: PmPtr) -> u64 {
     let mut tx = heap.begin();
     let v = tx.read_word(p).expect("storm cell readable");
     tx.commit().expect("read-only commit");
@@ -282,15 +281,7 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
     // checkpoint each shard to its back end ONCE — every later rebuild
     // must climb back from this deliberately stale state via the
     // routing log.
-    let (mut heaps, fleet) = committed_fleet(spec.config, shards, STORM_CELLS, 64, &mut rng);
-    let cells: Vec<Vec<u64>> = fleet
-        .iter()
-        .map(|shard| shard.iter().map(|&(p, _)| p.offset()).collect())
-        .collect();
-    let mut model: Vec<Vec<u64>> = fleet
-        .iter()
-        .map(|shard| shard.iter().map(|&(_, v)| v).collect())
-        .collect();
+    let (mut heaps, mut model) = committed_fleet(spec.config, shards, STORM_CELLS, 64, &mut rng);
     let backends: Vec<RecoveryLadder> = heaps
         .iter()
         .map(|heap| {
@@ -328,8 +319,8 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
         let b = (k + 1) % shards;
         let (va, vb) = (rng.gen::<u64>(), rng.gen::<u64>());
         let mut txn = coordinator.begin(0, shards);
-        txn.stage(a, cells[a][0], va);
-        txn.stage(b, cells[b][0], vb);
+        txn.stage(a, model.cell(a, 0).offset(), va);
+        txn.stage(b, model.cell(b, 0).offset(), vb);
         let outcome = coordinator
             .submit(0, &mut heaps, &txn)
             .expect("healthy fleet commits");
@@ -338,8 +329,7 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
             SubmitOutcome::Committed { group: 1 },
             "outage {k} foreground txn"
         );
-        model[a][0] = va;
-        model[b][0] = vb;
+        model.apply(&[(a, 0, va), (b, 0, vb)]);
         stats.committed_txns += 1;
 
         // ---- Every third outage: an interleaved in-flight pair. Both
@@ -351,11 +341,11 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
             let c = (k + 2) % shards;
             let (wa, wb) = (rng.gen::<u64>(), rng.gen::<u64>());
             let mut pair_a = coordinator.begin(0, shards);
-            pair_a.stage(a, cells[a][1], wa);
-            pair_a.stage(b, cells[b][1], wb);
+            pair_a.stage(a, model.cell(a, 1).offset(), wa);
+            pair_a.stage(b, model.cell(b, 1).offset(), wb);
             let mut pair_b = coordinator.begin(0, shards);
-            pair_b.stage(b, cells[b][2], rng.gen::<u64>());
-            pair_b.stage(c, cells[c][2], rng.gen::<u64>());
+            pair_b.stage(b, model.cell(b, 2).offset(), rng.gen::<u64>());
+            pair_b.stage(c, model.cell(c, 2).offset(), rng.gen::<u64>());
             // Interleaved prepares need per-shard steps: drive the heap
             // primitives directly, then seal A's decision alone.
             for (shard, txn, what) in [
@@ -370,8 +360,7 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
             }
             coordinator.buffer_decision(0, &pair_a);
             coordinator.seal_decisions(0);
-            model[a][1] = wa;
-            model[b][1] = wb;
+            model.apply(&[(a, 1, wa), (b, 1, wb)]);
             stats.committed_txns += 1;
             in_doubt = true;
         }
@@ -520,7 +509,8 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
                 let Some(mut first_heap) = first_heap else {
                     continue; // rung-1 interruption never reached this rebuild
                 };
-                for (c, &cell) in cells[s].iter().enumerate() {
+                for c in 0..STORM_CELLS {
+                    let cell = model.cell(s, c);
                     assert_eq!(
                         read_cell(&mut first_heap, cell),
                         read_cell(&mut new_heaps[s], cell),
@@ -535,13 +525,15 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
         stats.presumed_aborts += aborted;
 
         // ---- The survival contract: every committed value, every
-        // shard, every outage — sacrificed shards included.
+        // shard, every outage — sacrificed shards included. One read
+        // transaction per cell: the storm keeps running on these heaps,
+        // so the reads are part of its simulated timeline.
         heaps = new_heaps;
-        for s in 0..shards {
+        for (s, heap) in heaps.iter_mut().enumerate() {
             for c in 0..STORM_CELLS {
                 assert_eq!(
-                    read_cell(&mut heaps[s], cells[s][c]),
-                    model[s][c],
+                    read_cell(heap, model.cell(s, c)),
+                    model.value(s, c),
                     "outage {k}: shard {s} cell {c} lost a committed value \
                      (verdict {:?})",
                     report.shards[s].verdict
@@ -562,9 +554,9 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
         }
     }
 
-    for (heap, shard_cells) in heaps.iter_mut().zip(&cells) {
-        for &cell in shard_cells.iter().take(STORM_CELLS) {
-            stats.final_cells.push(read_cell(heap, cell));
+    for (s, heap) in heaps.iter_mut().enumerate() {
+        for c in 0..STORM_CELLS {
+            stats.final_cells.push(read_cell(heap, model.cell(s, c)));
         }
     }
     stats

@@ -55,5 +55,5 @@ pub use json::{event_to_json, parse_event, parse_jsonl, trace_to_jsonl, ParsedEv
 pub use metrics::{Ctr, Gauge, Hist, MetricsSnapshot};
 pub use trace::{
     capture, count, count_by, emit, emit_detail, gauge_set, is_enabled, observe, set_enabled,
-    span, Capture, Span, Trace, DEFAULT_RING_CAP,
+    Capture, Trace, DEFAULT_RING_CAP,
 };

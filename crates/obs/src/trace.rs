@@ -245,53 +245,6 @@ pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Capture) {
     (out, cap)
 }
 
-/// A typed span: construct at the start of an operation, [`Span::end`]
-/// it with the clock's later reading to emit one duration event (and
-/// optionally feed a histogram).
-#[derive(Debug)]
-pub struct Span {
-    subsystem: &'static str,
-    name: &'static str,
-    start: Nanos,
-    hist: Option<Hist>,
-}
-
-/// Opens a span at simulation time `start`.
-#[must_use]
-pub fn span(subsystem: &'static str, name: &'static str, start: Nanos) -> Span {
-    Span {
-        subsystem,
-        name,
-        start,
-        hist: None,
-    }
-}
-
-impl Span {
-    /// Also records the span duration into `id` when the span ends.
-    #[must_use]
-    pub fn with_hist(mut self, id: Hist) -> Span {
-        self.hist = Some(id);
-        self
-    }
-
-    /// Closes the span at simulation time `now`, emitting one event
-    /// whose `a` is the duration in nanoseconds and `b` the start time.
-    pub fn end(self, now: Nanos) {
-        let took = now - self.start;
-        emit(
-            self.subsystem,
-            self.name,
-            now,
-            took.as_nanos() as i64,
-            self.start.as_nanos() as i64,
-        );
-        if let Some(id) = self.hist {
-            observe(id, took);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,17 +310,5 @@ mod tests {
         assert_eq!(cap.trace.len(), 4);
         assert_eq!(cap.trace.dropped(), 2);
         assert_eq!(cap.trace.events()[0].a, 2, "oldest dropped first");
-    }
-
-    #[test]
-    fn span_emits_duration_and_histogram() {
-        let ((), cap) = capture(|| {
-            let sp = span("t", "op", Nanos::new(100)).with_hist(Hist::SaveTotal);
-            sp.end(Nanos::new(250));
-        });
-        let e = &cap.trace.events()[0];
-        assert_eq!(e.a, 150);
-        assert_eq!(e.b, 100);
-        assert_eq!(cap.metrics.hist(Hist::SaveTotal).count(), 1);
     }
 }

@@ -1302,6 +1302,17 @@ impl PersistentHeap {
         let capacity = ByteSize::new(bytes.len() as u64);
         let log_cap = log_capacity(capacity);
         let records = TornLog::recover(&bytes, LOG_BASE, log_cap, TAIL_PTR_ADDR);
+        // A Write record whose address word was damaged must refuse the
+        // image before anything is replayed or rolled back, never turn
+        // into an access outside the region.
+        let in_region =
+            |addr: u64| addr.is_multiple_of(8) && addr <= capacity.as_u64().saturating_sub(8);
+        if records
+            .iter()
+            .any(|r| r.kind == RecordKind::Write && !in_region(r.addr))
+        {
+            return Err(HeapError::CorruptHeader);
+        }
         let mut mem = PersistentMemory::from_image(bytes, profile);
 
         let committed: HashSet<u64> = records
@@ -2477,6 +2488,51 @@ mod tests {
             PersistentHeap::recover(image).unwrap_err(),
             HeapError::CorruptHeader
         );
+    }
+
+    #[test]
+    fn damaged_log_address_is_refused_not_replayed() {
+        let log_end = LOG_BASE + log_capacity(ByteSize::kib(256)).as_u64();
+        for config in [HeapConfig::FocStm, HeapConfig::FocUndo] {
+            for committed in [true, false] {
+                let mut h = heap(config);
+                let p = put_one(&mut h, 0x1111);
+                if committed {
+                    // Redo replays this record; undo keeps it.
+                    let mut tx = h.begin();
+                    tx.write_word(p, 0x2222).unwrap();
+                    tx.commit().unwrap();
+                } else if config == HeapConfig::FocStm {
+                    // STM logs writes only at commit: its in-flight record
+                    // is a prepared global transaction, presumed aborted.
+                    h.prepare_distributed(GTXID_BASE + 1, &[(p.offset(), 0x3333)])
+                        .unwrap();
+                } else {
+                    // Undo rolls this record back.
+                    let mut tx = h.begin();
+                    tx.write_word(p, 0x3333).unwrap();
+                    std::mem::forget(tx);
+                }
+                // Flip bit 40 of every logged address word aimed at `p`.
+                let mut image = h.crash(false);
+                let hits: Vec<usize> = (LOG_BASE as usize..log_end as usize)
+                    .step_by(8)
+                    .filter(|&at| {
+                        let word = u64::from_le_bytes(image.bytes[at..at + 8].try_into().unwrap());
+                        word & !(1 << 63) == p.offset()
+                    })
+                    .collect();
+                assert!(!hits.is_empty(), "{config}: no logged address");
+                for at in hits {
+                    image.bytes[at + 5] ^= 1;
+                }
+                assert_eq!(
+                    PersistentHeap::recover(image).unwrap_err(),
+                    HeapError::CorruptHeader,
+                    "{config} committed={committed}"
+                );
+            }
+        }
     }
 
     #[test]

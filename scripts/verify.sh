@@ -61,10 +61,6 @@ for workload in xshard_group outage_resume; do
         run --workload "$workload" --seed 7 --seconds 1
 done
 
-echo "== grouped split-resolution sweep: serial and sharded must agree =="
-WSP_FAULTSIM_THREADS=1 cargo test -q --offline --test crash_consistency grouped_split
-WSP_FAULTSIM_THREADS=4 cargo test -q --offline --test crash_consistency grouped_split
-
 echo "== lock-free interleaving sweep: fixed-seed corpus at both worker counts =="
 WSP_FAULTSIM_THREADS=1 cargo test -q --release --offline --test lockfree_detect
 WSP_FAULTSIM_THREADS=4 cargo test -q --release --offline --test lockfree_detect

@@ -16,9 +16,14 @@
 
 use std::collections::HashMap;
 
-use wsp_det::{gen, Forall, Gen};
+use wsp_det::{gen, DetRng, Forall, Gen, Rng};
+use wsp_repro::cluster::ClusterSpec;
 use wsp_repro::pheap::{HeapConfig, HeapError, PersistentHeap};
 use wsp_repro::units::ByteSize;
+use wsp_repro::wsp::faultsim::run_2pc_point;
+use wsp_repro::wsp::{
+    committed_fleet, resolve_cross_shard, CoordinatorPool, TxnCrashPoint, TxnPointVerdict,
+};
 use wsp_repro::workloads::{PmAvlTree, PmHashTable};
 
 #[derive(Debug, Clone, Copy)]
@@ -65,6 +70,15 @@ fn apply_table(
     Ok(())
 }
 
+/// The flush-on-commit configuration a generated `use_stm` picks.
+fn foc_config(use_stm: bool) -> HeapConfig {
+    if use_stm {
+        HeapConfig::FocStm
+    } else {
+        HeapConfig::FocUndo
+    }
+}
+
 fn check_matches_model(
     table: &PmHashTable,
     heap: &mut PersistentHeap,
@@ -83,11 +97,7 @@ fn check_matches_model(
 /// Flush-on-commit heaps recover the exact committed prefix after an
 /// unsaved crash, regardless of where the crash lands.
 fn check_foc_recovers_committed_prefix(ops: &[Op], crash_at: usize, use_stm: bool) {
-    let config = if use_stm {
-        HeapConfig::FocStm
-    } else {
-        HeapConfig::FocUndo
-    };
+    let config = foc_config(use_stm);
     let mut heap = PersistentHeap::create(ByteSize::kib(512), config);
     let table = PmHashTable::create(&mut heap, 32).unwrap();
     let mut model = HashMap::new();
@@ -246,11 +256,7 @@ fn check_repeated_crash_during_restore(
     crashes: usize,
     use_stm: bool,
 ) {
-    let config = if use_stm {
-        HeapConfig::FocStm
-    } else {
-        HeapConfig::FocUndo
-    };
+    let config = foc_config(use_stm);
     let mut heap = PersistentHeap::create(ByteSize::kib(512), config);
     let table = PmHashTable::create(&mut heap, 32).unwrap();
     let mut model = HashMap::new();
@@ -298,11 +304,7 @@ fn check_epoch_recovers_last_sealed_epoch(
     seal_every: usize,
     use_stm: bool,
 ) {
-    let config = if use_stm {
-        HeapConfig::FocStm
-    } else {
-        HeapConfig::FocUndo
-    };
+    let config = foc_config(use_stm);
     let mut heap = PersistentHeap::create(ByteSize::kib(512), config);
     let table = PmHashTable::create(&mut heap, 32).unwrap();
     // Oversized epoch: seals happen only where this test places them,
@@ -370,11 +372,7 @@ fn check_flit_elision_is_invisible(txs: &[Vec<(usize, u64)>], use_stm: bool) {
     use wsp_repro::pheap::PmPtr;
 
     const CELLS: usize = 4;
-    let config = if use_stm {
-        HeapConfig::FocStm
-    } else {
-        HeapConfig::FocUndo
-    };
+    let config = foc_config(use_stm);
     let build = |flit: bool| -> (PersistentHeap, Vec<PmPtr>) {
         let mut heap = PersistentHeap::create(ByteSize::kib(256), config);
         let mut tx = heap.begin();
@@ -597,147 +595,47 @@ fn fixed_seed_regression_corpus() {
 // ---------------------------------------------------------------------------
 
 /// Drives one randomly generated cross-shard transaction over a
-/// three-shard fleet to a randomly chosen 2PC step, cuts power on the
-/// whole fleet, resolves it against the coordinator's decision log, and
-/// checks the bank invariant: the write-set is visible on every shard
-/// or on none — no crash point may expose a partial write-set.
+/// three-shard fleet to a randomly chosen 2PC crash point of the sweep,
+/// cuts power on the whole fleet, resolves it against the coordinator's
+/// decision log, and checks the bank invariant with the sweep's own
+/// driver and oracle: the write-set is visible on every shard or on
+/// none — no crash point may expose a partial write-set.
 fn check_cross_shard_all_or_nothing(
     ops: &[(usize, usize, u64)],
     step_pick: usize,
     sub_step: u64,
     use_stm: bool,
 ) {
-    use wsp_repro::cluster::ClusterSpec;
-    use wsp_repro::pheap::PmPtr;
-    use wsp_repro::wsp::{resolve_cross_shard, CoordinatorPool};
-
     const SHARDS: usize = 3;
     const CELLS: usize = 4;
-    let config = if use_stm {
-        HeapConfig::FocStm
-    } else {
-        HeapConfig::FocUndo
-    };
-
-    // A committed baseline cell grid on every shard.
-    let mut heaps: Vec<PersistentHeap> = Vec::with_capacity(SHARDS);
-    let mut cells: Vec<Vec<(PmPtr, u64)>> = Vec::with_capacity(SHARDS);
-    for s in 0..SHARDS {
-        let mut heap = PersistentHeap::create(ByteSize::kib(256), config);
-        let mut tx = heap.begin();
-        let base = tx.alloc(CELLS as u64 * 64).unwrap();
-        let mut sc = Vec::with_capacity(CELLS);
-        for i in 0..CELLS {
-            let p = base.byte_offset(i as u64 * 64);
-            let v = 1_000 + (s * CELLS + i) as u64;
-            tx.write_word(p, v).unwrap();
-            sc.push((p, v));
-        }
-        tx.set_root(base).unwrap();
-        tx.commit().unwrap();
-        heaps.push(heap);
-        cells.push(sc);
-    }
-
-    // One coordinator deciding each transaction on its own record;
-    // per-shard steps call the heap's distributed-commit primitives.
-    let mut pool = CoordinatorPool::new(1, 1);
-    let mut txn = pool.begin(0, SHARDS);
-    for &(shard, cell, value) in ops {
-        let (shard, cell) = (shard % SHARDS, cell % CELLS);
-        txn.stage(shard, cells[shard][cell].0.offset(), value);
-    }
-    let participants = txn.participants();
-    let gtxid = txn.gtxid();
-    let first = participants[0];
-
-    // Drive the protocol to the generated crash step. 0 = pre-prepare,
-    // 1 = between prepares, 2 = all prepared / no decision, 3 = decided
-    // / no shard marker, 4 = decided / first marker durable, 5 = first
-    // participant dies `sub_step` words into its prepare seal, 6 =
-    // first participant's commit marker torn or fenced.
-    let mut decided = false;
-    let mut mid_prepare: Option<u64> = None;
-    let mut mid_commit: Option<bool> = None;
-    let decide = |pool: &mut CoordinatorPool, heaps: &mut [PersistentHeap]| {
-        assert!(pool.prepare(0, heaps, &txn).unwrap().is_none());
-        pool.buffer_decision(0, &txn);
-        pool.seal_decisions(0);
-    };
-    match step_pick % 7 {
-        0 => {}
-        1 => {
-            heaps[first]
-                .prepare_distributed(gtxid, txn.writes_for(first))
-                .unwrap();
-        }
-        2 => {
-            assert!(pool.prepare(0, &mut heaps, &txn).unwrap().is_none());
-        }
-        3 | 4 => {
-            decide(&mut pool, &mut heaps);
-            decided = true;
-            if step_pick % 7 == 4 {
-                heaps[first].commit_distributed(gtxid).unwrap();
-            }
-        }
-        5 => mid_prepare = Some(sub_step),
-        6 => {
-            decide(&mut pool, &mut heaps);
-            decided = true;
-            mid_commit = Some(sub_step.is_multiple_of(2));
-        }
-        _ => unreachable!(),
-    }
-
-    // Power fails everywhere at once.
-    let coordinator_image = pool.crash_image();
-    let images = heaps
-        .into_iter()
-        .enumerate()
-        .map(|(shard, heap)| {
-            Some(match (shard == first, mid_prepare, mid_commit) {
-                (true, Some(step), _) => {
-                    heap.crash_mid_prepare(gtxid, txn.writes_for(shard), step)
-                }
-                (true, None, Some(durable)) => heap.crash_mid_commit(gtxid, durable),
-                _ => heap.crash(false),
-            })
-        })
-        .collect();
-
-    let recovery = resolve_cross_shard(&coordinator_image, images, &ClusterSpec::memcache_tier(8));
-    assert_eq!(
-        recovery.decided.contains(&gtxid),
-        decided,
-        "decision durability must match the protocol step"
-    );
-    assert!(recovery.fully_recovered(), "no shard image was lost");
-
-    // The model: baseline, plus the whole write-set iff decided.
-    let mut expected: Vec<HashMap<u64, u64>> = cells
+    let config = foc_config(use_stm);
+    let (heaps, model) = committed_fleet(config, SHARDS, CELLS, 64, &mut DetRng::seed_from_u64(1));
+    let script = [ops
         .iter()
-        .map(|sc| sc.iter().map(|&(p, v)| (p.offset(), v)).collect())
-        .collect();
-    if decided {
-        for &(shard, cell, value) in ops {
-            let (shard, cell) = (shard % SHARDS, cell % CELLS);
-            expected[shard].insert(cells[shard][cell].0.offset(), value);
-        }
-    }
-    for mut shard_rec in recovery.shards {
-        let shard = shard_rec.shard;
-        let heap = shard_rec.heap.as_mut().unwrap();
-        let mut check = heap.begin();
-        for (&addr, &want) in &expected[shard] {
-            let got = check.read_word(PmPtr::new(addr).unwrap()).unwrap();
-            assert_eq!(
-                got, want,
-                "shard {shard} cell {addr:#x}: partial write-set exposed at step {step_pick}"
-            );
-        }
-        check.commit().unwrap();
-    }
+        .map(|&(shard, cell, value)| (shard % SHARDS, cell % CELLS, value))
+        .collect()];
+
+    // The generated step, on transaction 0. Steps 5 and 6 crash the
+    // first participant `sub_step` words into its prepare seal, or on a
+    // torn or fenced commit marker.
+    let txn = 0;
+    let point = match step_pick % 7 {
+        0 => TxnCrashPoint::CoordPrePrepare { txn },
+        1 => TxnCrashPoint::BetweenPrepares { txn, prepared: 1 },
+        2 => TxnCrashPoint::PostPrepareNoDecision { txn },
+        3 => TxnCrashPoint::PostDecisionPreCommit { txn },
+        4 => TxnCrashPoint::BetweenShardCommits { txn, committed: 1 },
+        5 => TxnCrashPoint::ShardMidPrepare { txn, step: sub_step },
+        _ => TxnCrashPoint::ShardMidCommit { txn, marker_durable: sub_step.is_multiple_of(2) },
+    };
+    let cluster = ClusterSpec::memcache_tier(8);
+    let verdict = run_2pc_point(config, &heaps, &model, &script, &cluster, point);
+    let want = if point.decision_durable() {
+        TxnPointVerdict::CommittedEverywhere
+    } else {
+        TxnPointVerdict::AbortedEverywhere
+    };
+    assert_eq!(verdict, want, "{config} at {point:?}");
 }
 
 fn xshard_ops() -> Gen<Vec<(usize, usize, u64)>> {
@@ -783,47 +681,24 @@ fn cross_shard_fixed_seed_corpus() {
 /// one recovery pass over that shared flush must split them — A applied
 /// everywhere, B presumed-abort everywhere — with nothing in between.
 fn check_interleaved_in_flight_txns(use_stm: bool, interleave: usize) {
-    use wsp_repro::cluster::ClusterSpec;
-    use wsp_repro::pheap::PmPtr;
-    use wsp_repro::wsp::{resolve_cross_shard, CoordinatorPool};
-
     const SHARDS: usize = 3;
-    let config = if use_stm {
-        HeapConfig::FocStm
-    } else {
-        HeapConfig::FocUndo
-    };
+    let config = foc_config(use_stm);
 
     // Baseline: two committed cells per shard, on distinct lines. A
     // writes cell 0, B writes cell 1 — disjoint even on the shared
     // shard, as in-flight write-sets must be (the undo flavour applies
     // prepares in place).
-    let mut heaps: Vec<PersistentHeap> = Vec::with_capacity(SHARDS);
-    let mut cells: Vec<Vec<(PmPtr, u64)>> = Vec::with_capacity(SHARDS);
-    for s in 0..SHARDS {
-        let mut heap = PersistentHeap::create(ByteSize::kib(256), config);
-        let mut tx = heap.begin();
-        let base = tx.alloc(2 * 64).unwrap();
-        let mut sc = Vec::with_capacity(2);
-        for i in 0..2 {
-            let p = base.byte_offset(i as u64 * 64);
-            let v = 500 + (s * 2 + i) as u64;
-            tx.write_word(p, v).unwrap();
-            sc.push((p, v));
-        }
-        tx.set_root(base).unwrap();
-        tx.commit().unwrap();
-        heaps.push(heap);
-        cells.push(sc);
-    }
-
+    let (mut heaps, mut model) =
+        committed_fleet(config, SHARDS, 2, 64, &mut DetRng::seed_from_u64(interleave as u64));
+    let a_writes = [(0, 0, 7_001), (1, 0, 7_002)];
     let mut pool = CoordinatorPool::new(1, 1);
     let mut txn_a = pool.begin(0, SHARDS);
-    txn_a.stage(0, cells[0][0].0.offset(), 7_001);
-    txn_a.stage(1, cells[1][0].0.offset(), 7_002);
+    for &(shard, cell, value) in &a_writes {
+        txn_a.stage(shard, model.cell(shard, cell).offset(), value);
+    }
     let mut txn_b = pool.begin(0, SHARDS);
-    txn_b.stage(1, cells[1][1].0.offset(), 8_001);
-    txn_b.stage(2, cells[2][1].0.offset(), 8_002);
+    txn_b.stage(1, model.cell(1, 1).offset(), 8_001);
+    txn_b.stage(2, model.cell(2, 1).offset(), 8_002);
 
     // Three interleavings of the four prepares; every one ends with
     // both write-sets durable in shard 1's log and only A decided.
@@ -852,30 +727,11 @@ fn check_interleaved_in_flight_txns(use_stm: bool, interleave: usize) {
 
     // A landed everywhere, B nowhere — shard 1 resolved both from the
     // same recovered log, one commit and one presumed abort.
-    let mut expected: Vec<Vec<u64>> = cells
-        .iter()
-        .map(|sc| sc.iter().map(|&(_, v)| v).collect())
-        .collect();
-    expected[0][0] = 7_001;
-    expected[1][0] = 7_002;
-    for mut shard_rec in recovery.shards {
-        let shard = shard_rec.shard;
-        if shard == 1 {
-            let resolution = shard_rec.resolution.as_ref().unwrap();
-            assert!(resolution.committed.contains(&txn_a.gtxid()), "{config}");
-            assert!(resolution.aborted.contains(&txn_b.gtxid()), "{config}");
-        }
-        let heap = shard_rec.heap.as_mut().unwrap();
-        let mut check = heap.begin();
-        for (cell, &want) in expected[shard].iter().enumerate() {
-            let got = check.read_word(cells[shard][cell].0).unwrap();
-            assert_eq!(
-                got, want,
-                "{config} interleave {interleave}: shard {shard} cell {cell}"
-            );
-        }
-        check.commit().unwrap();
-    }
+    let resolution = recovery.shards[1].resolution.as_ref().unwrap();
+    assert!(resolution.committed.contains(&txn_a.gtxid()), "{config}");
+    assert!(resolution.aborted.contains(&txn_b.gtxid()), "{config}");
+    model.apply(&a_writes);
+    model.audit_fleet(recovery, None, format_args!("{config} interleave {interleave}"));
 }
 
 #[test]
@@ -896,118 +752,26 @@ fn interleaved_in_flight_txns_resolve_split() {
 /// must attribute each durable decision to the coordinator generation
 /// that sealed it.
 fn check_grouped_split(use_stm: bool, seed: u64, split: usize) {
-    use wsp_det::{DetRng, Rng};
-    use wsp_repro::cluster::ClusterSpec;
-    use wsp_repro::pheap::PmPtr;
-    use wsp_repro::wsp::{
-        coordinator_of, resolve_cross_shard, CoordinatorPool, SubmitOutcome,
-    };
-
     const SHARDS: usize = 3;
     const TXNS: usize = 4;
-    const POOL_COORDS: usize = 2;
-    let config = if use_stm {
-        HeapConfig::FocStm
-    } else {
-        HeapConfig::FocUndo
-    };
+    let config = foc_config(use_stm);
     let mut rng = DetRng::seed_from_u64(seed);
 
     // Baseline: one committed cell per transaction per shard, so the
     // concurrently-prepared write sets stay pairwise disjoint.
-    let mut heaps: Vec<PersistentHeap> = Vec::with_capacity(SHARDS);
-    let mut cells: Vec<Vec<(PmPtr, u64)>> = Vec::with_capacity(SHARDS);
-    for _ in 0..SHARDS {
-        let mut heap = PersistentHeap::create(ByteSize::kib(256), config);
-        let mut tx = heap.begin();
-        let base = tx.alloc(TXNS as u64 * 64).unwrap();
-        let mut sc = Vec::with_capacity(TXNS);
-        for i in 0..TXNS {
-            let p = base.byte_offset(i as u64 * 64);
-            let v = rng.gen::<u64>();
-            tx.write_word(p, v).unwrap();
-            sc.push((p, v));
-        }
-        tx.set_root(base).unwrap();
-        tx.commit().unwrap();
-        heaps.push(heap);
-        cells.push(sc);
-    }
-
-    // Large group size: the seal below is the only one, covering
-    // exactly the first `split` decisions.
-    let mut pool = CoordinatorPool::new(POOL_COORDS, TXNS + 1);
-    let mut gtxids = Vec::with_capacity(TXNS);
-    let mut staged: Vec<Vec<(usize, u64)>> = Vec::with_capacity(TXNS);
-    #[allow(clippy::needless_range_loop)]
-    for t in 0..TXNS {
-        let coordinator = t % POOL_COORDS;
-        let mut txn = pool.begin(coordinator, SHARDS);
-        let mut writes = Vec::new();
-        for shard in [t % SHARDS, (t + 1) % SHARDS] {
-            let value = rng.gen::<u64>();
-            txn.stage(shard, cells[shard][t].0.offset(), value);
-            writes.push((shard, value));
-        }
-        assert_eq!(
-            pool.submit(coordinator, &mut heaps, &txn).unwrap(),
-            SubmitOutcome::Buffered,
-            "{config} seed {seed}: txn {t}"
-        );
-        gtxids.push(txn.gtxid());
-        staged.push(writes);
-        if t + 1 == split {
-            assert_eq!(pool.seal_decisions(coordinator), split);
-        }
-    }
-
-    // One outage takes the fleet before any phase 2.
-    let coordinator_image = pool.crash_image();
-    let images = heaps.into_iter().map(|h| Some(h.crash(false))).collect();
-    let recovery =
-        resolve_cross_shard(&coordinator_image, images, &ClusterSpec::memcache_tier(8));
-    assert!(recovery.fully_recovered(), "{config} seed {seed}");
-
-    let recovered = CoordinatorPool::recover(&coordinator_image, POOL_COORDS, TXNS + 1);
-    let mut expected: Vec<Vec<u64>> = cells
-        .iter()
-        .map(|sc| sc.iter().map(|&(_, v)| v).collect())
+    let (heaps, model) = committed_fleet(config, SHARDS, TXNS, 64, &mut rng);
+    let script: Vec<Vec<(usize, usize, u64)>> = (0..TXNS)
+        .map(|t| [t % SHARDS, (t + 1) % SHARDS].map(|shard| (shard, t, rng.gen())).to_vec())
         .collect();
-    for (t, &gtxid) in gtxids.iter().enumerate() {
-        let sealed = t < split;
-        assert_eq!(
-            recovery.decided.contains(&gtxid),
-            sealed,
-            "{config} seed {seed} split {split}: txn {t}"
-        );
-        let origin = recovered.attribute(gtxid);
-        if sealed {
-            let origin = origin.expect("sealed decision attributes");
-            assert_eq!(origin.coordinator, t % POOL_COORDS, "{config} seed {seed}");
-            assert_eq!(origin.generation, 1, "{config} seed {seed}");
-            for &(shard, value) in &staged[t] {
-                expected[shard][t] = value;
-            }
-        } else {
-            assert_eq!(origin, None, "{config} seed {seed}: txn {t}");
-        }
-        assert_eq!(coordinator_of(gtxid), t % POOL_COORDS, "{config} seed {seed}");
-    }
-
-    // The sealed members landed everywhere, the buffered tail nowhere.
-    for mut shard_rec in recovery.shards {
-        let shard = shard_rec.shard;
-        let heap = shard_rec.heap.as_mut().unwrap();
-        let mut check = heap.begin();
-        for (cell, &want) in expected[shard].iter().enumerate() {
-            let got = check.read_word(cells[shard][cell].0).unwrap();
-            assert_eq!(
-                got, want,
-                "{config} seed {seed} split {split}: shard {shard} cell {cell}"
-            );
-        }
-        check.commit().unwrap();
-    }
+    let point = TxnCrashPoint::GroupInterleavedSplit { sealed: split };
+    assert_eq!(
+        run_2pc_point(config, &heaps, &model, &script, &ClusterSpec::memcache_tier(8), point),
+        TxnPointVerdict::SplitResolved {
+            committed: split,
+            aborted: TXNS - split
+        },
+        "{config} seed {seed}"
+    );
 }
 
 /// Fixed-seed matrix for the grouped split: both FoC configs, every
