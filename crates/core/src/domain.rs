@@ -41,7 +41,7 @@ use wsp_units::Nanos;
 
 use crate::feasibility::{pool_save_feasibility, SaveFeasibility};
 use crate::layout;
-use crate::supervisor::MARKER_COST;
+use crate::supervisor::{MARKER_COST, SAVE_ATTEMPTS};
 use crate::WspError;
 
 /// Pool modules reserved for the domain's control state (CPU contexts,
@@ -149,8 +149,6 @@ pub struct DomainBudget {
     /// and every later one do not execute
     /// (see [`domain_decision_points`]).
     pub cut_decision: Option<usize>,
-    /// Save-command attempts per module (0 is treated as 1).
-    pub max_attempts: u32,
 }
 
 impl DomainBudget {
@@ -160,7 +158,6 @@ impl DomainBudget {
         DomainBudget {
             window_cap: None,
             cut_decision: None,
-            max_attempts: crate::supervisor::SaveBudget::DEFAULT_ATTEMPTS,
         }
     }
 }
@@ -221,7 +218,7 @@ impl DomainSaveReport {
 /// the triage gate, the contexts stage, then a flush and a seal
 /// decision per rank, and the final control-region arm.
 #[must_use]
-pub fn domain_decision_points(shards: usize) -> usize {
+pub const fn domain_decision_points(shards: usize) -> usize {
     3 + 2 * shards
 }
 
@@ -308,7 +305,6 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
     let regions = RegionMap::partition(machine.nvram(), shard_count, DOMAIN_CONTROL_MODULES);
     let arm_cost = monitor.i2c_command_latency;
     let contexts_cost = profile.context_save;
-    let attempts = budget.max_attempts.max(1);
 
     // Decision 0b: feasibility + triage plan. The scores and needs are
     // probed on clones — planning costs no trace events.
@@ -612,10 +608,11 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
         }
         used += MARKER_COST;
         let arm_window = window.saturating_sub(used + arm_cost);
-        match machine
-            .nvram_mut()
-            .save_range_within(region.modules.clone(), attempts, arm_window)
-        {
+        match machine.nvram_mut().save_range_within(
+            region.modules.clone(),
+            SAVE_ATTEMPTS,
+            arm_window,
+        ) {
             Ok(r) => {
                 used += arm_cost + r.backoff;
                 retries += r.retries;
@@ -656,10 +653,11 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
     decisions_taken = control_decision + 1;
     if used + arm_cost <= window {
         let arm_window = window.saturating_sub(used + arm_cost);
-        match machine
-            .nvram_mut()
-            .save_range_within(0..DOMAIN_CONTROL_MODULES, attempts, arm_window)
-        {
+        match machine.nvram_mut().save_range_within(
+            0..DOMAIN_CONTROL_MODULES,
+            SAVE_ATTEMPTS,
+            arm_window,
+        ) {
             Ok(r) => {
                 used += arm_cost + r.backoff;
                 retries += r.retries;

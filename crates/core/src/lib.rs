@@ -96,7 +96,7 @@ pub use storm::{
 };
 pub use supervisor::{
     clean_failure_trace, glitch_storm_trace, priority_stage_window, supervised_save,
-    SaveBudget, SaveVerdict, StagedSaveReport, PARTIAL_STAGE_SLACK,
+    SaveBudget, SaveVerdict, StagedSaveReport, PARTIAL_STAGE_SLACK, SAVE_ATTEMPTS,
 };
 pub use system::{OutageReport, WspSystem};
 pub use tradeoff::{CapacitanceTradeoff, TradeoffPoint};

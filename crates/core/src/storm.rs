@@ -54,16 +54,22 @@ use crate::WspError;
 /// in-doubt pairs, cell 2 the presumed-abort half.
 const STORM_CELLS: usize = 3;
 
-/// One storm scenario: how many outages, how the triage is biased, and
-/// which recovery rung each follow-on outage lands on.
+/// Shards sharing the power domain: the interleaved in-doubt pairs need
+/// a third participant.
+const STORM_SHARDS: usize = 3;
+
+/// Sequential micro-outages per storm: three full rotations of the
+/// triage decision points (27 — every decision cut crossed with every
+/// ladder rung).
+const STORM_OUTAGES: usize = 3 * domain_decision_points(STORM_SHARDS);
+
+/// One storm scenario: how the triage is biased and which recovery rung
+/// each follow-on outage lands on. Every storm fires 27 outages over
+/// three shards (three full rotations of the triage decision points).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StormSpec {
     /// Heap configuration for every shard (must be flush-on-commit).
     pub config: HeapConfig,
-    /// Shards sharing the power domain.
-    pub shards: usize,
-    /// Sequential micro-outages to fire.
-    pub outages: usize,
     /// Pin the coordinator's home shard (shard 0) to zero staleness so
     /// the triage ranks it last and tight windows sacrifice it — the
     /// adversarial case for cross-shard decisions.
@@ -74,16 +80,11 @@ pub struct StormSpec {
 }
 
 impl StormSpec {
-    /// The standard storm: three shards, three full rotations of the
-    /// triage decision points (27 outages — every decision cut crossed
-    /// with every ladder rung).
+    /// The standard storm: no triage bias, rung rotation from phase 0.
     #[must_use]
     pub fn standard(config: HeapConfig) -> Self {
-        let shards = 3;
         StormSpec {
             config,
-            shards,
-            outages: 3 * domain_decision_points(shards),
             sacrifice_coordinator: false,
             rung_phase: 0,
         }
@@ -252,8 +253,7 @@ fn climb(
 /// # Panics
 ///
 /// Panics when `spec.config` is not flush-on-commit (cross-shard 2PC
-/// cannot prepare), when `spec.shards < 3` (the interleaved pairs need
-/// a third participant), and on any invariant violation.
+/// cannot prepare), and on any invariant violation.
 #[must_use]
 #[allow(clippy::too_many_lines)]
 pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
@@ -262,9 +262,8 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
         "power storm needs a flush-on-commit configuration, got {}",
         spec.config
     );
-    assert!(spec.shards >= 3, "power storm needs >= 3 shards");
     let mut rng = DetRng::seed_from_u64(seed);
-    let shards = spec.shards;
+    let shards = STORM_SHARDS;
     let decisions = domain_decision_points(shards);
     let load = SystemLoad::Busy;
 
@@ -297,7 +296,7 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
     let cluster = ClusterSpec::memcache_tier(8);
 
     let mut stats = StormStats {
-        outages: spec.outages,
+        outages: STORM_OUTAGES,
         committed_txns: 0,
         presumed_aborts: 0,
         complete: 0,
@@ -313,7 +312,7 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
         final_cells: Vec::new(),
     };
 
-    for k in 0..spec.outages {
+    for k in 0..STORM_OUTAGES {
         // ---- Foreground work: one committed cross-shard transfer.
         let a = k % shards;
         let b = (k + 1) % shards;
@@ -413,7 +412,6 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
             budget: DomainBudget {
                 window_cap,
                 cut_decision: Some(cut),
-                ..DomainBudget::trusting()
             },
         })
         .expect("storm outages yield verdicts, not errors");
@@ -646,7 +644,7 @@ mod tests {
         assert!(stats.outages >= 24, "{} outages", stats.outages);
         assert_eq!(
             stats.decision_cuts.len(),
-            domain_decision_points(spec.shards),
+            domain_decision_points(STORM_SHARDS),
             "every triage decision point crashed: {:?}",
             stats.decision_cuts
         );

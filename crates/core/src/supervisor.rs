@@ -83,6 +83,11 @@ impl SaveVerdict {
     }
 }
 
+/// Save-command attempts per module, for the supervised save and the
+/// domain save alike: transient command failures are retried this many
+/// times in all.
+pub const SAVE_ATTEMPTS: u32 = 3;
+
 /// Budget constraints for a supervised save, beyond the measured window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SaveBudget {
@@ -93,22 +98,16 @@ pub struct SaveBudget {
     /// promises (an injected mid-save brown-out): any step that would
     /// finish after this instant does not execute.
     pub cut: Option<Nanos>,
-    /// Save-command attempts per module (0 is treated as 1).
-    pub max_attempts: u32,
 }
 
 impl SaveBudget {
-    /// Default save-command retry budget.
-    pub const DEFAULT_ATTEMPTS: u32 = 3;
-
-    /// The unconstrained budget: trust the measured window, retry the
-    /// save command up to [`SaveBudget::DEFAULT_ATTEMPTS`] times.
+    /// The unconstrained budget: trust the measured window (the save
+    /// command is still retried up to [`SAVE_ATTEMPTS`] times).
     #[must_use]
     pub fn trusting() -> Self {
         SaveBudget {
             window_cap: None,
             cut: None,
-            max_attempts: Self::DEFAULT_ATTEMPTS,
         }
     }
 }
@@ -436,12 +435,14 @@ pub fn supervised_save(
             stage_b,
         ));
     }
-    let attempts = budget.max_attempts.max(1);
     // Retry backoff is bounded by what the window still holds after the
     // arm itself: a command that keeps flaking inside a glitch storm
     // must refuse, not spin simulated time past the outage.
     let arm_window = window.saturating_sub(used + arm_cost);
-    let pool_report = match machine.nvram_mut().save_all_within(attempts, arm_window) {
+    let pool_report = match machine
+        .nvram_mut()
+        .save_all_within(SAVE_ATTEMPTS, arm_window)
+    {
         Ok(r) => r,
         Err(NvramError::SaveCommandFailed { attempts }) => {
             return Ok(fail(

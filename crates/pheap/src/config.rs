@@ -1,9 +1,7 @@
-//! Heap configurations (the five bars of Figure 5) and the
-//! instrumentation-overhead cost model.
+//! Heap configurations (the five bars of Figure 5) and the fixed
+//! instrumentation costs.
 
 use std::fmt;
-
-use wsp_units::Nanos;
 
 /// The five persistent-heap configurations the paper evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -118,65 +116,46 @@ impl fmt::Display for HeapConfig {
 /// Instrumentation costs that are *not* memory accesses: compiler-inserted
 /// read/write barriers, transactional-context setup, commit-time
 /// validation. Calibrated against the paper's observations (e.g. the 60 %
-/// read-only overhead of FoC + UL comes almost entirely from `tx_begin`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OverheadModel {
+/// read-only overhead of FoC + UL comes almost entirely from [`TX_BEGIN`]).
+pub mod cost {
+    use wsp_units::Nanos;
+
     /// Creating a transactional context (stack setup, log reservation).
-    pub tx_begin: Nanos,
+    pub const TX_BEGIN: Nanos = Nanos::new(40);
     /// Per instrumented read: write-set lookup on the read path.
-    pub stm_read: Nanos,
+    pub const STM_READ: Nanos = Nanos::new(35);
     /// Per instrumented write: write-set append.
-    pub stm_write: Nanos,
+    pub const STM_WRITE: Nanos = Nanos::new(40);
     /// Additional read cost per write-set entry scanned for
     /// read-your-own-writes.
-    pub stm_ws_scan: Nanos,
+    pub const STM_WS_SCAN: Nanos = Nanos::new(1);
     /// Per-record cost of a *flushed* redo-log append (streaming-store
     /// pipeline stalls and torn-bit bookkeeping on the Mnemosyne path).
-    pub redo_append: Nanos,
+    pub const REDO_APPEND: Nanos = Nanos::new(60);
     /// Commit-time validation, per read-set entry.
-    pub stm_validate: Nanos,
+    pub const STM_VALIDATE: Nanos = Nanos::new(10);
     /// Per write in an undo-logged transaction: "already logged?" check.
-    pub undo_check: Nanos,
+    pub const UNDO_CHECK: Nanos = Nanos::new(8);
     /// Per read under epoch group commit: one hash probe of the epoch's
-    /// write-behind buffer. Much cheaper than [`OverheadModel::stm_read`] —
-    /// no version checks or ownership records, just an L1-resident lookup.
-    pub epoch_lookup: Nanos,
+    /// write-behind buffer. Much cheaper than [`STM_READ`] — no version
+    /// checks or ownership records, just an L1-resident lookup.
+    pub const EPOCH_LOOKUP: Nanos = Nanos::new(6);
     /// Per write under epoch group commit: appending to the volatile
     /// write-behind buffer (vector push + index insert).
-    pub epoch_buffer: Nanos,
+    pub const EPOCH_BUFFER: Nanos = Nanos::new(12);
     /// Per access with FliT tracking active: one probe of the
     /// L1-resident per-word flush table. Replaces the separate
-    /// write-set scan ([`OverheadModel::stm_read`] +
-    /// [`OverheadModel::stm_ws_scan`]) and epoch-buffer lookup
-    /// ([`OverheadModel::epoch_lookup`]) — the table answers both
-    /// questions in one cache hit.
-    pub flit_probe: Nanos,
+    /// write-set scan ([`STM_READ`] + [`STM_WS_SCAN`]) and epoch-buffer
+    /// lookup ([`EPOCH_LOOKUP`]) — the table answers both questions in
+    /// one cache hit.
+    pub const FLIT_PROBE: Nanos = Nanos::new(5);
     /// Per tracked write whose word already has a pending record: the
     /// in-place value update that elides a redundant log record and
     /// flush.
-    pub flit_hit: Nanos,
+    pub const FLIT_HIT: Nanos = Nanos::new(4);
     /// Per tracked write to a word with no pending record: table insert
     /// plus write-set append.
-    pub flit_insert: Nanos,
-}
-
-impl Default for OverheadModel {
-    fn default() -> Self {
-        OverheadModel {
-            tx_begin: Nanos::new(40),
-            stm_read: Nanos::new(35),
-            stm_write: Nanos::new(40),
-            stm_ws_scan: Nanos::new(1),
-            redo_append: Nanos::new(60),
-            stm_validate: Nanos::new(10),
-            undo_check: Nanos::new(8),
-            epoch_lookup: Nanos::new(6),
-            epoch_buffer: Nanos::new(12),
-            flit_probe: Nanos::new(5),
-            flit_hit: Nanos::new(4),
-            flit_insert: Nanos::new(9),
-        }
-    }
+    pub const FLIT_INSERT: Nanos = Nanos::new(9);
 }
 
 #[cfg(test)]

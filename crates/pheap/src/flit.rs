@@ -29,42 +29,21 @@
 //! (an abort would then read stale memory), and a read wants both
 //! answers from one probe.
 //!
-//! The table itself follows the [`linetable`](crate::linetable) idiom:
-//! power-of-two capacity, SplitMix64 probe starts, linear probing,
-//! growth at ~75% load. There is no deletion — generation tags make
-//! entries self-invalidating, and the population is bounded by the
-//! heap's distinct hot words, so the table plateaus at working-set
-//! size and stays cache-resident.
+//! The entries live in the heap's one [`OpenTable`], the same table as
+//! the dirty-line overlay. Nothing is ever removed — generation tags
+//! make entries self-invalidating, and the population is bounded by the
+//! heap's distinct hot words, so the table plateaus at working-set size
+//! and stays cache-resident.
 
-/// Slot marker for "no entry". Word addresses are 8-byte aligned heap
-/// offsets, so the all-ones value can never be a real key.
-const EMPTY: u64 = u64::MAX;
+use crate::linetable::{OpenTable, Slot};
 
 /// Generation tag for "never written". Txids and epoch generations both
 /// start at 1, so 0 matches nothing.
 const NEVER: u64 = 0;
 
-/// Initial slot count (power of two). Sized for a transaction-scale
-/// working set without growth; cloning stays cheap for crash sweeps.
-const INITIAL_SLOTS: usize = 64;
-
-/// Maximum load numerator: grow when `len * 4 > slots * 3`.
-const LOAD_NUM: usize = 3;
-
-/// SplitMix64 finalizer, identical to the dirty-line overlay's mix.
-#[inline]
-fn mix(key: u64) -> u64 {
-    let mut z = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// One tracked word: where its pending records live, if anywhere.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FlitEntry {
-    /// Word address (key).
-    addr: u64,
     /// Txid of the transaction whose write set holds this word, or
     /// [`NEVER`].
     pub(crate) tx_gen: u64,
@@ -77,52 +56,28 @@ pub(crate) struct FlitEntry {
     pub(crate) epoch_slot: usize,
 }
 
-const VACANT: FlitEntry = FlitEntry {
-    addr: EMPTY,
-    tx_gen: NEVER,
-    tx_slot: 0,
-    epoch_gen: NEVER,
-    epoch_slot: 0,
-};
+impl Slot for FlitEntry {
+    const VACANT: Self = FlitEntry {
+        tx_gen: NEVER,
+        tx_slot: 0,
+        epoch_gen: NEVER,
+        epoch_slot: 0,
+    };
+}
 
 /// The per-word flush-tracking table: word address → pending-record
 /// locations, generation-tagged for O(1) bulk invalidation.
 #[derive(Debug, Clone)]
-pub(crate) struct FlitTable {
-    entries: Box<[FlitEntry]>,
-    len: usize,
-}
+pub(crate) struct FlitTable(OpenTable<FlitEntry>);
 
 impl FlitTable {
     pub(crate) fn new() -> Self {
-        FlitTable {
-            entries: vec![VACANT; INITIAL_SLOTS].into_boxed_slice(),
-            len: 0,
-        }
+        FlitTable(OpenTable::new())
     }
 
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    #[inline]
-    fn mask(&self) -> usize {
-        self.entries.len() - 1
-    }
-
-    /// Slot holding `addr`, or the vacant slot where it would go.
-    #[inline]
-    fn probe(&self, addr: u64) -> usize {
-        let mask = self.mask();
-        let mut slot = (mix(addr) as usize) & mask;
-        loop {
-            let e = &self.entries[slot];
-            if e.addr == addr || e.addr == EMPTY {
-                return slot;
-            }
-            slot = (slot + 1) & mask;
-        }
+        self.0.len()
     }
 
     /// One probe answering both "is this word in the open transaction's
@@ -131,19 +86,13 @@ impl FlitTable {
     /// generations; a copy is returned so no borrow is held.
     #[inline]
     pub(crate) fn lookup(&self, addr: u64) -> Option<FlitEntry> {
-        let e = &self.entries[self.probe(addr)];
-        if e.addr == addr {
-            Some(*e)
-        } else {
-            None
-        }
+        self.0.get(addr).copied()
     }
 
     /// Records that `addr` now lives at `write_set[tx_slot]` of the
     /// transaction `tx_gen`. Preserves any epoch slot already tracked.
     pub(crate) fn note_tx_write(&mut self, addr: u64, tx_gen: u64, tx_slot: usize) {
-        let slot = self.slot_for_insert(addr);
-        let e = &mut self.entries[slot];
+        let e = self.0.get_mut_or_insert_with(addr, || FlitEntry::VACANT);
         e.tx_gen = tx_gen;
         e.tx_slot = tx_slot;
     }
@@ -152,41 +101,9 @@ impl FlitTable {
     /// epoch batch `epoch_gen`. Preserves any transaction slot already
     /// tracked.
     pub(crate) fn note_epoch_write(&mut self, addr: u64, epoch_gen: u64, epoch_slot: usize) {
-        let slot = self.slot_for_insert(addr);
-        let e = &mut self.entries[slot];
+        let e = self.0.get_mut_or_insert_with(addr, || FlitEntry::VACANT);
         e.epoch_gen = epoch_gen;
         e.epoch_slot = epoch_slot;
-    }
-
-    /// Finds (or creates) the entry slot for `addr`, growing first if
-    /// an insert would cross the load limit.
-    fn slot_for_insert(&mut self, addr: u64) -> usize {
-        let mut slot = self.probe(addr);
-        if self.entries[slot].addr == EMPTY {
-            if (self.len + 1) * 4 > self.entries.len() * LOAD_NUM {
-                self.grow();
-                slot = self.probe(addr);
-            }
-            self.entries[slot].addr = addr;
-            self.len += 1;
-        }
-        slot
-    }
-
-    fn grow(&mut self) {
-        let new_cap = self.entries.len() * 2;
-        let old = std::mem::replace(
-            &mut self.entries,
-            vec![VACANT; new_cap].into_boxed_slice(),
-        );
-        for e in old.iter().filter(|e| e.addr != EMPTY) {
-            let mask = self.mask();
-            let mut slot = (mix(e.addr) as usize) & mask;
-            while self.entries[slot].addr != EMPTY {
-                slot = (slot + 1) & mask;
-            }
-            self.entries[slot] = *e;
-        }
     }
 }
 

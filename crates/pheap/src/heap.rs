@@ -13,8 +13,8 @@ use wsp_units::{ByteSize, Nanos};
 use crate::alloc::WordStore;
 use crate::flit::FlitTable;
 use crate::{
-    FreeListAllocator, HeapConfig, HeapError, HeapStats, LogRecord, OverheadModel,
-    PersistentMemory, RecordKind, Stm, TornLog,
+    cost, FreeListAllocator, HeapConfig, HeapError, HeapStats, LogRecord, PersistentMemory,
+    RecordKind, Stm, TornLog,
 };
 
 /// Region magic ("WSPHEAP0" as little-endian bytes).
@@ -339,7 +339,6 @@ fn coalesce(writes: &[(u64, u64)]) -> Vec<(u64, u64)> {
 pub struct PersistentHeap {
     mem: PersistentMemory,
     config: HeapConfig,
-    overheads: OverheadModel,
     alloc: FreeListAllocator,
     log: TornLog,
     stm: Stm,
@@ -373,27 +372,16 @@ impl PersistentHeap {
     /// Panics if `capacity` is smaller than 64 KiB.
     #[must_use]
     pub fn create(capacity: ByteSize, config: HeapConfig) -> Self {
-        Self::create_with(
-            capacity,
-            config,
-            CpuProfile::intel_c5528(),
-            OverheadModel::default(),
-        )
+        Self::create_with(capacity, config, CpuProfile::intel_c5528())
     }
 
-    /// Creates a fresh heap with an explicit CPU profile and overhead
-    /// model.
+    /// Creates a fresh heap on an explicit CPU profile.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is smaller than 64 KiB.
     #[must_use]
-    pub fn create_with(
-        capacity: ByteSize,
-        config: HeapConfig,
-        profile: CpuProfile,
-        overheads: OverheadModel,
-    ) -> Self {
+    pub fn create_with(capacity: ByteSize, config: HeapConfig, profile: CpuProfile) -> Self {
         assert!(
             capacity >= ByteSize::kib(64),
             "heap region must be at least 64 KiB"
@@ -416,7 +404,6 @@ impl PersistentHeap {
         PersistentHeap {
             mem,
             config,
-            overheads,
             alloc,
             log,
             stm: Stm::new(1024),
@@ -795,7 +782,7 @@ impl PersistentHeap {
     /// immediately and commit is free) — the WSP programming model.
     pub fn begin(&mut self) -> Tx<'_> {
         self.mem.charge(if self.config.transactional() {
-            self.overheads.tx_begin
+            cost::TX_BEGIN
         } else {
             Nanos::ZERO
         });
@@ -831,6 +818,21 @@ impl PersistentHeap {
             poisoned: None,
             finished: false,
         }
+    }
+
+    /// Whether transactions buffer their writes in the write set instead
+    /// of applying them in place: always under STM, and for the undo
+    /// flavour under epoch group commit. The one predicate behind the
+    /// buffered read and write barriers and the buffered rollback.
+    fn buffers_writes(&self) -> bool {
+        self.config.uses_stm() || (self.config.uses_undo_log() && self.epoch.is_some())
+    }
+
+    /// Whether the FliT table tracks the buffered writes (epoch mode with
+    /// elision on); otherwise the barriers take the reference write-set
+    /// scan.
+    fn flit_tracking(&self) -> bool {
+        self.flit_enabled && self.epoch.is_some()
     }
 
     fn check_word_addr(&self, addr: u64) -> Result<(), HeapError> {
@@ -914,7 +916,7 @@ impl PersistentHeap {
     /// replayed — fall back to the storage back end), or
     /// [`HeapError::CorruptHeader`] for an unrecognisable image.
     pub fn recover_partial(image: CrashImage) -> Result<Self, HeapError> {
-        Self::recover_inner(image, OverheadModel::default(), true, None).map(|(heap, _)| heap)
+        Self::recover_inner(image, true, None).map(|(heap, _)| heap)
     }
 
     /// Durable steps an epoch seal would run right now, across *both*
@@ -1239,12 +1241,7 @@ impl PersistentHeap {
     /// without a completed save (the caller must refresh from the back
     /// end), or [`HeapError::CorruptHeader`] for an unrecognisable image.
     pub fn recover(image: CrashImage) -> Result<Self, HeapError> {
-        Self::recover_with(image, OverheadModel::default())
-    }
-
-    /// [`PersistentHeap::recover`] with an explicit overhead model.
-    pub fn recover_with(image: CrashImage, overheads: OverheadModel) -> Result<Self, HeapError> {
-        Self::recover_inner(image, overheads, false, None).map(|(heap, _)| heap)
+        Self::recover_inner(image, false, None).map(|(heap, _)| heap)
     }
 
     /// Recovers a two-phase-commit participant shard, resolving in-doubt
@@ -1263,12 +1260,11 @@ impl PersistentHeap {
         image: CrashImage,
         decided: impl Fn(u64) -> bool,
     ) -> Result<(Self, TxnResolution), HeapError> {
-        Self::recover_inner(image, OverheadModel::default(), false, Some(&decided))
+        Self::recover_inner(image, false, Some(&decided))
     }
 
     fn recover_inner(
         image: CrashImage,
-        overheads: OverheadModel,
         partial: bool,
         resolver: Option<&dyn Fn(u64) -> bool>,
     ) -> Result<(Self, TxnResolution), HeapError> {
@@ -1430,7 +1426,6 @@ impl PersistentHeap {
                 alloc: FreeListAllocator::new(ALLOC_HEAD_ADDR, heap_start, capacity.as_u64()),
                 mem,
                 config,
-                overheads,
                 log,
                 stm: Stm::new(1024),
                 next_txid,
@@ -1500,48 +1495,36 @@ impl Tx<'_> {
 
     fn read_addr(&mut self, addr: u64) -> Result<u64, HeapError> {
         self.heap.check_word_addr(addr)?;
-        if self.heap.config.uses_stm() {
-            if self.heap.flit_enabled && self.heap.epoch.is_some() {
-                // FliT read barrier: one L1-resident probe answers both
-                // "did this transaction already write the word?" and "is
-                // it buffered in a live epoch generation?" — replacing
-                // the write-set scan and the separate epoch-buffer
-                // lookup.
-                self.heap.mem.charge(self.heap.overheads.flit_probe);
-                let hit = self.heap.flit.lookup(addr);
-                if let Some(e) = hit {
-                    if e.tx_gen == self.txid {
-                        return Ok(self.write_set[e.tx_slot].1);
-                    }
-                }
-                let stripe = self.heap.stm.stripe_of(addr);
-                let version = self.heap.stm.stripe_version(addr);
-                if version > self.rv {
-                    return Err(HeapError::Conflict);
-                }
-                if self.read_stripes.insert(stripe) {
-                    self.read_set.push((stripe, version));
-                }
-                if let Some(e) = hit {
-                    if let Some(v) = self
-                        .heap
-                        .epoch
-                        .as_ref()
-                        .and_then(|ep| ep.gen_value(e.epoch_gen, e.epoch_slot))
-                    {
-                        return Ok(v);
-                    }
-                }
-                return Ok(self.heap.mem.read_u64(addr));
+        if !self.heap.buffers_writes() {
+            return Ok(self.heap.mem.read_u64(addr));
+        }
+        // The buffered read barrier. This transaction's own writes first:
+        // one FliT probe, which also answers "is it buffered in a live
+        // epoch generation?", or the reference write-set scan.
+        let stm = self.heap.config.uses_stm();
+        let flit = self.heap.flit_tracking();
+        let mut hit = None;
+        if flit {
+            self.heap.mem.charge(cost::FLIT_PROBE);
+            hit = self.heap.flit.lookup(addr);
+            if let Some(e) = hit.filter(|e| e.tx_gen == self.txid) {
+                return Ok(self.write_set[e.tx_slot].1);
             }
-            self.heap.mem.charge(
-                self.heap.overheads.stm_read
-                    + self.heap.overheads.stm_ws_scan * self.write_set.len() as u64,
-            );
-            // Read-your-own-writes from the write set, newest first.
+        } else {
+            let lookup = if stm {
+                cost::STM_READ
+            } else {
+                cost::EPOCH_LOOKUP
+            };
+            self.heap
+                .mem
+                .charge(lookup + cost::STM_WS_SCAN * self.write_set.len() as u64);
+            // Newest first: a later write to the word wins.
             if let Some(&(_, v)) = self.write_set.iter().rev().find(|&&(a, _)| a == addr) {
                 return Ok(v);
             }
+        }
+        if stm {
             let stripe = self.heap.stm.stripe_of(addr);
             let version = self.heap.stm.stripe_version(addr);
             if version > self.rv {
@@ -1550,47 +1533,21 @@ impl Tx<'_> {
             if self.read_stripes.insert(stripe) {
                 self.read_set.push((stripe, version));
             }
-            // Earlier transactions in the open epoch committed into the
-            // write-behind buffer; their values are not in memory yet.
-            if let Some(epoch) = &self.heap.epoch {
-                self.heap.mem.charge(self.heap.overheads.epoch_lookup);
-                if let Some(v) = epoch.buffered_value(addr) {
-                    return Ok(v);
+        }
+        // Earlier transactions in the open epoch committed into the
+        // write-behind buffer; their values are not in memory yet.
+        if let Some(epoch) = &self.heap.epoch {
+            let buffered = if flit {
+                hit.and_then(|e| epoch.gen_value(e.epoch_gen, e.epoch_slot))
+            } else {
+                if stm {
+                    // STM's scan charge covered only the write set.
+                    self.heap.mem.charge(cost::EPOCH_LOOKUP);
                 }
-            }
-        } else if self.heap.config.uses_undo_log() && self.heap.epoch.is_some() {
-            // Undo-flavour epoch mode buffers writes instead of applying
-            // them in place, so reads go through the buffers: this
-            // transaction's own writes first, then the live epoch
-            // generations'.
-            if self.heap.flit_enabled {
-                self.heap.mem.charge(self.heap.overheads.flit_probe);
-                if let Some(e) = self.heap.flit.lookup(addr) {
-                    if e.tx_gen == self.txid {
-                        return Ok(self.write_set[e.tx_slot].1);
-                    }
-                    if let Some(v) = self
-                        .heap
-                        .epoch
-                        .as_ref()
-                        .and_then(|ep| ep.gen_value(e.epoch_gen, e.epoch_slot))
-                    {
-                        return Ok(v);
-                    }
-                }
-                return Ok(self.heap.mem.read_u64(addr));
-            }
-            self.heap.mem.charge(
-                self.heap.overheads.epoch_lookup
-                    + self.heap.overheads.stm_ws_scan * self.write_set.len() as u64,
-            );
-            if let Some(&(_, v)) = self.write_set.iter().rev().find(|&&(a, _)| a == addr) {
+                epoch.buffered_value(addr)
+            };
+            if let Some(v) = buffered {
                 return Ok(v);
-            }
-            if let Some(epoch) = &self.heap.epoch {
-                if let Some(v) = epoch.buffered_value(addr) {
-                    return Ok(v);
-                }
             }
         }
         Ok(self.heap.mem.read_u64(addr))
@@ -1605,59 +1562,47 @@ impl Tx<'_> {
         self.write_addr(ptr.offset(), value)
     }
 
-    /// The FliT write barrier shared by both epoch-mode flavours: probe
-    /// the per-word table, update the pending write-set entry in place
-    /// on a hit (eliding the duplicate record and the flush it would
-    /// become), append and tag on a miss.
-    fn flit_buffered_write(&mut self, addr: u64, value: u64) {
-        match self
-            .heap
-            .flit
-            .lookup(addr)
-            .filter(|e| e.tx_gen == self.txid)
-        {
-            Some(e) => {
-                self.heap.mem.charge(self.heap.overheads.flit_hit);
-                self.write_set[e.tx_slot].1 = value;
-                obs::count(obs::Ctr::FlushSkipped);
-            }
-            None => {
-                self.heap.mem.charge(self.heap.overheads.flit_insert);
-                let slot = self.write_set.len();
-                self.write_set.push((addr, value));
-                self.heap.flit.note_tx_write(addr, self.txid, slot);
-            }
-        }
-    }
-
     fn write_addr(&mut self, addr: u64, value: u64) -> Result<(), HeapError> {
         self.heap.check_word_addr(addr)?;
         let config = self.heap.config;
-        if config.uses_stm() {
-            if self.heap.flit_enabled && self.heap.epoch.is_some() {
-                self.flit_buffered_write(addr, value);
-                return Ok(());
-            }
-            self.heap.mem.charge(self.heap.overheads.stm_write);
-            self.write_set.push((addr, value));
-            return Ok(());
-        }
-        if config.uses_undo_log() {
-            if self.heap.epoch.is_some() {
-                // Epoch group commit: buffer the write volatile — no undo
-                // record, no fence, no in-place store. The seal logs old
-                // values and applies the whole epoch at once.
-                if self.heap.flit_enabled {
-                    self.flit_buffered_write(addr, value);
-                    return Ok(());
-                }
-                self.heap
-                    .mem
-                    .charge(self.heap.overheads.undo_check + self.heap.overheads.epoch_buffer);
+        if self.heap.buffers_writes() {
+            // The buffered write barrier: no undo record, no fence, no
+            // in-place store. Commit applies the write set (STM) or hands
+            // it to the epoch, whose seal logs and applies it at once.
+            if !self.heap.flit_tracking() {
+                self.heap.mem.charge(if config.uses_stm() {
+                    cost::STM_WRITE
+                } else {
+                    cost::UNDO_CHECK + cost::EPOCH_BUFFER
+                });
                 self.write_set.push((addr, value));
                 return Ok(());
             }
-            self.heap.mem.charge(self.heap.overheads.undo_check);
+            // FliT: a hit updates the pending write-set entry in place,
+            // eliding the duplicate record and the flush it would become;
+            // a miss appends and tags.
+            match self
+                .heap
+                .flit
+                .lookup(addr)
+                .filter(|e| e.tx_gen == self.txid)
+            {
+                Some(e) => {
+                    self.heap.mem.charge(cost::FLIT_HIT);
+                    self.write_set[e.tx_slot].1 = value;
+                    obs::count(obs::Ctr::FlushSkipped);
+                }
+                None => {
+                    self.heap.mem.charge(cost::FLIT_INSERT);
+                    let slot = self.write_set.len();
+                    self.write_set.push((addr, value));
+                    self.heap.flit.note_tx_write(addr, self.txid, slot);
+                }
+            }
+            return Ok(());
+        }
+        if config.uses_undo_log() {
+            self.heap.mem.charge(cost::UNDO_CHECK);
             let fresh = self
                 .fresh_allocs
                 .iter()
@@ -1826,6 +1771,31 @@ impl Tx<'_> {
     fn commit_inner(&mut self) -> Result<(), HeapError> {
         self.finished = true;
         let config = self.heap.config;
+        if config.uses_stm() {
+            self.heap
+                .mem
+                .charge(cost::STM_VALIDATE * self.read_set.len() as u64);
+            if !self.heap.stm.validate(self.rv, &self.read_set) {
+                self.heap.stats.conflicts += 1;
+                return Err(HeapError::Conflict);
+            }
+        }
+        if self.heap.epoch.is_some() {
+            // Epoch group commit, either flavour: hand the buffered write
+            // set to the epoch. Nothing touched NVRAM during this
+            // transaction, so a crash before the seal simply loses the
+            // whole epoch — atomically — and the seal writes one
+            // coalesced, fenced record batch for it.
+            self.heap.stats.commits += 1;
+            if !self.write_set.is_empty() {
+                if config.uses_stm() {
+                    self.heap.stm.commit(self.write_set.iter().map(|&(a, _)| a));
+                }
+                let write_set = std::mem::take(&mut self.write_set);
+                self.heap.epoch_absorb(self.txid, &write_set);
+            }
+            return Ok(());
+        }
         match config {
             HeapConfig::Fof => {
                 self.heap.stats.commits += 1;
@@ -1834,17 +1804,6 @@ impl Tx<'_> {
             HeapConfig::FocUndo | HeapConfig::FofUndo => {
                 self.heap.stats.commits += 1;
                 let flush = config.flush_on_commit();
-                if flush && self.heap.epoch.is_some() {
-                    // Epoch group commit: hand the buffered write set to
-                    // the epoch. Nothing touched NVRAM during this
-                    // transaction, so a crash before the seal simply loses
-                    // the whole epoch — atomically.
-                    if !self.write_set.is_empty() {
-                        let write_set = std::mem::take(&mut self.write_set);
-                        self.heap.epoch_absorb(self.txid, &write_set);
-                    }
-                    return Ok(());
-                }
                 if self.undo_order.is_empty() && self.touched_lines.is_empty() {
                     // Read-only: nothing to make durable, no marker needed.
                     return Ok(());
@@ -1878,27 +1837,9 @@ impl Tx<'_> {
             }
             HeapConfig::FocStm | HeapConfig::FofStm => {
                 let flush = config.flush_on_commit();
-                self.heap.mem.charge(
-                    self.heap.overheads.stm_validate * self.read_set.len() as u64,
-                );
-                if !self.heap.stm.validate(self.rv, &self.read_set) {
-                    self.heap.stats.conflicts += 1;
-                    return Err(HeapError::Conflict);
-                }
                 if self.write_set.is_empty() {
                     // Read-only: validated, nothing to log or apply.
                     self.heap.stats.commits += 1;
-                    return Ok(());
-                }
-                if flush && self.heap.epoch.is_some() {
-                    // Epoch group commit: no log traffic at all — the
-                    // write set is buffered write-behind and the seal
-                    // writes one coalesced, fenced record batch for the
-                    // whole epoch.
-                    self.heap.stats.commits += 1;
-                    self.heap.stm.commit(self.write_set.iter().map(|&(a, _)| a));
-                    let write_set = std::mem::take(&mut self.write_set);
-                    self.heap.epoch_absorb(self.txid, &write_set);
                     return Ok(());
                 }
                 // Make room in the log for the whole commit record set;
@@ -1919,7 +1860,7 @@ impl Tx<'_> {
                 if flush {
                     self.heap
                         .mem
-                        .charge(self.heap.overheads.redo_append * self.write_set.len() as u64);
+                        .charge(cost::REDO_APPEND * self.write_set.len() as u64);
                 }
                 for &(addr, value) in &self.write_set {
                     self.heap.log.append(
@@ -1968,45 +1909,40 @@ impl Tx<'_> {
         self.heap.stats.aborts += 1;
         obs::count(obs::Ctr::TxAborts);
         let config = self.heap.config;
-        if config.uses_undo_log() {
-            let flush = config.flush_on_commit();
-            if flush && self.heap.epoch.is_some() {
-                // Epoch mode: the transaction's writes were buffered, never
-                // applied and never logged — discarding them is the whole
-                // rollback.
-                self.write_set.clear();
-                return;
+        if self.heap.buffers_writes() || !config.uses_undo_log() {
+            // Buffered writes were never applied and never logged (plain
+            // FoF has none): discarding them is the whole rollback.
+            self.write_set.clear();
+            return;
+        }
+        let flush = config.flush_on_commit();
+        for &(addr, old) in self.undo_order.iter().rev() {
+            self.heap.mem.write_u64(addr, old);
+        }
+        if flush {
+            let lines: Vec<u64> = self.touched_lines.iter().copied().collect();
+            for line in lines {
+                self.heap.mem.clflush_range(line * LINE_SIZE, LINE_SIZE);
             }
-            for &(addr, old) in self.undo_order.iter().rev() {
-                self.heap.mem.write_u64(addr, old);
-            }
-            if flush {
-                let lines: Vec<u64> = self.touched_lines.iter().copied().collect();
-                for line in lines {
-                    self.heap.mem.clflush_range(line * LINE_SIZE, LINE_SIZE);
-                }
-                self.heap.mem.sfence();
-            } else {
-                // Flush-on-fail: the rolled-back old values live only in
-                // cache; track the lines for the priority flush.
-                for &line in &self.touched_lines {
-                    self.heap.unflushed_lines.insert(line);
-                }
-            }
-            // The abort marker is an optimization (recovery rolls back
-            // any uncommitted records anyway); skip it rather than
-            // panic when in-doubt records have pinned the log full.
-            if self.heap.log.free_words() >= 1 {
-                self.heap
-                    .log
-                    .append(&mut self.heap.mem, &LogRecord::abort(self.txid), flush);
-                if flush {
-                    self.heap.mem.sfence();
-                }
+            self.heap.mem.sfence();
+        } else {
+            // Flush-on-fail: the rolled-back old values live only in
+            // cache; track the lines for the priority flush.
+            for &line in &self.touched_lines {
+                self.heap.unflushed_lines.insert(line);
             }
         }
-        // STM / plain: buffered writes are simply discarded.
-        self.write_set.clear();
+        // The abort marker is an optimization (recovery rolls back any
+        // uncommitted records anyway); skip it rather than panic when
+        // in-doubt records have pinned the log full.
+        if self.heap.log.free_words() >= 1 {
+            self.heap
+                .log
+                .append(&mut self.heap.mem, &LogRecord::abort(self.txid), flush);
+            if flush {
+                self.heap.mem.sfence();
+            }
+        }
     }
 }
 
@@ -3016,6 +2952,83 @@ mod tests {
         tx.commit().unwrap();
         // And the live heap still works.
         assert_eq!(h.epoch().unwrap().pending(), 1);
+    }
+
+    /// The script `per_access_charges_are_pinned` runs on a heap with one
+    /// 64-byte block: three words written (one twice), an own write and
+    /// an untouched word read back, commit; a second transaction reading
+    /// a word the first wrote (still buffered under epoch mode); a third
+    /// aborted after one write; a full seal. Returns the simulated time
+    /// the script charged.
+    fn barrier_script_charge(config: HeapConfig, epoch: u64, flit: bool) -> u64 {
+        let mut h = heap(config);
+        let p = {
+            let mut tx = h.begin();
+            let p = tx.alloc(64).unwrap();
+            tx.commit().unwrap();
+            p
+        };
+        h.set_epoch_size(epoch);
+        h.set_flit_enabled(flit);
+        let t0 = h.elapsed();
+        let mut tx = h.begin();
+        tx.write_word(p.field(0), 1).unwrap();
+        tx.write_word(p.field(1), 2).unwrap();
+        tx.write_word(p.field(0), 3).unwrap();
+        tx.write_word(p.field(2), 4).unwrap();
+        assert_eq!(tx.read_word(p.field(0)).unwrap(), 3);
+        assert_eq!(tx.read_word(p.field(5)).unwrap(), 0);
+        tx.commit().unwrap();
+        let mut tx = h.begin();
+        assert_eq!(tx.read_word(p.field(1)).unwrap(), 2);
+        tx.commit().unwrap();
+        let mut tx = h.begin();
+        tx.write_word(p.field(3), 9).unwrap();
+        tx.abort();
+        h.seal_epoch();
+        (h.elapsed() - t0).as_nanos()
+    }
+
+    #[test]
+    fn per_access_charges_are_pinned() {
+        use HeapConfig::*;
+        // Simulated ns per (config, epoch size, FliT on) barrier cell.
+        // Every read/write barrier branch, the commit and abort of each
+        // flavour and the epoch seal land in one of these cells.
+        const PINNED: [(HeapConfig, u64, bool, u64); 20] = [
+            (FocStm, 1, true, 1043),
+            (FocStm, 1, false, 1043),
+            (FocStm, 8, true, 545),
+            (FocStm, 8, false, 817),
+            (FocUndo, 1, true, 1404),
+            (FocUndo, 1, false, 1404),
+            (FocUndo, 8, true, 726),
+            (FocUndo, 8, false, 799),
+            (FofStm, 1, true, 681),
+            (FofStm, 1, false, 681),
+            (FofStm, 8, true, 681),
+            (FofStm, 8, false, 681),
+            (FofUndo, 1, true, 404),
+            (FofUndo, 1, false, 404),
+            (FofUndo, 8, true, 404),
+            (FofUndo, 8, false, 404),
+            (Fof, 1, true, 16),
+            (Fof, 1, false, 16),
+            (Fof, 8, true, 16),
+            (Fof, 8, false, 16),
+        ];
+        let actual: Vec<_> = PINNED
+            .iter()
+            .map(|&(config, epoch, flit, _)| {
+                (
+                    config,
+                    epoch,
+                    flit,
+                    barrier_script_charge(config, epoch, flit),
+                )
+            })
+            .collect();
+        assert_eq!(actual, PINNED);
     }
 
     #[test]

@@ -67,7 +67,7 @@ mod stm;
 
 pub use alloc::FreeListAllocator;
 pub use backend::{BackendStore, RecoveryLadder, RecoverySource};
-pub use config::{HeapConfig, OverheadModel};
+pub use config::{cost, HeapConfig};
 pub use error::HeapError;
 pub use heap::{
     CrashImage, EpochCommitter, PersistentHeap, PmPtr, Tx, TxnResolution, GTXID_BASE,

@@ -1,33 +1,47 @@
-//! An open-addressed dirty-line table with inline 64-byte payloads.
+//! The open-addressed `u64`-keyed table behind the heap's per-access
+//! path: the dirty-line overlay of [`PersistentMemory`](crate::PersistentMemory)
+//! and the FliT per-word table ([`FlitTable`](crate::flit::FlitTable))
+//! are both an [`OpenTable`]. Every simulated load and store probes one
+//! or both, so the table is built for that shape rather than generality:
 //!
-//! [`PersistentMemory`](crate::PersistentMemory) keeps one overlay entry
-//! per dirty cache line. The table sits on the simulator's per-access
-//! path (every simulated load and store probes it), so it is built for
-//! that shape rather than generality:
-//!
-//! * keys are line indices — already well distributed after one cheap
-//!   64-bit mix, no SipHash,
-//! * payloads are inline `[u8; 64]` line images stored next to their
-//!   keys — no per-line boxing, no pointer chase on hit,
+//! * keys are line indices or word addresses — already well distributed
+//!   after one cheap 64-bit mix, no SipHash,
+//! * values are stored inline in an array beside the keys — no
+//!   per-entry boxing, no pointer chase on hit,
 //! * deletion uses backward-shift compaction, so probe chains never
 //!   accumulate tombstones across the millions of dirty/flush cycles a
 //!   crash sweep performs.
 //!
 //! Capacity is a power of two; probing is linear. The table grows at
 //! ~75% load and never shrinks (a memory's dirty-line population is
-//! bounded by its cache geometry, which is fixed at construction).
+//! bounded by its cache geometry, and the FliT population by the heap's
+//! distinct hot words).
 
 use wsp_cache::LINE_SIZE;
 
 /// One cache line's bytes.
 pub(crate) type Payload = [u8; LINE_SIZE as usize];
 
-/// Slot marker for "no entry". Line indices are addresses divided by the
-/// line size, so the all-ones value can never be a real key.
+/// The dirty-line overlay: line index → current line bytes.
+pub(crate) type LineTable = OpenTable<Payload>;
+
+/// A value an [`OpenTable`] can hold; [`Slot::VACANT`] fills the slots
+/// no key occupies.
+pub(crate) trait Slot: Copy {
+    /// The value of an unoccupied slot (and of a fresh FliT entry).
+    const VACANT: Self;
+}
+
+impl Slot for Payload {
+    const VACANT: Self = [0; LINE_SIZE as usize];
+}
+
+/// Slot marker for "no entry". Keys are line indices or 8-byte aligned
+/// word addresses, so the all-ones value can never be a real key.
 const EMPTY: u64 = u64::MAX;
 
 /// Initial slot count (power of two). Small enough that cloning a clean
-/// memory stays cheap — crash sweeps clone the whole heap per crash
+/// table stays cheap — crash sweeps clone the whole heap per crash
 /// point — while covering a typical transaction's write set without
 /// growth.
 const INITIAL_SLOTS: usize = 64;
@@ -35,7 +49,7 @@ const INITIAL_SLOTS: usize = 64;
 /// Maximum load numerator: grow when `len * 4 > slots * 3`.
 const LOAD_NUM: usize = 3;
 
-/// SplitMix64 finalizer: the mix that turns sequential line indices into
+/// SplitMix64 finalizer: the mix that turns sequential keys into
 /// well-spread probe starts.
 #[inline]
 fn mix(key: u64) -> u64 {
@@ -45,19 +59,19 @@ fn mix(key: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The dirty-line overlay: line index → current line bytes.
+/// An open-addressed map from `u64` keys to inline `V` values.
 #[derive(Debug, Clone)]
-pub(crate) struct LineTable {
+pub(crate) struct OpenTable<V: Slot> {
     keys: Box<[u64]>,
-    vals: Box<[Payload]>,
+    vals: Box<[V]>,
     len: usize,
 }
 
-impl LineTable {
+impl<V: Slot> OpenTable<V> {
     pub(crate) fn new() -> Self {
-        LineTable {
+        OpenTable {
             keys: vec![EMPTY; INITIAL_SLOTS].into_boxed_slice(),
-            vals: vec![[0u8; LINE_SIZE as usize]; INITIAL_SLOTS].into_boxed_slice(),
+            vals: vec![V::VACANT; INITIAL_SLOTS].into_boxed_slice(),
             len: 0,
         }
     }
@@ -100,48 +114,25 @@ impl LineTable {
     }
 
     #[inline]
-    pub(crate) fn get(&self, key: u64) -> Option<&Payload> {
+    pub(crate) fn get(&self, key: u64) -> Option<&V> {
         self.find(key).map(|i| &self.vals[i])
     }
 
     #[cfg(test)]
-    pub(crate) fn get_mut(&mut self, key: u64) -> Option<&mut Payload> {
+    pub(crate) fn get_mut(&mut self, key: u64) -> Option<&mut V> {
         self.find(key).map(|i| &mut self.vals[i])
     }
 
     /// Inserts `key → val`, overwriting any existing entry.
     #[cfg(test)]
-    pub(crate) fn insert(&mut self, key: u64, val: Payload) {
-        debug_assert_ne!(key, EMPTY);
-        if (self.len + 1) * 4 > self.keys.len() * LOAD_NUM {
-            self.grow();
-        }
-        let mask = self.mask();
-        let mut i = mix(key) as usize & mask;
-        loop {
-            let k = self.keys[i];
-            if k == key {
-                self.vals[i] = val;
-                return;
-            }
-            if k == EMPTY {
-                self.keys[i] = key;
-                self.vals[i] = val;
-                self.len += 1;
-                return;
-            }
-            i = (i + 1) & mask;
-        }
+    pub(crate) fn insert(&mut self, key: u64, val: V) {
+        *self.get_mut_or_insert_with(key, || val) = val;
     }
 
-    /// Returns the payload for `key`, inserting `fill()` first if absent
+    /// Returns the value for `key`, inserting `fill()` first if absent
     /// — the store path's materialise-and-update in a single probe.
     #[inline]
-    pub(crate) fn get_mut_or_insert_with(
-        &mut self,
-        key: u64,
-        fill: impl FnOnce() -> Payload,
-    ) -> &mut Payload {
+    pub(crate) fn get_mut_or_insert_with(&mut self, key: u64, fill: impl FnOnce() -> V) -> &mut V {
         debug_assert_ne!(key, EMPTY);
         if (self.len + 1) * 4 > self.keys.len() * LOAD_NUM {
             self.grow();
@@ -163,9 +154,9 @@ impl LineTable {
         }
     }
 
-    /// Removes `key`, returning its payload. Compacts the probe chain by
+    /// Removes `key`, returning its value. Compacts the probe chain by
     /// backward shifting, so no tombstones are left behind.
-    pub(crate) fn remove(&mut self, key: u64) -> Option<Payload> {
+    pub(crate) fn remove(&mut self, key: u64) -> Option<V> {
         let mut hole = self.find(key)?;
         let val = self.vals[hole];
         self.len -= 1;
@@ -192,13 +183,10 @@ impl LineTable {
 
     fn grow(&mut self) {
         let new_slots = self.keys.len() * 2;
-        let old_keys = std::mem::replace(
-            &mut self.keys,
-            vec![EMPTY; new_slots].into_boxed_slice(),
-        );
+        let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; new_slots].into_boxed_slice());
         let old_vals = std::mem::replace(
             &mut self.vals,
-            vec![[0u8; LINE_SIZE as usize]; new_slots].into_boxed_slice(),
+            vec![V::VACANT; new_slots].into_boxed_slice(),
         );
         let mask = self.mask();
         for (slot, &k) in old_keys.iter().enumerate() {

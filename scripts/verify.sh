@@ -54,8 +54,8 @@ for scenario in host_paths ladder group_commit xshard flit power_domain lockfree
         run "$scenario" --quick > /dev/null
 done
 
-echo "== repo benchmark audits over the 2PC pool (balances, acked values after recovery) =="
-for workload in xshard_group outage_resume; do
+echo "== repo benchmark audits (FliT + epoch barriers, FoF overlay, 2PC pool, outage resume) =="
+for workload in ycsb_a_foc hash_big_fof xshard_group outage_resume; do
     cargo run --release --quiet --offline \
         --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
         run --workload "$workload" --seed 7 --seconds 1

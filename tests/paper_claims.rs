@@ -167,13 +167,11 @@ fn scm_widen_fof_advantage() {
     let dram_profile = CpuProfile::intel_c5528();
     let scm_profile = CpuProfile::intel_c5528().with_scm(10.0);
     let ratio_on = |profile: CpuProfile| {
-        let overheads = wsp_repro::pheap::OverheadModel::default();
         let run = |config| {
             let mut heap = wsp_repro::pheap::PersistentHeap::create_with(
                 ByteSize::mib(8),
                 config,
                 profile.clone(),
-                overheads,
             );
             let table = wsp_repro::workloads::PmHashTable::create(&mut heap, 512).unwrap();
             let t0 = heap.elapsed();
