@@ -31,8 +31,7 @@
 //!
 //! [`NvramPool::save_range_within`]: wsp_nvram::NvramPool::save_range_within
 
-use wsp_cache::FlushMethod;
-use wsp_machine::{CpuContext, Machine, SystemLoad};
+use wsp_machine::{Machine, SystemLoad};
 use wsp_nvram::{NvramError, RegionMap};
 use wsp_obs as obs;
 use wsp_pheap::PersistentHeap;
@@ -41,7 +40,8 @@ use wsp_units::Nanos;
 
 use crate::feasibility::{pool_save_feasibility, SaveFeasibility};
 use crate::layout;
-use crate::supervisor::{MARKER_COST, SAVE_ATTEMPTS};
+use crate::save::save_contexts;
+use crate::supervisor::{bulk_flush, detection, stage_a_probe, MARKER_COST, SAVE_ATTEMPTS};
 use crate::WspError;
 
 /// Pool modules reserved for the domain's control state (CPU contexts,
@@ -222,6 +222,24 @@ pub const fn domain_decision_points(shards: usize) -> usize {
     3 + 2 * shards
 }
 
+/// The triage's fixed need ahead of every shard: outage detection, the
+/// CPU contexts and the control-region arm.
+pub(crate) fn fixed_need(machine: &Machine) -> Nanos {
+    detection(machine) + machine.profile().context_save + machine.monitor().i2c_command_latency
+}
+
+/// One shard's window needs in the triage, given its `share` of the
+/// bulk flush: a full save (stage A, the share, marker and region arm)
+/// and a priority-only save (stage A, marker and arm).
+pub(crate) fn shard_needs(
+    machine: &Machine,
+    heap: &PersistentHeap,
+    share: Nanos,
+) -> (Nanos, Nanos) {
+    let partial = stage_a_probe(heap) + MARKER_COST + machine.monitor().i2c_command_latency;
+    (partial + share, partial)
+}
+
 /// Runs the triaged, staged domain save. Mutates `machine` (contexts,
 /// region markers, region arms), `domain` (reservation scopes) and each
 /// heap (priority lines flushed) exactly as far as the budget and the
@@ -255,11 +273,8 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
         shard_count,
         "one staleness entry per shard"
     );
-    let monitor = machine.monitor().clone();
-    let profile = machine.profile().clone();
-
     // Decision 0a: debounce, domain-wide. A glitch touches nothing.
-    match monitor.classify_pwr_ok(trace)? {
+    match machine.monitor().classify_pwr_ok(trace)? {
         PwrOkVerdict::Glitch { dips, longest_dip } => {
             obs::emit(
                 "domain",
@@ -292,7 +307,7 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
     // The *global* window: one number for the whole fleet.
     let measured = domain.global_window();
     let window = budget.window_cap.map_or(measured, |cap| cap.min(measured));
-    let mut used = monitor.debounce + monitor.interrupt_latency + profile.ipi_latency;
+    let mut used = detection(machine);
     obs::gauge_set(obs::Gauge::ResidualWindow, window.as_nanos() as i64);
     obs::emit(
         "domain",
@@ -303,8 +318,8 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
     );
 
     let regions = RegionMap::partition(machine.nvram(), shard_count, DOMAIN_CONTROL_MODULES);
-    let arm_cost = monitor.i2c_command_latency;
-    let contexts_cost = profile.context_save;
+    let arm_cost = machine.monitor().i2c_command_latency;
+    let contexts_cost = machine.profile().context_save;
 
     // Decision 0b: feasibility + triage plan. The scores and needs are
     // probed on clones — planning costs no trace events.
@@ -312,20 +327,14 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
         SaveFeasibility::Degraded { reason } => Some(reason),
         _ => None,
     };
-    let stage_b_share = machine
-        .flush_analysis()
-        .flush_time(FlushMethod::Wbinvd, machine.dirty_estimate(load) / shard_count as u64);
+    let stage_b_share = bulk_flush(machine, load, shard_count);
     let mut triage: Vec<ShardTriage> = heaps
         .iter()
         .enumerate()
         .map(|(shard, heap)| {
             let pins = heap.in_doubt_pins();
             let dirty_lines = heap.unflushed_line_count();
-            let stage_a = {
-                let mut probe = heap.clone();
-                let (cost, _hypothetical) = obs::capture(|| probe.priority_flush());
-                cost
-            };
+            let (full_need, partial_need) = shard_needs(machine, heap, stage_b_share);
             let urgency = (PIN_WEIGHT * pins)
                 .saturating_add(staleness[shard])
                 .saturating_add(LINE_WEIGHT * dirty_lines);
@@ -335,8 +344,8 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
                 dirty_lines,
                 staleness: staleness[shard],
                 urgency,
-                full_need: stage_a + stage_b_share + MARKER_COST + arm_cost,
-                partial_need: stage_a + MARKER_COST + arm_cost,
+                full_need,
+                partial_need,
                 planned: ShardVerdict::Sacrificed,
             }
         })
@@ -347,7 +356,7 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
     // Greedy carve: priority stages are cheap and flush first
     // everywhere, so grant them in rank order; bulk stages only for
     // shards whose full need still fits.
-    let fixed = used + contexts_cost + arm_cost; // detection, contexts, control arm
+    let fixed = fixed_need(machine);
     let mut remaining = window.saturating_sub(fixed);
     let mut full_demand = fixed;
     domain.release_all();
@@ -494,19 +503,7 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
         }
         bail!();
     }
-    let contexts: Vec<(u32, CpuContext)> = machine
-        .cores()
-        .iter()
-        .map(|c| (c.id, c.context))
-        .collect();
-    let core_count = contexts.len() as u64;
-    machine
-        .nvram_mut()
-        .write(layout::CORE_COUNT_ADDR, &core_count.to_le_bytes());
-    for (id, ctx) in &contexts {
-        let addr = layout::CONTEXTS_BASE + u64::from(*id) * CpuContext::SIZE;
-        machine.nvram_mut().write(addr, &ctx.to_bytes());
-    }
+    let core_count = save_contexts(machine);
     used += contexts_cost;
     decisions_taken = 2;
     obs::emit(
@@ -771,13 +768,7 @@ mod tests {
         };
         let mut machine = Machine::intel_testbed();
         machine.apply_load(SystemLoad::Busy, 9);
-        let detection = machine.monitor().debounce
-            + machine.monitor().interrupt_latency
-            + machine.profile().ipi_latency;
-        let fixed = detection
-            + machine.profile().context_save
-            + machine.monitor().i2c_command_latency;
-        let cap = fixed + probe.triage[1].full_need + probe.triage[2].partial_need;
+        let cap = fixed_need(&machine) + probe.triage[1].full_need + probe.triage[2].partial_need;
         let (report, _) = save_with(
             DomainBudget {
                 window_cap: Some(cap),

@@ -44,13 +44,12 @@
 //! assert!(report.locally_restored >= 1);
 //! ```
 
-use wsp_cache::FlushMethod;
 use wsp_cluster::ClusterSpec;
 use wsp_det::{DetRng, Rng};
 use wsp_machine::{CpuContext, Machine, SystemLoad};
 use wsp_obs as obs;
 use wsp_obs::{MetricsSnapshot, Trace};
-use wsp_pheap::{BackendStore, CrashImage, HeapConfig, PersistentHeap, RecoveryLadder};
+use wsp_pheap::{BackendStore, CrashImage, HeapConfig, PersistentHeap};
 use wsp_power::{AgingModel, Ultracapacitor};
 use wsp_units::{ByteSize, Farads, Nanos, Volts, Watts};
 
@@ -59,7 +58,8 @@ use crate::model::{committed_fleet, CellModel};
 use crate::restore::restore;
 use crate::save::{flush_on_fail_save_with_fault, SaveFault, SaveReport, SaveStep};
 use crate::supervisor::{
-    clean_failure_trace, glitch_storm_trace, supervised_save, SaveBudget, SaveVerdict,
+    bulk_flush, clean_failure_trace, detection, glitch_storm_trace, priority_stage_window,
+    stage_a_probe, supervised_save, SaveBudget, SaveVerdict,
 };
 use crate::sweep;
 use crate::txn::{
@@ -1541,12 +1541,9 @@ fn run_ladder_point(
     let v1 = rng.gen::<u64>();
     let v2 = rng.gen::<u64>();
     commit_word(&mut heap, v1);
-    let mut backend = RecoveryLadder::new(BackendStore::disk_array());
+    let mut backend = BackendStore::disk_array();
     backend.checkpoint(&heap);
-    let checkpoint_seq = backend
-        .backend()
-        .checkpoint_seq()
-        .expect("checkpoint just taken");
+    let checkpoint_seq = backend.checkpoint_seq().expect("checkpoint just taken");
     commit_word(&mut heap, v2);
     {
         let mut tx = heap.begin();
@@ -1559,20 +1556,7 @@ fn run_ladder_point(
         LadderFault::GlitchStorm { dips } => glitch_storm_trace(dips),
         _ => clean_failure_trace(),
     };
-    let detection = machine.monitor().debounce
-        + machine.monitor().interrupt_latency
-        + machine.profile().ipi_latency;
-    let stage_a_probe = {
-        let mut probe = heap.clone();
-        probe.priority_flush()
-    };
-    // Historically this budget was derived inline from this machine's
-    // own monitor latencies — a single-shard assumption (each node
-    // budgeted as if it owned the whole window). Under the shared power
-    // domain the same quantity is the *per-shard* priority-stage cost
-    // the triage carves from the global window, so the supervisor now
-    // owns the formula.
-    let partial_window = crate::supervisor::priority_stage_window(&machine, &heap);
+    let partial_window = priority_stage_window(&machine, &heap);
     let budget = match fault {
         LadderFault::WindowShortfall { fatal: false }
         | LadderFault::CrashDuringRestore {
@@ -1588,15 +1572,15 @@ fn run_ladder_point(
             window_cap: Some(Nanos::from_micros(150)),
             ..SaveBudget::trusting()
         },
-        LadderFault::BrownOutMidSave => {
-            let stage_b = machine
-                .flush_analysis()
-                .flush_time(FlushMethod::Wbinvd, machine.dirty_estimate(load));
-            SaveBudget {
-                cut: Some(detection + machine.profile().context_save + stage_a_probe + stage_b / 2),
-                ..SaveBudget::trusting()
-            }
-        }
+        LadderFault::BrownOutMidSave => SaveBudget {
+            cut: Some(
+                detection(&machine)
+                    + machine.profile().context_save
+                    + stage_a_probe(&heap)
+                    + bulk_flush(&machine, load, 1) / 2,
+            ),
+            ..SaveBudget::trusting()
+        },
         _ => SaveBudget::trusting(),
     };
 

@@ -29,7 +29,7 @@
 use wsp_cluster::ClusterSpec;
 use wsp_machine::Machine;
 use wsp_obs as obs;
-use wsp_pheap::{PersistentHeap, RecoveryLadder, RecoverySource};
+use wsp_pheap::{BackendStore, PersistentHeap};
 use wsp_units::Nanos;
 
 use crate::restore::restore;
@@ -133,12 +133,113 @@ pub struct LadderInput<'a> {
     /// The heap's crash image, if the save armed the modules at all.
     pub image: Option<wsp_pheap::CrashImage>,
     /// The back end holding the node's periodic checkpoints.
-    pub backend: &'a RecoveryLadder,
+    pub backend: &'a BackendStore,
     /// The cluster this node belongs to (sizes the rung-3 rebuild).
     pub cluster: &'a ClusterSpec,
     /// Inject a power failure at this rung's entry (fires once, then
     /// the outage is over): models crash-during-restore.
     pub crash_at: Option<LadderRung>,
+}
+
+/// The ladder's bookkeeping across rungs and restarts: every attempt so
+/// far, the power cycles taken, the one pending crash injection, and the
+/// ladder's own clock (recovery time accumulated so far — rungs advance
+/// it by their durations, refusals are stamped with its reading).
+struct Climb {
+    attempts: Vec<RungAttempt>,
+    power_cycles: u32,
+    pending_crash: Option<LadderRung>,
+    now: Nanos,
+}
+
+impl Climb {
+    /// Fires the pending crash injection if it targets `rung`: power
+    /// fails (again) right as the rung is entered, the machine cycles
+    /// power, and the caller restarts the ladder from the top.
+    fn crash(&mut self, rung: LadderRung, machine: &mut Machine) -> bool {
+        if self.pending_crash != Some(rung) {
+            return false;
+        }
+        self.pending_crash = None;
+        machine.system_power_loss();
+        machine.system_power_on();
+        self.power_cycles += 1;
+        obs::emit("ladder", "power_cycle", self.now, rung.index() as i64, 0);
+        obs::count(obs::Ctr::PowerCycles);
+        self.attempts.push(RungAttempt {
+            rung,
+            refusal: Some(format!(
+                "power failed entering {}; power-cycled, ladder restarted",
+                rung.label()
+            )),
+        });
+        true
+    }
+
+    /// Enters `rung`: one attempt event.
+    fn enter(&self, rung: LadderRung) {
+        obs::emit_detail(
+            "ladder",
+            "rung_attempt",
+            self.now,
+            rung.index() as i64,
+            0,
+            rung.label().into(),
+        );
+        obs::count(obs::Ctr::RungAttempts);
+    }
+
+    /// A refused rung: exactly one typed trace event per refusal.
+    fn refuse(&mut self, rung: LadderRung, reason: String) {
+        obs::emit_detail(
+            "ladder",
+            "refusal",
+            self.now,
+            rung.index() as i64,
+            0,
+            reason.clone(),
+        );
+        obs::count(obs::Ctr::RungRefusals);
+        self.attempts.push(RungAttempt {
+            rung,
+            refusal: Some(reason),
+        });
+    }
+
+    /// A local rung brought `heap` back after `took` in all: the ladder
+    /// ends [`RecoveryOutcome::Recovered`]. The clock already holds any
+    /// machine restore the rung ran; the heap's own recovery advances it.
+    fn recovered(
+        mut self,
+        rung: LadderRung,
+        took: Nanos,
+        heap: PersistentHeap,
+    ) -> (LadderReport, Option<PersistentHeap>) {
+        self.now += heap.elapsed();
+        self.attempts.push(RungAttempt {
+            rung,
+            refusal: None,
+        });
+        obs::emit(
+            "ladder",
+            "recovered",
+            self.now,
+            rung.index() as i64,
+            took.as_nanos() as i64,
+        );
+        obs::count(obs::Ctr::LadderRecovered);
+        obs::observe(obs::Hist::RecoveryTook, took);
+        let outcome = RecoveryOutcome::Recovered { rung, took };
+        (self.report(outcome), Some(heap))
+    }
+
+    fn report(self, outcome: RecoveryOutcome) -> LadderReport {
+        LadderReport {
+            attempts: self.attempts,
+            outcome,
+            power_cycles: self.power_cycles,
+        }
+    }
 }
 
 /// Climbs the ladder. Returns the report and the recovered heap (absent
@@ -158,269 +259,110 @@ pub fn run_recovery_ladder(input: LadderInput<'_>) -> (LadderReport, Option<Pers
         cluster,
         crash_at,
     } = input;
-    let mut attempts: Vec<RungAttempt> = Vec::new();
-    let mut power_cycles: u32 = 0;
-    let mut pending_crash = crash_at;
-    // The ladder's own clock: recovery time accumulated so far. Rungs
-    // advance it by their reported durations; refusals are stamped with
-    // the clock reading at which they were taken.
-    let mut now = Nanos::ZERO;
-    obs::emit("ladder", "begin", now, i64::from(image.is_some()), 0);
-
-    // A refused rung: exactly one typed trace event per refusal.
-    let refuse = |rung: LadderRung, reason: String, attempts: &mut Vec<RungAttempt>, now: Nanos| {
-        obs::emit_detail("ladder", "refusal", now, rung.index() as i64, 0, reason.clone());
-        obs::count(obs::Ctr::RungRefusals);
-        attempts.push(RungAttempt {
-            rung,
-            refusal: Some(reason),
-        });
+    let mut climb = Climb {
+        attempts: Vec::new(),
+        power_cycles: 0,
+        pending_crash: crash_at,
+        now: Nanos::ZERO,
     };
+    obs::emit("ladder", "begin", climb.now, i64::from(image.is_some()), 0);
 
-    // Power fails (again) right as `rung` is entered: cycle power and
-    // signal the caller to restart the ladder from the top.
-    let mut crash_now = |rung: LadderRung,
-                         machine: &mut Machine,
-                         attempts: &mut Vec<RungAttempt>,
-                         now: Nanos| {
-        machine.system_power_loss();
-        machine.system_power_on();
-        power_cycles += 1;
-        obs::emit("ladder", "power_cycle", now, rung.index() as i64, 0);
-        obs::count(obs::Ctr::PowerCycles);
-        attempts.push(RungAttempt {
-            rung,
-            refusal: Some(format!(
-                "power failed entering {}; power-cycled, ladder restarted",
-                rung.label()
-            )),
-        });
-    };
-
-    loop {
-        // ---- Rung 1: full WSP resume -------------------------------
-        if pending_crash == Some(LadderRung::LocalWsp) {
-            pending_crash = None;
-            crash_now(LadderRung::LocalWsp, machine, &mut attempts, now);
-            continue;
-        }
-        obs::emit_detail(
-            "ladder",
-            "rung_attempt",
-            now,
-            LadderRung::LocalWsp.index() as i64,
-            0,
-            LadderRung::LocalWsp.label().into(),
-        );
-        obs::count(obs::Ctr::RungAttempts);
-        match restore(machine, strategy) {
-            Ok(report) => {
-                now += report.total;
-                // The machine image resumed; the heap must come back
-                // from its own (complete) image to call this rung good.
-                match image.clone().map(PersistentHeap::recover) {
-                    Some(Ok(heap)) => {
-                        let took = report.total + heap.elapsed();
-                        now += heap.elapsed();
-                        attempts.push(RungAttempt {
-                            rung: LadderRung::LocalWsp,
-                            refusal: None,
-                        });
-                        obs::emit(
-                            "ladder",
-                            "recovered",
-                            now,
-                            LadderRung::LocalWsp.index() as i64,
-                            took.as_nanos() as i64,
-                        );
-                        obs::count(obs::Ctr::LadderRecovered);
-                        obs::observe(obs::Hist::RecoveryTook, took);
-                        return (
-                            LadderReport {
-                                attempts,
-                                outcome: RecoveryOutcome::Recovered {
-                                    rung: LadderRung::LocalWsp,
-                                    took,
-                                },
-                                power_cycles,
-                            },
-                            Some(heap),
-                        );
-                    }
-                    Some(Err(e)) => refuse(
-                        LadderRung::LocalWsp,
-                        format!("machine image resumed but heap recovery refused: {e}"),
-                        &mut attempts,
-                        now,
-                    ),
-                    None => refuse(
-                        LadderRung::LocalWsp,
-                        "machine image resumed but no heap image exists".into(),
-                        &mut attempts,
-                        now,
-                    ),
-                }
+    'restart: loop {
+        // ---- Rungs 1–2: full WSP resume, then (only under a partial
+        // marker) heap log replay.
+        let mut next = Some(LadderRung::LocalWsp);
+        while let Some(rung) = next.take() {
+            if climb.crash(rung, machine) {
+                continue 'restart;
             }
-            Err(WspError::PartialImage) => {
-                refuse(
-                    LadderRung::LocalWsp,
-                    "partial marker set: only the priority stage is durable".into(),
-                    &mut attempts,
-                    now,
-                );
-                // ---- Rung 2: heap log replay -----------------------
-                if pending_crash == Some(LadderRung::HeapLogReplay) {
-                    pending_crash = None;
-                    crash_now(LadderRung::HeapLogReplay, machine, &mut attempts, now);
-                    continue;
-                }
-                obs::emit_detail(
-                    "ladder",
-                    "rung_attempt",
-                    now,
-                    LadderRung::HeapLogReplay.index() as i64,
-                    0,
-                    LadderRung::HeapLogReplay.label().into(),
-                );
-                obs::count(obs::Ctr::RungAttempts);
-                match image.clone() {
-                    Some(img) => match PersistentHeap::recover_partial(img) {
-                        Ok(heap) => {
-                            let took = heap.elapsed();
-                            now += took;
-                            attempts.push(RungAttempt {
-                                rung: LadderRung::HeapLogReplay,
-                                refusal: None,
-                            });
-                            obs::emit(
-                                "ladder",
-                                "recovered",
-                                now,
-                                LadderRung::HeapLogReplay.index() as i64,
-                                took.as_nanos() as i64,
-                            );
-                            obs::count(obs::Ctr::LadderRecovered);
-                            obs::observe(obs::Hist::RecoveryTook, took);
-                            return (
-                                LadderReport {
-                                    attempts,
-                                    outcome: RecoveryOutcome::Recovered {
-                                        rung: LadderRung::HeapLogReplay,
-                                        took,
-                                    },
-                                    power_cycles,
-                                },
-                                Some(heap),
-                            );
+            climb.enter(rung);
+            let attempt = if rung == LadderRung::LocalWsp {
+                match restore(machine, strategy) {
+                    Ok(report) => {
+                        climb.now += report.total;
+                        // The machine image resumed; the heap must come
+                        // back from its own (complete) image to call
+                        // this rung good.
+                        match image.clone().map(PersistentHeap::recover) {
+                            Some(Ok(heap)) => Ok((report.total + heap.elapsed(), heap)),
+                            Some(Err(e)) => Err(format!(
+                                "machine image resumed but heap recovery refused: {e}"
+                            )),
+                            None => Err("machine image resumed but no heap image exists".into()),
                         }
-                        Err(e) => refuse(
-                            LadderRung::HeapLogReplay,
-                            format!("log replay refused: {e}"),
-                            &mut attempts,
-                            now,
-                        ),
-                    },
-                    None => refuse(
-                        LadderRung::HeapLogReplay,
-                        "no heap image available for log replay".into(),
-                        &mut attempts,
-                        now,
-                    ),
+                    }
+                    Err(WspError::PartialImage) => {
+                        next = Some(LadderRung::HeapLogReplay);
+                        Err("partial marker set: only the priority stage is durable".into())
+                    }
+                    Err(e) => Err(e.to_string()),
                 }
+            } else {
+                match image.clone() {
+                    Some(img) => PersistentHeap::recover_partial(img)
+                        .map(|heap| (heap.elapsed(), heap))
+                        .map_err(|e| format!("log replay refused: {e}")),
+                    None => Err("no heap image available for log replay".into()),
+                }
+            };
+            match attempt {
+                Ok((took, heap)) => return climb.recovered(rung, took, heap),
+                Err(reason) => climb.refuse(rung, reason),
             }
-            Err(e) => refuse(LadderRung::LocalWsp, e.to_string(), &mut attempts, now),
         }
 
         // ---- Rung 3: cluster back-end rebuild ----------------------
-        if pending_crash == Some(LadderRung::ClusterRebuild) {
-            pending_crash = None;
-            crash_now(LadderRung::ClusterRebuild, machine, &mut attempts, now);
+        let rung = LadderRung::ClusterRebuild;
+        if climb.crash(rung, machine) {
             continue;
         }
-        obs::emit_detail(
-            "ladder",
-            "rung_attempt",
-            now,
-            LadderRung::ClusterRebuild.index() as i64,
-            0,
-            LadderRung::ClusterRebuild.label().into(),
-        );
-        obs::count(obs::Ctr::RungAttempts);
+        climb.enter(rung);
         obs::count(obs::Ctr::ClusterRebuilds);
-        attempts.push(RungAttempt {
-            rung: LadderRung::ClusterRebuild,
+        climb.attempts.push(RungAttempt {
+            rung,
             refusal: None,
         });
-        return match backend.recover_from_checkpoint() {
-            Ok((heap, source, stream)) => {
-                let staleness = match source {
-                    RecoverySource::BackendCheckpoint { checkpoint_seq } => format!(
-                        "restored checkpoint at transaction {checkpoint_seq}; \
-                         later commits must replay from upstream"
-                    ),
-                    RecoverySource::LocalNvram => "restored locally".into(),
-                };
-                // The node-local stream is a lower bound; the cluster
-                // model's per-server rebuild time dominates at scale.
-                let took = stream.max(cluster.backend_recovery_time(1));
-                now += took;
-                obs::emit_detail(
-                    "ladder",
-                    "degraded",
-                    now,
-                    LadderRung::ClusterRebuild.index() as i64,
-                    took.as_nanos() as i64,
-                    staleness.clone(),
-                );
-                obs::count(obs::Ctr::LadderDegraded);
-                obs::observe(obs::Hist::RecoveryTook, took);
-                (
-                    LadderReport {
-                        attempts,
-                        outcome: RecoveryOutcome::Degraded {
-                            rung: LadderRung::ClusterRebuild,
-                            reason: staleness,
-                            took,
-                        },
-                        power_cycles,
-                    },
-                    Some(heap),
-                )
-            }
-            Err(e) => {
-                let reason = format!("bottom rung refused: {e}");
-                obs::emit_detail(
-                    "ladder",
-                    "degraded",
-                    now,
-                    LadderRung::ClusterRebuild.index() as i64,
-                    0,
-                    reason.clone(),
-                );
-                obs::count(obs::Ctr::LadderDegraded);
-                (
-                    LadderReport {
-                        attempts,
-                        outcome: RecoveryOutcome::Degraded {
-                            rung: LadderRung::ClusterRebuild,
-                            reason,
-                            took: Nanos::ZERO,
-                        },
-                        power_cycles,
-                    },
-                    None,
-                )
-            }
+        let (reason, took, heap) = match backend.restore() {
+            // The node-local stream is a lower bound; the cluster
+            // model's per-server rebuild time dominates at scale.
+            Ok((heap, checkpoint_seq, stream)) => (
+                format!(
+                    "restored checkpoint at transaction {checkpoint_seq}; \
+                     later commits must replay from upstream"
+                ),
+                stream.max(cluster.backend_recovery_time(1)),
+                Some(heap),
+            ),
+            Err(e) => (format!("bottom rung refused: {e}"), Nanos::ZERO, None),
         };
+        climb.now += took;
+        obs::emit_detail(
+            "ladder",
+            "degraded",
+            climb.now,
+            rung.index() as i64,
+            took.as_nanos() as i64,
+            reason.clone(),
+        );
+        obs::count(obs::Ctr::LadderDegraded);
+        if heap.is_some() {
+            obs::observe(obs::Hist::RecoveryTook, took);
+        }
+        return (
+            climb.report(RecoveryOutcome::Degraded { rung, reason, took }),
+            heap,
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::supervisor::{clean_failure_trace, supervised_save, SaveBudget, SaveVerdict};
+    use crate::supervisor::{
+        clean_failure_trace, priority_stage_window, supervised_save, SaveBudget, SaveVerdict,
+    };
     use wsp_machine::SystemLoad;
-    use wsp_pheap::{BackendStore, HeapConfig};
+    use wsp_pheap::HeapConfig;
     use wsp_units::ByteSize;
 
     fn heap_with_root(value: u64) -> PersistentHeap {
@@ -443,7 +385,7 @@ mod tests {
 
     struct Rig {
         machine: Machine,
-        backend: RecoveryLadder,
+        backend: BackendStore,
         cluster: ClusterSpec,
     }
 
@@ -452,27 +394,14 @@ mod tests {
         machine.apply_load(SystemLoad::Busy, 9);
         Rig {
             machine,
-            backend: RecoveryLadder::new(BackendStore::disk_array()),
+            backend: BackendStore::disk_array(),
             cluster: ClusterSpec::memcache_tier(50),
         }
     }
 
     fn partial_budget(machine: &Machine, heap: &PersistentHeap) -> SaveBudget {
-        let detection = machine.monitor().debounce
-            + machine.monitor().interrupt_latency
-            + machine.profile().ipi_latency;
-        let probe = {
-            let mut p = heap.clone();
-            p.priority_flush()
-        };
         SaveBudget {
-            window_cap: Some(
-                detection
-                    + machine.profile().context_save
-                    + probe
-                    + machine.monitor().i2c_command_latency
-                    + Nanos::from_micros(60),
-            ),
+            window_cap: Some(priority_stage_window(machine, heap)),
             ..SaveBudget::trusting()
         }
     }

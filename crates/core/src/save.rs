@@ -116,6 +116,24 @@ impl SaveReport {
     }
 }
 
+/// Writes the core count and every core's register context to the
+/// NVDIMM pool (Figure 4's context-save step) and returns the core
+/// count. The Figure-4 save, the supervised save and the domain save
+/// all stage their contexts through here.
+pub(crate) fn save_contexts(machine: &mut Machine) -> u64 {
+    let contexts: Vec<(u32, CpuContext)> =
+        machine.cores().iter().map(|c| (c.id, c.context)).collect();
+    let core_count = contexts.len() as u64;
+    machine
+        .nvram_mut()
+        .write(layout::CORE_COUNT_ADDR, &core_count.to_le_bytes());
+    for (id, ctx) in &contexts {
+        let addr = layout::CONTEXTS_BASE + u64::from(*id) * CpuContext::SIZE;
+        machine.nvram_mut().write(addr, &ctx.to_bytes());
+    }
+    core_count
+}
+
 /// Runs the flush-on-fail save on `machine` at load `load` with the given
 /// device strategy. Mutates the machine: contexts are written to NVRAM,
 /// cores halt, and — if the protocol fit in the window — the NVDIMMs
@@ -218,19 +236,7 @@ pub fn flush_on_fail_save_with_fault(
     if dies_before(SaveStep::SaveContexts) {
         return interrupted(steps, elapsed);
     }
-    let contexts: Vec<(u32, CpuContext)> = machine
-        .cores()
-        .iter()
-        .map(|c| (c.id, c.context))
-        .collect();
-    let core_count = contexts.len() as u64;
-    machine
-        .nvram_mut()
-        .write(layout::CORE_COUNT_ADDR, &core_count.to_le_bytes());
-    for (id, ctx) in &contexts {
-        let addr = layout::CONTEXTS_BASE + u64::from(*id) * CpuContext::SIZE;
-        machine.nvram_mut().write(addr, &ctx.to_bytes());
-    }
+    save_contexts(machine);
     push(
         &mut steps,
         &mut elapsed,

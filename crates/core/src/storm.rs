@@ -28,21 +28,21 @@
 
 use std::collections::BTreeSet;
 
-use wsp_cache::FlushMethod;
 use wsp_cluster::ClusterSpec;
 use wsp_det::{DetRng, Rng};
 use wsp_machine::{Machine, SystemLoad};
 use wsp_obs as obs;
 use wsp_obs::{Ctr, MetricsSnapshot, Trace};
-use wsp_pheap::{BackendStore, CrashImage, HeapConfig, PersistentHeap, PmPtr, RecoveryLadder};
+use wsp_pheap::{BackendStore, CrashImage, HeapConfig, PersistentHeap, PmPtr};
 use wsp_power::{PowerDomain, Psu, Ultracapacitor};
 use wsp_units::{Farads, Nanos, Volts, Watts};
 
 use crate::domain::{
-    domain_decision_points, domain_save, DomainBudget, DomainInput, DomainVerdict, ShardVerdict,
+    domain_decision_points, domain_save, fixed_need, shard_needs, DomainBudget, DomainInput,
+    DomainVerdict, ShardVerdict,
 };
 use crate::model::committed_fleet;
-use crate::supervisor::{clean_failure_trace, MARKER_COST};
+use crate::supervisor::{bulk_flush, clean_failure_trace};
 use crate::sweep;
 use crate::txn::{
     reapply_routed, recover_routing, resolve_cross_shard, CoordinatorPool, SubmitOutcome,
@@ -198,7 +198,7 @@ fn storm_reserve() -> Ultracapacitor {
 fn climb(
     coordinator_image: &[u8],
     images: &[Option<CrashImage>],
-    backends: &[RecoveryLadder],
+    backends: &[BackendStore],
     cluster: &ClusterSpec,
     rebuild: bool,
 ) -> (Vec<Option<PersistentHeap>>, u64, usize, usize) {
@@ -231,8 +231,8 @@ fn climb(
                     "shard {} lost its image without a typed refusal",
                     shard.shard
                 );
-                let (mut heap, _source, _took) = backends[shard.shard]
-                    .recover_from_checkpoint()
+                let (mut heap, _seq, _took) = backends[shard.shard]
+                    .restore()
                     .expect("every shard was checkpointed before the storm");
                 rerouted += reapply_routed(&mut heap, shard.shard, &routed, &recovery.decided)
                     .expect("routed replay targets checkpointed cells");
@@ -281,10 +281,10 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
     // must climb back from this deliberately stale state via the
     // routing log.
     let (mut heaps, mut model) = committed_fleet(spec.config, shards, STORM_CELLS, 64, &mut rng);
-    let backends: Vec<RecoveryLadder> = heaps
+    let backends: Vec<BackendStore> = heaps
         .iter()
         .map(|heap| {
-            let mut backend = RecoveryLadder::new(BackendStore::disk_array());
+            let mut backend = BackendStore::disk_array();
             backend.checkpoint(heap);
             backend
         })
@@ -373,26 +373,15 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
         let window_cap = match k % 3 {
             0 => None,
             mode => {
-                let detection = machine.monitor().debounce
-                    + machine.monitor().interrupt_latency
-                    + machine.profile().ipi_latency;
-                let fixed = detection
-                    + machine.profile().context_save
-                    + machine.monitor().i2c_command_latency;
-                let arm = machine.monitor().i2c_command_latency;
-                let share = machine.flush_analysis().flush_time(
-                    FlushMethod::Wbinvd,
-                    machine.dirty_estimate(load) / shards as u64,
-                );
+                // The triage's own needs, for the heaviest shard.
+                let share = bulk_flush(&machine, load, shards);
                 let (mut max_full, mut max_partial) = (Nanos::ZERO, Nanos::ZERO);
                 for heap in &heaps {
-                    let (stage_a, _probe) = obs::capture(|| {
-                        let mut probe = heap.clone();
-                        probe.priority_flush()
-                    });
-                    max_full = max_full.max(stage_a + share + MARKER_COST + arm);
-                    max_partial = max_partial.max(stage_a + MARKER_COST + arm);
+                    let (full, partial) = shard_needs(&machine, heap, share);
+                    max_full = max_full.max(full);
+                    max_partial = max_partial.max(partial);
                 }
+                let fixed = fixed_need(&machine);
                 if mode == 1 {
                     Some(fixed + max_full + max_partial)
                 } else {

@@ -33,7 +33,7 @@
 //! [`NvramPool::save_all_within`]: wsp_nvram::NvramPool::save_all_within
 
 use wsp_cache::FlushMethod;
-use wsp_machine::{CpuContext, Machine, SystemLoad};
+use wsp_machine::{Machine, SystemLoad};
 use wsp_nvram::NvramError;
 use wsp_obs as obs;
 use wsp_pheap::PersistentHeap;
@@ -42,6 +42,7 @@ use wsp_units::Nanos;
 
 use crate::feasibility::{pool_save_feasibility, SaveFeasibility};
 use crate::layout;
+use crate::save::save_contexts;
 use crate::WspError;
 
 /// How the supervised save ended.
@@ -146,36 +147,49 @@ pub(crate) const MARKER_COST: Nanos = Nanos::from_micros(1);
 
 /// Scheduling slack a budget grants the priority stage beyond its
 /// measured costs: jitter margin for detection variance and the shared
-/// domain's triage bookkeeping. Together with [`MARKER_COST`] this
-/// keeps the historical 60 µs of grace the single-shard ladder corpus
-/// was recorded with, so the golden traces pin the same budgets.
+/// domain's triage bookkeeping. Together with the 1 µs marker stamp
+/// this keeps the historical 60 µs of grace the single-shard ladder
+/// corpus was recorded with, so the golden traces pin the same budgets.
 pub const PARTIAL_STAGE_SLACK: Nanos = Nanos::from_micros(59);
+
+/// Outage detection: the `PWR_OK` debounce, the power-fail interrupt
+/// and the IPI to every other core. Every staged save starts with this
+/// much of its window spent.
+pub(crate) fn detection(machine: &Machine) -> Nanos {
+    machine.monitor().debounce + machine.monitor().interrupt_latency + machine.profile().ipi_latency
+}
+
+/// Stage A's cost for `heap`: the priority flush run on a clone (the
+/// simulation's stand-in for the supervisor's line-count bookkeeping).
+/// Planning, not flushing: the probe runs inside [`obs::capture`] and
+/// is dropped, so it leaves no events or counters behind.
+pub(crate) fn stage_a_probe(heap: &PersistentHeap) -> Nanos {
+    let mut probe = heap.clone();
+    obs::capture(|| probe.priority_flush()).0
+}
+
+/// Stage B's cost: the `wbinvd` time of one of `shards` equal shares
+/// of the machine's dirty estimate at `load`.
+pub(crate) fn bulk_flush(machine: &Machine, load: SystemLoad, shards: usize) -> Nanos {
+    machine.flush_analysis().flush_time(
+        FlushMethod::Wbinvd,
+        machine.dirty_estimate(load) / shards as u64,
+    )
+}
 
 /// The window a save needs to land *exactly* the priority stage for one
 /// shard: outage detection, the CPU contexts, the shard's stage-A probe
 /// (measured on a clone, off the trace), the marker, the arm command
 /// and [`PARTIAL_STAGE_SLACK`].
 ///
-/// Before the shared power domain, every sweep derived this inline from
-/// a stale single-shard assumption — a private energy budget per heap
-/// with a flat 60 µs of grace. The domain supervisor budgets per-shard
-/// priority stages from one *global* window, so the formula lives here
-/// once, with the marker and arm tail explicit.
+/// The domain supervisor budgets per-shard priority stages from one
+/// *global* window, so the formula lives here once, with the marker and
+/// arm tail explicit.
 #[must_use]
 pub fn priority_stage_window(machine: &Machine, heap: &PersistentHeap) -> Nanos {
-    let detection = machine.monitor().debounce
-        + machine.monitor().interrupt_latency
-        + machine.profile().ipi_latency;
-    let stage_a_probe = {
-        let mut probe = heap.clone();
-        // Planning, not flushing: keep the probe's events and counters
-        // out of the ambient recorder.
-        let (cost, _hypothetical) = obs::capture(|| probe.priority_flush());
-        cost
-    };
-    detection
+    detection(machine)
         + machine.profile().context_save
-        + stage_a_probe
+        + stage_a_probe(heap)
         + MARKER_COST
         + machine.monitor().i2c_command_latency
         + PARTIAL_STAGE_SLACK
@@ -206,11 +220,8 @@ pub fn supervised_save(
     trace: &[PwrOkSample],
     budget: SaveBudget,
 ) -> Result<StagedSaveReport, WspError> {
-    let monitor = machine.monitor().clone();
-    let profile = machine.profile().clone();
-
     // 1. Debounce. A glitch storm ends here with zero mutations.
-    match monitor.classify_pwr_ok(trace)? {
+    match machine.monitor().classify_pwr_ok(trace)? {
         PwrOkVerdict::Glitch { dips, longest_dip } => {
             obs::emit(
                 "supervisor",
@@ -240,7 +251,7 @@ pub fn supervised_save(
     let measured = machine.residual_window(load);
     let window = budget.window_cap.map_or(measured, |cap| cap.min(measured));
     let cut = budget.cut;
-    let mut used = monitor.debounce + monitor.interrupt_latency + profile.ipi_latency;
+    let mut used = detection(machine);
     obs::gauge_set(obs::Gauge::ResidualWindow, window.as_nanos() as i64);
     obs::emit(
         "supervisor",
@@ -278,22 +289,12 @@ pub fn supervised_save(
         ));
     }
 
-    // 4. Plan. Stage A's cost is probed on a clone (the simulation's
-    // stand-in for the supervisor's line-count bookkeeping); stage B is
-    // the machine's bulk flush estimate.
-    let stage_a_cost = {
-        let mut probe = heap.clone();
-        // The probe is planning, not flushing: capture-and-discard keeps
-        // its events and counters out of the ambient recorder.
-        let (cost, _hypothetical) = obs::capture(|| probe.priority_flush());
-        cost
-    };
-    let stage_b_cost = machine
-        .flush_analysis()
-        .flush_time(FlushMethod::Wbinvd, machine.dirty_estimate(load));
-    let contexts_cost = profile.context_save;
+    // 4. Plan: stage A probed on a clone, stage B the bulk estimate.
+    let stage_a_cost = stage_a_probe(heap);
+    let stage_b_cost = bulk_flush(machine, load, 1);
+    let contexts_cost = machine.profile().context_save;
     let marker_cost = MARKER_COST;
-    let arm_cost = monitor.i2c_command_latency;
+    let arm_cost = machine.monitor().i2c_command_latency;
     let tail = marker_cost + arm_cost;
 
     let full_fits = used + contexts_cost + stage_a_cost + stage_b_cost + tail <= window;
@@ -322,19 +323,7 @@ pub fn supervised_save(
             Nanos::ZERO,
         ));
     }
-    let contexts: Vec<(u32, CpuContext)> = machine
-        .cores()
-        .iter()
-        .map(|c| (c.id, c.context))
-        .collect();
-    let core_count = contexts.len() as u64;
-    machine
-        .nvram_mut()
-        .write(layout::CORE_COUNT_ADDR, &core_count.to_le_bytes());
-    for (id, ctx) in &contexts {
-        let addr = layout::CONTEXTS_BASE + u64::from(*id) * CpuContext::SIZE;
-        machine.nvram_mut().write(addr, &ctx.to_bytes());
-    }
+    let core_count = save_contexts(machine);
     used += contexts_cost;
     obs::emit(
         "supervisor",
@@ -628,18 +617,7 @@ mod tests {
         let mut heap = heap_with_root(7);
         // Enough budget for detection + contexts + priority flush +
         // marker/arm, but nowhere near the multi-millisecond bulk flush.
-        let detection = machine.monitor().debounce
-            + machine.monitor().interrupt_latency
-            + machine.profile().ipi_latency;
-        let probe = {
-            let mut p = heap.clone();
-            p.priority_flush()
-        };
-        let window_cap = detection
-            + machine.profile().context_save
-            + probe
-            + machine.monitor().i2c_command_latency
-            + Nanos::from_micros(60);
+        let window_cap = priority_stage_window(&machine, &heap);
         let report = supervised_save(
             &mut machine,
             &mut heap,
@@ -662,6 +640,38 @@ mod tests {
         assert_eq!(
             marker(&machine, layout::PARTIAL_MARKER_ADDR),
             layout::PARTIAL_MAGIC
+        );
+    }
+
+    #[test]
+    fn priority_stage_window_is_the_partial_boundary() {
+        // Without the slack, the priority-stage window is exactly what a
+        // partial save costs: every term of the shared plan counts, so
+        // one nanosecond less must refuse.
+        let save_at = |shortfall: Nanos| {
+            let mut machine = Machine::intel_testbed();
+            machine.apply_load(SystemLoad::Busy, 9);
+            let mut heap = heap_with_root(7);
+            let exact = priority_stage_window(&machine, &heap) - PARTIAL_STAGE_SLACK;
+            let budget = SaveBudget {
+                window_cap: Some(exact - shortfall),
+                ..SaveBudget::trusting()
+            };
+            supervised_save(
+                &mut machine,
+                &mut heap,
+                SystemLoad::Busy,
+                &clean_failure_trace(),
+                budget,
+            )
+            .unwrap()
+            .verdict
+        };
+        assert_eq!(save_at(Nanos::ZERO), SaveVerdict::PartialPriority);
+        let short = save_at(Nanos::new(1));
+        assert!(
+            matches!(short, SaveVerdict::Failed { ref reason } if reason.contains("window shortfall")),
+            "{short:?}"
         );
     }
 
@@ -698,13 +708,9 @@ mod tests {
         let mut heap = heap_with_root(7);
         // Power actually dies halfway through stage B even though the
         // measured window promised room for all of it.
-        let detection = machine.monitor().debounce
-            + machine.monitor().interrupt_latency
-            + machine.profile().ipi_latency;
-        let stage_b = machine
-            .flush_analysis()
-            .flush_time(FlushMethod::Wbinvd, machine.dirty_estimate(SystemLoad::Busy));
-        let cut = detection + machine.profile().context_save + stage_b / 2;
+        let cut = detection(&machine)
+            + machine.profile().context_save
+            + bulk_flush(&machine, SystemLoad::Busy, 1) / 2;
         let report = supervised_save(
             &mut machine,
             &mut heap,
@@ -757,18 +763,7 @@ mod tests {
         let mut machine = Machine::intel_testbed();
         machine.apply_load(SystemLoad::Busy, 9);
         let mut heap = heap_with_root(4242);
-        let detection = machine.monitor().debounce
-            + machine.monitor().interrupt_latency
-            + machine.profile().ipi_latency;
-        let probe = {
-            let mut p = heap.clone();
-            p.priority_flush()
-        };
-        let window_cap = detection
-            + machine.profile().context_save
-            + probe
-            + machine.monitor().i2c_command_latency
-            + Nanos::from_micros(60);
+        let window_cap = priority_stage_window(&machine, &heap);
         let report = supervised_save(
             &mut machine,
             &mut heap,

@@ -4,7 +4,7 @@
 //! Combinators (`map`, [`one_of`], [`weighted`], [`vec_of`], tuple
 //! zips) compose generators without any per-type shrinking logic:
 //! shrinking happens on the underlying choice stream (see
-//! [`crate::forall`]).
+//! [`crate::forall`](mod@crate::forall)).
 
 use std::rc::Rc;
 

@@ -4,7 +4,7 @@
 //! crate: a seeded, splittable PRNG ([`DetRng`], xoshiro256++ seeded by
 //! SplitMix64) behind a [`Rng`] trait mirroring the `rand` API surface
 //! the workspace uses, and a minimal shrinking property-test harness
-//! ([`forall`]/[`Forall`]) replacing `proptest`. Zero dependencies, so
+//! ([`forall()`]/[`Forall`]) replacing `proptest`. Zero dependencies, so
 //! `cargo build`/`cargo test` never touch a registry — the build is
 //! fully offline and every stream is bit-reproducible across platforms.
 //!
@@ -34,7 +34,7 @@
 //!
 //! Failures shrink to a minimal counterexample and report the seed and
 //! choice stream; `WSP_DET_SEED` / `WSP_DET_CASES` override the base
-//! seed and case count process-wide. See [`forall`] module docs for the
+//! seed and case count process-wide. See the [`forall`](mod@forall) module docs for the
 //! full reproducibility contract.
 
 #![forbid(unsafe_code)]

@@ -1,8 +1,10 @@
-//! The storage back end and the recovery ladder (paper §3.1): NVRAM is
-//! the *first* resort after a crash, the back end the last. Applications
-//! checkpoint their heap periodically; when local recovery is impossible
-//! (a flush-on-fail save that missed the window), the node restores the
-//! latest checkpoint and reports how stale it is.
+//! The storage back end (paper §3.1): NVRAM is the *first* resort after
+//! a crash, the back end the last. Applications checkpoint their heap
+//! periodically; when local recovery is impossible (a flush-on-fail save
+//! that missed the window), the node restores the latest checkpoint and
+//! reports how stale it is. The ladder that decides between them is
+//! `wsp_core::run_recovery_ladder`; [`BackendStore::restore`] is its
+//! bottom rung.
 
 use wsp_cache::CpuProfile;
 use wsp_units::{Bandwidth, ByteSize, Nanos};
@@ -45,77 +47,20 @@ impl BackendStore {
         )
     }
 
-    /// True if a checkpoint is stored.
-    #[must_use]
-    pub fn has_checkpoint(&self) -> bool {
-        self.checkpoint.is_some()
-    }
-
     /// The stored checkpoint's transaction high-water mark.
     #[must_use]
     pub fn checkpoint_seq(&self) -> Option<u64> {
         self.checkpoint.as_ref().map(|c| c.seq)
     }
-}
-
-/// How a heap came back after a crash.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecoverySource {
-    /// Local NVRAM recovery: nothing lost.
-    LocalNvram,
-    /// Restored from the back-end checkpoint; transactions committed
-    /// after `checkpoint_seq` were lost and must be replayed from
-    /// upstream.
-    BackendCheckpoint {
-        /// Transaction high-water mark of the restored checkpoint.
-        checkpoint_seq: u64,
-    },
-}
-
-/// The paper's recovery ladder over one heap and one back end.
-///
-/// # Examples
-///
-/// ```
-/// use wsp_pheap::{BackendStore, HeapConfig, PersistentHeap, RecoveryLadder, RecoverySource};
-/// use wsp_units::ByteSize;
-///
-/// let mut ladder = RecoveryLadder::new(BackendStore::disk_array());
-/// let mut heap = PersistentHeap::create(ByteSize::kib(128), HeapConfig::Fof);
-/// ladder.checkpoint(&heap);
-///
-/// // The flush-on-fail save misses the window: local recovery fails,
-/// // the ladder falls back to the checkpoint.
-/// let (recovered, source, _took) = ladder.recover(heap.crash(false)).unwrap();
-/// assert!(matches!(source, RecoverySource::BackendCheckpoint { .. }));
-/// # let _ = recovered;
-/// ```
-#[derive(Debug, Clone)]
-pub struct RecoveryLadder {
-    backend: BackendStore,
-}
-
-impl RecoveryLadder {
-    /// Creates a ladder over `backend`.
-    #[must_use]
-    pub fn new(backend: BackendStore) -> Self {
-        RecoveryLadder { backend }
-    }
-
-    /// The back end.
-    #[must_use]
-    pub fn backend(&self) -> &BackendStore {
-        &self.backend
-    }
 
     /// Takes a consistent checkpoint of `heap` (quiesce + snapshot + a
-    /// bandwidth-limited stream to the back end). Returns the simulated
-    /// checkpoint duration.
+    /// bandwidth-limited stream to the back end), replacing any earlier
+    /// one. Returns the simulated checkpoint duration.
     pub fn checkpoint(&mut self, heap: &PersistentHeap) -> Nanos {
         let image = heap.checkpoint_image();
         let size = ByteSize::new(image.bytes().len() as u64);
-        let duration = self.backend.write_bandwidth.transfer_time(size);
-        self.backend.checkpoint = Some(Checkpoint {
+        let duration = self.write_bandwidth.transfer_time(size);
+        self.checkpoint = Some(Checkpoint {
             seq: heap.txid_high_water(),
             bytes: image.bytes().to_vec(),
             profile: image.profile().clone(),
@@ -123,58 +68,44 @@ impl RecoveryLadder {
         duration
     }
 
-    /// Climbs the ladder: local NVRAM recovery first, back-end
-    /// checkpoint second. Returns the heap, where it came from, and the
-    /// simulated recovery duration.
-    ///
-    /// # Errors
-    ///
-    /// [`HeapError::Unrecoverable`] only when local recovery fails *and*
-    /// no checkpoint exists.
-    pub fn recover(
-        &self,
-        image: CrashImage,
-    ) -> Result<(PersistentHeap, RecoverySource, Nanos), HeapError> {
-        match PersistentHeap::recover(image) {
-            Ok(heap) => {
-                let took = heap.elapsed();
-                Ok((heap, RecoverySource::LocalNvram, took))
-            }
-            Err(HeapError::Unrecoverable { .. }) => self.recover_from_checkpoint(),
-            Err(other) => Err(other),
-        }
-    }
-
-    /// Rebuilds the heap from the back-end checkpoint alone, without
-    /// attempting local recovery first — the bottom rung of the recovery
-    /// ladder, taken when the node holds no usable NVRAM image at all
-    /// (torn save, failed save command, nothing armed).
+    /// Rebuilds the heap from the stored checkpoint — the bottom rung of
+    /// the recovery ladder, taken when the node holds no usable NVRAM
+    /// image (torn save, failed save command, nothing armed). Returns
+    /// the heap, the checkpoint's transaction high-water mark (commits
+    /// after it were lost and must replay from upstream) and the
+    /// simulated duration: the bandwidth-limited stream plus the heap's
+    /// own recovery.
     ///
     /// # Errors
     ///
     /// [`HeapError::Unrecoverable`] when no checkpoint exists.
-    pub fn recover_from_checkpoint(
-        &self,
-    ) -> Result<(PersistentHeap, RecoverySource, Nanos), HeapError> {
-        let ckpt = self
-            .backend
-            .checkpoint
-            .as_ref()
-            .ok_or(HeapError::Unrecoverable {
-                reason: "no local image and no back-end checkpoint",
-            })?;
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use wsp_pheap::{BackendStore, HeapConfig, PersistentHeap};
+    /// use wsp_units::ByteSize;
+    ///
+    /// let mut backend = BackendStore::disk_array();
+    /// let heap = PersistentHeap::create(ByteSize::kib(128), HeapConfig::Fof);
+    /// backend.checkpoint(&heap);
+    ///
+    /// // The flush-on-fail save misses the window: local recovery
+    /// // refuses, the back end restores the checkpoint.
+    /// assert!(PersistentHeap::recover(heap.crash(false)).is_err());
+    /// let (_heap, seq, _took) = backend.restore().unwrap();
+    /// assert_eq!(Some(seq), backend.checkpoint_seq());
+    /// ```
+    pub fn restore(&self) -> Result<(PersistentHeap, u64, Nanos), HeapError> {
+        let ckpt = self.checkpoint.as_ref().ok_or(HeapError::Unrecoverable {
+            reason: "no local image and no back-end checkpoint",
+        })?;
         let size = ByteSize::new(ckpt.bytes.len() as u64);
-        let stream = self.backend.read_bandwidth.transfer_time(size);
+        let stream = self.read_bandwidth.transfer_time(size);
         let restored = CrashImage::new(ckpt.bytes.clone(), true, ckpt.profile.clone());
         let heap = PersistentHeap::recover(restored)?;
         let took = stream + heap.elapsed();
-        Ok((
-            heap,
-            RecoverySource::BackendCheckpoint {
-                checkpoint_seq: ckpt.seq,
-            },
-            took,
-        ))
+        Ok((heap, ckpt.seq, took))
     }
 }
 
@@ -200,65 +131,35 @@ mod tests {
     }
 
     #[test]
-    fn local_recovery_preferred_when_available() {
-        let mut ladder = RecoveryLadder::new(BackendStore::disk_array());
-        let mut heap = PersistentHeap::create(ByteSize::kib(128), HeapConfig::Fof);
-        put(&mut heap, 1);
-        ladder.checkpoint(&heap);
-        put(&mut heap, 2); // after the checkpoint
-        let (mut recovered, source, _) = ladder.recover(heap.crash(true)).unwrap();
-        assert_eq!(source, RecoverySource::LocalNvram);
-        assert_eq!(root_value(&mut recovered), 2, "nothing lost locally");
-    }
-
-    #[test]
     fn checkpoint_fallback_loses_only_the_delta() {
-        let mut ladder = RecoveryLadder::new(BackendStore::disk_array());
+        let mut backend = BackendStore::disk_array();
         let mut heap = PersistentHeap::create(ByteSize::kib(128), HeapConfig::Fof);
         put(&mut heap, 1);
-        let _took = ladder.checkpoint(&heap);
-        let seq = ladder.backend().checkpoint_seq().unwrap();
+        let _took = backend.checkpoint(&heap);
+        let seq = backend.checkpoint_seq().unwrap();
         put(&mut heap, 2); // will be lost
-        let (mut recovered, source, took) = ladder.recover(heap.crash(false)).unwrap();
-        assert_eq!(
-            source,
-            RecoverySource::BackendCheckpoint {
-                checkpoint_seq: seq
-            }
-        );
+        let (mut recovered, restored_seq, took) = backend.restore().unwrap();
+        assert_eq!(restored_seq, seq);
         assert_eq!(root_value(&mut recovered), 1, "checkpoint state");
         assert!(took > Nanos::ZERO);
     }
 
     #[test]
     fn no_checkpoint_means_truly_unrecoverable() {
-        let ladder = RecoveryLadder::new(BackendStore::disk_array());
-        let heap = PersistentHeap::create(ByteSize::kib(128), HeapConfig::FofUndo);
+        let backend = BackendStore::disk_array();
         assert!(matches!(
-            ladder.recover(heap.crash(false)),
+            backend.restore(),
             Err(HeapError::Unrecoverable { .. })
         ));
     }
 
     #[test]
     fn checkpoint_duration_scales_with_size() {
-        let mut ladder = RecoveryLadder::new(BackendStore::disk_array());
+        let mut backend = BackendStore::disk_array();
         let small = PersistentHeap::create(ByteSize::kib(128), HeapConfig::Fof);
         let big = PersistentHeap::create(ByteSize::mib(4), HeapConfig::Fof);
-        let t_small = ladder.checkpoint(&small);
-        let t_big = ladder.checkpoint(&big);
+        let t_small = backend.checkpoint(&small);
+        let t_big = backend.checkpoint(&big);
         assert!(t_big > t_small * 20);
-    }
-
-    #[test]
-    fn foc_heaps_never_reach_the_backend() {
-        let mut ladder = RecoveryLadder::new(BackendStore::disk_array());
-        let mut heap = PersistentHeap::create(ByteSize::kib(128), HeapConfig::FocUndo);
-        put(&mut heap, 1);
-        ladder.checkpoint(&heap);
-        put(&mut heap, 2);
-        let (mut recovered, source, _) = ladder.recover(heap.crash(false)).unwrap();
-        assert_eq!(source, RecoverySource::LocalNvram);
-        assert_eq!(root_value(&mut recovered), 2);
     }
 }

@@ -116,7 +116,7 @@ impl fmt::Display for HeapConfig {
 /// Instrumentation costs that are *not* memory accesses: compiler-inserted
 /// read/write barriers, transactional-context setup, commit-time
 /// validation. Calibrated against the paper's observations (e.g. the 60 %
-/// read-only overhead of FoC + UL comes almost entirely from [`TX_BEGIN`]).
+/// read-only overhead of FoC + UL comes almost entirely from [`cost::TX_BEGIN`]).
 pub mod cost {
     use wsp_units::Nanos;
 

@@ -66,7 +66,7 @@ mod mem;
 mod stm;
 
 pub use alloc::FreeListAllocator;
-pub use backend::{BackendStore, RecoveryLadder, RecoverySource};
+pub use backend::BackendStore;
 pub use config::{cost, HeapConfig};
 pub use error::HeapError;
 pub use heap::{

@@ -92,4 +92,7 @@ RUSTFLAGS="-D warnings" cargo build --offline --workspace --all-targets
 echo "== clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (deny warnings: broken and ambiguous intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "verify.sh: all gates passed"

@@ -186,6 +186,27 @@ fn recovery_ladder_sweep_is_reproducible() {
     assert_eq!(a.glitches_ignored, b.glitches_ignored);
 }
 
+/// Planning a save is not flushing: the ladder sweep's stage-A cost
+/// probes run off the trace, so every recorded `pheap priority_flush`
+/// event (and every `PriorityFlushes` count) is a live stage A — one
+/// per `supervisor stage_a_flushed`, none on the glitch points where
+/// nothing is touched.
+#[test]
+fn ladder_sweep_records_only_live_priority_flushes() {
+    let r = sweep_recovery_ladder(Machine::intel_testbed, SystemLoad::Busy, 7);
+    let events = |subsystem: &str, name: &str| {
+        r.trace
+            .events()
+            .iter()
+            .filter(|e| e.subsystem == subsystem && e.name == name)
+            .count()
+    };
+    let live = events("supervisor", "stage_a_flushed");
+    assert!(live > 0, "the sweep runs stage A somewhere");
+    assert_eq!(events("pheap", "priority_flush"), live);
+    assert_eq!(r.metrics.counter(obs::Ctr::PriorityFlushes), live as u64);
+}
+
 /// The cross-shard 2PC sweep covers every protocol-step family —
 /// coordinator-side and shard-side — and every point lands on one of
 /// the two legal verdicts (plus exactly one typed degraded shard for

@@ -3,9 +3,7 @@
 //! comes back from — the complete WSP story across every crate.
 
 use wsp_repro::machine::{Machine, SystemLoad};
-use wsp_repro::pheap::{
-    BackendStore, HeapConfig, PersistentHeap, RecoveryLadder, RecoverySource,
-};
+use wsp_repro::pheap::{BackendStore, HeapConfig, PersistentHeap};
 use wsp_repro::power::Psu;
 use wsp_repro::units::{ByteSize, Farads, Watts};
 use wsp_repro::workloads::{Command, KvServer, Response};
@@ -13,17 +11,18 @@ use wsp_repro::wsp::{flush_on_fail_save, RestartStrategy};
 
 /// Runs a KV server on a WSP heap "hosted" by `machine`: the machine's
 /// flush-on-fail save outcome determines whether the heap's cached state
-/// survives, and the ladder handles the fallback.
-fn outage_on(machine: &mut Machine, load: SystemLoad) -> (RecoverySource, u64) {
+/// survives, and the back-end checkpoint is the fallback. Returns
+/// whether the heap recovered locally, and the items it holds.
+fn outage_on(machine: &mut Machine, load: SystemLoad) -> (bool, u64) {
     let mut heap = PersistentHeap::create(ByteSize::mib(4), HeapConfig::Fof);
     let mut server = KvServer::create(&mut heap).unwrap();
-    let mut ladder = RecoveryLadder::new(BackendStore::disk_array());
+    let mut backend = BackendStore::disk_array();
 
     // Load phase: 500 sets, checkpoint halfway.
     for k in 0..250 {
         server.execute(&mut heap, &Command::Set(k, k)).unwrap();
     }
-    ladder.checkpoint(&heap);
+    backend.checkpoint(&heap);
     for k in 250..500 {
         server.execute(&mut heap, &Command::Set(k, k)).unwrap();
     }
@@ -32,22 +31,24 @@ fn outage_on(machine: &mut Machine, load: SystemLoad) -> (RecoverySource, u64) {
     machine.apply_load(load, 13);
     let save = flush_on_fail_save(machine, load, RestartStrategy::RestorePathReinit);
 
-    let (mut heap, source, _took) = ladder
-        .recover(heap.crash(save.completed))
-        .expect("ladder always produces a heap here");
+    // NVRAM first, the back-end checkpoint last.
+    let (mut heap, local) = match PersistentHeap::recover(heap.crash(save.completed)) {
+        Ok(heap) => (heap, true),
+        Err(_) => (backend.restore().expect("checkpoint taken above").0, false),
+    };
     let mut server = KvServer::open(&mut heap).unwrap();
     let items = match server.execute(&mut heap, &Command::Stats).unwrap() {
         Response::Stats { items, .. } => items,
         other => panic!("expected stats, got {other:?}"),
     };
-    (source, items)
+    (local, items)
 }
 
 #[test]
 fn healthy_machine_recovers_everything_locally() {
     let mut machine = Machine::intel_testbed();
-    let (source, items) = outage_on(&mut machine, SystemLoad::Busy);
-    assert_eq!(source, RecoverySource::LocalNvram);
+    let (local, items) = outage_on(&mut machine, SystemLoad::Busy);
+    assert!(local, "a completed save recovers from NVRAM");
     assert_eq!(items, 500, "no committed data lost");
 }
 
@@ -56,8 +57,8 @@ fn starved_psu_falls_back_to_checkpoint() {
     // A PSU whose window cannot cover even the ~3 ms flush.
     let tiny = Psu::from_capacitance("starved", Watts::new(100.0), Farads::new(0.0001));
     let mut machine = Machine::intel_testbed().with_psu(tiny);
-    let (source, items) = outage_on(&mut machine, SystemLoad::Busy);
-    assert!(matches!(source, RecoverySource::BackendCheckpoint { .. }));
+    let (local, items) = outage_on(&mut machine, SystemLoad::Busy);
+    assert!(!local, "a missed window restores the checkpoint");
     assert_eq!(items, 250, "only the checkpointed half survives");
 }
 

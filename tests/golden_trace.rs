@@ -19,7 +19,7 @@ use std::path::PathBuf;
 use wsp_repro::cluster::ClusterSpec;
 use wsp_repro::machine::{Machine, SystemLoad};
 use wsp_repro::obs::{self, Capture, DiffMode};
-use wsp_repro::pheap::{BackendStore, HeapConfig, PersistentHeap, RecoveryLadder};
+use wsp_repro::pheap::{BackendStore, HeapConfig, PersistentHeap};
 use wsp_repro::units::{ByteSize, Nanos};
 use wsp_repro::wsp::{
     clean_failure_trace, run_recovery_ladder, supervised_save, LadderInput, RestartStrategy,
@@ -81,7 +81,7 @@ fn partial_budget(machine: &Machine, heap: &PersistentHeap) -> SaveBudget {
 
 struct Rig {
     machine: Machine,
-    backend: RecoveryLadder,
+    backend: BackendStore,
     cluster: ClusterSpec,
 }
 
@@ -90,7 +90,7 @@ fn rig(seed: u64) -> Rig {
     machine.apply_load(SystemLoad::Busy, seed);
     Rig {
         machine,
-        backend: RecoveryLadder::new(BackendStore::disk_array()),
+        backend: BackendStore::disk_array(),
         cluster: ClusterSpec::memcache_tier(50),
     }
 }

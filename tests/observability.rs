@@ -5,7 +5,7 @@
 use wsp_repro::cluster::ClusterSpec;
 use wsp_repro::machine::{Machine, SystemLoad};
 use wsp_repro::obs::{self, Ctr, DiffMode, Event};
-use wsp_repro::pheap::{BackendStore, HeapConfig, PersistentHeap, RecoveryLadder};
+use wsp_repro::pheap::{BackendStore, HeapConfig, PersistentHeap};
 use wsp_repro::units::ByteSize;
 use wsp_repro::wsp::{
     clean_failure_trace, flush_on_fail_save, restore, run_recovery_ladder, supervised_save,
@@ -151,7 +151,7 @@ fn sweep_refusals_match_traced_refusals_exactly() {
 fn ladder_trace(crash_at: Option<LadderRung>) -> Vec<Event> {
     let mut machine = Machine::intel_testbed();
     machine.apply_load(SystemLoad::Busy, 9);
-    let backend = RecoveryLadder::new(BackendStore::disk_array());
+    let backend = BackendStore::disk_array();
     let cluster = ClusterSpec::memcache_tier(50);
     let mut heap = heap_with_root(9);
     let budget = partial_budget(&machine, &heap);
