@@ -49,7 +49,7 @@ use wsp_det::{DetRng, Rng};
 use wsp_machine::{CpuContext, Machine, SystemLoad};
 use wsp_obs as obs;
 use wsp_obs::{MetricsSnapshot, Trace};
-use wsp_pheap::{BackendStore, CrashImage, HeapConfig, PersistentHeap};
+use wsp_pheap::{BackendStore, CrashImage, HeapConfig, PersistentHeap, GTXID_BASE};
 use wsp_power::{AgingModel, Ultracapacitor};
 use wsp_units::{ByteSize, Farads, Nanos, Volts, Watts};
 
@@ -284,13 +284,13 @@ fn run_save_point(
     }
 }
 
-/// The result of the mid-transaction sweep for one heap configuration.
+/// The result of a single-transaction crash sweep — mid-transaction or
+/// mid-commit — for one heap configuration.
 #[derive(Debug, Clone)]
 pub struct MidTxSweepReport {
     /// The configuration swept.
     pub config: HeapConfig,
-    /// Crash points exercised (one per prefix of the scripted
-    /// transaction, including the empty prefix).
+    /// Crash points exercised (see each sweep).
     pub crash_points: usize,
     /// Baseline-setup events followed by per-point traces merged in
     /// crash-point order — identical for any `WSP_FAULTSIM_THREADS`.
@@ -300,11 +300,12 @@ pub struct MidTxSweepReport {
 }
 
 /// Crashes an open transaction after every prefix of a seeded operation
-/// script and verifies recovery against the in-memory model:
-/// transactional configurations recover exactly the committed state
-/// (mid-transaction redo records are not committed, mid-transaction
-/// undo records roll back); the plain FoF heap — no transactions, the
-/// WSP programming model — recovers exactly the words written so far.
+/// script (the empty prefix included) and verifies recovery against the
+/// in-memory model: transactional configurations recover exactly the
+/// committed state (mid-transaction redo records are not committed,
+/// mid-transaction undo records roll back); the plain FoF heap — no
+/// transactions, the WSP programming model — recovers exactly the words
+/// written so far.
 ///
 /// Flush-on-commit configurations are crashed *without* the
 /// flush-on-fail save (their whole point), flush-on-fail configurations
@@ -415,14 +416,14 @@ enum EpochCrashPoint {
     /// open buffer and any staged-but-undrained generation are volatile
     /// and lost wholesale (seals lag one generation behind staging).
     AfterTx(usize),
-    /// Power fails `step` durable operations into the full seal of a
+    /// Power fails after this many durable events of the full seal of a
     /// heap holding a staged generation *and* a partially filled open
-    /// one — inside the staged batch's record appends, at its marker
-    /// boundary, or anywhere in the open batch's pipeline behind it.
+    /// one — inside the staged batch's drain, at its marker, anywhere in
+    /// the open batch's drain behind it, or (the last point) not at all.
     MidSeal(u64),
-    /// Power fails `step` durable operations into sealing a heap whose
-    /// only buffered transactions live in the open generation (nothing
-    /// staged yet). The epoch-commit marker is never written.
+    /// Power fails after this many durable events of sealing a heap
+    /// whose only buffered transactions live in the open generation
+    /// (nothing staged yet).
     MidSealOpen(u64),
 }
 
@@ -435,9 +436,9 @@ pub struct MidEpochSweepReport {
     /// Transactions per durability epoch in the swept heap.
     pub epoch_size: u64,
     /// Crash points exercised: one after each committed transaction
-    /// (including zero), one per durable step of a double-generation
-    /// mid-epoch seal (staged batch, marker boundary, open batch), and
-    /// one per durable step of an open-only seal.
+    /// (including zero), one per durable event of a double-generation
+    /// mid-epoch seal (staged batch, its marker, open batch) and of an
+    /// open-only seal, each plus the completed seal.
     pub crash_points: usize,
     /// Baseline-setup events followed by per-point traces merged in
     /// crash-point order — identical for any `WSP_FAULTSIM_THREADS`.
@@ -447,14 +448,14 @@ pub struct MidEpochSweepReport {
 }
 
 /// Crashes an epoch-group-commit heap after every committed transaction
-/// of a seeded script *and* at every durable step of its pipelined
+/// of a seeded script *and* at every durable event of its pipelined
 /// seals, then verifies that recovery restores exactly the epochs whose
 /// write-behind drain completed: with double-buffered seals durability
 /// lags staging by one generation, so transactions in the open buffer
 /// *or* a staged-but-undrained generation vanish wholesale, a
 /// half-drained batch rolls back past its missing marker, and a crash
-/// one step past the staged boundary keeps the staged epoch while the
-/// open one still vanishes. No crash point ever exposes a partial
+/// once the staged batch's marker landed keeps the staged epoch while
+/// the open one still vanishes. No crash point ever exposes a partial
 /// epoch.
 ///
 /// # Panics
@@ -497,32 +498,29 @@ pub(crate) fn sweep_mid_epoch_threads(
         .map(|_| (0, rng.gen_range(0..cells), rng.gen::<u64>()))
         .collect();
 
-    // How many durable steps each crash-sweep seal has, measured
+    // How many durable events each crash-sweep seal performs, measured
     // serially on throwaway replays (their observability is discarded —
     // every point re-runs the same deterministic prefix). At `mid_txs`
-    // one generation is staged behind four open transactions, so the
-    // step space spans both batches plus the staged marker; at
-    // `early_txs` only the open buffer exists.
-    let ((mid_steps, staged_boundary, open_steps), _) = obs::capture(|| {
-        let mut probe = heap.clone();
-        replay_epoch_txs(&mut probe, &model, &script[..mid_txs]);
-        let mut open_probe = heap.clone();
-        replay_epoch_txs(&mut open_probe, &model, &script[..early_txs]);
-        (
-            probe.seal_steps(),
-            probe.staged_seal_steps(),
-            open_probe.seal_steps(),
-        )
+    // one generation is staged behind four open transactions; at
+    // `epoch_size` it is all there is, so that seal ends with the staged
+    // marker; at `early_txs` only the open buffer exists.
+    let (seal_events, _) = obs::capture(|| {
+        [mid_txs, epoch_size, early_txs].map(|txs| {
+            let mut probe = heap.clone();
+            replay_epoch_txs(&mut probe, &model, &script[..txs]);
+            probe.durable_events(PersistentHeap::seal_epoch)
+        })
     });
+    let [mid_events, staged_events, open_events] = seal_events;
     assert!(
-        staged_boundary > 0 && mid_steps > staged_boundary,
-        "{config}: mid-seal crash space must straddle the staged boundary"
+        staged_events > 0 && mid_events > staged_events,
+        "{config}: mid-seal crash space must straddle the staged marker"
     );
 
     let mut points: Vec<EpochCrashPoint> =
         (0..=txs_total).map(EpochCrashPoint::AfterTx).collect();
-    points.extend((0..=mid_steps).map(EpochCrashPoint::MidSeal));
-    points.extend((0..=open_steps).map(EpochCrashPoint::MidSealOpen));
+    points.extend((0..=mid_events).map(EpochCrashPoint::MidSeal));
+    points.extend((0..=open_events).map(EpochCrashPoint::MidSealOpen));
     let crash_points = points.len();
 
     let (_, points_cap) = sweep::run(points, threads, |point| {
@@ -538,7 +536,7 @@ pub(crate) fn sweep_mid_epoch_threads(
             &script,
             epoch_size,
             config,
-            (mid_txs, early_txs, staged_boundary),
+            (mid_txs, early_txs, seal_events),
             point,
         );
     });
@@ -558,23 +556,23 @@ pub(crate) fn sweep_mid_epoch_threads(
 /// baseline cells (epoch absorption and auto-sealing happen inside the
 /// heap).
 fn replay_epoch_txs(heap: &mut PersistentHeap, model: &CellModel, prefix: &[(usize, usize, u64)]) {
-    for &(shard, cell, value) in prefix {
-        let mut tx = heap.begin();
-        tx.write_word(model.cell(shard, cell), value).unwrap();
-        tx.commit().unwrap();
+    for op in prefix {
+        commit_ops(heap, model, std::slice::from_ref(op));
     }
 }
 
 /// One mid-epoch crash point: replay the script prefix on a clone of
 /// the baseline heap, cut power (after a commit or partway through a
 /// seal), recover, and compare against the pipelined-durability model.
+/// `[mid, staged, open]` are the durable events of the mid seal, of its
+/// staged batch alone, and of the open-only seal.
 fn run_epoch_point(
     heap: &PersistentHeap,
     model: &CellModel,
     script: &[(usize, usize, u64)],
     epoch_size: usize,
     config: HeapConfig,
-    (mid_txs, early_txs, staged_boundary): (usize, usize, u64),
+    (mid_txs, early_txs, [mid, staged, open]): (usize, usize, [u64; 3]),
     point: EpochCrashPoint,
 ) {
     let mut h = heap.clone();
@@ -582,28 +580,142 @@ fn run_epoch_point(
     // double-buffered seals a generation stages at every
     // `epoch_size`-th commit but only drains when the *next* one
     // stages, so durability lags staging by one full generation. A
-    // mid-seal crash past the staged batch's marker step makes that
-    // epoch durable; at or below the boundary (or in an open-only
-    // seal) nothing new survives.
+    // mid-seal crash once the staged batch's marker landed makes that
+    // epoch durable, and a seal that completes makes every replayed
+    // transaction durable; short of that nothing new survives.
     let (durable, image) = match point {
         EpochCrashPoint::AfterTx(t) => {
             replay_epoch_txs(&mut h, model, &script[..t]);
             let staged = t / epoch_size;
             (staged.saturating_sub(1) * epoch_size, h.crash(false))
         }
-        EpochCrashPoint::MidSeal(step) => {
+        EpochCrashPoint::MidSeal(events) => {
             replay_epoch_txs(&mut h, model, &script[..mid_txs]);
-            let durable = if step > staged_boundary { epoch_size } else { 0 };
-            (durable, h.crash_mid_seal(step))
+            let durable = match events {
+                e if e >= mid => mid_txs,
+                e if e >= staged => epoch_size,
+                _ => 0,
+            };
+            (durable, h.crash_during(events, PersistentHeap::seal_epoch))
         }
-        EpochCrashPoint::MidSealOpen(step) => {
+        EpochCrashPoint::MidSealOpen(events) => {
             replay_epoch_txs(&mut h, model, &script[..early_txs]);
-            (0, h.crash_mid_seal(step))
+            let durable = if events >= open { early_txs } else { 0 };
+            (durable, h.crash_during(events, PersistentHeap::seal_epoch))
         }
     };
     let mut expected = model.clone();
     expected.apply(&script[..durable]);
     recover_and_audit(image, &expected, format_args!("{config} at {point:?}"));
+}
+
+/// A mid-commit crash point: power fails after `events` durable events
+/// of run `run` of the mid-commit sweep.
+#[derive(Debug, Clone, Copy)]
+struct CommitCrashPoint {
+    run: usize,
+    events: u64,
+}
+
+/// Crashes one whole flush-on-commit transaction (writes and commit)
+/// after each of its durable events and once completed, in two runs:
+/// one whose commit leaves the log alone and one whose commit truncates
+/// it. Each point must recover exactly the state before or after the
+/// transaction; once "after", every later point is too, and the
+/// completed run is. This holds the paper's flush-on-commit baseline
+/// (Fig. 5, Table 1) to its rule: data is durable before its marker,
+/// and no truncation drops records whose lines are not.
+///
+/// # Panics
+///
+/// Panics for configurations without flush-on-commit durability, or
+/// when recovery violates the contract at any point.
+pub fn sweep_mid_commit(config: HeapConfig, seed: u64) -> MidTxSweepReport {
+    sweep_mid_commit_threads(config, seed, sweep::threads())
+}
+
+pub(crate) fn sweep_mid_commit_threads(
+    config: HeapConfig,
+    seed: u64,
+    threads: usize,
+) -> MidTxSweepReport {
+    assert!(
+        config.flush_on_commit(),
+        "mid-commit sweep needs a flush-on-commit configuration, got {config}"
+    );
+    let mut rng = DetRng::seed_from_u64(seed);
+    let script = |rng: &mut DetRng| -> Vec<(usize, usize, u64)> {
+        (0..3).map(|_| (0, rng.gen_range(0..8), rng.gen())).collect()
+    };
+
+    // Run 0 commits on the committed baseline, whose log is nearly
+    // empty. Run 1 commits more on a copy, each tried on a clone first,
+    // until one's commit truncates the log (a log that never truncates
+    // fills and panics): that one is swept there.
+    let (runs, setup) = obs::capture(|| {
+        let (heaps, mut model) = committed_fleet(config, 1, 8, 64, &mut rng);
+        let mut heap = heaps[0].clone();
+        let plain = (heap.clone(), model.clone(), script(&mut rng));
+        let truncating = loop {
+            let tx = script(&mut rng);
+            let mut next = heap.clone();
+            commit_ops(&mut next, &model, &tx);
+            if next.stats().truncations > heap.stats().truncations {
+                break (heap, model, tx);
+            }
+            model.apply(&tx);
+            heap = next;
+        };
+        [plain, truncating]
+    });
+    let events = runs
+        .each_ref()
+        .map(|(heap, before, tx)| heap.durable_events(|h| commit_ops(h, before, tx)));
+    let points: Vec<CommitCrashPoint> = (0..2)
+        .flat_map(|run| (0..=events[run]).map(move |events| CommitCrashPoint { run, events }))
+        .collect();
+    let which = ["", ", truncating commit"];
+
+    let (recovered_after, points_cap) = sweep::run(points, threads, |point| {
+        sweep::inject(point.run as i64, point.events as i64, &point);
+        let (heap, before, tx) = &runs[point.run];
+        let mut after = before.clone();
+        after.apply(tx);
+        let image = heap.clone().crash_during(point.events, |h| commit_ops(h, before, tx));
+        let (run, n) = (which[point.run], events[point.run]);
+        let at = format!("{config} seed {seed}{run}: event {}/{n}", point.events);
+        let mut recovered = PersistentHeap::recover(image)
+            .unwrap_or_else(|e| panic!("{at}: recovery failed: {e}"));
+        let seen = before.observe(0, &mut recovered);
+        assert!(seen == *before || seen == after, "{at}: neither before nor after");
+        seen == after
+    });
+    // Per run, by event: "before" up to some point, then "after" to the end.
+    let (plain, truncating) = recovered_after.split_at(events[0] as usize + 1);
+    for (run, after) in which.into_iter().zip([plain, truncating]) {
+        assert!(
+            after.is_sorted() && after[after.len() - 1],
+            "{config} seed {seed}{run}: recovered \"after\" by event {after:?}"
+        );
+    }
+    let mut merged = setup;
+    merged.absorb(points_cap);
+
+    MidTxSweepReport {
+        config,
+        crash_points: recovered_after.len(),
+        trace: merged.trace,
+        metrics: merged.metrics,
+    }
+}
+
+/// Commits `ops` as one transaction on `heap`, at the cells of `model`.
+fn commit_ops(heap: &mut PersistentHeap, model: &CellModel, ops: &[(usize, usize, u64)]) {
+    let mut tx = heap.begin();
+    for &(shard, cell, value) in ops {
+        tx.write_word(model.cell(shard, cell), value).unwrap();
+    }
+    tx.commit().unwrap();
 }
 
 /// Shards in the cross-shard 2PC sweep.
@@ -654,13 +766,14 @@ pub enum TxnCrashPoint {
         /// Participants whose local commit marker is already durable.
         committed: usize,
     },
-    /// A participant crashes after `step` durable words of its own
-    /// prepare seal — before its PREPARED marker exists, so the
-    /// transaction presumes abort everywhere.
+    /// A participant crashes after `step` durable events of its own
+    /// prepare (see [`PersistentHeap::durable_events`]) — in the sweep,
+    /// short of the last, its PREPARED marker. The coordinator never
+    /// decided, so the transaction presumes abort everywhere.
     ShardMidPrepare {
         /// Index of the scripted transaction being attempted.
         txn: usize,
-        /// Durable words of the prepare seal when power fails.
+        /// Durable events of the prepare when power fails.
         step: u64,
     },
     /// A participant crashes while writing its phase-2 commit marker
@@ -669,7 +782,7 @@ pub enum TxnCrashPoint {
     ShardMidCommit {
         /// Index of the scripted transaction being attempted.
         txn: usize,
-        /// True when the marker's fence landed before the crash.
+        /// True when the marker, the commit's first durable event, landed.
         marker_durable: bool,
     },
     /// A participant loses its NVRAM image outright mid-2PC: that shard
@@ -877,8 +990,8 @@ impl CrossShard2pcReport {
 /// Crashes a three-shard deployment at **every** step of the two-phase
 /// epoch seal — coordinator-side (pre-prepare, between prepares,
 /// post-prepare/pre-decision, post-decision, between shard commits) and
-/// shard-side (every durable word of a prepare seal, a torn and a
-/// fenced commit marker, a lost image) — plus the group-commit families
+/// shard-side (every durable event of a prepare short of its marker, a
+/// torn and a fenced commit marker, a lost image) — plus the group-commit families
 /// driven through a two-coordinator [`CoordinatorPool`]: a crash at
 /// every group boundary with decisions buffered, an interleaved seal
 /// whose single flush splits the in-flight set into a committed prefix
@@ -932,16 +1045,16 @@ pub(crate) fn sweep_cross_shard_2pc_threads(
     let cluster = ClusterSpec::memcache_tier(8);
     let mid = XS_TXNS / 2;
 
-    // How many durable words the mid-sweep participant's prepare seal
-    // has (`prepare_steps` is a pure count — the lowest-numbered
-    // participant of txn `mid` is the one the shard-side points crash).
+    // Durable events of the mid-sweep participant's prepare, marker last
+    // (shard-side points crash the lowest-numbered participant of `mid`).
     let mid_shard = (mid % XS_SHARDS).min((mid + 1) % XS_SHARDS);
     let mid_writes: Vec<(u64, u64)> = script[mid]
         .iter()
         .filter(|&&(s, _, _)| s == mid_shard)
         .map(|&(_, cell, v)| (model.cell(mid_shard, cell).offset(), v))
         .collect();
-    let seal_steps = heaps[mid_shard].prepare_steps(&mid_writes);
+    let events =
+        heaps[mid_shard].durable_events(|h| h.prepare_distributed(GTXID_BASE, &mid_writes));
 
     let mut points: Vec<TxnCrashPoint> = Vec::new();
     for t in 0..XS_TXNS {
@@ -951,7 +1064,7 @@ pub(crate) fn sweep_cross_shard_2pc_threads(
         points.push(TxnCrashPoint::PostDecisionPreCommit { txn: t });
         points.push(TxnCrashPoint::BetweenShardCommits { txn: t, committed: 1 });
     }
-    points.extend((0..=seal_steps).map(|step| TxnCrashPoint::ShardMidPrepare { txn: mid, step }));
+    points.extend((0..events).map(|step| TxnCrashPoint::ShardMidPrepare { txn: mid, step }));
     points.push(TxnCrashPoint::ShardMidCommit { txn: mid, marker_durable: false });
     points.push(TxnCrashPoint::ShardMidCommit { txn: mid, marker_durable: true });
     points.push(TxnCrashPoint::ShardImageLost { txn: mid });
@@ -1123,10 +1236,11 @@ fn run_cross_shard_point(
             _ if shard != first => Some(heap.crash(false)),
             TxnCrashPoint::ShardImageLost { .. } => None,
             TxnCrashPoint::ShardMidPrepare { step, .. } => {
-                Some(heap.crash_mid_prepare(gtxid, txn.writes_for(shard), step))
+                let writes = txn.writes_for(shard);
+                Some(heap.crash_during(step, |h| h.prepare_distributed(gtxid, writes)))
             }
             TxnCrashPoint::ShardMidCommit { marker_durable, .. } => {
-                Some(heap.crash_mid_commit(gtxid, marker_durable))
+                Some(heap.crash_during(u64::from(marker_durable), |h| h.commit_distributed(gtxid)))
             }
             _ => Some(heap.crash(false)),
         })

@@ -120,6 +120,26 @@ impl CellModel {
         check.commit().expect("read-only commit");
     }
 
+    /// This model with `shard`'s values replaced by what `heap` holds in
+    /// its cells, read in one read-only transaction: equal to an
+    /// expected model exactly when the heap matches it.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the cell when one is unreadable.
+    #[must_use]
+    pub fn observe(&self, shard: usize, heap: &mut PersistentHeap) -> CellModel {
+        let mut seen = self.clone();
+        let mut check = heap.begin();
+        for (cell, slot) in seen.shards[shard].iter_mut().enumerate() {
+            slot.1 = check
+                .read_word(slot.0)
+                .unwrap_or_else(|e| panic!("shard {shard} cell {cell} unreadable: {e}"));
+        }
+        check.commit().expect("read-only commit");
+        seen
+    }
+
     /// Checks a fleet-wide 2PC recovery. The `lost` shard, if any, must
     /// hold the lost-shard contract: a [`RecoveryOutcome::Degraded`]
     /// verdict at [`LadderRung::ClusterRebuild`] with a non-empty reason

@@ -139,8 +139,8 @@ mod tests {
     use wsp_pheap::HeapConfig;
 
     use crate::faultsim::{
-        sweep_cross_shard_2pc_threads, sweep_mid_epoch_threads, sweep_mid_transaction_threads,
-        sweep_recovery_ladder_threads, sweep_save_path_threads,
+        sweep_cross_shard_2pc_threads, sweep_mid_commit_threads, sweep_mid_epoch_threads,
+        sweep_mid_transaction_threads, sweep_recovery_ladder_threads, sweep_save_path_threads,
     };
     use crate::lockfree_sweep::{sweep_lockfree_threads, LfStructure};
     use crate::storm::sweep_power_storm_threads;
@@ -273,6 +273,10 @@ mod tests {
             rows.push((
                 format!("cross_shard_2pc {config} seed 4242"),
                 Box::new(move |t| observed!(sweep_cross_shard_2pc_threads(config, 4242, t))),
+            ));
+            rows.push((
+                format!("mid_commit {config} seed 4242"),
+                Box::new(move |t| observed!(sweep_mid_commit_threads(config, 4242, t))),
             ));
         }
         for seed in [4242, 7] {

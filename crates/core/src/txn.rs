@@ -514,13 +514,6 @@ impl CoordinatorPool {
     /// the slowest coordinator in the group pays unrebated time.
     /// Returns the number of decisions sealed (0 = no-op).
     pub fn seal_decisions(&mut self, sealer: usize) -> usize {
-        self.seal_cut(sealer, None)
-    }
-
-    /// [`CoordinatorPool::seal_decisions`], with the group record cut
-    /// after its first `durable_words` words when that is `Some`: those
-    /// words are fenced, then power fails before anything is booked.
-    fn seal_cut(&mut self, sealer: usize, durable_words: Option<usize>) -> usize {
         if self.pending.is_empty() {
             return 0;
         }
@@ -531,12 +524,8 @@ impl CoordinatorPool {
             .map(|p| pack_group_entry(p.generation, p.gtxid))
             .collect();
         let m0 = self.mem.elapsed();
-        self.log
-            .append_group_decision(&mut self.mem, &entries, true, durable_words);
+        self.log.append_group_decision(&mut self.mem, &entries, true);
         self.mem.sfence();
-        if durable_words.is_some() {
-            return 0;
-        }
         let seal_cost = self.mem.elapsed() - m0;
         let seal_end = self.run_on_log(sealer, seal_cost);
 
@@ -666,8 +655,7 @@ impl CoordinatorPool {
             .iter()
             .map(|&(gtxid, generation)| pack_group_entry(generation, gtxid))
             .collect();
-        self.log
-            .append_group_decision(&mut self.mem, &entries, true, None);
+        self.log.append_group_decision(&mut self.mem, &entries, true);
         self.mem.sfence();
     }
 
@@ -681,11 +669,12 @@ impl CoordinatorPool {
     }
 
     /// Crashes the pool mid-group-seal ([`CoordinatorPool::seal_decisions`]
-    /// run with a cut, compaction included): only the first
+    /// with power failing partway, compaction included): only the first
     /// `durable_words` words of the covering group record (header first,
     /// then one entry per buffered decision) reach NVRAM before the power
     /// dies. Recovery must presume abort for *every* member unless the
-    /// record is complete — the torn-group-record crash family.
+    /// record is complete — the torn-group-record crash family. The
+    /// crashed seal books nothing to the observability stream.
     ///
     /// # Panics
     ///
@@ -694,8 +683,17 @@ impl CoordinatorPool {
     #[must_use]
     pub fn crash_mid_group_seal(&mut self, durable_words: usize) -> Vec<u8> {
         assert!(!self.pending.is_empty(), "nothing buffered to seal");
-        // The sealer only pays for a seal that completes.
-        self.seal_cut(0, Some(durable_words));
+        assert!(
+            durable_words <= self.pending.len() + 1,
+            "record is only {} words",
+            self.pending.len() + 1
+        );
+        // Compaction's durable events come first; measure them on a clone.
+        let mut probe = self.clone();
+        probe.compact_decision_log();
+        let compaction = probe.mem.durable_events() - self.mem.durable_events();
+        self.mem.fail_after(compaction + durable_words as u64);
+        let (_, _) = obs::capture(|| self.seal_decisions(0));
         self.mem.clone().crash(false)
     }
 

@@ -297,26 +297,9 @@ impl EpochCommitter {
     }
 }
 
-/// A crash point's cut through a production durability path: `None`
-/// runs the path to completion, `Some(n)` lets `n` more durable steps
-/// run and fails power before the next.
-type Cut = Option<u64>;
-
-/// Takes one durable step from `cut`; `false` means power has failed.
-fn step(cut: &mut Cut) -> bool {
-    match cut {
-        None => true,
-        Some(0) => false,
-        Some(n) => {
-            *n -= 1;
-            true
-        }
-    }
-}
-
 /// Coalesces a write set to one `(addr, final value)` per distinct
 /// address, in first-write order — the plan every seal and prepare
-/// persists and every step count is taken from.
+/// persists.
 fn coalesce(writes: &[(u64, u64)]) -> Vec<(u64, u64)> {
     let mut slots: FastMap<u64, usize> = FastMap::default();
     let mut plan: Vec<(u64, u64)> = Vec::with_capacity(writes.len());
@@ -505,13 +488,6 @@ impl PersistentHeap {
     /// is off or nothing is buffered: an empty seal writes no records,
     /// no marker, and grows the log by nothing.
     pub fn seal_epoch(&mut self) {
-        self.seal_cut(&mut None);
-    }
-
-    /// [`PersistentHeap::seal_epoch`] under a crash-point `cut`: the
-    /// staged batch's steps come first, its marker is the next one, and
-    /// the open batch's steps follow. A batch cut short stops the seal.
-    fn seal_cut(&mut self, cut: &mut Cut) {
         // Lifted out for the seal, so each drain can borrow the
         // committer beside the heap (nothing a drain calls reads
         // `self.epoch`; `stage_open_batch` relies on the same).
@@ -521,9 +497,7 @@ impl PersistentHeap {
         let staged = epoch.in_flight.take();
         let open = (!epoch.open.buffered.is_empty()).then(|| epoch.take_open());
         for batch in staged.into_iter().chain(open) {
-            if !self.drain_batch(&mut epoch, batch, cut) {
-                break;
-            }
+            self.drain_batch(&mut epoch, batch);
         }
         self.epoch = Some(epoch);
     }
@@ -533,13 +507,13 @@ impl PersistentHeap {
     /// that ran since it was staged), then stages the open buffer as the
     /// new in-flight generation. Durability now lags one generation — a
     /// raw crash loses both the open and the staged batch, exactly the
-    /// window the extended `crash_mid_seal` sweep covers.
+    /// window the extended mid-seal sweep covers.
     fn stage_open_batch(&mut self) {
         let Some(mut epoch) = self.epoch.take() else {
             return;
         };
         if let Some(staged) = epoch.in_flight.take() {
-            self.drain_batch(&mut epoch, staged, &mut None);
+            self.drain_batch(&mut epoch, staged);
         }
         let mut batch = epoch.take_open();
         batch.handoff = Some(self.mem.elapsed());
@@ -551,10 +525,8 @@ impl PersistentHeap {
     /// under one fenced [`RecordKind::EpochCommit`] marker covering every
     /// absorbed transaction, then (redo flavour) applies the write-behind
     /// buffer. A staged batch additionally rebates the portion of its
-    /// seal that overlapped foreground commits since the handoff. Returns
-    /// `false`, having booked nothing, when `cut` fails power before the
-    /// marker.
-    fn drain_batch(&mut self, epoch: &mut EpochCommitter, batch: SealBatch, cut: &mut Cut) -> bool {
+    /// seal that overlapped foreground commits since the handoff.
+    fn drain_batch(&mut self, epoch: &mut EpochCommitter, batch: SealBatch) {
         let t0 = self.mem.elapsed();
         // Duplicate writes within the batch cost nothing durable — under
         // FliT they were merged at absorb time, in reference mode they
@@ -571,12 +543,7 @@ impl PersistentHeap {
         }
         let marker = LogRecord::epoch_commit(batch.max_txid);
         let applies = &batch.buffered;
-        if self
-            .persist_write_set(&mut epoch.walk, &plan, applies, &marker, cut)
-            .is_none()
-        {
-            return false;
-        }
+        self.persist_write_set(&mut epoch.walk, &plan, applies, &marker);
         if !self.config.uses_undo_log() {
             // Redo flavour: NVRAM never held a byte of the batch until the
             // marker committed it wholesale; a crash mid-seal leaves the
@@ -608,7 +575,6 @@ impl PersistentHeap {
             // the records before the marker are dead.
             self.make_log_room();
         }
-        true
     }
 
     /// The write-set durability protocol the epoch seal and the 2PC
@@ -629,21 +595,15 @@ impl PersistentHeap {
     /// half-applied set back. No per-record `redo_append` charge: that
     /// models the stalls of the *fenced* per-transaction append path,
     /// and this batched unfenced stream pays only the non-temporal store
-    /// cost the cache model already charges.
-    ///
-    /// Each append, the step-2 fence and each flush is one durable step
-    /// and the marker one more; `cut` fails power before the first step
-    /// it has no budget for. Returns the undo records' `(addr, old)`
-    /// pairs (empty for redo) once the marker is durable, and `None`
-    /// when cut — having booked no statistics or counters.
+    /// cost the cache model already charges. Returns the undo records'
+    /// `(addr, old)` pairs (empty for redo).
     fn persist_write_set(
         &mut self,
         walk: &mut LineWalk,
         plan: &[(u64, u64)],
         applies: &[(u64, u64)],
         marker: &LogRecord,
-        cut: &mut Cut,
-    ) -> Option<Vec<(u64, u64)>> {
+    ) -> Vec<(u64, u64)> {
         let undo = self.config.uses_undo_log();
         let olds: Vec<(u64, u64)> = if undo {
             plan.iter().map(|&(addr, _)| (addr, self.mem.read_u64(addr))).collect()
@@ -651,14 +611,8 @@ impl PersistentHeap {
             Vec::new()
         };
         for &(addr, value) in if undo { &olds[..] } else { plan } {
-            if !step(cut) {
-                return None;
-            }
             self.log
                 .append(&mut self.mem, &LogRecord::write(marker.txid, addr, value), true);
-        }
-        if !step(cut) {
-            return None;
         }
         self.mem.sfence();
         walk.clear();
@@ -668,16 +622,8 @@ impl PersistentHeap {
             }
             walk.extend(plan.iter().map(|&(addr, _)| addr / LINE_SIZE));
             for &line in walk.coalesce() {
-                if !step(cut) {
-                    return None;
-                }
                 self.mem.clflush_range(line * LINE_SIZE, LINE_SIZE);
             }
-        }
-        if !step(cut) {
-            return None;
-        }
-        if undo {
             self.mem.sfence();
         }
         self.log.append(&mut self.mem, marker, true);
@@ -689,21 +635,7 @@ impl PersistentHeap {
             self.stats.redo_records += plan.len() as u64;
         }
         walk.clear();
-        Some(olds)
-    }
-
-    /// Durable steps [`PersistentHeap::persist_write_set`] runs before
-    /// its marker for the plan coalesced from `writes`.
-    fn persist_steps(&self, writes: &[(u64, u64)]) -> u64 {
-        let plan = coalesce(writes);
-        let records = plan.len() as u64;
-        if self.config.uses_undo_log() {
-            let mut walk = LineWalk::default();
-            walk.extend(plan.iter().map(|&(addr, _)| addr / LINE_SIZE));
-            records + 1 + walk.coalesce().len() as u64
-        } else {
-            records + 1
-        }
+        olds
     }
 
     /// Absorbs a committed transaction's write set into the open batch,
@@ -919,67 +851,6 @@ impl PersistentHeap {
         Self::recover_inner(image, true, None).map(|(heap, _)| heap)
     }
 
-    /// Durable steps an epoch seal would run right now, across *both*
-    /// write-behind generations, for mid-seal fault injection. For each
-    /// live batch — staged in-flight first, then open — the steps are:
-    /// one per coalesced record append, one for the post-append fence
-    /// (plus, for the undo flavour, the in-place applies it unlocks),
-    /// and — undo flavour only — one per coalesced data-line flush.
-    /// When both generations are live, one extra step sits between them
-    /// for the staged batch's covering marker: crashing at or past it is
-    /// the first point where the staged epoch survives. Zero when epoch
-    /// mode is off or nothing is buffered.
-    #[must_use]
-    pub fn seal_steps(&self) -> u64 {
-        let Some(epoch) = &self.epoch else {
-            return 0;
-        };
-        let open = (!epoch.open.buffered.is_empty()).then_some(&epoch.open);
-        // Every batch's steps plus its marker, except the last marker:
-        // no crash point reaches it.
-        epoch
-            .in_flight
-            .iter()
-            .chain(open)
-            .map(|b| self.persist_steps(&b.buffered) + 1)
-            .sum::<u64>()
-            .saturating_sub(1)
-    }
-
-    /// Durable steps belonging to the staged (in-flight) batch alone —
-    /// the boundary in [`PersistentHeap::seal_steps`]'s numbering at or
-    /// below which a mid-seal crash loses that batch too. Zero when
-    /// nothing is staged.
-    #[must_use]
-    pub fn staged_seal_steps(&self) -> u64 {
-        self.epoch
-            .as_ref()
-            .and_then(|e| e.in_flight.as_ref())
-            .map_or(0, |b| self.persist_steps(&b.buffered))
-    }
-
-    /// Simulates power failing `step` durable operations into the full
-    /// seal of both write-behind generations ([`PersistentHeap::seal_epoch`]
-    /// run with a cut). With a staged batch live, steps up to
-    /// [`PersistentHeap::staged_seal_steps`] crash inside *its* seal —
-    /// neither generation's marker is durable and recovery rolls back to
-    /// the last fully drained epoch; one step later its marker lands,
-    /// and every further step crashes inside the open batch's seal with
-    /// the staged epoch already durable. Within a batch the durable
-    /// prefix is coalesced record appends, then the post-append `sfence`
-    /// and, for the undo flavour, the in-place applies and a prefix of
-    /// the coalesced line flushes — but the last batch's covering
-    /// [`RecordKind::EpochCommit`] marker is never written. `step` past
-    /// [`PersistentHeap::seal_steps`] behaves as the largest crash
-    /// point. With epoch mode off or nothing buffered this is a plain
-    /// unsaved crash.
-    #[must_use]
-    pub fn crash_mid_seal(mut self, step: u64) -> CrashImage {
-        let mut cut = Some(step.min(self.seal_steps()));
-        self.seal_cut(&mut cut);
-        self.crash(false)
-    }
-
     // ---- cross-shard two-phase commit ---------------------------------
 
     /// Prepares global transaction `gtxid` on this shard — phase 1 of
@@ -1011,16 +882,6 @@ impl PersistentHeap {
         &mut self,
         gtxid: u64,
         writes: &[(u64, u64)],
-    ) -> Result<(), HeapError> {
-        self.prepare_cut(gtxid, writes, &mut None)
-    }
-
-    /// [`PersistentHeap::prepare_distributed`] under a crash-point `cut`.
-    fn prepare_cut(
-        &mut self,
-        gtxid: u64,
-        writes: &[(u64, u64)],
-        cut: &mut Cut,
     ) -> Result<(), HeapError> {
         assert!(
             gtxid >= GTXID_BASE,
@@ -1058,9 +919,8 @@ impl PersistentHeap {
         // The undo flavour applies one final value per address in place.
         let marker = LogRecord::prepare(gtxid);
         let mut walk = LineWalk::default();
-        if let Some(olds) = self.persist_write_set(&mut walk, &plan, &plan, &marker, cut) {
-            self.prepared.insert(gtxid, PreparedTxn { writes: plan, olds });
-        }
+        let olds = self.persist_write_set(&mut walk, &plan, &plan, &marker);
+        self.prepared.insert(gtxid, PreparedTxn { writes: plan, olds });
         Ok(())
     }
 
@@ -1074,12 +934,6 @@ impl PersistentHeap {
     ///
     /// [`HeapError::NoTransaction`] if `gtxid` was never prepared here.
     pub fn commit_distributed(&mut self, gtxid: u64) -> Result<(), HeapError> {
-        self.commit_cut(gtxid, &mut None)
-    }
-
-    /// [`PersistentHeap::commit_distributed`] under a crash-point `cut`:
-    /// the marker append is one durable step, its fence the next.
-    fn commit_cut(&mut self, gtxid: u64, cut: &mut Cut) -> Result<(), HeapError> {
         // Make room for the marker while `gtxid` is still in the
         // prepared map, so a preserving truncation keeps its records.
         if self.log.free_words() < 1 && self.prepared.contains_key(&gtxid) {
@@ -1088,14 +942,8 @@ impl PersistentHeap {
         let Some(p) = self.prepared.remove(&gtxid) else {
             return Err(HeapError::NoTransaction);
         };
-        if !step(cut) {
-            return Ok(());
-        }
         self.log
             .append(&mut self.mem, &LogRecord::commit(gtxid), true);
-        if !step(cut) {
-            return Ok(());
-        }
         self.mem.sfence();
         if self.config.uses_redo_log() {
             for &(addr, value) in &p.writes {
@@ -1147,71 +995,30 @@ impl PersistentHeap {
         Ok(())
     }
 
-    /// Durable steps [`PersistentHeap::prepare_distributed`] would run
-    /// for `writes`, for mid-prepare fault injection: one per coalesced
-    /// record append, one for the post-append fence (plus, undo flavour,
-    /// the in-place applies it unlocks), and — undo flavour only — one
-    /// per coalesced line flush. [`PersistentHeap::crash_mid_prepare`]
-    /// never writes the PREPARED marker itself, so every step recovers
-    /// by presumed abort.
+    /// Runs `op` with power failing just before the `(events + 1)`-th
+    /// durable event it performs (see
+    /// [`PersistentMemory::durable_events`]) and returns the durable
+    /// image at that instant, with no flush-on-fail save. `events` at
+    /// or past [`PersistentHeap::durable_events`] of the same `op` lets
+    /// it complete. What `op` returns and records to the observability
+    /// stream is dropped: a crashed operation books nothing.
     #[must_use]
-    pub fn prepare_steps(&self, writes: &[(u64, u64)]) -> u64 {
-        self.persist_steps(writes)
-    }
-
-    /// Simulates power failing `step` durable operations into preparing
-    /// `gtxid` ([`PersistentHeap::prepare_distributed`] run with a cut):
-    /// the prepare's durable prefix runs, but the PREPARED marker is
-    /// never written — after recovery the shard holds no PREPARED
-    /// record, so the coordinator cannot have decided commit and
-    /// presumed abort is the only consistent outcome. `step` past
-    /// [`PersistentHeap::prepare_steps`] behaves as the largest crash
-    /// point (everything durable except the marker); a prepare that
-    /// would be refused crashes before any record lands.
-    ///
-    /// # Panics
-    ///
-    /// Panics for flush-on-fail configurations (which cannot prepare).
-    #[must_use]
-    pub fn crash_mid_prepare(
-        mut self,
-        gtxid: u64,
-        writes: &[(u64, u64)],
-        step: u64,
-    ) -> CrashImage {
-        assert!(
-            self.config.flush_on_commit(),
-            "prepare is flush-on-commit only"
-        );
-        let mut cut = Some(step.min(self.prepare_steps(writes)));
-        // A refusal leaves nothing durable to cut into.
-        let _ = self.prepare_cut(gtxid, writes, &mut cut);
+    pub fn crash_during<T>(mut self, events: u64, op: impl FnOnce(&mut Self) -> T) -> CrashImage {
+        self.mem.fail_after(events);
+        let _ = obs::capture(|| op(&mut self));
         self.crash(false)
     }
 
-    /// Simulates power failing while this shard writes its phase-2
-    /// commit marker for a prepared `gtxid`
-    /// ([`PersistentHeap::commit_distributed`] run with a cut): the
-    /// marker's non-temporal store issues, and power dies just after the
-    /// covering fence (`marker_durable`) or just before it. Without the
-    /// fence the marker is torn away and the shard recovers still in
-    /// doubt; with it the local decision is already durable. Either way
-    /// the coordinator's decision log agrees (phase 2 only starts after
-    /// the decision marker), so recovery converges on commit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gtxid` is not prepared on this shard.
+    /// Durable events `op` performs when run on a clone of this heap —
+    /// the crash points [`PersistentHeap::crash_during`] can place
+    /// inside it are `0..=` this count. What the clone's `op` returns
+    /// and records is dropped.
     #[must_use]
-    pub fn crash_mid_commit(mut self, gtxid: u64, marker_durable: bool) -> CrashImage {
-        assert!(
-            self.prepared.contains_key(&gtxid),
-            "crash_mid_commit needs a prepared gtxid"
-        );
-        let mut cut = Some(1 + u64::from(marker_durable));
-        // Cannot fail: `gtxid` is prepared.
-        let _ = self.commit_cut(gtxid, &mut cut);
-        self.crash(false)
+    pub fn durable_events<T>(&self, op: impl FnOnce(&mut Self) -> T) -> u64 {
+        let mut probe = self.clone();
+        let before = probe.mem.durable_events();
+        let _ = obs::capture(|| op(&mut probe));
+        probe.mem.durable_events() - before
     }
 
     /// Simulates a power failure: the flush-on-fail save runs iff
@@ -2551,7 +2358,7 @@ mod tests {
     }
 
     #[test]
-    fn crash_mid_seal_never_exposes_partial_epoch() {
+    fn mid_seal_crash_never_exposes_partial_epoch() {
         for config in [HeapConfig::FocUndo, HeapConfig::FocStm] {
             // Baseline: one sealed epoch over eight cells spanning
             // several cache lines, so the seal has records to append
@@ -2578,17 +2385,18 @@ mod tests {
                 tx.write_word(p, i as u64 + 9000).unwrap();
                 tx.commit().unwrap();
             }
-            let steps = h.seal_steps();
-            assert!(steps > 8, "{config}: records + fence at minimum");
-            for step in 0..=steps {
-                let image = h.clone().crash_mid_seal(step);
+            let events = h.durable_events(PersistentHeap::seal_epoch);
+            assert!(events > 8 * 4, "{config}: every record word at minimum");
+            // Every event short of the last (the open epoch's marker).
+            for event in 0..events {
+                let image = h.clone().crash_during(event, PersistentHeap::seal_epoch);
                 let mut r = PersistentHeap::recover(image).unwrap();
                 let mut tx = r.begin();
                 for (i, &p) in cells.iter().enumerate() {
                     assert_eq!(
                         tx.read_word(p).unwrap(),
                         i as u64 + 1000,
-                        "{config}: cell {i} at seal step {step}/{steps}"
+                        "{config}: cell {i} at seal event {event}/{events}"
                     );
                 }
                 tx.commit().unwrap();
@@ -2831,7 +2639,7 @@ mod tests {
     }
 
     #[test]
-    fn seal_steps_span_both_generations() {
+    fn seal_events_span_both_generations() {
         for config in [HeapConfig::FocUndo, HeapConfig::FocStm] {
             let mut h = heap(config);
             let p = put_one(&mut h, 0);
@@ -2845,29 +2653,30 @@ mod tests {
             let mut tx = h.begin();
             tx.write_word(p, 2).unwrap();
             tx.commit().unwrap();
-            let staged_only = h.seal_steps();
-            assert!(staged_only > 0, "{config}");
-            assert_eq!(h.staged_seal_steps(), staged_only, "{config}: all staged");
+            let seal = PersistentHeap::seal_epoch;
+            let staged = h.durable_events(seal);
+            assert!(staged > 0, "{config}");
             let mut tx = h.begin();
             tx.write_word(p, 3).unwrap();
             tx.commit().unwrap();
-            let both = h.seal_steps();
+            let both = h.durable_events(seal);
             assert!(
-                both > h.staged_seal_steps(),
-                "{config}: open batch adds steps past the staged boundary"
+                both > staged,
+                "{config}: open batch adds events past the staged marker"
             );
-            // Crashing past the staged boundary must preserve the staged
-            // epoch; at or below it, nothing.
-            let image = h.clone().crash_mid_seal(h.staged_seal_steps() + 1);
-            let mut r = PersistentHeap::recover(image).unwrap();
-            let mut tx = r.begin();
-            assert_eq!(tx.read_word(p).unwrap(), 2, "{config}: staged epoch durable");
-            tx.commit().unwrap();
-            let image = h.clone().crash_mid_seal(0);
-            let mut r = PersistentHeap::recover(image).unwrap();
-            let mut tx = r.begin();
-            assert_eq!(tx.read_word(p).unwrap(), 0, "{config}: staged epoch lost");
-            tx.commit().unwrap();
+            // Once the staged batch's last event (its marker) lands the
+            // staged epoch is durable; one event short, nothing is.
+            let read_p = |image| {
+                let mut r = PersistentHeap::recover(image).unwrap();
+                let mut tx = r.begin();
+                let v = tx.read_word(p).unwrap();
+                tx.commit().unwrap();
+                v
+            };
+            let durable = read_p(h.clone().crash_during(staged, seal));
+            assert_eq!(durable, 2, "{config}: staged epoch durable");
+            let lost = read_p(h.clone().crash_during(staged - 1, seal));
+            assert_eq!(lost, 0, "{config}: staged epoch lost");
         }
     }
 
@@ -3135,19 +2944,41 @@ mod tests {
             let p = put_one(&mut h, 1);
             let q = put_one(&mut h, 2);
             let writes = [(p.offset(), 90), (q.offset(), 91)];
-            let steps = h.prepare_steps(&writes);
-            assert!(steps >= 3, "{config}");
-            for step in 0..=steps {
-                let image = h.clone().crash_mid_prepare(GTX, &writes, step);
+            let prepare = |h: &mut PersistentHeap| h.prepare_distributed(GTX, &writes).unwrap();
+            let events = h.durable_events(prepare);
+            assert!(events > 2 * 4, "{config}: two records and the marker");
+            // Every event short of the last, the PREPARED marker.
+            for event in 0..events {
+                let image = h.clone().crash_during(event, prepare);
                 let (mut r, resolution) =
                     PersistentHeap::recover_distributed(image, |_| true).unwrap();
                 assert!(
                     resolution.in_doubt.is_empty(),
-                    "{config} step {step}: no marker, no doubt"
+                    "{config} event {event}: no marker, no doubt"
                 );
-                assert_eq!(read_cell(&mut r, p), 1, "{config} step {step}");
-                assert_eq!(read_cell(&mut r, q), 2, "{config} step {step}");
+                assert_eq!(read_cell(&mut r, p), 1, "{config} event {event}");
+                assert_eq!(read_cell(&mut r, q), 2, "{config} event {event}");
             }
+            let (_, resolution) =
+                PersistentHeap::recover_distributed(h.crash_during(events, prepare), |_| false)
+                    .unwrap();
+            assert_eq!(resolution.in_doubt, vec![GTX], "{config}: the marker is the last event");
+        }
+    }
+
+    #[test]
+    fn flush_on_fail_commits_perform_no_durable_events() {
+        // The paper's FoF claim: a commit does no durability work at
+        // all — not one fenced log word, not one line written back.
+        for config in [HeapConfig::Fof, HeapConfig::FofUndo, HeapConfig::FofStm] {
+            let mut h = heap(config);
+            let p = put_one(&mut h, 1);
+            let events = h.durable_events(|h| {
+                let mut tx = h.begin();
+                tx.write_word(p, 2).unwrap();
+                tx.commit().unwrap();
+            });
+            assert_eq!(events, 0, "{config}");
         }
     }
 
@@ -3158,7 +2989,9 @@ mod tests {
                 let mut h = heap(config);
                 let p = put_one(&mut h, 1);
                 h.prepare_distributed(GTX, &[(p.offset(), 99)]).unwrap();
-                let image = h.crash_mid_commit(GTX, marker_durable);
+                let image = h.crash_during(u64::from(marker_durable), |h| {
+                    h.commit_distributed(GTX).unwrap();
+                });
                 // The coordinator's decision log says commit (phase 2 had
                 // started), so either marker fate converges.
                 let (mut r, _) =

@@ -370,23 +370,19 @@ impl TornLog {
     /// record is `1 + entries.len()` log words: a header carrying the
     /// member count, then one word per member. All words go out in one
     /// burst; the caller fences once afterwards, which is the whole
-    /// point — N decisions, one fence.
-    ///
-    /// `durable_words: Some(n)` is a crash point: only the record's
-    /// first `n` words (header first) go out before the power fails
-    /// mid-burst. Recovery treats any strict prefix as a torn record and
-    /// presumes abort for every member.
+    /// point — N decisions, one fence. The fence drains the words in
+    /// issue order, header first; recovery treats any strict prefix as
+    /// a torn record and presumes abort for every member.
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is empty, `durable_words` exceeds the record
-    /// length, or the log lacks room; the owner must truncate first.
+    /// Panics if `entries` is empty or the log lacks room; the owner
+    /// must truncate first.
     pub fn append_group_decision(
         &mut self,
         mem: &mut PersistentMemory,
         entries: &[u64],
         flush: bool,
-        durable_words: Option<usize>,
     ) {
         let count = entries.len() as u64;
         assert!(count > 0, "a group decision must cover at least one gtxid");
@@ -394,10 +390,8 @@ impl TornLog {
             self.free_words() > count,
             "log full: truncation was not performed in time"
         );
-        let words = durable_words.unwrap_or(entries.len() + 1);
-        assert!(words <= entries.len() + 1, "record is only {} words", entries.len() + 1);
         let header = (count << 8) | RecordKind::GroupDecision.code();
-        for &payload in std::iter::once(&header).chain(entries).take(words) {
+        for &payload in std::iter::once(&header).chain(entries) {
             self.push_word(mem, payload, flush);
         }
     }
@@ -758,7 +752,7 @@ mod tests {
         let entries: Vec<u64> = (0..4u64)
             .map(|i| pack_group_entry(3 + i, (1 << 48) + 10 + i))
             .collect();
-        log.append_group_decision(&mut mem, &entries, true, None);
+        log.append_group_decision(&mut mem, &entries, true);
         mem.sfence();
         let records = recover_from(mem, false);
         assert_eq!(records.len(), 4);
@@ -778,8 +772,9 @@ mod tests {
             let (mut mem, mut log) = fresh();
             log.append(&mut mem, &LogRecord::commit(7), true);
             mem.sfence();
-            // Only the prefix goes out before the fence.
-            log.append_group_decision(&mut mem, &entries, true, Some(durable_words));
+            // Power fails after the fence drains only the prefix.
+            log.append_group_decision(&mut mem, &entries, true);
+            mem.fail_after(durable_words as u64);
             mem.sfence();
             let records = recover_from(mem, false);
             assert_eq!(
@@ -793,11 +788,12 @@ mod tests {
 
     #[test]
     fn complete_fenced_group_record_is_all_or_nothing() {
-        // The same cut with ALL words durable recovers every member: the
-        // only two outcomes are none or all.
+        // The same failure with ALL words durable recovers every member:
+        // the only two outcomes are none or all.
         let (mut mem, mut log) = fresh();
         let entries: Vec<u64> = (0..4u64).map(|i| pack_group_entry(2, 200 + i)).collect();
-        log.append_group_decision(&mut mem, &entries, true, Some(entries.len() + 1));
+        log.append_group_decision(&mut mem, &entries, true);
+        mem.fail_after(entries.len() as u64 + 1);
         mem.sfence();
         let records = recover_from(mem, false);
         assert_eq!(records.len(), 4);
@@ -808,7 +804,7 @@ mod tests {
     fn unfenced_group_decision_is_lost() {
         let (mut mem, mut log) = fresh();
         let entries = [pack_group_entry(1, 300), pack_group_entry(1, 301)];
-        log.append_group_decision(&mut mem, &entries, true, None);
+        log.append_group_decision(&mut mem, &entries, true);
         // No fence: the batch never reached NVRAM.
         let records = recover_from(mem, false);
         assert!(records.is_empty());

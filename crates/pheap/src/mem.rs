@@ -7,6 +7,13 @@
 //! the overlay; lines reach the durable view only through eviction
 //! writebacks, explicit flushes, fenced non-temporal stores, or a
 //! flush-on-fail `wbinvd` at crash time.
+//!
+//! The memory is also where crash points live. It counts **durable
+//! events** — each pending non-temporal store an `sfence` drains (in
+//! issue order) and each dirty line a `clflush` writes back — and
+//! [`PersistentMemory::fail_after`] fails power just before a chosen
+//! one. Every durable path of every protocol above is crashable that
+//! way, with no per-protocol cut.
 
 use wsp_cache::{CacheHierarchy, CpuProfile, LineAddr, LINE_SIZE};
 use wsp_units::{ByteSize, Nanos};
@@ -71,6 +78,28 @@ pub struct PersistentMemory {
     wc_pending: Vec<(u64, WcData)>,
     cache: CacheHierarchy,
     elapsed: Nanos,
+    budget: EventBudget,
+}
+
+/// The durable-event count and the armed power failure.
+#[derive(Debug, Clone, Default)]
+struct EventBudget {
+    events: u64,
+    /// The event power fails just before, once armed.
+    fail_at: Option<u64>,
+    /// The durable bytes at the instant power failed.
+    frozen: Option<Vec<u8>>,
+}
+
+impl EventBudget {
+    /// Counts one durable event about to land on `durable`, freezing
+    /// the image first when it is the armed one.
+    fn tick(&mut self, durable: &[u8]) {
+        if self.fail_at == Some(self.events) {
+            self.frozen = Some(durable.to_vec());
+        }
+        self.events += 1;
+    }
 }
 
 impl PersistentMemory {
@@ -84,13 +113,7 @@ impl PersistentMemory {
     /// Creates a zero-filled NVRAM behind the given CPU's caches.
     #[must_use]
     pub fn with_profile(capacity: ByteSize, profile: CpuProfile) -> Self {
-        PersistentMemory {
-            durable: vec![0u8; capacity.as_u64() as usize],
-            overlay: LineTable::new(),
-            wc_pending: Vec::new(),
-            cache: CacheHierarchy::new(profile),
-            elapsed: Nanos::ZERO,
-        }
+        Self::from_image(vec![0u8; capacity.as_u64() as usize], profile)
     }
 
     /// Capacity in bytes.
@@ -117,6 +140,26 @@ impl PersistentMemory {
     /// preparing concurrently with its siblings. Saturates at zero.
     pub fn rebate(&mut self, d: Nanos) {
         self.elapsed = self.elapsed.saturating_sub(d);
+    }
+
+    /// Durable events so far: one per pending non-temporal store an
+    /// [`PersistentMemory::sfence`] drains and one per dirty line a
+    /// [`PersistentMemory::clflush_range`] writes back. Eviction
+    /// writebacks, [`PersistentMemory::flush_all`] and
+    /// [`PersistentMemory::scrub`] are not events. Counting charges no
+    /// simulated time.
+    #[must_use]
+    pub fn durable_events(&self) -> u64 {
+        self.budget.events
+    }
+
+    /// Arms a power failure just before the `(n + 1)`-th durable event
+    /// from now. The durable bytes at that instant are kept and
+    /// [`PersistentMemory::crash`] returns them; the memory keeps
+    /// running (later stores stay readable), but nothing that lands
+    /// after the failure reaches the crash image.
+    pub fn fail_after(&mut self, n: u64) {
+        self.budget.fail_at = Some(self.budget.events + n);
     }
 
     /// The cache hierarchy (for statistics inspection).
@@ -369,11 +412,11 @@ impl PersistentMemory {
     pub fn sfence(&mut self) {
         let latency = self.cache.sfence_fast();
         self.elapsed += latency;
-        let durable = &mut self.durable;
         for (addr, data) in &self.wc_pending {
+            self.budget.tick(&self.durable);
             let bytes = data.bytes();
             let start = *addr as usize;
-            durable[start..start + bytes.len()].copy_from_slice(bytes);
+            self.durable[start..start + bytes.len()].copy_from_slice(bytes);
         }
         self.wc_pending.clear();
     }
@@ -390,6 +433,7 @@ impl PersistentMemory {
             let r = self.cache.clflush(line.first_byte());
             self.elapsed += r.latency;
             if r.wrote_back {
+                self.budget.tick(&self.durable);
                 self.persist_line(line);
             }
         }
@@ -402,7 +446,13 @@ impl PersistentMemory {
         let r = self.cache.wbinvd();
         self.elapsed += r.latency;
         self.persist_writebacks(&r.writebacks);
-        self.sfence();
+        // The write-combining drain of the save path is not a durable
+        // event: only the fence's latency is charged.
+        self.elapsed += self.cache.sfence_fast();
+        for (addr, data) in std::mem::take(&mut self.wc_pending) {
+            let start = addr as usize;
+            self.durable[start..start + data.bytes().len()].copy_from_slice(data.bytes());
+        }
         // Anything left in the overlay map would be a bookkeeping bug.
         debug_assert!(self.overlay.is_empty(), "overlay lines survived wbinvd");
         self.elapsed - before
@@ -417,9 +467,14 @@ impl PersistentMemory {
 
     /// Models a power failure. With `flush_on_fail` the save path runs
     /// first and nothing is lost; without it, dirty cache lines and
-    /// unfenced non-temporal stores vanish. Returns the durable image.
+    /// unfenced non-temporal stores vanish. Returns the durable image —
+    /// the one frozen when an armed [`PersistentMemory::fail_after`]
+    /// fired, whatever ran since.
     #[must_use]
     pub fn crash(mut self, flush_on_fail: bool) -> Vec<u8> {
+        if let Some(frozen) = self.budget.frozen {
+            return frozen;
+        }
         if flush_on_fail {
             self.flush_all();
         }
@@ -436,6 +491,7 @@ impl PersistentMemory {
             wc_pending: Vec::new(),
             cache: CacheHierarchy::new(profile),
             elapsed: Nanos::ZERO,
+            budget: EventBudget::default(),
         }
     }
 
@@ -529,6 +585,47 @@ mod tests {
         m.sfence();
         let fenced = m.crash(false);
         assert_eq!(u64::from_le_bytes(fenced[64..72].try_into().unwrap()), 42);
+    }
+
+    #[test]
+    fn fail_after_keeps_exactly_the_first_drained_stores() {
+        let mut m = mem();
+        for k in 0..3u64 {
+            m.ntstore_u64(64 * (k + 1), k + 1);
+        }
+        m.fail_after(2);
+        m.sfence();
+        assert_eq!(m.durable_events(), 3, "one event per drained store");
+        let image = m.crash(false);
+        let word = |a: usize| u64::from_le_bytes(image[a..a + 8].try_into().unwrap());
+        assert_eq!((word(64), word(128), word(192)), (1, 2, 0));
+    }
+
+    #[test]
+    fn clflush_of_a_clean_line_is_not_an_event() {
+        let mut m = mem();
+        m.clflush_range(0, 64);
+        assert_eq!(m.durable_events(), 0, "nothing to write back");
+        m.write_u64(0, 5);
+        m.clflush_range(0, 64);
+        assert_eq!(m.durable_events(), 1, "one dirty line written back");
+        m.clflush_range(0, 64);
+        assert_eq!(m.durable_events(), 1, "clean again");
+    }
+
+    #[test]
+    fn stores_after_the_failure_are_readable_but_not_durable() {
+        let mut m = mem();
+        m.write_u64(0, 1);
+        m.fail_after(0);
+        m.clflush_range(0, 8);
+        m.write_u64(64, 2);
+        m.clflush_range(64, 8);
+        m.ntstore_u64(128, 3);
+        m.sfence();
+        assert_eq!((m.read_u64(0), m.read_u64(64), m.read_u64(128)), (1, 2, 3));
+        let image = m.crash(true);
+        assert!(image.iter().all(|&b| b == 0), "power failed before the first event");
     }
 
     #[test]

@@ -35,6 +35,10 @@ for seed in 11 42 1337; do
     WSP_DET_SEED=$seed WSP_FAULTSIM_THREADS=1 cargo test -q --offline --test fault_injection
 done
 
+echo "== mid-commit sweep (every durable event of a FoC transaction): serial and sharded =="
+WSP_DET_SEED=7 WSP_FAULTSIM_THREADS=1 cargo test -q --offline --test fault_injection mid_commit
+WSP_DET_SEED=7 WSP_FAULTSIM_THREADS=4 cargo test -q --offline --test fault_injection mid_commit
+
 echo "== cross-shard 2PC sweep: serial and sharded must agree =="
 WSP_DET_SEED=7 WSP_FAULTSIM_THREADS=1 cargo test -q --offline --test fault_injection cross_shard
 WSP_DET_SEED=7 WSP_FAULTSIM_THREADS=4 cargo test -q --offline --test fault_injection cross_shard
@@ -78,10 +82,13 @@ done
 echo "== extended mid-seal crash sweep: serial and sharded must agree =="
 WSP_DET_SEED=7 WSP_FAULTSIM_THREADS=1 cargo test -q --offline --test crash_consistency mid_epoch
 WSP_DET_SEED=7 WSP_FAULTSIM_THREADS=4 cargo test -q --offline --test crash_consistency mid_epoch
-# The FliT differential and the 2PC properties cut the production seal,
-# prepare and commit paths; run them at a second seed too.
+# The FliT differential and the 2PC properties crash the production
+# seal, prepare and commit paths; run them at a second seed too.
 WSP_DET_SEED=7 cargo test -q --offline --test crash_consistency flit_elision
 WSP_DET_SEED=7 cargo test -q --offline --test crash_consistency cross_shard
+
+echo "== mutation gate: every catalogued ordering mutant fails a named killer =="
+bash scripts/mutants/run.sh
 
 echo "== sharded KV determinism spot-check (single worker) =="
 WSP_FAULTSIM_THREADS=1 cargo test -q --offline -p wsp-workloads shard::

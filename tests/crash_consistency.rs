@@ -342,7 +342,7 @@ fn epoch_recovers_last_sealed_epoch() {
 }
 
 /// The mid-epoch crash-point sweep: power failure after every committed
-/// transaction inside an epoch and at every durable step of the seal
+/// transaction inside an epoch and at every durable event of the seal
 /// itself (including mid-coalesced-flush) restores the last complete
 /// epoch — no crash point exposes a partial one.
 #[test]
@@ -364,7 +364,7 @@ fn mid_epoch_sweep_never_exposes_partial_epoch() {
 /// optimisation. An elision-on heap and a reference (always-append)
 /// heap driven through the same epoch workload must produce
 /// bitwise-identical crash images at every crash point — after every
-/// committed transaction and at every durable step of a pipelined
+/// committed transaction and at every durable event of a pipelined
 /// double-generation seal — and recover to identical states. Any
 /// divergence means elision changed what reaches NVRAM, not just how
 /// fast it got there.
@@ -411,22 +411,22 @@ fn check_flit_elision_is_invisible(txs: &[Vec<(usize, u64)>], use_stm: bool) {
             "{config}: crash image diverged after tx {t}"
         );
         assert_eq!(
-            (on.seal_steps(), on.staged_seal_steps()),
-            (off.seal_steps(), off.staged_seal_steps()),
+            on.durable_events(PersistentHeap::seal_epoch),
+            off.durable_events(PersistentHeap::seal_epoch),
             "{config}: seal pipeline diverged after tx {t}"
         );
     }
 
-    // Every durable step of sealing the final state — spanning the
+    // Every durable event of sealing the final state — spanning the
     // staged batch, its marker, and the open batch when both are live.
-    let steps = on.seal_steps();
-    for step in 0..=steps {
-        let img_on = on.clone().crash_mid_seal(step);
-        let img_off = off.clone().crash_mid_seal(step);
+    let events = on.durable_events(PersistentHeap::seal_epoch);
+    for event in 0..=events {
+        let img_on = on.clone().crash_during(event, PersistentHeap::seal_epoch);
+        let img_off = off.clone().crash_during(event, PersistentHeap::seal_epoch);
         assert_eq!(
             img_on.bytes(),
             img_off.bytes(),
-            "{config}: mid-seal image diverged at step {step}/{steps}"
+            "{config}: mid-seal image diverged at event {event}/{events}"
         );
         let mut on_rec = PersistentHeap::recover(img_on).unwrap();
         let mut off_rec = PersistentHeap::recover(img_off).unwrap();
@@ -436,7 +436,7 @@ fn check_flit_elision_is_invisible(txs: &[Vec<(usize, u64)>], use_stm: bool) {
             assert_eq!(
                 chk_on.read_word(p).unwrap(),
                 chk_off.read_word(p).unwrap(),
-                "{config}: recovered value diverged at step {step}/{steps}"
+                "{config}: recovered value diverged at event {event}/{events}"
             );
         }
         chk_on.commit().unwrap();
@@ -616,8 +616,8 @@ fn check_cross_shard_all_or_nothing(
         .collect()];
 
     // The generated step, on transaction 0. Steps 5 and 6 crash the
-    // first participant `sub_step` words into its prepare seal, or on a
-    // torn or fenced commit marker.
+    // first participant `sub_step` durable events into its prepare, or
+    // on a torn or fenced commit marker.
     let txn = 0;
     let point = match step_pick % 7 {
         0 => TxnCrashPoint::CoordPrePrepare { txn },

@@ -89,6 +89,18 @@ fn mid_transaction_sweep_holds_for_every_config_and_seed() {
 /// save-command flakes and dead commands, a crash at each recovery
 /// rung, plus a torn save and a cell brown-out per NVDIMM module.
 #[test]
+fn mid_commit_sweep_holds_for_foc_configs_and_seeds() {
+    use wsp_repro::wsp::sweep_mid_commit;
+    for config in [HeapConfig::FocUndo, HeapConfig::FocStm] {
+        for seed in [7u64, 42, 1337] {
+            let report = sweep_mid_commit(config, seed);
+            // Each run has at least one record and its marker.
+            assert!(report.crash_points > 2 * 6, "{config} seed {seed}: {}", report.crash_points);
+        }
+    }
+}
+
+#[test]
 fn ladder_fault_enumeration_is_exhaustive() {
     let machine = Machine::intel_testbed();
     let modules = machine.nvram().dimms().len();
@@ -392,9 +404,11 @@ type Testbed = (&'static str, fn() -> Machine, SystemLoad);
 
 /// Every corpus line, in a fixed order: the five crash sweeps and the
 /// power-storm sweep at seeds 7 and 42, per testbed or heap
-/// configuration.
+/// configuration, then the mid-commit sweep at both seeds.
 fn sweep_digest_corpus() -> String {
-    use wsp_repro::wsp::{sweep_cross_shard_2pc, sweep_mid_epoch, sweep_power_storm};
+    use wsp_repro::wsp::{
+        sweep_cross_shard_2pc, sweep_mid_commit, sweep_mid_epoch, sweep_power_storm,
+    };
 
     let testbeds: [Testbed; 2] = [
         ("intel_busy", Machine::intel_testbed, SystemLoad::Busy),
@@ -434,6 +448,14 @@ fn sweep_digest_corpus() -> String {
             let r = sweep_power_storm(config, seed);
             let id = ("power_storm", &*format!("{config:?}"), seed);
             out += &digest_line(id, r.points.len(), &r.points, &r.trace, &r.metrics);
+        }
+    }
+    for seed in [7u64, 42] {
+        for config in foc {
+            let r = sweep_mid_commit(config, seed);
+            let id = ("mid_commit", &*format!("{config:?}"), seed);
+            let summary = (r.config, r.crash_points);
+            out += &digest_line(id, r.crash_points, &summary, &r.trace, &r.metrics);
         }
     }
     out
