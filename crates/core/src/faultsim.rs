@@ -44,12 +44,15 @@
 //! assert!(report.locally_restored >= 1);
 //! ```
 
+use std::ops::RangeInclusive;
+use std::sync::Arc;
+
 use wsp_cluster::ClusterSpec;
 use wsp_det::{DetRng, Rng};
 use wsp_machine::{CpuContext, Machine, SystemLoad};
 use wsp_obs as obs;
 use wsp_obs::{MetricsSnapshot, Trace};
-use wsp_pheap::{BackendStore, CrashImage, HeapConfig, PersistentHeap, GTXID_BASE};
+use wsp_pheap::{BackendStore, CrashImage, HeapConfig, PersistentHeap, PowerCut};
 use wsp_power::{AgingModel, Ultracapacitor};
 use wsp_units::{ByteSize, Farads, Nanos, Volts, Watts};
 
@@ -62,10 +65,7 @@ use crate::supervisor::{
     stage_a_probe, supervised_save, SaveBudget, SaveVerdict,
 };
 use crate::sweep;
-use crate::txn::{
-    coordinator_of, resolve_cross_shard, CoordinatorPool, CrossShardTxn, GtxidOrigin,
-    SubmitOutcome,
-};
+use crate::txn::{coordinator_of, resolve_cross_shard, CoordinatorPool, GtxidOrigin};
 use crate::{layout, RestartStrategy, WspError};
 
 pub use crate::lockfree_sweep::{
@@ -722,207 +722,36 @@ fn commit_ops(heap: &mut PersistentHeap, model: &CellModel, ops: &[(usize, usize
 const XS_SHARDS: usize = 3;
 /// Cells per shard (each on its own cache line).
 const XS_CELLS: usize = 4;
-/// Scripted cross-shard transactions per sweep.
+/// Scripted cross-shard transactions per run.
 const XS_TXNS: usize = 4;
-
-/// One injected crash point of [`sweep_cross_shard_2pc`]: a power
-/// failure at a specific step of the two-phase commit protocol, on the
-/// coordinator or partway through a participant shard's seal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxnCrashPoint {
-    /// The coordinator dies before any participant prepares: nothing of
-    /// the transaction is durable anywhere.
-    CoordPrePrepare {
-        /// Index of the scripted transaction being attempted.
-        txn: usize,
-    },
-    /// The coordinator dies after `prepared` participants hold a
-    /// durable PREPARED record; presumed abort must erase them.
-    BetweenPrepares {
-        /// Index of the scripted transaction being attempted.
-        txn: usize,
-        /// Participants already prepared when power fails.
-        prepared: usize,
-    },
-    /// Every participant is prepared but the coordinator dies before
-    /// its decision record — the canonical in-doubt case, resolved to
-    /// abort.
-    PostPrepareNoDecision {
-        /// Index of the scripted transaction being attempted.
-        txn: usize,
-    },
-    /// The decision record is durable but no shard holds its commit
-    /// marker yet: every participant is in doubt and must resolve to
-    /// commit.
-    PostDecisionPreCommit {
-        /// Index of the scripted transaction being attempted.
-        txn: usize,
-    },
-    /// The decision is durable and `committed` participants already
-    /// hold their local commit markers; the rest resolve to commit.
-    BetweenShardCommits {
-        /// Index of the scripted transaction being attempted.
-        txn: usize,
-        /// Participants whose local commit marker is already durable.
-        committed: usize,
-    },
-    /// A participant crashes after `step` durable events of its own
-    /// prepare (see [`PersistentHeap::durable_events`]) — in the sweep,
-    /// short of the last, its PREPARED marker. The coordinator never
-    /// decided, so the transaction presumes abort everywhere.
-    ShardMidPrepare {
-        /// Index of the scripted transaction being attempted.
-        txn: usize,
-        /// Durable events of the prepare when power fails.
-        step: u64,
-    },
-    /// A participant crashes while writing its phase-2 commit marker
-    /// (decision already durable): torn or fenced, the transaction
-    /// still commits everywhere.
-    ShardMidCommit {
-        /// Index of the scripted transaction being attempted.
-        txn: usize,
-        /// True when the marker, the commit's first durable event, landed.
-        marker_durable: bool,
-    },
-    /// A participant loses its NVRAM image outright mid-2PC: that shard
-    /// degrades through the recovery ladder while the survivors still
-    /// resolve the transaction from the coordinator log.
-    ShardImageLost {
-        /// Index of the scripted transaction being attempted.
-        txn: usize,
-    },
-    /// A two-coordinator [`CoordinatorPool`] dies at a group boundary:
-    /// `buffered` transactions are prepared everywhere with their
-    /// decisions buffered but no covering group record sealed. Presumed
-    /// abort must erase every one of them from every shard.
-    GroupBoundary {
-        /// Decisions buffered (and lost) when power fails.
-        buffered: usize,
-    },
-    /// The pool seals a *prefix* of its buffered decisions under one
-    /// shared-log flush, interleaved with further submissions, then dies
-    /// before any phase 2: the sealed prefix must resolve to commit on
-    /// every shard while the still-buffered tail presumes abort — a
-    /// split resolution from a single flush.
-    GroupInterleavedSplit {
-        /// Decisions covered by the sealed group record.
-        sealed: usize,
-    },
-    /// The pool dies partway through writing the group record itself:
-    /// only `durable_words` words (header first, then one entry per
-    /// member) reach NVRAM. Any torn prefix must presume abort for
-    /// *every* member; only the complete, fenced record commits them.
-    TornGroupRecord {
-        /// Durable words of the group record when power fails.
-        durable_words: usize,
-    },
-}
-
-/// Family names of [`TxnCrashPoint`], indexed by its trace ordinal.
-const FAMILIES: [&str; 11] = [
-    "coord-pre-prepare",
-    "between-prepares",
-    "post-prepare-no-decision",
-    "post-decision-pre-commit",
-    "between-shard-commits",
-    "shard-mid-prepare",
-    "shard-mid-commit",
-    "shard-image-lost",
-    "group-boundary",
-    "interleaved-split",
-    "torn-group-record",
-];
-
-/// Coordinators in the pool driven by the group-family crash points.
+/// Coordinators in the pool of every grouped 2PC run.
 const XS_POOL_COORDS: usize = 2;
-/// Words of a group record covering all [`XS_TXNS`] scripted
-/// transactions: one header plus one entry per member.
-const XS_GROUP_WORDS: usize = XS_TXNS + 1;
 
-impl TxnCrashPoint {
-    /// Index of the scripted transaction the crash lands in.
-    #[must_use]
-    pub fn txn(&self) -> usize {
-        match *self {
-            Self::CoordPrePrepare { txn }
-            | Self::BetweenPrepares { txn, .. }
-            | Self::PostPrepareNoDecision { txn }
-            | Self::PostDecisionPreCommit { txn }
-            | Self::BetweenShardCommits { txn, .. }
-            | Self::ShardMidPrepare { txn, .. }
-            | Self::ShardMidCommit { txn, .. }
-            | Self::ShardImageLost { txn } => txn,
-            // Group-family points span several transactions; report the
-            // last one in flight.
-            Self::GroupBoundary { buffered } => buffered - 1,
-            Self::GroupInterleavedSplit { .. } | Self::TornGroupRecord { .. } => XS_TXNS - 1,
-        }
-    }
-
-    /// The protocol-step family this point belongs to.
-    #[must_use]
-    pub fn family(&self) -> &'static str {
-        FAMILIES[self.family_code() as usize]
-    }
-
-    /// True when a durable decision record covers at least one in-flight
-    /// transaction at this point. The all-or-nothing contract then
-    /// requires every covered transaction to commit on every shard;
-    /// uncovered ones must vanish from every shard by presumed abort.
-    /// For [`TxnCrashPoint::GroupInterleavedSplit`] the two coexist: the
-    /// sealed prefix is durable, the buffered tail is not.
-    #[must_use]
-    pub fn decision_durable(&self) -> bool {
-        match self {
-            Self::PostDecisionPreCommit { .. }
-            | Self::BetweenShardCommits { .. }
-            | Self::ShardMidCommit { .. }
-            | Self::ShardImageLost { .. }
-            | Self::GroupInterleavedSplit { .. } => true,
-            Self::TornGroupRecord { durable_words } => *durable_words == XS_GROUP_WORDS,
-            _ => false,
-        }
-    }
-
-    /// Stable ordinal for trace payloads (pinned by the sweep digests),
-    /// indexing [`FAMILIES`].
-    fn family_code(&self) -> i64 {
-        match self {
-            Self::CoordPrePrepare { .. } => 0,
-            Self::BetweenPrepares { .. } => 1,
-            Self::PostPrepareNoDecision { .. } => 2,
-            Self::PostDecisionPreCommit { .. } => 3,
-            Self::BetweenShardCommits { .. } => 4,
-            Self::ShardMidPrepare { .. } => 5,
-            Self::ShardMidCommit { .. } => 6,
-            Self::ShardImageLost { .. } => 7,
-            Self::GroupBoundary { .. } => 8,
-            Self::GroupInterleavedSplit { .. } => 9,
-            Self::TornGroupRecord { .. } => 10,
-        }
-    }
-
-    /// True for points driven through a two-coordinator pool with
-    /// decisions buffered across transactions, rather than one
-    /// coordinator deciding each transaction on its own record.
-    fn is_group_family(&self) -> bool {
-        matches!(
-            self,
-            Self::GroupBoundary { .. }
-                | Self::GroupInterleavedSplit { .. }
-                | Self::TornGroupRecord { .. }
-        )
-    }
+/// One crash point of a 2PC run (see [`points_2pc`]): every shard heap
+/// and the coordinator pool, armed with one [`PowerCut`], lose power
+/// together just before the `(events + 1)`-th durable event of run
+/// `run`, and shard `lost`, if any, also loses its NVRAM image outright.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TxnCrashPoint {
+    /// Run 0 decides each transaction alone through a one-coordinator
+    /// pool; run `s > 0` seals the first `s` decisions of a
+    /// two-coordinator pool under one group record and the rest under a
+    /// second.
+    pub run: usize,
+    /// Durable events of the run, fleet-wide, that land before power
+    /// fails.
+    pub events: u64,
+    /// The shard whose image is lost outright, if any.
+    pub lost: Option<usize>,
 }
 
 /// The resolved fate of one 2PC crash point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxnPointVerdict {
-    /// The decision was durable: the write-set is visible on every
-    /// shard.
+    /// Every transaction of the run was decided: its write-set is
+    /// visible on every shard.
     CommittedEverywhere,
-    /// No durable decision: presumed abort erased the write-set from
+    /// No durable decision: presumed abort erased every write-set from
     /// every shard.
     AbortedEverywhere,
     /// One shard lost its image and degraded to a cluster rebuild; the
@@ -931,11 +760,11 @@ pub enum TxnPointVerdict {
         /// The shard that could not recover locally.
         shard: usize,
     },
-    /// A single shared-log flush split the in-flight set: the sealed
-    /// prefix committed on every shard while the still-buffered tail
-    /// presumed abort on every shard.
+    /// The durable decisions split the run: the decided transactions
+    /// committed on every shard while the rest presumed abort on every
+    /// shard.
     SplitResolved {
-        /// Transactions the sealed group record committed.
+        /// Transactions the sealed group records committed.
         committed: usize,
         /// Transactions presumed abort erased.
         aborted: usize,
@@ -949,7 +778,7 @@ pub struct CrossShard2pcReport {
     pub config: HeapConfig,
     /// Participant shards in the deployment.
     pub shards: usize,
-    /// Scripted cross-shard transactions.
+    /// Scripted cross-shard transactions per run.
     pub txns: usize,
     /// Crash points injected.
     pub crash_points: usize,
@@ -961,8 +790,7 @@ pub struct CrossShard2pcReport {
     pub aborted: usize,
     /// Points where a lost shard degraded through the ladder.
     pub degraded: usize,
-    /// Points where one shared-log flush resolved a split: a sealed
-    /// prefix committed while the buffered tail aborted.
+    /// Points where the durable decisions split the run.
     pub split: usize,
     /// Per-point traces merged in crash-point order — identical for any
     /// `WSP_FAULTSIM_THREADS`.
@@ -971,33 +799,13 @@ pub struct CrossShard2pcReport {
     pub metrics: MetricsSnapshot,
 }
 
-impl CrossShard2pcReport {
-    /// Distinct protocol-step families the sweep covered, in first-hit
-    /// order.
-    #[must_use]
-    pub fn families(&self) -> Vec<&'static str> {
-        let mut seen: Vec<&'static str> = Vec::new();
-        for (point, _) in &self.outcomes {
-            let family = point.family();
-            if !seen.contains(&family) {
-                seen.push(family);
-            }
-        }
-        seen
-    }
-}
-
-/// Crashes a three-shard deployment at **every** step of the two-phase
-/// epoch seal — coordinator-side (pre-prepare, between prepares,
-/// post-prepare/pre-decision, post-decision, between shard commits) and
-/// shard-side (every durable event of a prepare short of its marker, a
-/// torn and a fenced commit marker, a lost image) — plus the group-commit families
-/// driven through a two-coordinator [`CoordinatorPool`]: a crash at
-/// every group boundary with decisions buffered, an interleaved seal
-/// whose single flush splits the in-flight set into a committed prefix
-/// and an aborted tail, and a crash after every durable word of the
-/// group record itself — and checks every point's all-or-nothing
-/// contract with [`run_2pc_point`].
+/// Crashes a three-shard deployment at **every** durable event of five
+/// runs of the production 2PC calls (see [`points_2pc`]): the fleet —
+/// every shard and the coordinator pool — loses power at one instant
+/// anywhere in a prepare, a decision seal (compaction included), a
+/// phase-2 commit marker or between them, plus once with a participant's
+/// image lost outright. Each point's all-or-nothing contract is checked
+/// with [`run_2pc_point`].
 ///
 /// Sharded over [`sweep::threads`] workers, bitwise identical to the
 /// serial order.
@@ -1028,60 +836,28 @@ pub(crate) fn sweep_cross_shard_2pc_threads(
     let ((heaps, model), setup) =
         obs::capture(|| committed_fleet(config, XS_SHARDS, XS_CELLS, 64, &mut rng));
 
-    // The scripted workload: each transaction spans two adjacent shards
-    // with two writes per participant.
+    // Run 0's workload: each transaction spans two adjacent shards with
+    // two writes per participant.
     let spans = |t: usize| [t, t, t + 1, t + 1].map(|s| s % XS_SHARDS);
     let script: Vec<Vec<(usize, usize, u64)>> = (0..XS_TXNS)
         .map(|t| spans(t).map(|s| (s, rng.gen_range(0..XS_CELLS), rng.gen())).to_vec())
         .collect();
 
-    // The group-family workload: same shard spans, but transaction `t`
-    // owns cell `t` on each participant so concurrently-prepared
-    // write sets stay pairwise disjoint.
+    // The grouped runs' workload: same shard spans, but transaction `t`
+    // owns cell `t` on each participant so concurrently-prepared write
+    // sets stay pairwise disjoint.
     let pool_script: Vec<Vec<(usize, usize, u64)>> = (0..XS_TXNS)
         .map(|t| spans(t).map(|s| (s, t, rng.gen())).to_vec())
         .collect();
 
-    let cluster = ClusterSpec::memcache_tier(8);
-    let mid = XS_TXNS / 2;
-
-    // Durable events of the mid-sweep participant's prepare, marker last
-    // (shard-side points crash the lowest-numbered participant of `mid`).
-    let mid_shard = (mid % XS_SHARDS).min((mid + 1) % XS_SHARDS);
-    let mid_writes: Vec<(u64, u64)> = script[mid]
-        .iter()
-        .filter(|&&(s, _, _)| s == mid_shard)
-        .map(|&(_, cell, v)| (model.cell(mid_shard, cell).offset(), v))
-        .collect();
-    let events =
-        heaps[mid_shard].durable_events(|h| h.prepare_distributed(GTXID_BASE, &mid_writes));
-
-    let mut points: Vec<TxnCrashPoint> = Vec::new();
-    for t in 0..XS_TXNS {
-        points.push(TxnCrashPoint::CoordPrePrepare { txn: t });
-        points.push(TxnCrashPoint::BetweenPrepares { txn: t, prepared: 1 });
-        points.push(TxnCrashPoint::PostPrepareNoDecision { txn: t });
-        points.push(TxnCrashPoint::PostDecisionPreCommit { txn: t });
-        points.push(TxnCrashPoint::BetweenShardCommits { txn: t, committed: 1 });
-    }
-    points.extend((0..events).map(|step| TxnCrashPoint::ShardMidPrepare { txn: mid, step }));
-    points.push(TxnCrashPoint::ShardMidCommit { txn: mid, marker_durable: false });
-    points.push(TxnCrashPoint::ShardMidCommit { txn: mid, marker_durable: true });
-    points.push(TxnCrashPoint::ShardImageLost { txn: mid });
-    for buffered in 1..=XS_TXNS {
-        points.push(TxnCrashPoint::GroupBoundary { buffered });
-    }
-    for sealed in 1..XS_TXNS {
-        points.push(TxnCrashPoint::GroupInterleavedSplit { sealed });
-    }
-    for durable_words in 0..=XS_GROUP_WORDS {
-        points.push(TxnCrashPoint::TornGroupRecord { durable_words });
-    }
+    let mut points = points_2pc(&heaps, &model, &script, 0..=0);
+    points.extend(points_2pc(&heaps, &model, &pool_script, 1..=XS_TXNS));
     let crash_points = points.len();
 
+    let cluster = ClusterSpec::memcache_tier(8);
     let (outcomes, points_cap) = sweep::run(points, threads, |point| {
-        sweep::inject(point.txn() as i64, point.family_code(), &point);
-        let script = if point.is_group_family() { &pool_script } else { &script };
+        sweep::inject(point.run as i64, point.events as i64, &point);
+        let script = if point.run == 0 { &script } else { &pool_script };
         (point, run_2pc_point(config, &heaps, &model, script, &cluster, point))
     });
     let mut merged = setup;
@@ -1107,25 +883,60 @@ pub(crate) fn sweep_cross_shard_2pc_threads(
     }
 }
 
-/// Runs one 2PC crash point against clones of the `baseline` shards,
-/// whose committed cells `model` describes, resolves the whole fleet
-/// with [`resolve_cross_shard`], and checks the all-or-nothing contract
-/// with [`CellModel::audit_fleet`]: a transaction with a durable
-/// coordinator decision is visible on every shard, one without vanishes
-/// from every shard, and a lost shard degrades with a typed refusal and
-/// quantified staleness while its peers apply the decided outcome.
-/// `script` holds one `(shard, cell, value)` write set per transaction;
-/// [`sweep_cross_shard_2pc`] runs every point through here, and so can a
-/// property test with its own generated script.
+/// Every crash point of runs `runs` of `script` — one `(shard, cell,
+/// value)` write set per transaction — on the `baseline` fleet, whose
+/// committed cells `model` describes: each fleet-wide durable-event
+/// count `0..=` the run's total, plus, when run 0 is included, one point
+/// that loses the middle transaction's first participant at its
+/// decision event.
 ///
-/// The group families drive a four-transaction script through a
-/// two-coordinator pool, so their write sets must be pairwise disjoint
-/// (they are prepared concurrently).
+/// Every run is the production calls [`CoordinatorPool::submit`] and
+/// [`CoordinatorPool::drain`] are made of — `prepare`,
+/// `buffer_decision`, `seal_decisions`, `complete_sealed`. Run 0 runs
+/// them per transaction through a one-coordinator pool with groups of
+/// one. Run `s > 0` prepares and buffers every transaction on two
+/// alternating coordinators, seals the first `s` decisions together
+/// and the rest together, then runs phase 2; its transactions are in
+/// flight together, so their write sets must be pairwise disjoint.
+#[must_use]
+pub fn points_2pc(
+    baseline: &[PersistentHeap],
+    model: &CellModel,
+    script: &[Vec<(usize, usize, u64)>],
+    runs: RangeInclusive<usize>,
+) -> Vec<TxnCrashPoint> {
+    let mut points = Vec::new();
+    for run in runs {
+        let cut = PowerCut::never();
+        let ((_, _, seal_end), _) =
+            obs::capture(|| run_2pc(run, &mut baseline.to_vec(), model, script, &cut));
+        points.extend((0..=cut.events()).map(|events| TxnCrashPoint { run, events, lost: None }));
+        if run == 0 {
+            let mid = script.len() / 2;
+            let first = script[mid].iter().map(|&(shard, _, _)| shard).min();
+            points.push(TxnCrashPoint { run, events: seal_end[mid], lost: first });
+        }
+    }
+    points
+}
+
+/// Runs one 2PC crash point of [`points_2pc`] against clones of the
+/// `baseline` shards, whose committed cells `model` describes, with the
+/// `script` the point was enumerated from: drives the run with the fleet
+/// armed by one [`PowerCut`], resolves the crashed fleet with
+/// [`resolve_cross_shard`] and checks the all-or-nothing contract.
+/// Transaction `t` is decided exactly when the cut fell at or after the
+/// last event of the seal covering it — never on a torn group record,
+/// never later — and the recovered pool attributes it to its issuer's
+/// first generation exactly then. [`CellModel::audit_fleet`] then
+/// checks that every decided write set is visible on every shard, every
+/// other one vanished from every shard, and a lost shard degrades with
+/// a typed refusal and quantified staleness.
 ///
 /// # Panics
 ///
-/// Panics when the point violates the contract, or when a group-family
-/// point gets a script of other than four transactions.
+/// Panics when the point violates the contract, or when a transaction
+/// of the script is refused.
 #[must_use]
 pub fn run_2pc_point(
     config: HeapConfig,
@@ -1135,243 +946,91 @@ pub fn run_2pc_point(
     cluster: &ClusterSpec,
     point: TxnCrashPoint,
 ) -> TxnPointVerdict {
-    if point.is_group_family() {
-        run_group_point(config, baseline, model, script, cluster, point)
-    } else {
-        run_cross_shard_point(config, baseline, model, script, cluster, point)
-    }
-}
-
-/// Stages the scripted ops of one transaction on a fresh handle from
-/// `coordinator`.
-fn build_cross_shard_txn(
-    pool: &mut CoordinatorPool,
-    coordinator: usize,
-    model: &CellModel,
-    ops: &[(usize, usize, u64)],
-) -> CrossShardTxn {
-    let mut txn = pool.begin(coordinator, model.shards());
-    for &(shard, cell, value) in ops {
-        txn.stage(shard, model.cell(shard, cell).offset(), value);
-    }
-    txn
-}
-
-/// Phase 1 on every participant, then the durable decision: a group
-/// record covering `txn` alone.
-fn prepare_and_decide(
-    pool: &mut CoordinatorPool,
-    heaps: &mut [PersistentHeap],
-    txn: &CrossShardTxn,
-) {
-    assert!(pool.prepare(0, heaps, txn).unwrap().is_none());
-    pool.buffer_decision(0, txn);
-    pool.seal_decisions(0);
-}
-
-/// One single-coordinator 2PC crash point: replay the committed prefix
-/// through a one-coordinator, group-of-one pool, drive the scripted
-/// transaction up to the crash point (per-shard steps call the heap's
-/// distributed-commit primitives directly), cut power on the whole
-/// fleet, and resolve it with [`resolve_cross_shard`].
-fn run_cross_shard_point(
-    config: HeapConfig,
-    baseline: &[PersistentHeap],
-    model: &CellModel,
-    script: &[Vec<(usize, usize, u64)>],
-    cluster: &ClusterSpec,
-    point: TxnCrashPoint,
-) -> TxnPointVerdict {
     let mut heaps: Vec<PersistentHeap> = baseline.to_vec();
-    let mut pool = CoordinatorPool::new(1, 1);
-    let k = point.txn();
-    for ops in &script[..k] {
-        let txn = build_cross_shard_txn(&mut pool, 0, model, ops);
-        let outcome = pool.submit(0, &mut heaps, &txn).unwrap();
-        assert!(
-            matches!(outcome, SubmitOutcome::Committed { .. }),
-            "{config}: prefix txn refused before {point:?}: {outcome:?}"
-        );
-    }
-    let txn = build_cross_shard_txn(&mut pool, 0, model, &script[k]);
-    let participants = txn.participants();
-    let gtxid = txn.gtxid();
-
-    // Drive the protocol up to the crash instant. Shard-side points
-    // crash the first participant.
-    match point {
-        TxnCrashPoint::CoordPrePrepare { .. } | TxnCrashPoint::ShardMidPrepare { .. } => {}
-        TxnCrashPoint::BetweenPrepares { prepared, .. } => {
-            for &shard in participants.iter().take(prepared) {
-                heaps[shard]
-                    .prepare_distributed(gtxid, txn.writes_for(shard))
-                    .unwrap();
-            }
-        }
-        TxnCrashPoint::PostPrepareNoDecision { .. } => {
-            assert!(pool.prepare(0, &mut heaps, &txn).unwrap().is_none());
-        }
-        TxnCrashPoint::PostDecisionPreCommit { .. }
-        | TxnCrashPoint::ShardMidCommit { .. }
-        | TxnCrashPoint::ShardImageLost { .. } => {
-            prepare_and_decide(&mut pool, &mut heaps, &txn);
-        }
-        TxnCrashPoint::BetweenShardCommits { committed, .. } => {
-            prepare_and_decide(&mut pool, &mut heaps, &txn);
-            for &shard in participants.iter().take(committed) {
-                heaps[shard].commit_distributed(gtxid).unwrap();
-            }
-        }
-        other => unreachable!("group-family point {other:?} routed to run_group_point"),
-    }
-
-    // Power fails everywhere at once.
-    let first = participants[0];
-    let lost = matches!(point, TxnCrashPoint::ShardImageLost { .. }).then_some(first);
+    let cut = PowerCut::after(point.events);
+    // The run is the crashed operation: it books nothing.
+    let ((pool, gtxids, seal_end), _) =
+        obs::capture(|| run_2pc(point.run, &mut heaps, model, script, &cut));
     let coordinator_image = pool.crash_image();
     let images: Vec<Option<CrashImage>> = heaps
         .into_iter()
         .enumerate()
-        .map(|(shard, heap)| match point {
-            _ if shard != first => Some(heap.crash(false)),
-            TxnCrashPoint::ShardImageLost { .. } => None,
-            TxnCrashPoint::ShardMidPrepare { step, .. } => {
-                let writes = txn.writes_for(shard);
-                Some(heap.crash_during(step, |h| h.prepare_distributed(gtxid, writes)))
-            }
-            TxnCrashPoint::ShardMidCommit { marker_durable, .. } => {
-                Some(heap.crash_during(u64::from(marker_durable), |h| h.commit_distributed(gtxid)))
-            }
-            _ => Some(heap.crash(false)),
-        })
+        .map(|(shard, heap)| (point.lost != Some(shard)).then(|| heap.crash(false)))
         .collect();
-
     let recovery = resolve_cross_shard(&coordinator_image, images, cluster);
-    let txn_committed = recovery.decided.contains(&gtxid);
-    assert_eq!(
-        txn_committed,
-        point.decision_durable(),
-        "{config}: decision durability at {point:?}"
-    );
+    let recovered = CoordinatorPool::recover(&coordinator_image, pool.coordinators(), 1);
 
-    // The model: the baseline overlaid by the committed prefix, plus
-    // the crashed transaction exactly when its decision was durable.
-    let visible = if txn_committed { k + 1 } else { k };
+    let at = format!("{config} at {point:?}");
     let mut expected = model.clone();
-    for ops in &script[..visible] {
-        expected.apply(ops);
+    let mut committed = 0;
+    for (t, (&gtxid, &end)) in gtxids.iter().zip(&seal_end).enumerate() {
+        let (coordinator, decided) = (t % pool.coordinators(), point.events >= end);
+        assert_eq!(recovery.decided.contains(&gtxid), decided, "{at}: txn {t} decision");
+        assert_eq!(coordinator_of(gtxid), coordinator, "{at}: txn {t} issuer");
+        assert_eq!(
+            recovered.attribute(gtxid),
+            decided.then_some(GtxidOrigin { coordinator, generation: 1 }),
+            "{at}: txn {t} attribution"
+        );
+        if decided {
+            expected.apply(&script[t]);
+            committed += 1;
+        }
     }
-    expected.audit_fleet(recovery, lost, format_args!("{config} at {point:?}"));
+    expected.audit_fleet(recovery, point.lost, &at);
 
-    match lost {
+    match point.lost {
         Some(shard) => TxnPointVerdict::DegradedShard { shard },
-        None if txn_committed => TxnPointVerdict::CommittedEverywhere,
-        None => TxnPointVerdict::AbortedEverywhere,
+        None if committed == 0 => TxnPointVerdict::AbortedEverywhere,
+        None if committed == script.len() => TxnPointVerdict::CommittedEverywhere,
+        None => TxnPointVerdict::SplitResolved {
+            committed,
+            aborted: script.len() - committed,
+        },
     }
 }
 
-/// One group-family crash point: drive the scripted transactions
-/// through a two-coordinator [`CoordinatorPool`] sharing one decision
-/// log, cut power at the scripted instant (group boundary, mid-record,
-/// or between an interleaved seal and its phase 2), resolve the fleet
-/// with [`resolve_cross_shard`], and check per-transaction
-/// all-or-nothing plus recovered-pool attribution.
-fn run_group_point(
-    config: HeapConfig,
-    baseline: &[PersistentHeap],
+/// Drives run `run` of `script` (see [`points_2pc`]) on `heaps` with
+/// `cut` armed on every heap and on a fresh pool. Returns the pool, each
+/// transaction's gtxid, and the cut's event count at the end of the
+/// seal covering each transaction.
+fn run_2pc(
+    run: usize,
+    heaps: &mut [PersistentHeap],
     model: &CellModel,
-    pool_script: &[Vec<(usize, usize, u64)>],
-    cluster: &ClusterSpec,
-    point: TxnCrashPoint,
-) -> TxnPointVerdict {
-    assert_eq!(
-        pool_script.len(),
-        XS_TXNS,
-        "{config}: group-family points drive a {XS_TXNS}-transaction script"
-    );
-    let mut heaps: Vec<PersistentHeap> = baseline.to_vec();
-    // The group size sits above anything the script stages: sealing is
-    // driven by the crash point, never by the trigger.
-    let mut pool = CoordinatorPool::new(XS_POOL_COORDS, XS_TXNS + 1);
-    let (in_flight, sealed_prefix, torn) = match point {
-        TxnCrashPoint::GroupBoundary { buffered } => (buffered, 0, None),
-        TxnCrashPoint::GroupInterleavedSplit { sealed } => (XS_TXNS, sealed, None),
-        TxnCrashPoint::TornGroupRecord { durable_words } => (XS_TXNS, 0, Some(durable_words)),
-        other => unreachable!("not a group-family point: {other:?}"),
+    script: &[Vec<(usize, usize, u64)>],
+    cut: &Arc<PowerCut>,
+) -> (CoordinatorPool, Vec<u64>, Vec<u64>) {
+    let mut pool = if run == 0 {
+        CoordinatorPool::new(1, 1)
+    } else {
+        CoordinatorPool::new(XS_POOL_COORDS, script.len() + 1)
     };
-
-    let mut gtxids: Vec<u64> = Vec::with_capacity(in_flight);
-    for (t, ops) in pool_script.iter().take(in_flight).enumerate() {
-        let coordinator = t % XS_POOL_COORDS;
-        let txn = build_cross_shard_txn(&mut pool, coordinator, model, ops);
-        let outcome = pool.submit(coordinator, &mut heaps, &txn).unwrap();
-        assert_eq!(
-            outcome,
-            SubmitOutcome::Buffered,
-            "{config}: pool txn {t} must buffer at {point:?}"
-        );
+    pool.arm(cut);
+    for heap in heaps.iter_mut() {
+        heap.arm(cut);
+    }
+    let (mut gtxids, mut seal_end) = (Vec::new(), Vec::new());
+    for (t, ops) in script.iter().enumerate() {
+        let coordinator = t % pool.coordinators();
+        let mut txn = pool.begin(coordinator, model.shards());
+        for &(shard, cell, value) in ops {
+            txn.stage(shard, model.cell(shard, cell).offset(), value);
+        }
+        let refusal = pool.prepare(coordinator, heaps, &txn).unwrap();
+        assert!(refusal.is_none(), "run {run}: txn {t} refused: {refusal:?}");
+        pool.buffer_decision(coordinator, &txn);
         gtxids.push(txn.gtxid());
-        // The interleaved split: seal the prefix mid-stream, then keep
-        // submitting into the next (never-sealed) group.
-        if t + 1 == sealed_prefix {
-            assert_eq!(
-                pool.seal_decisions(coordinator),
-                sealed_prefix,
-                "{config}: prefix seal at {point:?}"
-            );
+        if pool.should_seal(coordinator) || t + 1 == run || t + 1 == script.len() {
+            pool.seal_decisions(coordinator);
+            seal_end.resize(t + 1, cut.events());
+        }
+        if run == 0 {
+            pool.complete_sealed(heaps).unwrap();
         }
     }
-
-    // Power fails everywhere at once — mid-record for the torn family.
-    let coordinator_image = match torn {
-        Some(durable_words) => pool.crash_mid_group_seal(durable_words),
-        None => pool.crash_image(),
-    };
-    let images: Vec<Option<CrashImage>> = heaps
-        .into_iter()
-        .map(|heap| Some(heap.crash(false)))
-        .collect();
-
-    let recovery = resolve_cross_shard(&coordinator_image, images, cluster);
-    let committed_txns = match point {
-        TxnCrashPoint::GroupInterleavedSplit { sealed } => sealed,
-        _ if point.decision_durable() => in_flight,
-        _ => 0,
-    };
-
-    // Per transaction: its decision is durable exactly when sealed, and
-    // the recovered pool attributes it to the sealing coordinator
-    // generation (or disowns it), while the issuer stays decodable from
-    // the gtxid either way.
-    let recovered = CoordinatorPool::recover(&coordinator_image, XS_POOL_COORDS, XS_TXNS + 1);
-    for (t, &gtxid) in gtxids.iter().enumerate() {
-        let (coordinator, sealed) = (t % XS_POOL_COORDS, t < committed_txns);
-        let at = format_args!("{config}: pool txn {t} at {point:?}");
-        assert_eq!(recovery.decided.contains(&gtxid), sealed, "{at}: decision durability");
-        assert_eq!(coordinator_of(gtxid), coordinator, "{at}: issuer");
-        assert_eq!(
-            recovered.attribute(gtxid),
-            sealed.then_some(GtxidOrigin { coordinator, generation: 1 }),
-            "{at}: attribution"
-        );
-    }
-
-    // The model: the baseline overlaid by every committed transaction's
-    // writes — all-or-nothing per transaction, on every shard.
-    let mut expected = model.clone();
-    for ops in &pool_script[..committed_txns] {
-        expected.apply(ops);
-    }
-    expected.audit_fleet(recovery, None, format_args!("{config} at {point:?}"));
-
-    match point {
-        TxnCrashPoint::GroupInterleavedSplit { sealed } => TxnPointVerdict::SplitResolved {
-            committed: sealed,
-            aborted: XS_TXNS - sealed,
-        },
-        _ if committed_txns > 0 => TxnPointVerdict::CommittedEverywhere,
-        _ => TxnPointVerdict::AbortedEverywhere,
-    }
+    pool.complete_sealed(heaps).unwrap();
+    (pool, gtxids, seal_end)
 }
 
 /// A fault class injected into the supervised save → recovery-ladder
@@ -1919,28 +1578,39 @@ mod tests {
         for config in [HeapConfig::FocUndo, HeapConfig::FocStm] {
             let report = sweep_cross_shard_2pc(config, 4242);
             assert_eq!(report.shards, XS_SHARDS, "{config}");
-            // 5 coordinator-side families per txn, plus the shard-side
-            // seal steps, two marker flavors, the lost image, and the
-            // group families (boundaries, splits, torn record words).
-            assert!(
-                report.crash_points >= XS_TXNS * 5 + 6 + (2 * XS_TXNS + XS_GROUP_WORDS),
-                "{config}: {}",
-                report.crash_points
-            );
-            assert_eq!(report.families().len(), 11, "{config}: {:?}", report.families());
+            assert_eq!(report.outcomes.len(), report.crash_points, "{config}");
+            for run in 0..=XS_TXNS {
+                let verdicts: Vec<TxnPointVerdict> = report
+                    .outcomes
+                    .iter()
+                    .filter(|(p, _)| p.run == run && p.lost.is_none())
+                    .map(|&(_, v)| v)
+                    .collect();
+                // Power fails before the run's first event and after its
+                // last: nothing is decided, then everything is.
+                assert_eq!(verdicts[0], TxnPointVerdict::AbortedEverywhere, "{config} run {run}");
+                assert_eq!(
+                    verdicts[verdicts.len() - 1],
+                    TxnPointVerdict::CommittedEverywhere,
+                    "{config} run {run}"
+                );
+                // A grouped run's first seal decides a proper prefix.
+                let split = TxnPointVerdict::SplitResolved {
+                    committed: run,
+                    aborted: XS_TXNS - run,
+                };
+                assert_eq!(
+                    verdicts.contains(&split),
+                    run > 0 && run < XS_TXNS,
+                    "{config} run {run}"
+                );
+            }
             assert_eq!(report.degraded, 1, "{config}");
-            // Interleaved seals split every proper prefix of the script.
-            assert_eq!(report.split, XS_TXNS - 1, "{config}");
-            // Post-decision and mid-commit points commit everywhere,
-            // plus the one fully-durable torn-record point.
-            assert_eq!(report.committed, XS_TXNS * 2 + 3, "{config}");
-            // Everything pre-decision presumes abort everywhere.
             assert_eq!(
-                report.aborted,
-                report.crash_points - report.committed - report.degraded - report.split,
+                report.committed + report.aborted + report.degraded + report.split,
+                report.crash_points,
                 "{config}"
             );
-            assert!(report.aborted > XS_TXNS * 3, "{config}");
         }
     }
 

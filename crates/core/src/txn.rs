@@ -20,9 +20,13 @@
 //!    the classic one-record-per-transaction protocol.
 //! 3. **Commit** — each participant writes a fenced local commit marker
 //!    (and the redo flavour applies its buffered writes in place), so
-//!    later recoveries never consult the coordinator again; a durable
+//!    later recoveries never consult the coordinator again; a
 //!    [`wsp_pheap::RecordKind::Settle`] marker then lets the decision
-//!    log recycle the entry.
+//!    log recycle the entry. The settle marker is a non-temporal store
+//!    with no fence of its own: it lands at the next seal's fence. A
+//!    crash before then leaves the decision unsettled, and recovery
+//!    re-pins it — safe, because the decision itself is durable and
+//!    every shard resolves to it.
 //!
 //! **Presumed abort**: a shard that recovers with a durable PREPARED
 //! marker but no local decision is *in doubt* and asks the recovered
@@ -50,12 +54,13 @@
 //! [`reapply_routed`].
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use wsp_cluster::ClusterSpec;
 use wsp_obs as obs;
 use wsp_pheap::{
     pack_group_entry, CrashImage, HeapError, LogRecord, PersistentHeap, PersistentMemory, PmPtr,
-    RecordKind, TornLog, TxnResolution, GROUP_ENTRY_GEN_MAX, GTXID_BASE,
+    PowerCut, RecordKind, TornLog, TxnResolution, GROUP_ENTRY_GEN_MAX, GTXID_BASE,
 };
 use wsp_units::{ByteSize, Nanos};
 
@@ -668,33 +673,36 @@ impl CoordinatorPool {
         self.mem.clone().crash(false)
     }
 
-    /// Crashes the pool mid-group-seal ([`CoordinatorPool::seal_decisions`]
-    /// with power failing partway, compaction included): only the first
-    /// `durable_words` words of the covering group record (header first,
-    /// then one entry per buffered decision) reach NVRAM before the power
-    /// dies. Recovery must presume abort for *every* member unless the
-    /// record is complete — the torn-group-record crash family. The
-    /// crashed seal books nothing to the observability stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics when nothing is buffered or `durable_words` exceeds the
-    /// record length.
+    /// Arms `cut` on the pool's decision-log memory (see
+    /// [`PersistentMemory::arm`]). Armed with the same cut as every
+    /// shard heap, the whole fleet loses power at one durable event, and
+    /// [`CoordinatorPool::crash_image`] returns the log as it stood then.
+    pub fn arm(&mut self, cut: &Arc<PowerCut>) {
+        self.mem.arm(cut);
+    }
+
+    /// Runs `op` with power failing just before the `(events + 1)`-th
+    /// durable event it performs on the pool and returns the pool's
+    /// crash image at that instant. `events` at or past
+    /// [`CoordinatorPool::durable_events`] of the same `op` lets it
+    /// complete. What `op` returns and records to the observability
+    /// stream is dropped: a crashed operation books nothing.
     #[must_use]
-    pub fn crash_mid_group_seal(&mut self, durable_words: usize) -> Vec<u8> {
-        assert!(!self.pending.is_empty(), "nothing buffered to seal");
-        assert!(
-            durable_words <= self.pending.len() + 1,
-            "record is only {} words",
-            self.pending.len() + 1
-        );
-        // Compaction's durable events come first; measure them on a clone.
+    pub fn crash_during<T>(mut self, events: u64, op: impl FnOnce(&mut Self) -> T) -> Vec<u8> {
+        self.arm(&PowerCut::after(events));
+        let _ = obs::capture(|| op(&mut self));
+        self.crash_image()
+    }
+
+    /// Durable events `op` performs on the pool when run on a clone of
+    /// it — the crash points [`CoordinatorPool::crash_during`] can place
+    /// inside it are `0..=` this count.
+    #[must_use]
+    pub fn durable_events<T>(&self, op: impl FnOnce(&mut Self) -> T) -> u64 {
         let mut probe = self.clone();
-        probe.compact_decision_log();
-        let compaction = probe.mem.durable_events() - self.mem.durable_events();
-        self.mem.fail_after(compaction + durable_words as u64);
-        let (_, _) = obs::capture(|| self.seal_decisions(0));
-        self.mem.clone().crash(false)
+        let before = probe.mem.durable_events();
+        let _ = obs::capture(|| op(&mut probe));
+        probe.mem.durable_events() - before
     }
 
     /// Rebuilds a pool from a crashed shared decision log. Settled
@@ -1457,30 +1465,26 @@ mod tests {
 
     #[test]
     fn torn_group_record_prefix_presumes_abort_for_every_member() {
-        // Words 0..full of the covering record durable: any strict
-        // prefix must resolve every member aborted; the complete record
-        // commits them all — all-or-nothing at group granularity.
-        for durable_words in 0..4usize {
-            let (mut heaps, cells) = pool_rig(HeapConfig::FocUndo, 2);
-            let mut pool = CoordinatorPool::new(2, 8);
-            let mut a = pool.begin(0, 2);
-            a.stage(0, cells[0][0], 11);
-            let mut b = pool.begin(1, 2);
-            b.stage(1, cells[1][0], 22);
-            for (coord, txn) in [(0, &a), (1, &b)] {
-                assert!(pool.prepare(coord, &mut heaps, txn).unwrap().is_none());
-                pool.buffer_decision(coord, txn);
-            }
-            let coordinator_image = pool.crash_mid_group_seal(durable_words);
-            let decided = recover_decisions(&coordinator_image);
-            if durable_words == 3 {
-                assert_eq!(decided.len(), 2, "complete record decides all");
-            } else {
-                assert!(
-                    decided.is_empty(),
-                    "{durable_words} durable words must decide nothing"
-                );
-            }
+        // Power fails at every durable event of the seal: any strict
+        // prefix of the covering record decides no member; the complete
+        // record decides them all — all-or-nothing at group granularity.
+        let (mut heaps, cells) = pool_rig(HeapConfig::FocUndo, 2);
+        let mut pool = CoordinatorPool::new(2, 8);
+        let mut a = pool.begin(0, 2);
+        a.stage(0, cells[0][0], 11);
+        let mut b = pool.begin(1, 2);
+        b.stage(1, cells[1][0], 22);
+        for (coord, txn) in [(0, &a), (1, &b)] {
+            assert!(pool.prepare(coord, &mut heaps, txn).unwrap().is_none());
+            pool.buffer_decision(coord, txn);
+        }
+        let seal = |p: &mut CoordinatorPool| p.seal_decisions(0);
+        let events = pool.durable_events(seal);
+        assert_eq!(events, 3, "a header and one word per member");
+        for e in 0..=events {
+            let decided = recover_decisions(&pool.clone().crash_during(e, seal));
+            let want = if e == events { 2 } else { 0 };
+            assert_eq!(decided.len(), want, "{e}/{events} events");
         }
     }
 
@@ -1610,9 +1614,10 @@ mod tests {
 
     #[test]
     fn torn_group_seal_after_compaction_is_all_or_nothing() {
-        // The seal a torn crash cuts compacts the decision log first:
-        // the pinned unsettled decision is re-sealed ahead of the new
-        // tail, then the group record tears at every word.
+        // The seal compacts the decision log first: the pinned unsettled
+        // decision is re-sealed ahead of the new tail, then the group
+        // record is written. Power fails at every durable event of it
+        // all, compaction included.
         let (mut heaps, cells) = pool_rig(HeapConfig::FocUndo, 2);
         let mut pool = CoordinatorPool::new(2, 4);
         let mut pinned = pool.begin(0, 2);
@@ -1633,27 +1638,29 @@ mod tests {
             t += 1;
         }
         let members: Vec<u64> = pool.pending.iter().map(|p| p.gtxid).collect();
-        let full = members.len() + 1;
-        for durable_words in 0..=full {
-            let mut torn = pool.clone();
-            let image = torn.crash_mid_group_seal(durable_words);
-            assert!(!torn.log.needs_truncation(), "the cut seal compacted first");
+        let mut probe = pool.clone();
+        probe.seal_decisions(0);
+        assert!(!probe.log.needs_truncation(), "the seal compacts first");
+        let seal = |p: &mut CoordinatorPool| p.seal_decisions(0);
+        let events = pool.durable_events(seal);
+        for e in 0..=events {
+            let image = pool.clone().crash_during(e, seal);
             let images = heaps.iter().map(|h| Some(h.clone().crash(false))).collect();
             let recovery = resolve_cross_shard(&image, images, &ClusterSpec::memcache_tier(8));
-            assert!(recovery.fully_recovered(), "{durable_words} words");
+            assert!(recovery.fully_recovered(), "{e}/{events} events");
             assert!(
                 recovery.decided.contains(&pinned.gtxid()),
-                "pinned decision lost at {durable_words} words"
+                "pinned decision lost at {e}/{events} events"
             );
             let resolution = recovery.shards[1].resolution.as_ref().unwrap();
-            let (decided, undecided) = if durable_words == full {
+            let (decided, undecided) = if e == events {
                 (&resolution.committed, &resolution.aborted)
             } else {
                 (&resolution.aborted, &resolution.committed)
             };
             for gtxid in &members {
-                assert!(decided.contains(gtxid), "{durable_words} words: {gtxid:#x}");
-                assert!(!undecided.contains(gtxid), "{durable_words} words: {gtxid:#x}");
+                assert!(decided.contains(gtxid), "{e}/{events} events: {gtxid:#x}");
+                assert!(!undecided.contains(gtxid), "{e}/{events} events: {gtxid:#x}");
             }
         }
     }

@@ -3,6 +3,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use crate::fasthash::{FastMap, FastSet};
 
@@ -14,7 +15,7 @@ use crate::alloc::WordStore;
 use crate::flit::FlitTable;
 use crate::{
     cost, FreeListAllocator, HeapConfig, HeapError, HeapStats, LogRecord, PersistentMemory,
-    RecordKind, Stm, TornLog,
+    PowerCut, RecordKind, Stm, TornLog,
 };
 
 /// Region magic ("WSPHEAP0" as little-endian bytes).
@@ -995,6 +996,15 @@ impl PersistentHeap {
         Ok(())
     }
 
+    /// Arms `cut` on this heap's memory (see [`PersistentMemory::arm`]):
+    /// its durable events count towards the cut from now on, and
+    /// [`PersistentHeap::crash`] returns the image frozen when it
+    /// struck. Arming every shard of a fleet with one cut crashes them
+    /// all at one instant.
+    pub fn arm(&mut self, cut: &Arc<PowerCut>) {
+        self.mem.arm(cut);
+    }
+
     /// Runs `op` with power failing just before the `(events + 1)`-th
     /// durable event it performs (see
     /// [`PersistentMemory::durable_events`]) and returns the durable
@@ -1004,7 +1014,7 @@ impl PersistentHeap {
     /// stream is dropped: a crashed operation books nothing.
     #[must_use]
     pub fn crash_during<T>(mut self, events: u64, op: impl FnOnce(&mut Self) -> T) -> CrashImage {
-        self.mem.fail_after(events);
+        self.arm(&PowerCut::after(events));
         let _ = obs::capture(|| op(&mut self));
         self.crash(false)
     }

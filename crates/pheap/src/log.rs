@@ -536,6 +536,7 @@ impl TornLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mem::PowerCut;
     use wsp_units::ByteSize;
 
     const BASE: u64 = 4096;
@@ -774,7 +775,7 @@ mod tests {
             mem.sfence();
             // Power fails after the fence drains only the prefix.
             log.append_group_decision(&mut mem, &entries, true);
-            mem.fail_after(durable_words as u64);
+            mem.arm(&PowerCut::after(durable_words as u64));
             mem.sfence();
             let records = recover_from(mem, false);
             assert_eq!(
@@ -793,7 +794,7 @@ mod tests {
         let (mut mem, mut log) = fresh();
         let entries: Vec<u64> = (0..4u64).map(|i| pack_group_entry(2, 200 + i)).collect();
         log.append_group_decision(&mut mem, &entries, true);
-        mem.fail_after(entries.len() as u64 + 1);
+        mem.arm(&PowerCut::after(entries.len() as u64 + 1));
         mem.sfence();
         let records = recover_from(mem, false);
         assert_eq!(records.len(), 4);

@@ -10,10 +10,15 @@
 //!
 //! The memory is also where crash points live. It counts **durable
 //! events** — each pending non-temporal store an `sfence` drains (in
-//! issue order) and each dirty line a `clflush` writes back — and
-//! [`PersistentMemory::fail_after`] fails power just before a chosen
-//! one. Every durable path of every protocol above is crashable that
-//! way, with no per-protocol cut.
+//! issue order) and each dirty line a `clflush` writes back — and a
+//! [`PowerCut`] armed on it fails power just before a chosen one. One
+//! cut may be armed on a whole fleet of memories (every shard heap and
+//! the 2PC coordinator's decision log): it counts their events together
+//! in program order, so every durable path of every protocol above is
+//! crashable at any instant, with no per-protocol cut.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use wsp_cache::{CacheHierarchy, CpuProfile, LineAddr, LINE_SIZE};
 use wsp_units::{ByteSize, Nanos};
@@ -81,24 +86,106 @@ pub struct PersistentMemory {
     budget: EventBudget,
 }
 
-/// The durable-event count and the armed power failure.
-#[derive(Debug, Clone, Default)]
+/// One power failure shared by every memory armed with it (see
+/// [`PersistentMemory::arm`]): it counts their durable events together,
+/// in program order, and fails power just before the `(n + 1)`-th. The
+/// memory that reaches that event freezes its durable image then; every
+/// other armed memory freezes before the next thing that lands on it (a
+/// durable event, an eviction writeback, a write-combining drain,
+/// [`PersistentMemory::flush_all`] or [`PersistentMemory::scrub`]), so
+/// the whole fleet stops at one instant.
+///
+/// # Examples
+///
+/// ```
+/// use wsp_pheap::{PersistentMemory, PowerCut};
+/// use wsp_units::ByteSize;
+///
+/// let mut a = PersistentMemory::new(ByteSize::kib(64));
+/// let mut b = a.clone();
+/// let cut = PowerCut::after(1);
+/// a.arm(&cut);
+/// b.arm(&cut);
+/// a.ntstore_u64(0, 1);
+/// a.sfence(); // event 0 lands
+/// b.ntstore_u64(0, 2);
+/// b.sfence(); // event 1: power fails first
+/// assert_eq!(cut.events(), 2);
+/// assert_eq!(a.crash(false)[0], 1);
+/// assert_eq!(b.crash(false)[0], 0);
+/// ```
+#[derive(Debug)]
+pub struct PowerCut {
+    events: AtomicU64,
+    /// The event power fails just before.
+    fail_at: u64,
+}
+
+impl PowerCut {
+    /// A cut failing power just before the `(n + 1)`-th durable event
+    /// its memories perform once armed.
+    #[must_use]
+    pub fn after(n: u64) -> Arc<Self> {
+        Arc::new(PowerCut {
+            events: AtomicU64::new(0),
+            fail_at: n,
+        })
+    }
+
+    /// A cut that never fails power and only counts.
+    #[must_use]
+    pub fn never() -> Arc<Self> {
+        Self::after(u64::MAX)
+    }
+
+    /// Durable events the armed memories have performed so far,
+    /// including any after the failure.
+    #[must_use]
+    pub fn events(&self) -> u64 {
+        self.events.load(Ordering::Relaxed)
+    }
+
+    fn struck(&self) -> bool {
+        self.events() > self.fail_at
+    }
+}
+
+/// The durable-event count, the armed cut and the image it froze.
+#[derive(Debug, Default)]
 struct EventBudget {
     events: u64,
-    /// The event power fails just before, once armed.
-    fail_at: Option<u64>,
+    cut: Option<Arc<PowerCut>>,
     /// The durable bytes at the instant power failed.
     frozen: Option<Vec<u8>>,
 }
 
+/// A clone is never armed: probes run on clones must not spend the cut.
+impl Clone for EventBudget {
+    fn clone(&self) -> Self {
+        EventBudget {
+            events: self.events,
+            cut: None,
+            frozen: self.frozen.clone(),
+        }
+    }
+}
+
 impl EventBudget {
-    /// Counts one durable event about to land on `durable`, freezing
-    /// the image first when it is the armed one.
+    /// Counts one durable event about to land on `durable`.
     fn tick(&mut self, durable: &[u8]) {
-        if self.fail_at == Some(self.events) {
+        self.events += 1;
+        if let Some(cut) = &self.cut {
+            cut.events.fetch_add(1, Ordering::Relaxed);
+        }
+        self.landing(durable);
+    }
+
+    /// Called before anything lands on `durable`: freezes it once the
+    /// armed cut has struck.
+    fn landing(&mut self, durable: &[u8]) {
+        if self.frozen.is_none() && self.cut.as_ref().is_some_and(|cut| cut.struck()) {
             self.frozen = Some(durable.to_vec());
         }
-        self.events += 1;
     }
 }
 
@@ -147,19 +234,20 @@ impl PersistentMemory {
     /// [`PersistentMemory::clflush_range`] writes back. Eviction
     /// writebacks, [`PersistentMemory::flush_all`] and
     /// [`PersistentMemory::scrub`] are not events. Counting charges no
-    /// simulated time.
+    /// simulated time; a clone keeps the count.
     #[must_use]
     pub fn durable_events(&self) -> u64 {
         self.budget.events
     }
 
-    /// Arms a power failure just before the `(n + 1)`-th durable event
-    /// from now. The durable bytes at that instant are kept and
-    /// [`PersistentMemory::crash`] returns them; the memory keeps
-    /// running (later stores stay readable), but nothing that lands
-    /// after the failure reaches the crash image.
-    pub fn fail_after(&mut self, n: u64) {
-        self.budget.fail_at = Some(self.budget.events + n);
+    /// Arms `cut` (replacing any earlier one): this memory's durable
+    /// events count towards it from now on. The durable bytes at the
+    /// instant it strikes are kept and [`PersistentMemory::crash`]
+    /// returns them; the memory keeps running (later stores stay
+    /// readable), but nothing that lands after the failure reaches the
+    /// crash image. Clones are never armed.
+    pub fn arm(&mut self, cut: &Arc<PowerCut>) {
+        self.budget.cut = Some(Arc::clone(cut));
     }
 
     /// The cache hierarchy (for statistics inspection).
@@ -178,19 +266,31 @@ impl PersistentMemory {
     }
 
     /// Moves the overlay contents of `line` into the durable view (a
-    /// cache writeback reaching the NVDIMM).
+    /// `clflush` writeback, already counted as a durable event).
     fn persist_line(&mut self, line: LineAddr) {
-        Self::persist_lines(&mut self.durable, &mut self.overlay, &[line]);
+        Self::persist_lines(&mut self.durable, &mut self.overlay, &mut self.budget, &[line]);
     }
 
-    fn persist_writebacks(&mut self, lines: &[LineAddr]) {
-        Self::persist_lines(&mut self.durable, &mut self.overlay, lines);
+    /// Moves the cache's last eviction writebacks into the durable view.
+    fn persist_evictions(&mut self) {
+        Self::persist_lines(
+            &mut self.durable,
+            &mut self.overlay,
+            &mut self.budget,
+            self.cache.last_writebacks(),
+        );
     }
 
     /// Field-split form of writeback persistence, so the access paths can
     /// borrow the cache's scratch writeback slice while mutating the
     /// durable bytes and the overlay.
-    fn persist_lines(durable: &mut [u8], overlay: &mut LineTable, lines: &[LineAddr]) {
+    fn persist_lines(
+        durable: &mut [u8],
+        overlay: &mut LineTable,
+        budget: &mut EventBudget,
+        lines: &[LineAddr],
+    ) {
+        budget.landing(durable);
         for &line in lines {
             if let Some(buf) = overlay.remove(line.index()) {
                 let start = line.first_byte() as usize;
@@ -206,6 +306,7 @@ impl PersistentMemory {
         if self.wc_pending.is_empty() || len == 0 {
             return;
         }
+        self.budget.landing(&self.durable);
         let first_line = addr / LINE_SIZE;
         let last_line = (addr + len - 1) / LINE_SIZE;
         let mut remaining = Vec::with_capacity(self.wc_pending.len());
@@ -237,11 +338,7 @@ impl PersistentMemory {
             let meta = self.cache.load_fast(abs);
             self.elapsed += meta.latency;
             if meta.writebacks > 0 {
-                Self::persist_lines(
-                    &mut self.durable,
-                    &mut self.overlay,
-                    self.cache.last_writebacks(),
-                );
+                self.persist_evictions();
             }
             let offset = (abs - line.first_byte()) as usize;
             let chunk = (LINE_SIZE as usize - offset).min(buf.len() - pos);
@@ -293,11 +390,7 @@ impl PersistentMemory {
             let meta = self.cache.store_fast(abs);
             self.elapsed += meta.latency;
             if meta.writebacks > 0 {
-                Self::persist_lines(
-                    &mut self.durable,
-                    &mut self.overlay,
-                    self.cache.last_writebacks(),
-                );
+                self.persist_evictions();
             }
             // Materialise the overlay line (from the durable view) and
             // apply the store to it — one table probe for both.
@@ -328,11 +421,7 @@ impl PersistentMemory {
             let meta = self.cache.load_fast(addr);
             self.elapsed += meta.latency;
             if meta.writebacks > 0 {
-                Self::persist_lines(
-                    &mut self.durable,
-                    &mut self.overlay,
-                    self.cache.last_writebacks(),
-                );
+                self.persist_evictions();
             }
             let line = LineAddr::containing(addr);
             let bytes: [u8; 8] = match self.overlay.get(line.index()) {
@@ -359,11 +448,7 @@ impl PersistentMemory {
             let meta = self.cache.store_fast(addr);
             self.elapsed += meta.latency;
             if meta.writebacks > 0 {
-                Self::persist_lines(
-                    &mut self.durable,
-                    &mut self.overlay,
-                    self.cache.last_writebacks(),
-                );
+                self.persist_evictions();
             }
             let line = LineAddr::containing(addr);
             let durable = &self.durable;
@@ -393,11 +478,7 @@ impl PersistentMemory {
         let meta = self.cache.ntstore_fast(addr, data.len() as u64);
         self.elapsed += meta.latency;
         if meta.writebacks > 0 {
-            Self::persist_lines(
-                &mut self.durable,
-                &mut self.overlay,
-                self.cache.last_writebacks(),
-            );
+            self.persist_evictions();
         }
         self.wc_pending.push((addr, WcData::new(data)));
     }
@@ -445,7 +526,12 @@ impl PersistentMemory {
         let before = self.elapsed;
         let r = self.cache.wbinvd();
         self.elapsed += r.latency;
-        self.persist_writebacks(&r.writebacks);
+        Self::persist_lines(
+            &mut self.durable,
+            &mut self.overlay,
+            &mut self.budget,
+            &r.writebacks,
+        );
         // The write-combining drain of the save path is not a durable
         // event: only the fence's latency is charged.
         self.elapsed += self.cache.sfence_fast();
@@ -468,17 +554,14 @@ impl PersistentMemory {
     /// Models a power failure. With `flush_on_fail` the save path runs
     /// first and nothing is lost; without it, dirty cache lines and
     /// unfenced non-temporal stores vanish. Returns the durable image —
-    /// the one frozen when an armed [`PersistentMemory::fail_after`]
-    /// fired, whatever ran since.
+    /// the one frozen when an armed [`PowerCut`] struck, whatever ran
+    /// since.
     #[must_use]
     pub fn crash(mut self, flush_on_fail: bool) -> Vec<u8> {
-        if let Some(frozen) = self.budget.frozen {
-            return frozen;
-        }
-        if flush_on_fail {
+        if flush_on_fail && self.budget.frozen.is_none() {
             self.flush_all();
         }
-        self.durable
+        self.budget.frozen.unwrap_or(self.durable)
     }
 
     /// Rebuilds a memory from a durable image (the power-on path: cold
@@ -512,6 +595,7 @@ impl PersistentMemory {
     /// Panics if the range exceeds the region.
     pub fn scrub(&mut self, addr: u64, len: u64) {
         self.check(addr, len as usize);
+        self.budget.landing(&self.durable);
         self.durable[addr as usize..(addr + len) as usize].fill(0);
         for line in LineAddr::span(addr, len) {
             self.overlay.remove(line.index());
@@ -587,18 +671,85 @@ mod tests {
         assert_eq!(u64::from_le_bytes(fenced[64..72].try_into().unwrap()), 42);
     }
 
+    /// Each memory's image as a `u64` per 64-byte slot `1..=n`.
+    fn slots(image: &[u8], n: u64) -> Vec<u64> {
+        (1..=n)
+            .map(|k| {
+                let a = (64 * k) as usize;
+                u64::from_le_bytes(image[a..a + 8].try_into().unwrap())
+            })
+            .collect()
+    }
+
     #[test]
-    fn fail_after_keeps_exactly_the_first_drained_stores() {
+    fn power_cut_keeps_exactly_the_first_drained_stores() {
         let mut m = mem();
         for k in 0..3u64 {
             m.ntstore_u64(64 * (k + 1), k + 1);
         }
-        m.fail_after(2);
+        m.arm(&PowerCut::after(2));
         m.sfence();
         assert_eq!(m.durable_events(), 3, "one event per drained store");
-        let image = m.crash(false);
-        let word = |a: usize| u64::from_le_bytes(image[a..a + 8].try_into().unwrap());
-        assert_eq!((word(64), word(128), word(192)), (1, 2, 0));
+        assert_eq!(slots(&m.crash(false), 3), [1, 2, 0]);
+    }
+
+    #[test]
+    fn one_cut_spans_every_armed_memory_in_program_order() {
+        let (mut a, mut b) = (mem(), mem());
+        let cut = PowerCut::after(3);
+        a.arm(&cut);
+        b.arm(&cut);
+        for m in [&mut a, &mut b] {
+            m.ntstore_u64(64, 1);
+            m.ntstore_u64(128, 2);
+            m.sfence();
+        }
+        assert_eq!(cut.events(), 4);
+        assert_eq!(slots(&a.crash(false), 2), [1, 2], "both events before the cut");
+        assert_eq!(slots(&b.crash(false), 2), [1, 0], "event 3 is the cut");
+    }
+
+    #[test]
+    fn idle_armed_memory_freezes_at_its_next_landing() {
+        let cut = PowerCut::after(0);
+        let mut idle = mem();
+        idle.write_u64(64, 7);
+        let mut struck = mem();
+        struck.arm(&cut);
+        struck.ntstore_u64(64, 1);
+        struck.sfence();
+        // The save path after the strike lands nothing.
+        let mut saved = idle.clone();
+        saved.arm(&cut);
+        saved.flush_all();
+        assert_eq!(slots(&saved.crash(true), 1), [0], "flush_all after the strike");
+        // Nor do eviction writebacks: stream 4 MiB through the Atom's
+        // 1 MiB of cache.
+        let mut evicting =
+            PersistentMemory::with_profile(ByteSize::mib(4), CpuProfile::intel_d510());
+        evicting.arm(&cut);
+        for k in 0..ByteSize::mib(4).as_u64() / 64 {
+            evicting.write_u64(k * 64, k + 1);
+        }
+        assert!(evicting.crash(false).iter().all(|&b| b == 0), "evictions after the strike");
+    }
+
+    #[test]
+    fn a_clone_never_spends_the_cut() {
+        let cut = PowerCut::after(1);
+        let mut m = mem();
+        m.arm(&cut);
+        let mut probe = m.clone();
+        for k in 1..=3u64 {
+            probe.ntstore_u64(64 * k, k);
+        }
+        probe.sfence();
+        assert_eq!((probe.durable_events(), cut.events()), (3, 0));
+        assert_eq!(slots(&probe.crash(false), 3), [1, 2, 3], "the clone is unarmed");
+        m.ntstore_u64(64, 1);
+        m.ntstore_u64(128, 2);
+        m.sfence();
+        assert_eq!(slots(&m.crash(false), 2), [1, 0], "the cut still strikes at event 1");
     }
 
     #[test]
@@ -617,7 +768,7 @@ mod tests {
     fn stores_after_the_failure_are_readable_but_not_durable() {
         let mut m = mem();
         m.write_u64(0, 1);
-        m.fail_after(0);
+        m.arm(&PowerCut::after(0));
         m.clflush_range(0, 8);
         m.write_u64(64, 2);
         m.clflush_range(64, 8);
