@@ -12,19 +12,20 @@
 //!   modules finish on ultracapacitor power, and restore brings back
 //!   every sentinel byte and every CPU context bit-exactly.
 //!
-//! For the persistent heaps, the analogous sweep crashes an open
-//! transaction after every prefix of its operations: transactional
-//! configurations must recover exactly the committed state (redo replay
-//! or undo rollback), while the plain flush-on-fail heap — the WSP
-//! programming model, with no transactions at all — must recover
-//! exactly the words written so far.
-//!
-//! Every heap-level sweep here — mid-transaction, mid-epoch and
-//! cross-shard 2PC — and the power storm start from one baseline,
-//! [`crate::committed_fleet`], and check recovery against one oracle,
-//! its [`CellModel`]: the baseline overlaid by exactly what the crash
-//! point made durable. The 2PC property tests drive the same crash
-//! points through [`run_2pc_point`].
+//! For the persistent heaps, the analogous sweeps crash production
+//! calls — an open transaction, epoch commits and seals, a whole
+//! commit, cross-shard 2PC — at every step boundary and every durable
+//! event inside a step. Each is a [`Scenario`]: runs of production
+//! steps on a baseline fleet from [`crate::committed_fleet`], the write
+//! sets each run may make durable, one enumeration
+//! ([`Scenario::points`]) and one runner ([`Scenario::run_point`]). The
+//! oracle is the fleet's [`CellModel`]: recovery holds the baseline
+//! plus a prefix of the write sets, the prefix never shrinks along a
+//! run and covers every write set at its end. Transactional
+//! configurations recover exactly the committed state, while the plain
+//! flush-on-fail heap — the WSP programming model, with no transactions
+//! at all — recovers exactly the words written so far. The 2PC property
+//! tests drive the same scenario through [`cross_shard_scenario`].
 //!
 //! # Examples
 //!
@@ -44,14 +45,13 @@
 //! assert!(report.locally_restored >= 1);
 //! ```
 
-use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use wsp_cluster::ClusterSpec;
 use wsp_det::{DetRng, Rng};
 use wsp_machine::{CpuContext, Machine, SystemLoad};
 use wsp_obs as obs;
-use wsp_obs::{MetricsSnapshot, Trace};
+use wsp_obs::{Capture, MetricsSnapshot, Trace};
 use wsp_pheap::{BackendStore, CrashImage, HeapConfig, PersistentHeap, PowerCut};
 use wsp_power::{AgingModel, Ultracapacitor};
 use wsp_units::{ByteSize, Farads, Nanos, Volts, Watts};
@@ -65,7 +65,10 @@ use crate::supervisor::{
     stage_a_probe, supervised_save, SaveBudget, SaveVerdict,
 };
 use crate::sweep;
-use crate::txn::{coordinator_of, resolve_cross_shard, CoordinatorPool, GtxidOrigin};
+use crate::txn::{
+    coordinator_of, recover_routing, resolve_cross_shard, CoordinatorPool, GtxidOrigin,
+    RoutedWrite,
+};
 use crate::{layout, RestartStrategy, WspError};
 
 pub use crate::lockfree_sweep::{
@@ -299,17 +302,217 @@ pub struct MidTxSweepReport {
     pub metrics: MetricsSnapshot,
 }
 
+/// One crash point of a [`Scenario`]: run `run` loses power after
+/// `steps` production steps or just before the `(events + 1)`-th
+/// durable event, whichever comes first, and shard `lost` its image.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CrashPoint {
+    /// The run of the scenario.
+    pub run: usize,
+    /// Production steps of the run that start before power fails.
+    pub steps: usize,
+    /// Durable events of the run, fleet-wide, landed before it fails.
+    pub events: u64,
+    /// The shard whose image is lost outright, if any.
+    pub lost: Option<usize>,
+}
+
+/// `(shard, cell, value)` writes that become durable together.
+pub type WriteSet = Vec<(usize, usize, u64)>;
+
+/// One run of a [`Scenario`]: its baseline fleet (shard heaps and the
+/// 2PC pool) and cells, the write sets it may make durable, its steps,
+/// whether the pool routes decided writes, and a write set crashed once
+/// more, with a shard's image lost, where it becomes durable.
+#[derive(Clone)]
+struct Run {
+    heaps: Vec<PersistentHeap>,
+    pool: Option<CoordinatorPool>,
+    model: CellModel,
+    writes: Vec<WriteSet>,
+    steps: usize,
+    routed: bool,
+    lose: Option<(usize, usize)>,
+}
+
+impl Run {
+    fn solo(heap: PersistentHeap, model: CellModel, writes: Vec<WriteSet>, steps: usize) -> Self {
+        let (heaps, pool, routed, lose) = (vec![heap], None, false, None);
+        Run { heaps, pool, model, writes, steps, routed, lose }
+    }
+}
+
+/// A drive's cut, the event from which each write set is durable, and
+/// each 2PC transaction's gtxid and issuer.
+struct Trail {
+    cut: Arc<PowerCut>,
+    durable: Vec<u64>,
+    txns: Vec<(u64, usize)>,
+}
+
+impl Trail {
+    /// Marks the first `n` write sets durable from event `event` on.
+    fn durable(&mut self, n: usize, event: u64) {
+        self.durable.resize(self.durable.len().max(n), event);
+    }
+}
+
+/// A crash scenario: runs of production steps on baseline fleets, each
+/// with the write sets it may make durable, behind one enumeration
+/// ([`Scenario::points`]) and one runner ([`Scenario::run_point`]).
+/// Every heap and pool sweep here is one.
+pub struct Scenario {
+    label: String,
+    config: HeapConfig,
+    runs: Vec<Run>,
+    /// Runs the first `steps` production steps of run `run` on a copy.
+    drive: Box<Drive>,
+    /// Whether the drive marks when each write set becomes durable;
+    /// otherwise the runner finds which prefix recovered.
+    known: bool,
+}
+
+type Drive = dyn Fn(usize, &mut Run, usize, &mut Trail) + Sync;
+
+impl Scenario {
+    fn new(config: HeapConfig, seed: u64, runs: Vec<Run>, known: bool, drive: Box<Drive>) -> Self {
+        Scenario { label: format!("{config} seed {seed}"), config, runs, drive, known }
+    }
+
+    /// Drives `steps` steps of run `run` on a copy of it, every memory
+    /// armed with `cut`. The run books nothing.
+    fn drive(&self, run: usize, steps: usize, cut: Arc<PowerCut>) -> (Run, Trail) {
+        let mut copy = self.runs[run].clone();
+        copy.heaps.iter_mut().for_each(|heap| heap.arm(&cut));
+        copy.pool.iter_mut().for_each(|pool| pool.arm(&cut));
+        let mut trail = Trail { cut, durable: Vec::new(), txns: Vec::new() };
+        let _ = obs::capture(|| (self.drive)(run, &mut copy, steps, &mut trail));
+        (copy, trail)
+    }
+
+    /// Every crash point, run by run: each step boundary and durable
+    /// event inside a step, in order, then the run's lost-image point.
+    #[must_use]
+    pub fn points(&self) -> Vec<CrashPoint> {
+        let mut points = Vec::new();
+        for (run, r) in self.runs.iter().enumerate() {
+            let at = |steps, events| CrashPoint { run, steps, events, lost: None };
+            let events = |steps| self.drive(run, steps, PowerCut::never()).1.cut.events();
+            let bounds: Vec<u64> = (0..=r.steps).map(events).collect();
+            points.push(at(0, 0));
+            for (k, step) in bounds.windows(2).enumerate() {
+                points.extend((step[0] + 1..step[1]).chain([step[1]]).map(|e| at(k + 1, e)));
+            }
+            if let Some((set, shard)) = r.lose {
+                let events = self.drive(run, r.steps, PowerCut::never()).1.durable[set];
+                let steps = bounds.iter().position(|&b| b >= events).expect("inside the run");
+                points.push(CrashPoint { run, steps, events, lost: Some(shard) });
+            }
+        }
+        points
+    }
+
+    /// Crashes the fleet at `point`, recovers it and checks the oracle:
+    /// the fleet holds the run's baseline plus exactly its first `p`
+    /// write sets ([`CellModel::audit`]), those marked durable by then
+    /// when the scenario knows. With a pool, the log decides exactly
+    /// those, each attributed to its issuer's first generation, a routing
+    /// pool holds their writes, and a lost shard degrades with a typed
+    /// refusal ([`CellModel::audit_fleet`]). Returns `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the point when the oracle fails or a 2PC
+    /// transaction is refused.
+    #[must_use]
+    pub fn run_point(&self, point: CrashPoint) -> usize {
+        let (run, trail) = self.drive(point.run, point.steps, PowerCut::after(point.events));
+        let at = format!("{} at {point:?}", self.label);
+        let save = !self.config.flush_on_commit();
+        let images: Vec<Option<CrashImage>> = (run.heaps.into_iter().enumerate())
+            .map(|(shard, heap)| (point.lost != Some(shard)).then(|| heap.crash(save)))
+            .collect();
+        let (model, writes) = (&run.model, &run.writes);
+        let marked = trail.durable.iter().filter(|&&e| e <= point.events).count();
+        let prefix = |p: usize| {
+            let mut expected = model.clone();
+            writes[..p].iter().for_each(|set| expected.apply(set));
+            expected
+        };
+        let Some(pool) = run.pool else {
+            let recover = |image| {
+                PersistentHeap::recover(image).unwrap_or_else(|e| panic!("{at}: recovery: {e}"))
+            };
+            let mut heaps: Vec<_> = images.into_iter().flatten().map(recover).collect();
+            if !self.known {
+                let seen =
+                    (0..heaps.len()).fold(model.clone(), |m, s| m.observe(s, &mut heaps[s]));
+                return (0..=writes.len())
+                    .find(|&p| prefix(p) == seen)
+                    .unwrap_or_else(|| panic!("{at}: recovered no prefix of the write sets"));
+            }
+            let expected = prefix(marked);
+            for (shard, heap) in heaps.iter_mut().enumerate() {
+                expected.audit(shard, heap, &at);
+            }
+            return marked;
+        };
+        let log = pool.crash_image();
+        let recovery = resolve_cross_shard(&log, images, &ClusterSpec::memcache_tier(8));
+        let recovered = CoordinatorPool::recover(&log, pool.coordinators(), 1);
+        let routed = recover_routing(&log);
+        for (t, (&(gtxid, coordinator), ops)) in trail.txns.iter().zip(writes).enumerate() {
+            let decided = recovery.decided.contains(&gtxid);
+            for &(shard, cell, value) in ops.iter().filter(|_| decided && run.routed) {
+                let addr = model.cell(shard, cell).offset();
+                let write = RoutedWrite { gtxid, shard, addr, value };
+                assert!(routed.contains(&write), "{at}: txn {t} decided, {write:?} not routed");
+            }
+            assert_eq!(decided, t < marked, "{at}: txn {t} decision");
+            assert_eq!(coordinator_of(gtxid), coordinator, "{at}: txn {t} issuer");
+            let origin = decided.then_some(GtxidOrigin { coordinator, generation: 1 });
+            assert_eq!(recovered.attribute(gtxid), origin, "{at}: txn {t} attribution");
+        }
+        assert_eq!(recovery.decided.len(), marked, "{at}: decided count");
+        prefix(marked).audit_fleet(recovery, point.lost, &at);
+        marked
+    }
+
+    /// Runs every point over `threads` workers after `setup` and checks
+    /// each run: `p` never decreases and covers every write set at last.
+    fn sweep(&self, setup: Capture, threads: usize) -> (Vec<(CrashPoint, usize)>, Capture) {
+        let (outcomes, points) = sweep::run(self.points(), threads, |point| {
+            sweep::inject(point.run as i64, point.events as i64, &point);
+            (point, self.run_point(point))
+        });
+        for (r, run) in self.runs.iter().enumerate() {
+            let along: Vec<usize> = (outcomes.iter())
+                .filter(|(point, _)| point.run == r && point.lost.is_none())
+                .map(|&(_, p)| p)
+                .collect();
+            let (label, done) = (&self.label, along.last() == Some(&run.writes.len()));
+            assert!(along.is_sorted() && done, "{label} run {r}: durable by point {along:?}");
+        }
+        let mut merged = setup;
+        merged.absorb(points);
+        (outcomes, merged)
+    }
+
+    /// Sweeps a single-transaction scenario into its report.
+    fn mid_tx_report(&self, setup: Capture, threads: usize) -> MidTxSweepReport {
+        let (outcomes, merged) = self.sweep(setup, threads);
+        let (config, crash_points) = (self.config, outcomes.len());
+        MidTxSweepReport { config, crash_points, trace: merged.trace, metrics: merged.metrics }
+    }
+}
+
 /// Crashes an open transaction after every prefix of a seeded operation
-/// script (the empty prefix included) and verifies recovery against the
-/// in-memory model: transactional configurations recover exactly the
-/// committed state (mid-transaction redo records are not committed,
-/// mid-transaction undo records roll back); the plain FoF heap — no
-/// transactions, the WSP programming model — recovers exactly the words
-/// written so far.
-///
-/// Flush-on-commit configurations are crashed *without* the
-/// flush-on-fail save (their whole point), flush-on-fail configurations
-/// with it.
+/// script and at every durable event inside each write: transactional
+/// configurations recover exactly the committed state (undo records,
+/// torn ones included, roll back), the plain FoF heap — the WSP
+/// programming model — exactly the words written so far. FoC heaps
+/// crash *without* the flush-on-fail save (their whole point), FoF
+/// heaps with it.
 ///
 /// # Panics
 ///
@@ -325,106 +528,29 @@ pub(crate) fn sweep_mid_transaction_threads(
 ) -> MidTxSweepReport {
     let mut rng = DetRng::seed_from_u64(seed);
 
-    // Committed baseline: eight root-reachable cells with known values.
-    // The setup commit is captured so its pheap metrics land in the
-    // sweep's snapshot, not in the caller's ambient recorder.
+    // Committed baseline: eight root-reachable cells, captured so its
+    // pheap metrics land in the sweep's snapshot.
     let cells = 8usize;
-    let ((heaps, model), setup) = obs::capture(|| committed_fleet(config, 1, cells, 8, &mut rng));
+    let ((mut heaps, model), setup) =
+        obs::capture(|| committed_fleet(config, 1, cells, 8, &mut rng));
 
-    // The scripted in-flight transaction: twelve writes over the cells.
-    let script: Vec<(usize, usize, u64)> = (0..12)
+    // Twelve writes, one step each; only the plain heap's are durable.
+    let script: WriteSet = (0..12)
         .map(|_| (0, rng.gen_range(0..cells), rng.gen::<u64>()))
         .collect();
-
-    // FoC crashes raw (no save — that is the configuration's claim);
-    // FoF crashes with the completed save it depends on. Crash points
-    // are independent (each clones the committed heap), so they shard
-    // across workers; every point is pure assertion, so the sweep's
-    // outcome is schedule-independent by construction.
-    let save_runs = !config.flush_on_commit();
-    let points: Vec<MidTx> = (0..=script.len())
-        .map(|crash_at| MidTx { crash_at })
-        .collect();
-    let (_, points_cap) = sweep::run(points, threads, |point| {
-        sweep::inject(point.crash_at as i64, 0, &point);
-        run_tx_point(&heaps[0], &model, &script, config, save_runs, point.crash_at);
-    });
-    let mut merged = setup;
-    merged.absorb(points_cap);
-
-    MidTxSweepReport {
-        config,
-        crash_points: script.len() + 1,
-        trace: merged.trace,
-        metrics: merged.metrics,
-    }
-}
-
-/// A mid-transaction crash point: power fails after `crash_at` writes of
-/// the open transaction.
-#[derive(Debug)]
-struct MidTx {
-    crash_at: usize,
-}
-
-/// One mid-transaction crash point: replay the script prefix inside an
-/// open transaction on a clone of the committed heap, cut power, recover,
-/// and compare against the in-memory model.
-fn run_tx_point(
-    heap: &PersistentHeap,
-    model: &CellModel,
-    script: &[(usize, usize, u64)],
-    config: HeapConfig,
-    save_runs: bool,
-    crash_at: usize,
-) {
-    let mut h = heap.clone();
-    let mut tx = h.begin();
-    for &(shard, cell, value) in &script[..crash_at] {
-        tx.write_word(model.cell(shard, cell), value).unwrap();
-    }
-    // Power failure mid-transaction: the abort path never runs, the
-    // log keeps whatever records were appended so far.
-    std::mem::forget(tx);
-
-    // The model: committed values, overlaid — for the plain
-    // non-transactional heap only — by the prefix that ran.
-    let mut expected = model.clone();
-    if !config.transactional() {
-        expected.apply(&script[..crash_at]);
-    }
-    recover_and_audit(
-        h.crash(save_runs),
-        &expected,
-        format_args!("{config} at crash point {crash_at}"),
-    );
-}
-
-/// Recovers the crashed heap of a single-heap sweep and checks it
-/// against `expected`: the root survives and every cell matches.
-fn recover_and_audit(image: CrashImage, expected: &CellModel, at: impl std::fmt::Display) {
-    let mut recovered =
-        PersistentHeap::recover(image).unwrap_or_else(|e| panic!("{at}: recovery failed: {e}"));
-    assert_eq!(recovered.root(), Some(expected.cell(0, 0)), "{at}: root");
-    expected.audit(0, &mut recovered, at);
-}
-
-/// One crash point of the mid-epoch sweep.
-#[derive(Debug, Clone, Copy)]
-enum EpochCrashPoint {
-    /// Power fails after `txs` transactions committed into epochs: the
-    /// open buffer and any staged-but-undrained generation are volatile
-    /// and lost wholesale (seals lag one generation behind staging).
-    AfterTx(usize),
-    /// Power fails after this many durable events of the full seal of a
-    /// heap holding a staged generation *and* a partially filled open
-    /// one — inside the staged batch's drain, at its marker, anywhere in
-    /// the open batch's drain behind it, or (the last point) not at all.
-    MidSeal(u64),
-    /// Power fails after this many durable events of sealing a heap
-    /// whose only buffered transactions live in the open generation
-    /// (nothing staged yet).
-    MidSealOpen(u64),
+    let plain = !config.transactional();
+    let writes = script.iter().filter(|_| plain).map(|&op| vec![op]).collect();
+    let run = Run::solo(heaps.remove(0), model, writes, script.len());
+    let drive = move |_: usize, run: &mut Run, steps: usize, trail: &mut Trail| {
+        let mut tx = run.heaps[0].begin();
+        for (t, &(shard, cell, value)) in script[..steps].iter().enumerate() {
+            tx.write_word(run.model.cell(shard, cell), value).unwrap();
+            trail.durable(usize::from(plain) * (t + 1), trail.cut.events());
+        }
+        // Power fails mid-transaction: the abort path never runs.
+        std::mem::forget(tx);
+    };
+    Scenario::new(config, seed, vec![run], true, Box::new(drive)).mid_tx_report(setup, threads)
 }
 
 /// The result of the mid-epoch sweep for one flush-on-commit heap
@@ -436,9 +562,9 @@ pub struct MidEpochSweepReport {
     /// Transactions per durability epoch in the swept heap.
     pub epoch_size: u64,
     /// Crash points exercised: one after each committed transaction
-    /// (including zero), one per durable event of a double-generation
-    /// mid-epoch seal (staged batch, its marker, open batch) and of an
-    /// open-only seal, each plus the completed seal.
+    /// (including zero), and one per durable event of the auto-seal
+    /// draining a staged generation, of a double-generation seal and of
+    /// an open-only seal, each plus the completed seal.
     pub crash_points: usize,
     /// Baseline-setup events followed by per-point traces merged in
     /// crash-point order — identical for any `WSP_FAULTSIM_THREADS`.
@@ -449,14 +575,10 @@ pub struct MidEpochSweepReport {
 
 /// Crashes an epoch-group-commit heap after every committed transaction
 /// of a seeded script *and* at every durable event of its pipelined
-/// seals, then verifies that recovery restores exactly the epochs whose
-/// write-behind drain completed: with double-buffered seals durability
-/// lags staging by one generation, so transactions in the open buffer
-/// *or* a staged-but-undrained generation vanish wholesale, a
-/// half-drained batch rolls back past its missing marker, and a crash
-/// once the staged batch's marker landed keeps the staged epoch while
-/// the open one still vanishes. No crash point ever exposes a partial
-/// epoch.
+/// seals, auto-seals included: recovery restores exactly the epochs
+/// whose write-behind drain completed. Open and staged-but-undrained
+/// generations vanish wholesale, a half-drained batch rolls back past
+/// its missing marker; no crash point exposes a partial epoch.
 ///
 /// # Panics
 ///
@@ -472,159 +594,72 @@ pub(crate) fn sweep_mid_epoch_threads(
     seed: u64,
     threads: usize,
 ) -> MidEpochSweepReport {
-    assert!(
-        config.flush_on_commit(),
-        "mid-epoch sweep needs a flush-on-commit configuration, got {config}"
-    );
+    assert!(config.flush_on_commit(), "mid-epoch sweep needs flush-on-commit, got {config}");
     let mut rng = DetRng::seed_from_u64(seed);
-    let epoch_size = 8usize;
-    let cells = 8usize;
-    let txs_total = 20usize; // two staged generations + four open txs
-    let mid_txs = 12usize; // seal crash point: one staged epoch + four open
-    let early_txs = 4usize; // open-only seal crash point: nothing staged
-
-    // Committed baseline on distinct cache lines (so the seal's
-    // coalesced flush spans several lines), then epoch mode on.
+    let (epoch_size, cells) = (8usize, 8usize);
+    // Run 0 commits 20 transactions, one step each; runs 1 and 2 commit
+    // 12 (one staged epoch + four open) and 4, then seal, in one step.
+    let txs = [20usize, 12, 4];
+    // Cells on distinct lines, so a seal's coalesced flush spans several.
     let ((heaps, model), setup) = obs::capture(|| {
         let (mut heaps, model) = committed_fleet(config, 1, cells, 64, &mut rng);
         heaps[0].set_epoch_size(epoch_size as u64);
         (heaps, model)
     });
-    let heap = &heaps[0];
 
-    // The scripted epoch workload: one single-write transaction per
-    // entry; every `epoch_size`-th commit auto-seals.
-    let script: Vec<(usize, usize, u64)> = (0..txs_total)
+    let script: WriteSet = (0..txs[0])
         .map(|_| (0, rng.gen_range(0..cells), rng.gen::<u64>()))
         .collect();
-
-    // How many durable events each crash-sweep seal performs, measured
-    // serially on throwaway replays (their observability is discarded —
-    // every point re-runs the same deterministic prefix). At `mid_txs`
-    // one generation is staged behind four open transactions; at
-    // `epoch_size` it is all there is, so that seal ends with the staged
-    // marker; at `early_txs` only the open buffer exists.
-    let (seal_events, _) = obs::capture(|| {
-        [mid_txs, epoch_size, early_txs].map(|txs| {
-            let mut probe = heap.clone();
-            replay_epoch_txs(&mut probe, &model, &script[..txs]);
-            probe.durable_events(PersistentHeap::seal_epoch)
+    let runs = [(epoch_size, txs[0]), (txs[1], 1), (txs[2], 1)]
+        .map(|(durable, steps)| {
+            let writes = script[..durable].iter().map(|&op| vec![op]).collect();
+            Run::solo(heaps[0].clone(), model.clone(), writes, steps)
         })
+        .into();
+    let commit = move |run: &mut Run, t: usize| {
+        commit_ops(&mut run.heaps[0], &run.model, &script[t..=t]);
+    };
+
+    // A generation stages at every `epoch_size`-th commit and drains
+    // when the next one stages or a seal runs. Its marker is the last
+    // event of draining it alone, counted on a heap holding only it.
+    let (staged, _) = obs::capture(|| {
+        let mut run = Run::solo(heaps[0].clone(), model, Vec::new(), 0);
+        (0..epoch_size).for_each(|t| commit(&mut run, t));
+        run.heaps[0].durable_events(PersistentHeap::seal_epoch)
     });
-    let [mid_events, staged_events, open_events] = seal_events;
-    assert!(
-        staged_events > 0 && mid_events > staged_events,
-        "{config}: mid-seal crash space must straddle the staged marker"
-    );
-
-    let mut points: Vec<EpochCrashPoint> =
-        (0..=txs_total).map(EpochCrashPoint::AfterTx).collect();
-    points.extend((0..=mid_events).map(EpochCrashPoint::MidSeal));
-    points.extend((0..=open_events).map(EpochCrashPoint::MidSealOpen));
-    let crash_points = points.len();
-
-    let (_, points_cap) = sweep::run(points, threads, |point| {
-        let (a, b) = match point {
-            EpochCrashPoint::AfterTx(t) => (t as i64, -1),
-            EpochCrashPoint::MidSeal(s) => (mid_txs as i64, s as i64),
-            EpochCrashPoint::MidSealOpen(s) => (early_txs as i64, s as i64),
-        };
-        sweep::inject(a, b, &point);
-        run_epoch_point(
-            heap,
-            &model,
-            &script,
-            epoch_size,
-            config,
-            (mid_txs, early_txs, seal_events),
-            point,
-        );
-    });
-    let mut merged = setup;
-    merged.absorb(points_cap);
-
-    MidEpochSweepReport {
-        config,
-        epoch_size: epoch_size as u64,
-        crash_points,
-        trace: merged.trace,
-        metrics: merged.metrics,
-    }
-}
-
-/// Commits one single-write transaction per script entry against the
-/// baseline cells (epoch absorption and auto-sealing happen inside the
-/// heap).
-fn replay_epoch_txs(heap: &mut PersistentHeap, model: &CellModel, prefix: &[(usize, usize, u64)]) {
-    for op in prefix {
-        commit_ops(heap, model, std::slice::from_ref(op));
-    }
-}
-
-/// One mid-epoch crash point: replay the script prefix on a clone of
-/// the baseline heap, cut power (after a commit or partway through a
-/// seal), recover, and compare against the pipelined-durability model.
-/// `[mid, staged, open]` are the durable events of the mid seal, of its
-/// staged batch alone, and of the open-only seal.
-fn run_epoch_point(
-    heap: &PersistentHeap,
-    model: &CellModel,
-    script: &[(usize, usize, u64)],
-    epoch_size: usize,
-    config: HeapConfig,
-    (mid_txs, early_txs, [mid, staged, open]): (usize, usize, [u64; 3]),
-    point: EpochCrashPoint,
-) {
-    let mut h = heap.clone();
-    // The model: the baseline overlaid by every *drained* epoch. With
-    // double-buffered seals a generation stages at every
-    // `epoch_size`-th commit but only drains when the *next* one
-    // stages, so durability lags staging by one full generation. A
-    // mid-seal crash once the staged batch's marker landed makes that
-    // epoch durable, and a seal that completes makes every replayed
-    // transaction durable; short of that nothing new survives.
-    let (durable, image) = match point {
-        EpochCrashPoint::AfterTx(t) => {
-            replay_epoch_txs(&mut h, model, &script[..t]);
-            let staged = t / epoch_size;
-            (staged.saturating_sub(1) * epoch_size, h.crash(false))
+    assert!(staged > 0, "{config}: draining the staged generation is durable");
+    let drive = move |r: usize, run: &mut Run, steps: usize, trail: &mut Trail| {
+        let n = if r == 0 { steps } else { txs[r] * steps };
+        for t in 0..n {
+            let before = trail.cut.events();
+            commit(run, t);
+            // Staging the second generation drains the first.
+            if t + 1 == 2 * epoch_size {
+                trail.durable(epoch_size, before + staged);
+            }
         }
-        EpochCrashPoint::MidSeal(events) => {
-            replay_epoch_txs(&mut h, model, &script[..mid_txs]);
-            let durable = match events {
-                e if e >= mid => mid_txs,
-                e if e >= staged => epoch_size,
-                _ => 0,
-            };
-            (durable, h.crash_during(events, PersistentHeap::seal_epoch))
-        }
-        EpochCrashPoint::MidSealOpen(events) => {
-            replay_epoch_txs(&mut h, model, &script[..early_txs]);
-            let durable = if events >= open { early_txs } else { 0 };
-            (durable, h.crash_during(events, PersistentHeap::seal_epoch))
+        if r > 0 && steps == 1 {
+            if n >= epoch_size {
+                trail.durable(epoch_size, trail.cut.events() + staged);
+            }
+            run.heaps[0].seal_epoch();
+            trail.durable(n, trail.cut.events());
         }
     };
-    let mut expected = model.clone();
-    expected.apply(&script[..durable]);
-    recover_and_audit(image, &expected, format_args!("{config} at {point:?}"));
-}
-
-/// A mid-commit crash point: power fails after `events` durable events
-/// of run `run` of the mid-commit sweep.
-#[derive(Debug, Clone, Copy)]
-struct CommitCrashPoint {
-    run: usize,
-    events: u64,
+    let (outcomes, merged) =
+        Scenario::new(config, seed, runs, true, Box::new(drive)).sweep(setup, threads);
+    let (crash_points, trace, metrics) = (outcomes.len(), merged.trace, merged.metrics);
+    MidEpochSweepReport { config, epoch_size: epoch_size as u64, crash_points, trace, metrics }
 }
 
 /// Crashes one whole flush-on-commit transaction (writes and commit)
-/// after each of its durable events and once completed, in two runs:
-/// one whose commit leaves the log alone and one whose commit truncates
-/// it. Each point must recover exactly the state before or after the
-/// transaction; once "after", every later point is too, and the
-/// completed run is. This holds the paper's flush-on-commit baseline
-/// (Fig. 5, Table 1) to its rule: data is durable before its marker,
-/// and no truncation drops records whose lines are not.
+/// at each of its durable events and once completed, in a run whose
+/// commit leaves the log alone and one whose commit truncates it. Each
+/// point recovers exactly the state before or after it, "after" never
+/// reverts, and the completed run is "after": the paper's FoC baseline
+/// (Fig. 5, Table 1) keeps data durable before its marker, and no
+/// truncation drops records whose lines are not.
 ///
 /// # Panics
 ///
@@ -639,12 +674,9 @@ pub(crate) fn sweep_mid_commit_threads(
     seed: u64,
     threads: usize,
 ) -> MidTxSweepReport {
-    assert!(
-        config.flush_on_commit(),
-        "mid-commit sweep needs a flush-on-commit configuration, got {config}"
-    );
+    assert!(config.flush_on_commit(), "mid-commit sweep needs flush-on-commit, got {config}");
     let mut rng = DetRng::seed_from_u64(seed);
-    let script = |rng: &mut DetRng| -> Vec<(usize, usize, u64)> {
+    let script = |rng: &mut DetRng| -> WriteSet {
         (0..3).map(|_| (0, rng.gen_range(0..8), rng.gen())).collect()
     };
 
@@ -655,58 +687,26 @@ pub(crate) fn sweep_mid_commit_threads(
     let (runs, setup) = obs::capture(|| {
         let (heaps, mut model) = committed_fleet(config, 1, 8, 64, &mut rng);
         let mut heap = heaps[0].clone();
-        let plain = (heap.clone(), model.clone(), script(&mut rng));
+        let plain = Run::solo(heap.clone(), model.clone(), vec![script(&mut rng)], 1);
         let truncating = loop {
             let tx = script(&mut rng);
             let mut next = heap.clone();
             commit_ops(&mut next, &model, &tx);
             if next.stats().truncations > heap.stats().truncations {
-                break (heap, model, tx);
+                break Run::solo(heap, model, vec![tx], 1);
             }
             model.apply(&tx);
             heap = next;
         };
-        [plain, truncating]
+        vec![plain, truncating]
     });
-    let events = runs
-        .each_ref()
-        .map(|(heap, before, tx)| heap.durable_events(|h| commit_ops(h, before, tx)));
-    let points: Vec<CommitCrashPoint> = (0..2)
-        .flat_map(|run| (0..=events[run]).map(move |events| CommitCrashPoint { run, events }))
-        .collect();
-    let which = ["", ", truncating commit"];
-
-    let (recovered_after, points_cap) = sweep::run(points, threads, |point| {
-        sweep::inject(point.run as i64, point.events as i64, &point);
-        let (heap, before, tx) = &runs[point.run];
-        let mut after = before.clone();
-        after.apply(tx);
-        let image = heap.clone().crash_during(point.events, |h| commit_ops(h, before, tx));
-        let (run, n) = (which[point.run], events[point.run]);
-        let at = format!("{config} seed {seed}{run}: event {}/{n}", point.events);
-        let mut recovered = PersistentHeap::recover(image)
-            .unwrap_or_else(|e| panic!("{at}: recovery failed: {e}"));
-        let seen = before.observe(0, &mut recovered);
-        assert!(seen == *before || seen == after, "{at}: neither before nor after");
-        seen == after
-    });
-    // Per run, by event: "before" up to some point, then "after" to the end.
-    let (plain, truncating) = recovered_after.split_at(events[0] as usize + 1);
-    for (run, after) in which.into_iter().zip([plain, truncating]) {
-        assert!(
-            after.is_sorted() && after[after.len() - 1],
-            "{config} seed {seed}{run}: recovered \"after\" by event {after:?}"
-        );
-    }
-    let mut merged = setup;
-    merged.absorb(points_cap);
-
-    MidTxSweepReport {
-        config,
-        crash_points: recovered_after.len(),
-        trace: merged.trace,
-        metrics: merged.metrics,
-    }
+    // The runner observes which points recover before and which after.
+    let drive = |_: usize, run: &mut Run, steps: usize, _: &mut Trail| {
+        if steps == 1 {
+            commit_ops(&mut run.heaps[0], &run.model, &run.writes[0]);
+        }
+    };
+    Scenario::new(config, seed, runs, false, Box::new(drive)).mid_tx_report(setup, threads)
 }
 
 /// Commits `ops` as one transaction on `heap`, at the cells of `model`.
@@ -726,24 +726,8 @@ const XS_CELLS: usize = 4;
 const XS_TXNS: usize = 4;
 /// Coordinators in the pool of every grouped 2PC run.
 const XS_POOL_COORDS: usize = 2;
-
-/// One crash point of a 2PC run (see [`points_2pc`]): every shard heap
-/// and the coordinator pool, armed with one [`PowerCut`], lose power
-/// together just before the `(events + 1)`-th durable event of run
-/// `run`, and shard `lost`, if any, also loses its NVRAM image outright.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TxnCrashPoint {
-    /// Run 0 decides each transaction alone through a one-coordinator
-    /// pool; run `s > 0` seals the first `s` decisions of a
-    /// two-coordinator pool under one group record and the rest under a
-    /// second.
-    pub run: usize,
-    /// Durable events of the run, fleet-wide, that land before power
-    /// fails.
-    pub events: u64,
-    /// The shard whose image is lost outright, if any.
-    pub lost: Option<usize>,
-}
+/// Where the 2PC sweep's last run, on a routing pool, splits its group.
+const XS_ROUTED_SPLIT: usize = 2;
 
 /// The resolved fate of one 2PC crash point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -783,7 +767,7 @@ pub struct CrossShard2pcReport {
     /// Crash points injected.
     pub crash_points: usize,
     /// Per-point verdicts, in injection order.
-    pub outcomes: Vec<(TxnCrashPoint, TxnPointVerdict)>,
+    pub outcomes: Vec<(CrashPoint, TxnPointVerdict)>,
     /// Points that resolved to commit-everywhere.
     pub committed: usize,
     /// Points that resolved to abort-everywhere.
@@ -799,16 +783,14 @@ pub struct CrossShard2pcReport {
     pub metrics: MetricsSnapshot,
 }
 
-/// Crashes a three-shard deployment at **every** durable event of five
-/// runs of the production 2PC calls (see [`points_2pc`]): the fleet —
-/// every shard and the coordinator pool — loses power at one instant
-/// anywhere in a prepare, a decision seal (compaction included), a
-/// phase-2 commit marker or between them, plus once with a participant's
-/// image lost outright. Each point's all-or-nothing contract is checked
-/// with [`run_2pc_point`].
-///
-/// Sharded over [`sweep::threads`] workers, bitwise identical to the
-/// serial order.
+/// Crashes a three-shard deployment at **every** durable event of six
+/// runs of the production 2PC calls ([`cross_shard_scenario`]): run 0
+/// decides each transaction alone, run `s` in `1..=4` seals the first
+/// `s` decisions together, and run 5 splits at 2 on a routing pool. The
+/// fleet — every shard and the pool — loses power at one instant in a
+/// prepare, a routing append, a decision seal (compaction included), a
+/// phase-2 marker or between them, plus once with a participant's image
+/// lost outright.
 ///
 /// # Panics
 ///
@@ -825,212 +807,121 @@ pub(crate) fn sweep_cross_shard_2pc_threads(
     seed: u64,
     threads: usize,
 ) -> CrossShard2pcReport {
-    assert!(
-        config.flush_on_commit(),
-        "cross-shard 2PC sweep needs a flush-on-commit configuration, got {config}"
-    );
+    assert!(config.flush_on_commit(), "cross-shard 2PC sweep needs flush-on-commit, got {config}");
     let mut rng = DetRng::seed_from_u64(seed);
 
-    // The baseline fleet: XS_SHARDS heaps, each with XS_CELLS committed
-    // cells on distinct cache lines.
+    // XS_SHARDS heaps of XS_CELLS committed cells on distinct lines.
     let ((heaps, model), setup) =
         obs::capture(|| committed_fleet(config, XS_SHARDS, XS_CELLS, 64, &mut rng));
 
     // Run 0's workload: each transaction spans two adjacent shards with
     // two writes per participant.
     let spans = |t: usize| [t, t, t + 1, t + 1].map(|s| s % XS_SHARDS);
-    let script: Vec<Vec<(usize, usize, u64)>> = (0..XS_TXNS)
+    let script: Vec<WriteSet> = (0..XS_TXNS)
         .map(|t| spans(t).map(|s| (s, rng.gen_range(0..XS_CELLS), rng.gen())).to_vec())
         .collect();
 
     // The grouped runs' workload: same shard spans, but transaction `t`
     // owns cell `t` on each participant so concurrently-prepared write
     // sets stay pairwise disjoint.
-    let pool_script: Vec<Vec<(usize, usize, u64)>> = (0..XS_TXNS)
+    let pool_script: Vec<WriteSet> = (0..XS_TXNS)
         .map(|t| spans(t).map(|s| (s, t, rng.gen())).to_vec())
         .collect();
 
-    let mut points = points_2pc(&heaps, &model, &script, 0..=0);
-    points.extend(points_2pc(&heaps, &model, &pool_script, 1..=XS_TXNS));
-    let crash_points = points.len();
-
-    let cluster = ClusterSpec::memcache_tier(8);
-    let (outcomes, points_cap) = sweep::run(points, threads, |point| {
-        sweep::inject(point.run as i64, point.events as i64, &point);
-        let script = if point.run == 0 { &script } else { &pool_script };
-        (point, run_2pc_point(config, &heaps, &model, script, &cluster, point))
-    });
-    let mut merged = setup;
-    merged.absorb(points_cap);
-    let count = |hit: fn(&TxnPointVerdict) -> bool| outcomes.iter().filter(|(_, v)| hit(v)).count();
-    let committed = count(|v| *v == TxnPointVerdict::CommittedEverywhere);
-    let aborted = count(|v| *v == TxnPointVerdict::AbortedEverywhere);
-    let degraded = count(|v| matches!(v, TxnPointVerdict::DegradedShard { .. }));
-    let split = count(|v| matches!(v, TxnPointVerdict::SplitResolved { .. }));
-
+    let mut runs = vec![(0, false, &script[..])];
+    runs.extend((1..=XS_TXNS).map(|split| (split, false, &pool_script[..])));
+    runs.push((XS_ROUTED_SPLIT, true, &pool_script[..]));
+    let scenario = cross_shard_scenario(config, &heaps, &model, &runs);
+    let (outcomes, merged) = scenario.sweep(setup, threads);
+    use TxnPointVerdict as V;
+    let outcomes: Vec<(CrashPoint, V)> = (outcomes.into_iter())
+        .map(|(point, committed)| match point.lost {
+            Some(shard) => (point, V::DegradedShard { shard }),
+            None if committed == 0 => (point, V::AbortedEverywhere),
+            None if committed == XS_TXNS => (point, V::CommittedEverywhere),
+            None => (point, V::SplitResolved { committed, aborted: XS_TXNS - committed }),
+        })
+        .collect();
+    let count = |hit: fn(&V) -> bool| outcomes.iter().filter(|(_, v)| hit(v)).count();
     CrossShard2pcReport {
         config,
         shards: XS_SHARDS,
         txns: XS_TXNS,
-        crash_points,
+        crash_points: outcomes.len(),
+        committed: count(|v| *v == V::CommittedEverywhere),
+        aborted: count(|v| *v == V::AbortedEverywhere),
+        degraded: count(|v| matches!(v, V::DegradedShard { .. })),
+        split: count(|v| matches!(v, V::SplitResolved { .. })),
         outcomes,
-        committed,
-        aborted,
-        degraded,
-        split,
         trace: merged.trace,
         metrics: merged.metrics,
     }
 }
 
-/// Every crash point of runs `runs` of `script` — one `(shard, cell,
-/// value)` write set per transaction — on the `baseline` fleet, whose
-/// committed cells `model` describes: each fleet-wide durable-event
-/// count `0..=` the run's total, plus, when run 0 is included, one point
-/// that loses the middle transaction's first participant at its
-/// decision event.
-///
-/// Every run is the production calls [`CoordinatorPool::submit`] and
-/// [`CoordinatorPool::drain`] are made of — `prepare`,
-/// `buffer_decision`, `seal_decisions`, `complete_sealed`. Run 0 runs
-/// them per transaction through a one-coordinator pool with groups of
-/// one. Run `s > 0` prepares and buffers every transaction on two
-/// alternating coordinators, seals the first `s` decisions together
-/// and the rest together, then runs phase 2; its transactions are in
-/// flight together, so their write sets must be pairwise disjoint.
+/// The 2PC scenario on the `baseline` fleet, whose cells `model`
+/// describes: one run per `(split, routed, script)`, `script` holding a
+/// `(shard, cell, value)` write set per transaction. A run is the calls
+/// [`CoordinatorPool::submit`] and [`CoordinatorPool::drain`] are made
+/// of, one step per transaction; transaction `t` is durable from the
+/// last event of the seal covering it. Split 0 decides each alone on a
+/// one-coordinator pool, and crashes once more at the middle one's
+/// decision with its first participant's image lost. Split `s > 0`
+/// prepares and buffers all on two coordinators, seals the first `s`
+/// together and the rest together, then runs phase 2 as one more step;
+/// its write sets must be pairwise disjoint. A routed run's pool is
+/// [`CoordinatorPool::with_routing`].
 #[must_use]
-pub fn points_2pc(
-    baseline: &[PersistentHeap],
-    model: &CellModel,
-    script: &[Vec<(usize, usize, u64)>],
-    runs: RangeInclusive<usize>,
-) -> Vec<TxnCrashPoint> {
-    let mut points = Vec::new();
-    for run in runs {
-        let cut = PowerCut::never();
-        let ((_, _, seal_end), _) =
-            obs::capture(|| run_2pc(run, &mut baseline.to_vec(), model, script, &cut));
-        points.extend((0..=cut.events()).map(|events| TxnCrashPoint { run, events, lost: None }));
-        if run == 0 {
-            let mid = script.len() / 2;
-            let first = script[mid].iter().map(|&(shard, _, _)| shard).min();
-            points.push(TxnCrashPoint { run, events: seal_end[mid], lost: first });
-        }
-    }
-    points
-}
-
-/// Runs one 2PC crash point of [`points_2pc`] against clones of the
-/// `baseline` shards, whose committed cells `model` describes, with the
-/// `script` the point was enumerated from: drives the run with the fleet
-/// armed by one [`PowerCut`], resolves the crashed fleet with
-/// [`resolve_cross_shard`] and checks the all-or-nothing contract.
-/// Transaction `t` is decided exactly when the cut fell at or after the
-/// last event of the seal covering it — never on a torn group record,
-/// never later — and the recovered pool attributes it to its issuer's
-/// first generation exactly then. [`CellModel::audit_fleet`] then
-/// checks that every decided write set is visible on every shard, every
-/// other one vanished from every shard, and a lost shard degrades with
-/// a typed refusal and quantified staleness.
-///
-/// # Panics
-///
-/// Panics when the point violates the contract, or when a transaction
-/// of the script is refused.
-#[must_use]
-pub fn run_2pc_point(
+pub fn cross_shard_scenario(
     config: HeapConfig,
     baseline: &[PersistentHeap],
     model: &CellModel,
-    script: &[Vec<(usize, usize, u64)>],
-    cluster: &ClusterSpec,
-    point: TxnCrashPoint,
-) -> TxnPointVerdict {
-    let mut heaps: Vec<PersistentHeap> = baseline.to_vec();
-    let cut = PowerCut::after(point.events);
-    // The run is the crashed operation: it books nothing.
-    let ((pool, gtxids, seal_end), _) =
-        obs::capture(|| run_2pc(point.run, &mut heaps, model, script, &cut));
-    let coordinator_image = pool.crash_image();
-    let images: Vec<Option<CrashImage>> = heaps
-        .into_iter()
-        .enumerate()
-        .map(|(shard, heap)| (point.lost != Some(shard)).then(|| heap.crash(false)))
+    runs: &[(usize, bool, &[WriteSet])],
+) -> Scenario {
+    let splits: Vec<usize> = runs.iter().map(|&(split, _, _)| split).collect();
+    let runs = (runs.iter())
+        .map(|&(split, routed, script)| {
+            let (coordinators, group) =
+                if split == 0 { (1, 1) } else { (XS_POOL_COORDS, script.len() + 1) };
+            let pool = if routed { CoordinatorPool::with_routing } else { CoordinatorPool::new };
+            let mid = script.len() / 2;
+            let first = script[mid].iter().map(|&(shard, _, _)| shard).min();
+            Run {
+                heaps: baseline.to_vec(),
+                pool: Some(pool(coordinators, group)),
+                model: model.clone(),
+                writes: script.to_vec(),
+                steps: script.len() + usize::from(split > 0),
+                routed,
+                lose: first.filter(|_| split == 0).map(|shard| (mid, shard)),
+            }
+        })
         .collect();
-    let recovery = resolve_cross_shard(&coordinator_image, images, cluster);
-    let recovered = CoordinatorPool::recover(&coordinator_image, pool.coordinators(), 1);
-
-    let at = format!("{config} at {point:?}");
-    let mut expected = model.clone();
-    let mut committed = 0;
-    for (t, (&gtxid, &end)) in gtxids.iter().zip(&seal_end).enumerate() {
-        let (coordinator, decided) = (t % pool.coordinators(), point.events >= end);
-        assert_eq!(recovery.decided.contains(&gtxid), decided, "{at}: txn {t} decision");
-        assert_eq!(coordinator_of(gtxid), coordinator, "{at}: txn {t} issuer");
-        assert_eq!(
-            recovered.attribute(gtxid),
-            decided.then_some(GtxidOrigin { coordinator, generation: 1 }),
-            "{at}: txn {t} attribution"
-        );
-        if decided {
-            expected.apply(&script[t]);
-            committed += 1;
+    let drive = move |r: usize, run: &mut Run, steps: usize, trail: &mut Trail| {
+        let (pool, last) = (run.pool.as_mut().expect("a 2PC pool"), run.writes.len());
+        for (t, ops) in run.writes.iter().enumerate().take(steps) {
+            let coordinator = t % pool.coordinators();
+            let mut txn = pool.begin(coordinator, run.model.shards());
+            for &(shard, cell, value) in ops {
+                txn.stage(shard, run.model.cell(shard, cell).offset(), value);
+            }
+            let refusal = pool.prepare(coordinator, &mut run.heaps, &txn).unwrap();
+            assert!(refusal.is_none(), "run {r}: txn {t} refused: {refusal:?}");
+            pool.buffer_decision(coordinator, &txn);
+            trail.txns.push((txn.gtxid(), coordinator));
+            if pool.should_seal(coordinator) || t + 1 == splits[r] || t + 1 == last {
+                pool.seal_decisions(coordinator);
+                trail.durable(t + 1, trail.cut.events());
+            }
+            if splits[r] == 0 {
+                pool.complete_sealed(&mut run.heaps).unwrap();
+            }
         }
-    }
-    expected.audit_fleet(recovery, point.lost, &at);
-
-    match point.lost {
-        Some(shard) => TxnPointVerdict::DegradedShard { shard },
-        None if committed == 0 => TxnPointVerdict::AbortedEverywhere,
-        None if committed == script.len() => TxnPointVerdict::CommittedEverywhere,
-        None => TxnPointVerdict::SplitResolved {
-            committed,
-            aborted: script.len() - committed,
-        },
-    }
-}
-
-/// Drives run `run` of `script` (see [`points_2pc`]) on `heaps` with
-/// `cut` armed on every heap and on a fresh pool. Returns the pool, each
-/// transaction's gtxid, and the cut's event count at the end of the
-/// seal covering each transaction.
-fn run_2pc(
-    run: usize,
-    heaps: &mut [PersistentHeap],
-    model: &CellModel,
-    script: &[Vec<(usize, usize, u64)>],
-    cut: &Arc<PowerCut>,
-) -> (CoordinatorPool, Vec<u64>, Vec<u64>) {
-    let mut pool = if run == 0 {
-        CoordinatorPool::new(1, 1)
-    } else {
-        CoordinatorPool::new(XS_POOL_COORDS, script.len() + 1)
+        if steps > last {
+            pool.complete_sealed(&mut run.heaps).unwrap();
+        }
     };
-    pool.arm(cut);
-    for heap in heaps.iter_mut() {
-        heap.arm(cut);
-    }
-    let (mut gtxids, mut seal_end) = (Vec::new(), Vec::new());
-    for (t, ops) in script.iter().enumerate() {
-        let coordinator = t % pool.coordinators();
-        let mut txn = pool.begin(coordinator, model.shards());
-        for &(shard, cell, value) in ops {
-            txn.stage(shard, model.cell(shard, cell).offset(), value);
-        }
-        let refusal = pool.prepare(coordinator, heaps, &txn).unwrap();
-        assert!(refusal.is_none(), "run {run}: txn {t} refused: {refusal:?}");
-        pool.buffer_decision(coordinator, &txn);
-        gtxids.push(txn.gtxid());
-        if pool.should_seal(coordinator) || t + 1 == run || t + 1 == script.len() {
-            pool.seal_decisions(coordinator);
-            seal_end.resize(t + 1, cut.events());
-        }
-        if run == 0 {
-            pool.complete_sealed(heaps).unwrap();
-        }
-    }
-    pool.complete_sealed(heaps).unwrap();
-    (pool, gtxids, seal_end)
+    let label = config.to_string();
+    Scenario { label, config, runs, drive: Box::new(drive), known: true }
 }
 
 /// A fault class injected into the supervised save → recovery-ladder
@@ -1553,7 +1444,11 @@ mod tests {
     fn mid_transaction_sweep_holds_for_every_config() {
         for config in HeapConfig::all() {
             let report = sweep_mid_transaction(config, 1234);
-            assert_eq!(report.crash_points, 13, "{config}");
+            // The start and 12 write boundaries; FoC + UL also crashes
+            // between the durable events of each undo-record append,
+            // 24 more points at this seed.
+            let points = if config == HeapConfig::FocUndo { 13 + 24 } else { 13 };
+            assert_eq!(report.crash_points, points, "{config}");
         }
     }
 
@@ -1579,7 +1474,8 @@ mod tests {
             let report = sweep_cross_shard_2pc(config, 4242);
             assert_eq!(report.shards, XS_SHARDS, "{config}");
             assert_eq!(report.outcomes.len(), report.crash_points, "{config}");
-            for run in 0..=XS_TXNS {
+            for run in 0..=XS_TXNS + 1 {
+                let split_at = if run > XS_TXNS { XS_ROUTED_SPLIT } else { run };
                 let verdicts: Vec<TxnPointVerdict> = report
                     .outcomes
                     .iter()
@@ -1596,12 +1492,12 @@ mod tests {
                 );
                 // A grouped run's first seal decides a proper prefix.
                 let split = TxnPointVerdict::SplitResolved {
-                    committed: run,
-                    aborted: XS_TXNS - run,
+                    committed: split_at,
+                    aborted: XS_TXNS - split_at,
                 };
                 assert_eq!(
                     verdicts.contains(&split),
-                    run > 0 && run < XS_TXNS,
+                    split_at > 0 && split_at < XS_TXNS,
                     "{config} run {run}"
                 );
             }

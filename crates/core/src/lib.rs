@@ -73,10 +73,9 @@ pub use domain::{
 pub use error::WspError;
 pub use faultsim::{
     ladder_crash_points, save_path_crash_points, sweep_cross_shard_2pc, sweep_mid_commit,
-    sweep_mid_epoch, sweep_mid_transaction, sweep_recovery_ladder, sweep_save_path,
+    sweep_mid_epoch, sweep_mid_transaction, sweep_recovery_ladder, sweep_save_path, CrashPoint,
     CrossShard2pcReport, FaultOutcome, LadderFault, LadderPointOutcome, LadderSweepReport,
-    MidEpochSweepReport, MidTxSweepReport, SaveSweepReport, TxnCrashPoint,
-    TxnPointVerdict, FLUSH_BATCHES,
+    MidEpochSweepReport, MidTxSweepReport, SaveSweepReport, TxnPointVerdict, FLUSH_BATCHES,
 };
 pub use feasibility::{
     feasibility_matrix, nvdimm_save_feasibility, pool_save_feasibility, FeasibilityRow,

@@ -98,13 +98,16 @@ impl CellModel {
         }
     }
 
-    /// Reads every cell of `shard` from its recovered `heap` in one
-    /// read-only transaction and checks it against the model.
+    /// Checks that the recovered `heap` of `shard` is still rooted at
+    /// cell 0, then reads every cell in one read-only transaction and
+    /// checks it against the model.
     ///
     /// # Panics
     ///
-    /// Panics naming `at`, the shard and the cell on the first mismatch.
+    /// Panics naming `at` and the shard on a lost root, or the cell on
+    /// the first mismatch.
     pub fn audit(&self, shard: usize, heap: &mut PersistentHeap, at: impl Display) {
+        assert_eq!(heap.root(), Some(self.cell(shard, 0)), "{at}: shard {shard} root");
         let mut check = heap.begin();
         for (cell, &(p, want)) in self.shards[shard].iter().enumerate() {
             let got = check

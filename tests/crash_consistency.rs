@@ -20,8 +20,8 @@ use wsp_det::{gen, DetRng, Forall, Gen, Rng};
 use wsp_repro::cluster::ClusterSpec;
 use wsp_repro::pheap::{HeapConfig, HeapError, PersistentHeap};
 use wsp_repro::units::ByteSize;
-use wsp_repro::wsp::faultsim::{points_2pc, run_2pc_point};
-use wsp_repro::wsp::{committed_fleet, resolve_cross_shard, CoordinatorPool, TxnPointVerdict};
+use wsp_repro::wsp::faultsim::cross_shard_scenario;
+use wsp_repro::wsp::{committed_fleet, resolve_cross_shard, CoordinatorPool};
 use wsp_repro::workloads::{PmAvlTree, PmHashTable};
 
 #[derive(Debug, Clone, Copy)]
@@ -594,47 +594,43 @@ fn fixed_seed_regression_corpus() {
 
 /// Drives one randomly generated cross-shard transaction over a
 /// three-shard fleet to a randomly picked 2PC crash point of the sweep's
-/// own enumeration, cuts power on the whole fleet, resolves it against
-/// the coordinator's decision log, and checks the bank invariant with
-/// the sweep's own driver and oracle: the write-set is visible on every
+/// own scenario, cuts power on the whole fleet, resolves it against the
+/// coordinator's decision log, and checks the bank invariant with the
+/// sweep's own runner and oracle: the write-set is visible on every
 /// shard or on none — no crash point may expose a partial write-set.
 fn check_cross_shard_all_or_nothing(ops: &[(usize, usize, u64)], pick: usize, use_stm: bool) {
     const SHARDS: usize = 3;
     const CELLS: usize = 4;
     let config = foc_config(use_stm);
     let (heaps, model) = committed_fleet(config, SHARDS, CELLS, 64, &mut DetRng::seed_from_u64(1));
-    let script = [ops
+    let script: Vec<Vec<(usize, usize, u64)>> = vec![ops
         .iter()
         .map(|&(shard, cell, value)| (shard % SHARDS, cell % CELLS, value))
         .collect()];
 
-    let points = points_2pc(&heaps, &model, &script, 0..=script.len());
+    let runs = [(0, false, &script[..]), (1, false, &script[..])];
+    let scenario = cross_shard_scenario(config, &heaps, &model, &runs);
+    let points = scenario.points();
     let point = points[pick % points.len()];
-    let cluster = ClusterSpec::memcache_tier(8);
-    let verdict = run_2pc_point(config, &heaps, &model, &script, &cluster, point);
-    // One transaction commits or aborts whole; it is undecided before its
-    // run's first event and decided after its last, and only the
-    // lost-image point degrades.
+    // The runner checked every shard against the baseline plus the
+    // first `committed` write sets: the transaction commits or aborts
+    // whole. It is undecided before its run's first event and decided
+    // after its last, and the lost-image point sits at its decision.
+    let committed = scenario.run_point(point);
     let last = points
         .iter()
         .filter(|p| p.run == point.run && p.lost.is_none())
         .map(|p| p.events)
         .max();
     let want = match point.lost {
-        Some(shard) => Some(TxnPointVerdict::DegradedShard { shard }),
-        None if point.events == 0 => Some(TxnPointVerdict::AbortedEverywhere),
-        None if Some(point.events) == last => Some(TxnPointVerdict::CommittedEverywhere),
+        Some(_) => Some(1),
+        None if point.events == 0 => Some(0),
+        None if Some(point.events) == last => Some(1),
         None => None,
     };
     assert!(
-        want.map_or(
-            matches!(
-                verdict,
-                TxnPointVerdict::CommittedEverywhere | TxnPointVerdict::AbortedEverywhere
-            ),
-            |want| verdict == want
-        ),
-        "{config} at {point:?}: {verdict:?}"
+        want.is_none_or(|want| committed == want),
+        "{config} at {point:?}: {committed} committed"
     );
 }
 
@@ -757,16 +753,13 @@ fn check_grouped_split(use_stm: bool, seed: u64, split: usize) {
     let script: Vec<Vec<(usize, usize, u64)>> = (0..TXNS)
         .map(|t| [t % SHARDS, (t + 1) % SHARDS].map(|shard| (shard, t, rng.gen())).to_vec())
         .collect();
-    let cluster = ClusterSpec::memcache_tier(8);
-    let verdicts: Vec<TxnPointVerdict> = points_2pc(&heaps, &model, &script, split..=split)
+    let scenario = cross_shard_scenario(config, &heaps, &model, &[(split, false, &script[..])]);
+    let committed: Vec<usize> = scenario
+        .points()
         .into_iter()
-        .map(|point| run_2pc_point(config, &heaps, &model, &script, &cluster, point))
+        .map(|point| scenario.run_point(point))
         .collect();
-    let want = TxnPointVerdict::SplitResolved {
-        committed: split,
-        aborted: TXNS - split,
-    };
-    assert!(verdicts.contains(&want), "{config} seed {seed}: {verdicts:?}");
+    assert!(committed.contains(&split), "{config} seed {seed}: {committed:?}");
 }
 
 /// Fixed-seed matrix for the grouped split: both FoC configs, every

@@ -223,7 +223,8 @@ fn ladder_sweep_records_only_live_priority_flushes() {
 /// on a legal verdict; in each run nothing is decided before the first
 /// durable event, the decided count only grows event by event, and
 /// everything is decided after the last; grouped runs that seal a proper
-/// prefix first resolve split in between; exactly one point — the lost
+/// prefix first resolve split in between (run `s` in `1..=txns` splits
+/// at `s`, the routed run after them at 2); exactly one point — the lost
 /// image — degrades.
 fn assert_2pc_structure(report: &wsp_repro::wsp::CrossShard2pcReport, at: &str) {
     use wsp_repro::wsp::TxnPointVerdict;
@@ -235,7 +236,8 @@ fn assert_2pc_structure(report: &wsp_repro::wsp::CrossShard2pcReport, at: &str) 
         "{at}"
     );
     let txns = report.txns;
-    for run in 0..=txns {
+    for run in 0..=txns + 1 {
+        let split = if run > txns { 2 } else { run };
         let decided: Vec<usize> = report
             .outcomes
             .iter()
@@ -254,8 +256,8 @@ fn assert_2pc_structure(report: &wsp_repro::wsp::CrossShard2pcReport, at: &str) 
         assert_eq!(decided[0], 0, "{at}: run {run} first point");
         assert_eq!(decided[decided.len() - 1], txns, "{at}: run {run} last point");
         assert!(decided.is_sorted(), "{at}: run {run} decided by event {decided:?}");
-        if run > 0 && run < txns {
-            assert!(decided.contains(&run), "{at}: run {run} never split");
+        if split > 0 && split < txns {
+            assert!(decided.contains(&split), "{at}: run {run} never split");
         }
     }
     let degraded: Vec<_> = report
@@ -269,9 +271,9 @@ fn assert_2pc_structure(report: &wsp_repro::wsp::CrossShard2pcReport, at: &str) 
 }
 
 /// The cross-shard 2PC sweep crashes the whole fleet at every durable
-/// event of every run — prepares, decision seals and phase-2 markers —
-/// and every point lands on a legal, all-or-nothing verdict (the
-/// in-sweep asserts already checked cell contents).
+/// event of every run — prepares, decision seals, routing appends and
+/// phase-2 markers — and every point lands on a legal, all-or-nothing
+/// verdict (the in-sweep asserts already checked cell contents).
 #[test]
 fn cross_shard_sweep_covers_every_protocol_step() {
     use wsp_repro::wsp::sweep_cross_shard_2pc;
