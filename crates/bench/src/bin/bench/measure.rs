@@ -12,11 +12,11 @@ use std::time::Instant;
 
 use wsp_cache::{CacheHierarchy, CpuProfile, FlushMethod};
 use wsp_core::{
-    clean_failure_trace, domain_decision_points, domain_save, ladder_crash_points,
-    priority_stage_window, supervised_save, sweep_lockfree, sweep_mid_transaction,
-    sweep_power_storm, sweep_recovery_ladder, sweep_save_path, DomainBudget, DomainInput,
-    LfStructure, LockfreeSweepReport, PowerStormReport, RestartStrategy, SaveBudget, SaveVerdict,
-    ShardVerdict, StormStats,
+    clean_failure_trace, domain_save, ladder_crash_points, priority_stage_window,
+    supervised_save, sweep_lockfree, sweep_mid_transaction, sweep_power_storm,
+    sweep_recovery_ladder, sweep_save_path, DomainBudget, DomainInput, LfStructure,
+    LockfreeSweepReport, PowerStormReport, RestartStrategy, SaveBudget, SaveVerdict, ShardVerdict,
+    StormStats, STORM_BOUNDARIES,
 };
 use wsp_machine::{Machine, SystemLoad};
 use wsp_obs::json::Json;
@@ -751,9 +751,9 @@ fn sealed_fraction(report: &PowerStormReport) -> f64 {
     sealed as f64 / (total as f64).max(1.0)
 }
 
-/// Every triage decision cut and every crash rung was exercised.
+/// Every save boundary and every crash rung was exercised.
 fn full_coverage(report: &PowerStormReport) -> bool {
-    report.decision_cuts_covered == domain_decision_points(3) && report.crash_rungs_covered == 3
+    report.decision_cuts_covered == STORM_BOUNDARIES && report.crash_rungs_covered == 3
 }
 
 /// Gate: sealed fraction of the seed-42 storm.

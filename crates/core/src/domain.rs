@@ -21,9 +21,11 @@
 //!    everywhere before any bulk stage runs.
 //! 4. Execution seals shards one at a time: per-region marker, then a
 //!    region-scoped NVDIMM arm ([`NvramPool::save_range_within`]) whose
-//!    retry backoff is bounded by the remaining window. A shard is
-//!    durable exactly from its seal onward — a truncation before the
-//!    seal leaves that shard with *no* marker, never a torn one.
+//!    retry backoff is bounded by the remaining window. Each arm, and
+//!    the control region's, is one durable event of the budget's
+//!    [`PowerCut`]. A shard is durable exactly from its seal onward — a
+//!    power failure before its arm leaves that shard with *no* marker in
+//!    flash, never a torn one.
 //!
 //! Every verdict is typed and every sacrifice carries a refusal: the
 //! contract is the supervisor's "never a silent tear", applied
@@ -31,10 +33,12 @@
 //!
 //! [`NvramPool::save_range_within`]: wsp_nvram::NvramPool::save_range_within
 
+use std::sync::Arc;
+
 use wsp_machine::{Machine, SystemLoad};
 use wsp_nvram::{NvramError, RegionMap};
 use wsp_obs as obs;
-use wsp_pheap::PersistentHeap;
+use wsp_pheap::{PersistentHeap, PowerCut};
 use wsp_power::{PowerDomain, PwrOkSample, PwrOkVerdict};
 use wsp_units::Nanos;
 
@@ -65,9 +69,9 @@ pub enum ShardVerdict {
     /// Only the priority stage fit; the region's PARTIAL marker is set
     /// and the shard recovers by log replay.
     PartialPriority,
-    /// The window could not cover even the priority stage (or power cut
-    /// before the seal): the shard gets no durable image and a typed
-    /// refusal — never an unmarked, torn one.
+    /// The window could not cover even the priority stage (or power
+    /// failed before the shard's arm): the shard gets no durable image
+    /// and a typed refusal — never an unmarked, torn one.
     Sacrificed,
 }
 
@@ -111,7 +115,8 @@ pub struct ShardSaveReport {
     pub shard: usize,
     /// Rank the triage assigned (0 = most urgent, first to flush).
     pub rank: usize,
-    /// Final verdict after execution (a cut can downgrade the plan).
+    /// Final verdict after execution (retry backoff can downgrade the
+    /// plan, and a power cut can sacrifice it).
     pub verdict: ShardVerdict,
     /// Stage-A cost actually spent.
     pub stage_a: Nanos,
@@ -141,14 +146,15 @@ pub enum DomainVerdict {
 }
 
 /// Budget constraints for a domain save.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct DomainBudget {
     /// Caps the global window below the measured value.
     pub window_cap: Option<Nanos>,
-    /// Power dies at the start of this decision index: that decision
-    /// and every later one do not execute
-    /// (see [`domain_decision_points`]).
-    pub cut_decision: Option<usize>,
+    /// The power cut the save runs under: every region arm and the
+    /// control arm is one durable event of it, and a cut that has
+    /// struck refuses the arm. Arm the heaps with the same cut to make
+    /// stage A's flushes events too.
+    pub cut: Option<Arc<PowerCut>>,
 }
 
 impl DomainBudget {
@@ -157,7 +163,7 @@ impl DomainBudget {
     pub fn trusting() -> Self {
         DomainBudget {
             window_cap: None,
-            cut_decision: None,
+            cut: None,
         }
     }
 }
@@ -196,8 +202,6 @@ pub struct DomainSaveReport {
     pub triage: Vec<ShardTriage>,
     /// Per-shard outcomes in *shard* order.
     pub shards: Vec<ShardSaveReport>,
-    /// Decision points that actually executed (a cut truncates).
-    pub decisions_taken: usize,
     /// True once the control region (contexts, global state) was armed.
     pub armed: bool,
     /// Save-command retries absorbed across all region arms.
@@ -212,14 +216,6 @@ impl DomainSaveReport {
     pub fn count(&self, verdict: ShardVerdict) -> usize {
         self.shards.iter().filter(|s| s.verdict == verdict).count()
     }
-}
-
-/// Number of injectable decision points in a `shards`-wide domain save:
-/// the triage gate, the contexts stage, then a flush and a seal
-/// decision per rank, and the final control-region arm.
-#[must_use]
-pub const fn domain_decision_points(shards: usize) -> usize {
-    3 + 2 * shards
 }
 
 /// The triage's fixed need ahead of every shard: outage detection, the
@@ -242,8 +238,10 @@ pub(crate) fn shard_needs(
 
 /// Runs the triaged, staged domain save. Mutates `machine` (contexts,
 /// region markers, region arms), `domain` (reservation scopes) and each
-/// heap (priority lines flushed) exactly as far as the budget and the
-/// injected cut allow — and no further.
+/// heap (priority lines flushed) exactly as far as the budget allows —
+/// and no further. Once the budget's cut has struck, every later arm is
+/// refused and its shard sacrificed; the rest runs on, as the host does
+/// after a cut (contexts and markers are DRAM stores the outage clears).
 ///
 /// # Errors
 ///
@@ -273,7 +271,7 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
         shard_count,
         "one staleness entry per shard"
     );
-    // Decision 0a: debounce, domain-wide. A glitch touches nothing.
+    // Debounce, domain-wide. A glitch touches nothing.
     match machine.monitor().classify_pwr_ok(trace)? {
         PwrOkVerdict::Glitch { dips, longest_dip } => {
             obs::emit(
@@ -291,7 +289,6 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
                 deficit: Nanos::ZERO,
                 triage: Vec::new(),
                 shards: Vec::new(),
-                decisions_taken: 0,
                 armed: false,
                 retries: 0,
                 backoff: Nanos::ZERO,
@@ -300,9 +297,9 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
         PwrOkVerdict::PowerFail { .. } => {}
     }
 
-    let total_decisions = domain_decision_points(shard_count);
-    let cut_at = budget.cut_decision;
-    let truncated = |decision: usize| cut_at.is_some_and(|c| decision >= c.min(total_decisions));
+    // Every arm is a durable event of the cut: it lands, or power has
+    // failed before it.
+    let lands = || budget.cut.as_ref().is_none_or(|cut| cut.land());
 
     // The *global* window: one number for the whole fleet.
     let measured = domain.global_window();
@@ -314,14 +311,14 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
         "outage_detected",
         used,
         window.as_nanos() as i64,
-        cut_at.map_or(-1, |c| c as i64),
+        budget.cut.as_ref().map_or(-1, |cut| cut.events() as i64),
     );
 
     let regions = RegionMap::partition(machine.nvram(), shard_count, DOMAIN_CONTROL_MODULES);
     let arm_cost = machine.monitor().i2c_command_latency;
     let contexts_cost = machine.profile().context_save;
 
-    // Decision 0b: feasibility + triage plan. The scores and needs are
+    // Feasibility + triage plan. The scores and needs are
     // probed on clones — planning costs no trace events.
     let infeasible = match pool_save_feasibility(machine.nvram()) {
         SaveFeasibility::Degraded { reason } => Some(reason),
@@ -405,14 +402,11 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
         .collect();
     let mut retries = 0u32;
     let mut backoff = Nanos::ZERO;
-    let mut decisions_taken = 0usize;
     let mut armed = false;
 
-    let finish = |verdict: DomainVerdict,
-                  used: Nanos,
+    let finish = |used: Nanos,
                   shards: Vec<ShardSaveReport>,
                   triage: Vec<ShardTriage>,
-                  decisions_taken: usize,
                   armed: bool,
                   retries: u32,
                   backoff: Nanos,
@@ -432,33 +426,17 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
         );
         domain.release_all();
         DomainSaveReport {
-            verdict,
+            verdict: DomainVerdict::Triaged,
             window,
             used,
             deficit,
             triage,
             shards,
-            decisions_taken,
             armed,
             retries,
             backoff,
         }
     };
-    macro_rules! bail {
-        () => {
-            return Ok(finish(
-                DomainVerdict::Triaged,
-                used,
-                shards,
-                triage,
-                decisions_taken,
-                armed,
-                retries,
-                backoff,
-                domain,
-            ))
-        };
-    }
     let sacrifice = |report: &mut ShardSaveReport, refusal: WspError, used: Nanos| {
         obs::emit_detail(
             "domain",
@@ -472,40 +450,18 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
         report.refusal = Some(refusal);
     };
 
-    // Decision 0 complete (gate + plan).
-    if truncated(0) {
-        for s in &mut shards {
-            s.refusal = Some(WspError::WindowExhausted {
-                needed: triage[s.rank].partial_need,
-                window: Nanos::ZERO,
-            });
-        }
-        bail!();
-    }
-    decisions_taken = 1;
     if let Some(reason) = infeasible {
         for s in &mut shards {
             s.refusal = Some(WspError::BackendRecoveryRequired {
                 reason: format!("NVDIMM save infeasible: {reason}"),
             });
         }
-        bail!();
+        return Ok(finish(used, shards, triage, false, 0, Nanos::ZERO, domain));
     }
 
-    // Decision 1: contexts — cheapest, most valuable bytes first.
-    if truncated(1) {
-        for s in &mut shards {
-            let refusal = WspError::WindowExhausted {
-                needed: triage[s.rank].partial_need,
-                window: window.saturating_sub(used),
-            };
-            sacrifice(s, refusal, used);
-        }
-        bail!();
-    }
+    // Contexts — cheapest, most valuable bytes first.
     let core_count = save_contexts(machine);
     used += contexts_cost;
-    decisions_taken = 2;
     obs::emit(
         "domain",
         "contexts_saved",
@@ -514,30 +470,16 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
         contexts_cost.as_nanos() as i64,
     );
 
-    // Per-rank flush + seal decisions.
-    let plan: Vec<(usize, ShardVerdict)> = triage.iter().map(|t| (t.shard, t.planned)).collect();
-    'ranks: for (rank, &(shard, planned)) in plan.iter().enumerate() {
-        let flush_decision = 2 + 2 * rank;
-        let seal_decision = 3 + 2 * rank;
-
-        if truncated(flush_decision) {
-            for &(late_shard, _) in &plan[rank..] {
-                let refusal = WspError::WindowExhausted {
-                    needed: triage.iter().find(|t| t.shard == late_shard).expect("ranked").partial_need,
-                    window: window.saturating_sub(used),
-                };
-                sacrifice(&mut shards[late_shard], refusal, used);
-            }
-            bail!();
-        }
-        decisions_taken = flush_decision + 1;
+    // Per rank: flush, then seal.
+    for (rank, t) in triage.iter().enumerate() {
+        let (shard, planned) = (t.shard, t.planned);
         if planned == ShardVerdict::Sacrificed {
             let refusal = WspError::WindowExhausted {
-                needed: triage.iter().find(|t| t.shard == shard).expect("ranked").partial_need,
+                needed: t.partial_need,
                 window: window.saturating_sub(used),
             };
             sacrifice(&mut shards[shard], refusal, used);
-            continue 'ranks;
+            continue;
         }
 
         // Stage A on the live heap (the plan probed a clone, so the
@@ -565,32 +507,13 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
             verdict.label().into(),
         );
 
-        if truncated(seal_decision) {
-            // Flushed but unmarked: honest sacrifice, not a tear —
-            // nothing attests to this region, so recovery will not
-            // trust it.
-            let refusal = WspError::WindowExhausted {
-                needed: MARKER_COST + arm_cost,
-                window: window.saturating_sub(used),
-            };
-            sacrifice(&mut shards[shard], refusal, used);
-            for &(late_shard, _) in &plan[rank + 1..] {
-                let refusal = WspError::WindowExhausted {
-                    needed: triage.iter().find(|t| t.shard == late_shard).expect("ranked").partial_need,
-                    window: window.saturating_sub(used),
-                };
-                sacrifice(&mut shards[late_shard], refusal, used);
-            }
-            bail!();
-        }
-        decisions_taken = seal_decision + 1;
         if used + MARKER_COST + arm_cost > window {
             let refusal = WspError::WindowExhausted {
                 needed: MARKER_COST + arm_cost,
                 window: window.saturating_sub(used),
             };
             sacrifice(&mut shards[shard], refusal, used);
-            continue 'ranks;
+            continue;
         }
         let region = regions.region(shard);
         if verdict == ShardVerdict::Complete {
@@ -604,6 +527,17 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
             );
         }
         used += MARKER_COST;
+        if !lands() {
+            // Flushed and marked, but the marker never reaches flash:
+            // an honest sacrifice, not a tear — nothing attests to this
+            // region, so recovery will not trust it.
+            let refusal = WspError::WindowExhausted {
+                needed: arm_cost,
+                window: Nanos::ZERO,
+            };
+            sacrifice(&mut shards[shard], refusal, used);
+            continue;
+        }
         let arm_window = window.saturating_sub(used + arm_cost);
         match machine.nvram_mut().save_range_within(
             region.modules.clone(),
@@ -642,13 +576,8 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
         }
     }
 
-    // Final decision: arm the control region (contexts + global state).
-    let control_decision = 2 + 2 * shard_count;
-    if truncated(control_decision) {
-        bail!();
-    }
-    decisions_taken = control_decision + 1;
-    if used + arm_cost <= window {
+    // Last, arm the control region (contexts + global state).
+    if used + arm_cost <= window && lands() {
         let arm_window = window.saturating_sub(used + arm_cost);
         match machine.nvram_mut().save_range_within(
             0..DOMAIN_CONTROL_MODULES,
@@ -680,7 +609,7 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
     for core in machine.cores_mut().iter_mut() {
         core.halted = true;
     }
-    bail!();
+    Ok(finish(used, shards, triage, armed, retries, backoff, domain))
 }
 
 #[cfg(test)]
@@ -741,11 +670,6 @@ mod tests {
         assert!(report.armed);
         assert_eq!(report.deficit, Nanos::ZERO);
         assert!(report.shards.iter().all(|s| s.sealed && s.refusal.is_none()));
-        assert_eq!(
-            report.decisions_taken,
-            domain_decision_points(3),
-            "every decision executed"
-        );
     }
 
     #[test]
@@ -817,48 +741,120 @@ mod tests {
         assert_eq!(report.triage[0].pins, 1);
     }
 
+    /// One 3-shard save under `budget` with its cut (if any) armed on
+    /// every heap too; then power fails and the machine comes back.
+    /// Returns the report and, per shard, the markers its region's flash
+    /// image restores (`None` without an image).
+    fn save_then_restore(
+        heaps: &[PersistentHeap],
+        budget: DomainBudget,
+    ) -> (DomainSaveReport, Vec<Option<(u64, u64)>>) {
+        let mut machine = Machine::intel_testbed();
+        machine.apply_load(SystemLoad::Busy, 9);
+        let mut domain = storm_domain(3);
+        let mut heaps = heaps.to_vec();
+        if let Some(cut) = &budget.cut {
+            heaps.iter_mut().for_each(|h| h.arm(cut));
+        }
+        let report = domain_save(DomainInput {
+            machine: &mut machine,
+            domain: &mut domain,
+            heaps: &mut heaps,
+            staleness: &[Nanos::ZERO, Nanos::from_millis(9), Nanos::from_millis(5)],
+            load: SystemLoad::Busy,
+            trace: &clean_failure_trace(),
+            budget,
+        })
+        .expect("verdict, not error");
+        let regions = RegionMap::partition(machine.nvram(), 3, DOMAIN_CONTROL_MODULES);
+        machine.system_power_loss();
+        machine.system_power_on();
+        let markers = (0..3)
+            .map(|shard| {
+                let region = regions.region(shard);
+                let dimms = &mut machine.nvram_mut().dimms_mut()[region.modules.clone()];
+                dimms.iter_mut().all(|d| d.restore().is_ok()).then(|| {
+                    let word = |addr| {
+                        let mut buf = [0u8; 8];
+                        machine.nvram().read(addr, &mut buf);
+                        u64::from_le_bytes(buf)
+                    };
+                    (word(region.marker_addr()), word(region.partial_marker_addr()))
+                })
+            })
+            .collect();
+        (report, markers)
+    }
+
     #[test]
-    fn every_cut_decision_yields_typed_verdicts_and_no_silent_tear() {
-        for cut in 0..domain_decision_points(3) {
-            let (report, _) = save_with(
-                DomainBudget {
-                    cut_decision: Some(cut),
-                    ..DomainBudget::trusting()
-                },
-                &[Nanos::ZERO; 3],
-            );
-            assert!(
-                report.decisions_taken <= cut.max(1),
-                "cut {cut}: no decision at or past the cut may run \
-                 (took {})",
-                report.decisions_taken
-            );
-            for s in &report.shards {
-                if s.verdict == ShardVerdict::Sacrificed {
-                    assert!(
-                        s.refusal.is_some(),
-                        "cut {cut}: sacrifice of shard {} must be typed",
-                        s.shard
-                    );
-                    assert!(!s.sealed);
-                } else {
-                    assert!(s.sealed, "cut {cut}: surviving verdicts are sealed");
+    fn every_event_of_a_domain_save_is_a_crash_point() {
+        // A transaction left open on each shard gives stage A lines to
+        // flush.
+        let mut heaps = shard_fleet(3);
+        for heap in &mut heaps {
+            let mut tx = heap.begin();
+            let p = tx.alloc(16).expect("room");
+            tx.write_word(p, 0xDEAD).expect("writable");
+            std::mem::forget(tx);
+        }
+        let machine = Machine::intel_testbed();
+        let share = {
+            let mut loaded = machine.clone();
+            loaded.apply_load(SystemLoad::Busy, 9);
+            crate::supervisor::bulk_flush(&loaded, SystemLoad::Busy, 3)
+        };
+        let (full, partial) = shard_needs(&machine, &heaps[0], share);
+        // Trusting, and capped to one full save plus one priority stage:
+        // the third shard is sacrificed by the plan.
+        for window_cap in [None, Some(fixed_need(&machine) + full + partial)] {
+            let budget = |cut| DomainBudget { window_cap, cut };
+            let (uncut, _) = save_then_restore(&heaps, budget(None));
+            // Where each arm lands: ranks run in order, each flushing
+            // stage A (its heap's own events) and then arming its region
+            // (one event); the control arm comes last.
+            let mut arm_of = [None; 3];
+            let mut next = 0u64;
+            for t in &uncut.triage {
+                if t.planned != ShardVerdict::Sacrificed {
+                    next += heaps[t.shard].durable_events(PersistentHeap::priority_flush);
+                    if uncut.shards[t.shard].sealed {
+                        arm_of[t.shard] = Some(next);
+                        next += 1;
+                    }
                 }
             }
-            // Monotone: ranks seal in order, so a sealed shard never
-            // follows a sacrificed one in rank order.
-            let mut seen_sacrifice = false;
-            let mut by_rank: Vec<&ShardSaveReport> = report.shards.iter().collect();
-            by_rank.sort_by_key(|s| s.rank);
-            for s in by_rank {
-                if s.verdict == ShardVerdict::Sacrificed {
-                    seen_sacrifice = true;
-                } else {
-                    assert!(
-                        !seen_sacrifice,
-                        "cut {cut}: sealed shard {} after a sacrifice",
-                        s.shard
-                    );
+            let probe = PowerCut::never();
+            let _ = save_then_restore(&heaps, budget(Some(Arc::clone(&probe))));
+            assert_eq!(probe.events(), next + 1, "cap {window_cap:?}: the control arm is last");
+            assert!(arm_of.iter().flatten().count() >= 2, "cap {window_cap:?}: {uncut:?}");
+            for n in 0..=probe.events() {
+                let at = format!("cap {window_cap:?} cut {n}/{}", probe.events());
+                let (report, markers) = save_then_restore(&heaps, budget(Some(PowerCut::after(n))));
+                assert_eq!(report.armed, n > next, "{at}");
+                for s in &report.shards {
+                    let landed = arm_of[s.shard].is_some_and(|arm| n > arm);
+                    assert_eq!(s.sealed, landed, "{at}: shard {} seals with its arm", s.shard);
+                    if s.sealed {
+                        assert_eq!(s.verdict, uncut.shards[s.shard].verdict, "{at}");
+                        let want = if s.verdict == ShardVerdict::Complete {
+                            (layout::VALID_MAGIC, 0)
+                        } else {
+                            (0, layout::PARTIAL_MAGIC)
+                        };
+                        assert_eq!(markers[s.shard], Some(want), "{at}: shard {}", s.shard);
+                    } else {
+                        assert_eq!(s.verdict, ShardVerdict::Sacrificed, "{at}");
+                        assert!(
+                            matches!(s.refusal, Some(WspError::WindowExhausted { .. })),
+                            "{at}: sacrifice of shard {} must be typed",
+                            s.shard
+                        );
+                        assert_eq!(
+                            markers[s.shard], None,
+                            "{at}: no marker of shard {} reaches flash before its arm",
+                            s.shard
+                        );
+                    }
                 }
             }
         }

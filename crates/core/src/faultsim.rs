@@ -1,16 +1,16 @@
 //! The crash-point sweep engine: inject a power failure at **every**
-//! step of the Figure-4 save path (and at mid-transaction points inside
-//! the persistent-heap logs), run the restore path, and check the
-//! recovery invariants against an in-memory model.
+//! durable event of the Figure-4 save path (and inside the
+//! persistent-heap logs), run the restore path, and check the recovery
+//! invariants against an in-memory model.
 //!
 //! The invariant is the paper's all-or-nothing contract:
 //!
-//! * a failure at any point **before** the NVDIMM save is armed leaves
-//!   no valid image — restore must refuse and demand back-end recovery
-//!   (a torn image must never be mistaken for a complete one);
-//! * a failure at any point **after** the arm changes nothing — the
-//!   modules finish on ultracapacitor power, and restore brings back
-//!   every sentinel byte and every CPU context bit-exactly.
+//! * a failure **before** the NVDIMM save is armed leaves no valid
+//!   image — restore must refuse and demand back-end recovery (a torn
+//!   image must never be mistaken for a complete one);
+//! * a failure **after** the arm changes nothing — the modules finish on
+//!   ultracapacitor power, and restore brings back every sentinel byte
+//!   and every CPU context bit-exactly.
 //!
 //! For the persistent heaps, the analogous sweeps crash production
 //! calls — an open transaction, epoch commits and seals, a whole
@@ -39,10 +39,11 @@
 //!     RestartStrategy::RestorePathReinit,
 //!     42,
 //! );
-//! // Every pre-arm fault forced back-end recovery; every post-arm
-//! // fault restored locally.
-//! assert!(report.outcomes.len() > 10);
-//! assert!(report.locally_restored >= 1);
+//! // The cut before the arm forced back-end recovery, the one after it
+//! // restored locally, and each drained module tore its image.
+//! let modules = Machine::intel_testbed().nvram().dimms().len();
+//! assert_eq!(report.outcomes.len(), 2 + modules);
+//! assert_eq!(report.locally_restored, 1);
 //! ```
 
 use std::sync::Arc;
@@ -59,10 +60,10 @@ use wsp_units::{ByteSize, Farads, Nanos, Volts, Watts};
 use crate::ladder::{run_recovery_ladder, LadderInput, LadderRung, RecoveryOutcome};
 use crate::model::{committed_fleet, CellModel};
 use crate::restore::restore;
-use crate::save::{flush_on_fail_save_with_fault, SaveFault, SaveReport, SaveStep};
+use crate::save::{flush_on_fail_save_with_fault, SaveReport};
 use crate::supervisor::{
-    bulk_flush, clean_failure_trace, detection, glitch_storm_trace, priority_stage_window,
-    stage_a_probe, supervised_save, SaveBudget, SaveVerdict,
+    clean_failure_trace, glitch_storm_trace, priority_stage_window, supervised_save, SaveBudget,
+    SaveVerdict,
 };
 use crate::sweep;
 use crate::txn::{
@@ -75,16 +76,31 @@ pub use crate::lockfree_sweep::{
     classify_recovery, sweep_lockfree, LfScenarioOutcome, LfStructure, LockfreeSweepReport,
 };
 
-/// How many equal batches the cache flush is split into for
-/// mid-flush injection points.
-pub const FLUSH_BATCHES: usize = 4;
+/// A power-failure point of the Figure-4 save path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SaveCrashPoint {
+    /// Power fails just before the save's `(events + 1)`-th durable
+    /// event (its NVDIMM save command is its one event), or not at all
+    /// when `events` covers them all.
+    Cut {
+        /// Durable events of the save that land before power fails.
+        events: u64,
+    },
+    /// NVDIMM `module`'s ultracapacitor is drained below its usable
+    /// floor before the outage: its DRAM→flash copy tears while its
+    /// siblings complete, and the pool restore must refuse.
+    UltracapShortfall {
+        /// Index of the drained module in the pool.
+        module: usize,
+    },
+}
 
 /// The result of one injected fault.
 #[derive(Debug, Clone)]
 pub struct FaultOutcome {
     /// Where the power failure landed.
-    pub fault: SaveFault,
-    /// The (truncated) save report.
+    pub point: SaveCrashPoint,
+    /// The save report.
     pub save: SaveReport,
     /// True if the restore path recovered locally; false if it demanded
     /// back-end recovery.
@@ -96,9 +112,10 @@ pub struct FaultOutcome {
 /// The full sweep over one machine/load/strategy combination.
 #[derive(Debug, Clone)]
 pub struct SaveSweepReport {
-    /// One outcome per injected fault, in save-path order.
+    /// One outcome per injected fault, in [`save_path_crash_points`]
+    /// order.
     pub outcomes: Vec<FaultOutcome>,
-    /// How many faults still recovered locally (post-arm points).
+    /// How many faults still recovered locally (the cut past the arm).
     pub locally_restored: usize,
     /// Per-point traces merged in crash-point order — identical for any
     /// `WSP_FAULTSIM_THREADS`.
@@ -107,39 +124,25 @@ pub struct SaveSweepReport {
     pub metrics: MetricsSnapshot,
 }
 
-/// Enumerates every injectable power-failure point of the save path:
-/// before each Figure-4 step the strategy executes, inside each cache
-/// flush batch, and an ultracap brown-out on each NVDIMM module.
+/// Enumerates every power-failure point of `machine`'s save at `load`
+/// under `strategy`: a cut before each of its durable events and one
+/// past them all (the events are counted on a clone, off the trace),
+/// then an ultracap drained on each NVDIMM module.
 #[must_use]
-pub fn save_path_crash_points(strategy: RestartStrategy, modules: usize) -> Vec<SaveFault> {
-    let mut points = Vec::new();
-    for step in [
-        SaveStep::PowerFailInterrupt,
-        SaveStep::InterruptAllProcessors,
-        SaveStep::SuspendDevices,
-        SaveStep::SaveContexts,
-        SaveStep::FlushCaches,
-        SaveStep::HaltOthers,
-        SaveStep::SetupResumeBlock,
-        SaveStep::MarkImageValid,
-        SaveStep::InitiateNvdimmSave,
-        SaveStep::Halt,
-    ] {
-        if step == SaveStep::SuspendDevices && strategy != RestartStrategy::AcpiSuspend {
-            continue; // the step does not exist on this strategy's path
-        }
-        points.push(SaveFault::BeforeStep(step));
-    }
-    for batch in 0..FLUSH_BATCHES {
-        points.push(SaveFault::DuringCacheFlush {
-            batch,
-            batches: FLUSH_BATCHES,
-        });
-    }
-    for module in 0..modules {
-        points.push(SaveFault::UltracapShortfall { module });
-    }
-    points
+pub fn save_path_crash_points(
+    machine: &Machine,
+    load: SystemLoad,
+    strategy: RestartStrategy,
+) -> Vec<SaveCrashPoint> {
+    let probe = PowerCut::never();
+    let _ = obs::capture(|| {
+        flush_on_fail_save_with_fault(&mut machine.clone(), load, strategy, Some(&probe))
+    });
+    let modules = machine.nvram().dimms().len();
+    (0..=probe.events())
+        .map(|events| SaveCrashPoint::Cut { events })
+        .chain((0..modules).map(|module| SaveCrashPoint::UltracapShortfall { module }))
+        .collect()
 }
 
 /// Runs the save-path crash-point sweep: for every point from
@@ -169,19 +172,23 @@ pub(crate) fn sweep_save_path_threads(
     seed: u64,
     threads: usize,
 ) -> SaveSweepReport {
-    let modules = make_machine().nvram().dimms().len();
+    let mut machine = make_machine();
+    machine.apply_load(load, seed);
+    let points = save_path_crash_points(&machine, load, strategy);
+    // The one cut that never strikes: power fails after the save.
+    let uncut = points[points.len() - 1 - machine.nvram().dimms().len()];
     // Serially pre-split one sentinel PRNG per crash point: the streams
     // depend only on the sweep seed and the point index, never on which
     // worker runs the point or in what order.
     let mut parent = DetRng::seed_from_u64(seed ^ 0x57u64);
-    let points: Vec<(usize, (SaveFault, DetRng))> = save_path_crash_points(strategy, modules)
+    let points: Vec<(usize, (SaveCrashPoint, DetRng))> = points
         .into_iter()
-        .map(|fault| (fault, parent.split()))
+        .map(|point| (point, parent.split()))
         .enumerate()
         .collect();
-    let (outcomes, merged) = sweep::run(points, threads, |(idx, (fault, rng))| {
-        sweep::inject(idx as i64, 0, &fault);
-        run_save_point(&make_machine, load, strategy, seed, fault, rng)
+    let (outcomes, merged) = sweep::run(points, threads, |(idx, (point, rng))| {
+        sweep::inject(idx as i64, 0, &point);
+        run_save_point(&make_machine, load, strategy, seed, (point, point == uncut), rng)
     });
     let locally_restored = outcomes.iter().filter(|o| o.locally_restored).count();
     SaveSweepReport {
@@ -194,13 +201,14 @@ pub(crate) fn sweep_save_path_threads(
 
 /// One save-path crash point: build a fresh machine, scatter sentinels
 /// from this point's PRNG, inject the fault, cut power, restore, check
-/// the all-or-nothing invariant.
+/// the all-or-nothing invariant. `uncut` marks the cut past every event
+/// of the save, the only point that may restore.
 fn run_save_point(
     make_machine: &impl Fn() -> Machine,
     load: SystemLoad,
     strategy: RestartStrategy,
     seed: u64,
-    fault: SaveFault,
+    (fault, uncut): (SaveCrashPoint, bool),
     mut rng: DetRng,
 ) -> FaultOutcome {
     let mut machine = make_machine();
@@ -223,13 +231,23 @@ fn run_save_point(
     let contexts_before: Vec<CpuContext> =
         machine.cores().iter().map(|c| c.context).collect();
 
-    let save = flush_on_fail_save_with_fault(&mut machine, load, strategy, Some(fault));
+    let cut = match fault {
+        SaveCrashPoint::Cut { events } => Some(PowerCut::after(events)),
+        SaveCrashPoint::UltracapShortfall { module } => {
+            // Drain the bank below its usable floor; the save tears.
+            let cap = machine.nvram_mut().dimms_mut()[module].ultracap_mut();
+            let _ = cap.discharge(Watts::new(1e6), Nanos::from_secs(3600));
+            None
+        }
+    };
+    let save = flush_on_fail_save_with_fault(&mut machine, load, strategy, cut.as_ref());
     machine.system_power_loss();
     machine.system_power_on();
 
     // An ACPI-suspend save blows the window on its own; with the
-    // suspend step executed, even a post-arm fault cannot recover.
-    let expect_recovery = fault.recoverable() && save.completed;
+    // suspend step executed, even the uncut save cannot recover.
+    assert!(uncut || !save.completed, "{fault:?}: a failed save reported completion");
+    let expect_recovery = uncut && save.completed;
     match restore(&mut machine, strategy) {
         Ok(_) => {
             assert!(
@@ -257,7 +275,7 @@ fn run_save_point(
                 "marker must be cleared after resume"
             );
             FaultOutcome {
-                fault,
+                point: fault,
                 save,
                 locally_restored: true,
                 refusal: None,
@@ -277,7 +295,7 @@ fn run_save_point(
                 "a save that reports completion must be restorable ({fault:?})"
             );
             FaultOutcome {
-                fault,
+                point: fault,
                 save,
                 locally_restored: false,
                 refusal: Some(err.to_string()),
@@ -925,8 +943,8 @@ pub fn cross_shard_scenario(
 }
 
 /// A fault class injected into the supervised save → recovery-ladder
-/// pipeline. Unlike [`SaveFault`] (a single crash instant on the plain
-/// save path), each of these exercises a whole degraded-mode scenario:
+/// pipeline. Unlike a [`SaveCrashPoint`] (a single crash instant on the
+/// plain save path), each of these exercises a whole degraded-mode scenario:
 /// how the save supervisor budgets it and which ladder rung the node
 /// comes back on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -944,8 +962,9 @@ pub enum LadderFault {
         /// True when even the priority stage cannot fit.
         fatal: bool,
     },
-    /// Power actually dies halfway through the bulk cache flush even
-    /// though the measured window promised room: no marker may survive.
+    /// Power actually dies before the NVDIMM save command even though
+    /// the measured window promised room: stage A lands, the arm is
+    /// refused, and no marker may reach flash.
     BrownOutMidSave,
     /// `module`'s flash image is torn *after* a completed save (the
     /// valid flag stays high): the per-DIMM checksum must catch it at
@@ -1236,13 +1255,9 @@ fn run_ladder_point(
             window_cap: Some(Nanos::from_micros(150)),
             ..SaveBudget::trusting()
         },
+        // The heap stays unarmed: stage A lands, the arm is refused.
         LadderFault::BrownOutMidSave => SaveBudget {
-            cut: Some(
-                detection(&machine)
-                    + machine.profile().context_save
-                    + stage_a_probe(&heap)
-                    + bulk_flush(&machine, load, 1) / 2,
-            ),
+            cut: Some(PowerCut::after(0)),
             ..SaveBudget::trusting()
         },
         _ => SaveBudget::trusting(),
@@ -1383,24 +1398,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sweep_covers_every_save_step_and_module() {
-        let points = save_path_crash_points(RestartStrategy::RestorePathReinit, 4);
-        // 9 steps (no ACPI suspend) + 4 flush batches + 4 modules.
-        assert_eq!(points.len(), 9 + FLUSH_BATCHES + 4);
-        assert!(points.contains(&SaveFault::BeforeStep(SaveStep::MarkImageValid)));
-        assert!(!points.contains(&SaveFault::BeforeStep(SaveStep::SuspendDevices)));
-        let acpi = save_path_crash_points(RestartStrategy::AcpiSuspend, 1);
-        assert!(acpi.contains(&SaveFault::BeforeStep(SaveStep::SuspendDevices)));
-    }
-
-    #[test]
-    fn only_post_arm_faults_are_recoverable() {
-        assert!(SaveFault::BeforeStep(SaveStep::Halt).recoverable());
-        for fault in save_path_crash_points(RestartStrategy::RestorePathReinit, 2) {
-            if fault != SaveFault::BeforeStep(SaveStep::Halt) {
-                assert!(!fault.recoverable(), "{fault:?}");
-            }
-        }
+    fn save_points_cut_before_and_after_the_arm_and_drain_every_module() {
+        let machine = Machine::intel_testbed();
+        let modules = machine.nvram().dimms().len();
+        let points =
+            save_path_crash_points(&machine, SystemLoad::Busy, RestartStrategy::RestorePathReinit);
+        // The save command is the save's one durable event.
+        let cut = |events| SaveCrashPoint::Cut { events };
+        assert_eq!(points[..2], [cut(0), cut(1)]);
+        assert_eq!(points.len(), 2 + modules);
+        assert!(points.contains(&SaveCrashPoint::UltracapShortfall { module: modules - 1 }));
+        // The strawman blows its window before the arm: no event at all.
+        let acpi = save_path_crash_points(&machine, SystemLoad::Busy, RestartStrategy::AcpiSuspend);
+        assert_eq!(acpi[0], cut(0));
+        assert_eq!(acpi.len(), 1 + modules);
     }
 
     #[test]
@@ -1413,7 +1424,7 @@ mod tests {
         );
         // Exactly the post-arm point recovers locally.
         assert_eq!(report.locally_restored, 1);
-        assert!(report.outcomes.len() > 10);
+        assert_eq!(report.outcomes.len(), 2 + Machine::intel_testbed().nvram().dimms().len());
     }
 
     #[test]

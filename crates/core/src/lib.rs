@@ -67,7 +67,7 @@ mod txn;
 mod vm;
 
 pub use domain::{
-    domain_decision_points, domain_save, DomainBudget, DomainInput, DomainSaveReport,
+    domain_save, DomainBudget, DomainInput, DomainSaveReport,
     DomainVerdict, ShardSaveReport, ShardTriage, ShardVerdict, DOMAIN_CONTROL_MODULES,
 };
 pub use error::WspError;
@@ -75,7 +75,7 @@ pub use faultsim::{
     ladder_crash_points, save_path_crash_points, sweep_cross_shard_2pc, sweep_mid_commit,
     sweep_mid_epoch, sweep_mid_transaction, sweep_recovery_ladder, sweep_save_path, CrashPoint,
     CrossShard2pcReport, FaultOutcome, LadderFault, LadderPointOutcome, LadderSweepReport,
-    MidEpochSweepReport, MidTxSweepReport, SaveSweepReport, TxnPointVerdict, FLUSH_BATCHES,
+    MidEpochSweepReport, MidTxSweepReport, SaveCrashPoint, SaveSweepReport, TxnPointVerdict,
 };
 pub use feasibility::{
     feasibility_matrix, nvdimm_save_feasibility, pool_save_feasibility, FeasibilityRow,
@@ -89,10 +89,10 @@ pub use model::{committed_fleet, CellModel};
 pub use process::{ProcessPersistence, ProcessSaveReport};
 pub use restart::RestartStrategy;
 pub use restore::{restore, RestoreReport, RestoreStep};
-pub use save::{flush_on_fail_save, flush_on_fail_save_with_fault, SaveFault, SaveReport, SaveStep};
+pub use save::{flush_on_fail_save, flush_on_fail_save_with_fault, SaveReport, SaveStep};
 pub use storm::{
     run_power_storm, sweep_power_storm, PowerStormReport, StormPoint, StormPointOutcome, StormSpec,
-    StormStats,
+    StormStats, STORM_BOUNDARIES,
 };
 pub use supervisor::{
     clean_failure_trace, glitch_storm_trace, priority_stage_window, supervised_save,

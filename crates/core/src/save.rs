@@ -1,11 +1,15 @@
 //! The flush-on-fail save routine: Figure 4 steps 1–8, raced against the
-//! residual energy window — with optional power-failure fault injection
-//! at every step for the crash-point sweep engine.
+//! residual energy window. Its NVDIMM save command is a durable event
+//! of an optional [`PowerCut`], which is how the crash-point sweep
+//! engine fails power during it.
+
+use std::sync::Arc;
 
 use wsp_cache::FlushMethod;
 use wsp_machine::{CpuContext, Machine, SystemLoad};
 use wsp_obs as obs;
-use wsp_units::{Nanos, Watts};
+use wsp_pheap::PowerCut;
+use wsp_units::Nanos;
 
 use crate::layout;
 use crate::RestartStrategy;
@@ -51,44 +55,6 @@ impl SaveStep {
             SaveStep::InitiateNvdimmSave => "initiate NVDIMM save",
             SaveStep::Halt => "halt",
         }
-    }
-}
-
-/// A power-failure injection point on the save path. The sweep engine
-/// ([`crate::faultsim`]) enumerates these and asserts the recovery
-/// invariants at every one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SaveFault {
-    /// Residual energy runs out immediately *before* this step's side
-    /// effects execute — the step and everything after it never happen.
-    BeforeStep(SaveStep),
-    /// Power dies partway through the cache flush: `batch` of `batches`
-    /// equal line batches were written back, the rest stayed dirty in
-    /// cache. `batch == 0` means the flush had not retired a single
-    /// batch.
-    DuringCacheFlush {
-        /// Batches already written back when power died.
-        batch: usize,
-        /// Total batches the flush was split into.
-        batches: usize,
-    },
-    /// NVDIMM `module`'s ultracapacitor browns out partway through its
-    /// DRAM→flash copy, leaving a torn (invalid) image on that module
-    /// while its siblings complete — the pool restore must then refuse.
-    UltracapShortfall {
-        /// Index of the sabotaged module in the pool.
-        module: usize,
-    },
-}
-
-impl SaveFault {
-    /// True if a save interrupted at this point still yields a complete,
-    /// locally-restorable image: only faults landing *after* the NVDIMM
-    /// save was armed qualify (from then on the modules finish on
-    /// ultracapacitor power without the host).
-    #[must_use]
-    pub fn recoverable(self) -> bool {
-        matches!(self, SaveFault::BeforeStep(SaveStep::Halt))
     }
 }
 
@@ -150,201 +116,95 @@ pub fn flush_on_fail_save(
     flush_on_fail_save_with_fault(machine, load, strategy, None)
 }
 
-/// [`flush_on_fail_save`] with an injected power failure. A
-/// [`SaveFault`] marks the instant the residual energy actually runs
-/// out: every side effect *before* that instant happens exactly as in a
-/// clean save, everything after it does not. `fault: None` is the
-/// unfaulted path.
-#[allow(clippy::too_many_lines)]
+/// [`flush_on_fail_save`] under a power cut. The save's one durable
+/// event is its NVDIMM save command: once `cut` has struck the command
+/// is refused, the DRAM image never reaches flash and the save does not
+/// complete. Everything else runs on, as the host does after a cut: the
+/// contexts and the marker are DRAM stores the power loss clears.
+/// `cut: None` is the uncut path.
 pub fn flush_on_fail_save_with_fault(
     machine: &mut Machine,
     load: SystemLoad,
     strategy: RestartStrategy,
-    fault: Option<SaveFault>,
+    cut: Option<&Arc<PowerCut>>,
 ) -> SaveReport {
     let window = machine.residual_window(load);
     let mut steps: Vec<(SaveStep, Nanos)> = Vec::new();
     let mut elapsed = Nanos::ZERO;
     obs::emit("save", "begin", Nanos::ZERO, window.as_nanos() as i64, 0);
-    let push = |steps: &mut Vec<(SaveStep, Nanos)>, elapsed: &mut Nanos, s: SaveStep, t: Nanos| {
+    let mut push = |s: SaveStep, t: Nanos| {
         steps.push((s, t));
-        *elapsed += t;
+        elapsed += t;
         obs::emit_detail(
             "save",
             "step",
-            *elapsed,
+            elapsed,
             t.as_nanos() as i64,
             steps.len() as i64 - 1,
             s.label().into(),
         );
         obs::count(obs::Ctr::SaveSteps);
         obs::observe(obs::Hist::SaveStep, t);
-    };
-    // Power dies at this step: the report ends here, nothing later runs.
-    let dies_before = |s: SaveStep| fault == Some(SaveFault::BeforeStep(s));
-    let interrupted = |steps: Vec<(SaveStep, Nanos)>, elapsed: Nanos| {
-        obs::emit_detail(
-            "save",
-            "interrupted",
-            elapsed,
-            steps.len() as i64,
-            0,
-            fault.map(|f| format!("{f:?}")).unwrap_or_default(),
-        );
-        obs::count(obs::Ctr::SavesInterrupted);
-        obs::observe(obs::Hist::SaveTotal, elapsed);
-        SaveReport {
-            steps,
-            total: elapsed,
-            window,
-            completed: false,
-            fraction_of_window: elapsed.ratio_of(window),
-        }
+        elapsed
     };
 
     let monitor = machine.monitor().clone();
     let profile = machine.profile().clone();
-    if dies_before(SaveStep::PowerFailInterrupt) {
-        return interrupted(steps, elapsed);
-    }
-    push(
-        &mut steps,
-        &mut elapsed,
-        SaveStep::PowerFailInterrupt,
-        monitor.interrupt_latency,
-    );
-    if dies_before(SaveStep::InterruptAllProcessors) {
-        return interrupted(steps, elapsed);
-    }
-    push(
-        &mut steps,
-        &mut elapsed,
-        SaveStep::InterruptAllProcessors,
-        profile.ipi_latency,
-    );
-
+    push(SaveStep::PowerFailInterrupt, monitor.interrupt_latency);
+    push(SaveStep::InterruptAllProcessors, profile.ipi_latency);
     if strategy == RestartStrategy::AcpiSuspend {
-        if dies_before(SaveStep::SuspendDevices) {
-            return interrupted(steps, elapsed);
-        }
-        let t = strategy.save_path_cost(machine);
-        push(&mut steps, &mut elapsed, SaveStep::SuspendDevices, t);
+        push(SaveStep::SuspendDevices, strategy.save_path_cost(machine));
     }
 
     // All cores save contexts in parallel; the step costs one context
     // save. The contexts actually land in the NVDIMM pool.
-    if dies_before(SaveStep::SaveContexts) {
-        return interrupted(steps, elapsed);
-    }
     save_contexts(machine);
-    push(
-        &mut steps,
-        &mut elapsed,
-        SaveStep::SaveContexts,
-        profile.context_save,
-    );
+    push(SaveStep::SaveContexts, profile.context_save);
 
-    if dies_before(SaveStep::FlushCaches) {
-        return interrupted(steps, elapsed);
-    }
     let dirty = machine.dirty_estimate(load);
     obs::gauge_set(obs::Gauge::DirtyEstimate, dirty.as_u64() as i64);
     let flush = machine
         .flush_analysis()
         .flush_time(FlushMethod::Wbinvd, dirty);
-    if let Some(SaveFault::DuringCacheFlush { batch, batches }) = fault {
-        // Power dies with `batch`/`batches` of the dirty lines written
-        // back. In the simulation the flush has no NVRAM side effects to
-        // truncate — what matters is that the valid marker is never
-        // written, so the partial image can never be mistaken for a
-        // complete one.
-        assert!(batches > 0 && batch < batches, "batch {batch}/{batches}");
-        let partial = Nanos::new(
-            (flush.as_nanos() as u128 * batch as u128 / batches as u128) as u64,
-        );
-        push(&mut steps, &mut elapsed, SaveStep::FlushCaches, partial);
-        return interrupted(steps, elapsed);
-    }
-    push(&mut steps, &mut elapsed, SaveStep::FlushCaches, flush);
+    push(SaveStep::FlushCaches, flush);
 
-    if dies_before(SaveStep::HaltOthers) {
-        return interrupted(steps, elapsed);
-    }
     for core in machine.cores_mut().iter_mut().skip(1) {
         core.halted = true;
     }
-    push(
-        &mut steps,
-        &mut elapsed,
-        SaveStep::HaltOthers,
-        Nanos::from_micros(1),
-    );
-    if dies_before(SaveStep::SetupResumeBlock) {
-        return interrupted(steps, elapsed);
-    }
-    push(
-        &mut steps,
-        &mut elapsed,
-        SaveStep::SetupResumeBlock,
-        Nanos::from_micros(10),
-    );
+    push(SaveStep::HaltOthers, Nanos::from_micros(1));
+    let before_marker = push(SaveStep::SetupResumeBlock, Nanos::from_micros(10));
 
     // Valid marker: written only if we are still inside the window when
     // we get here — this is the all-or-nothing bit recovery checks.
-    if dies_before(SaveStep::MarkImageValid) {
-        return interrupted(steps, elapsed);
-    }
     let marker_time = Nanos::from_micros(1);
-    let will_mark = elapsed + marker_time <= window;
+    let will_mark = before_marker + marker_time <= window;
     if will_mark {
         machine
             .nvram_mut()
             .write(layout::VALID_MARKER_ADDR, &layout::VALID_MAGIC.to_le_bytes());
     }
-    push(&mut steps, &mut elapsed, SaveStep::MarkImageValid, marker_time);
+    let before_initiate = push(SaveStep::MarkImageValid, marker_time);
 
-    if dies_before(SaveStep::InitiateNvdimmSave) {
-        // The marker may already be durable, but the NVDIMMs were never
-        // armed: restore finds no flash images and falls back to the
-        // back end — the marker alone must never suffice.
-        return interrupted(steps, elapsed);
-    }
     let initiate = monitor.i2c_command_latency;
-    let will_initiate = will_mark && elapsed + initiate <= window;
-    push(
-        &mut steps,
-        &mut elapsed,
-        SaveStep::InitiateNvdimmSave,
-        initiate,
-    );
+    let will_initiate = will_mark && before_initiate + initiate <= window;
+    push(SaveStep::InitiateNvdimmSave, initiate);
     let mut modules_saved = true;
     if will_initiate {
-        if let Some(SaveFault::UltracapShortfall { module }) = fault {
-            let dimms = machine.nvram_mut().dimms_mut();
-            assert!(module < dimms.len(), "module {module} out of range");
-            // Drain the bank below its usable floor; the save tears.
-            let cap = dimms[module].ultracap_mut();
-            let _ = cap.discharge(Watts::new(1e6), Nanos::from_secs(3600));
-        }
-        // A declined save command (module off, relay dropping the I2C
-        // command) means the modules were never armed: the save did not
-        // complete, and restore will refuse — no panic on this path.
-        modules_saved = machine
-            .nvram_mut()
-            .save_all()
-            .is_ok_and(|outcomes| outcomes.iter().all(|o| o.completed));
-        debug_assert!(
-            modules_saved || matches!(fault, Some(SaveFault::UltracapShortfall { .. })),
-            "agiga ultracaps cover the save by construction"
-        );
+        // A refused command (power already failed), a declined one
+        // (module off, relay dropping the I2C command) or a module whose
+        // ultracapacitor cannot cover its copy all leave the save
+        // incomplete, and restore will refuse — no panic on this path.
+        modules_saved = cut.is_none_or(|cut| cut.land())
+            && machine
+                .nvram_mut()
+                .save_all()
+                .is_ok_and(|outcomes| outcomes.iter().all(|o| o.completed));
     }
 
-    if !dies_before(SaveStep::Halt) {
-        if let Some(core) = machine.cores_mut().first_mut() {
-            core.halted = true;
-        }
-        push(&mut steps, &mut elapsed, SaveStep::Halt, Nanos::new(100));
+    if let Some(core) = machine.cores_mut().first_mut() {
+        core.halted = true;
     }
+    let elapsed = push(SaveStep::Halt, Nanos::new(100));
 
     let completed = will_initiate && modules_saved;
     obs::emit(
@@ -372,6 +232,7 @@ pub fn flush_on_fail_save_with_fault(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wsp_units::Watts;
 
     #[test]
     fn save_fits_on_both_testbeds_at_both_loads() {
@@ -445,6 +306,38 @@ mod tests {
             machine.nvram().dimms()[0].read(addr, &mut buf);
             assert_eq!(&CpuContext::from_bytes(&buf), want, "core {i}");
         }
+    }
+
+    #[test]
+    fn a_drained_ultracap_fails_the_save_without_panicking() {
+        let mut machine = Machine::intel_testbed();
+        let cap = machine.nvram_mut().dimms_mut()[1].ultracap_mut();
+        let _ = cap.discharge(Watts::new(1e6), Nanos::from_secs(3600));
+        let report = flush_on_fail_save(
+            &mut machine,
+            SystemLoad::Busy,
+            RestartStrategy::RestorePathReinit,
+        );
+        assert!(!report.completed, "a torn module cannot complete the save");
+        machine.system_power_loss();
+        machine.system_power_on();
+        assert!(crate::restore(&mut machine, RestartStrategy::RestorePathReinit).is_err());
+    }
+
+    #[test]
+    fn a_struck_cut_refuses_the_save_command() {
+        let mut machine = Machine::intel_testbed();
+        let cut = PowerCut::after(0);
+        let report = flush_on_fail_save_with_fault(
+            &mut machine,
+            SystemLoad::Busy,
+            RestartStrategy::RestorePathReinit,
+            Some(&cut),
+        );
+        assert!(!report.completed);
+        assert_eq!(cut.events(), 1, "the save command is the save's one event");
+        assert!(!machine.nvram().all_saved(), "nothing reached flash");
+        assert!(machine.cores().iter().all(|c| c.halted), "the host ran on");
     }
 
     #[test]

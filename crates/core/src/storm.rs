@@ -8,8 +8,9 @@
 //! through that regime:
 //!
 //! * every outage runs the domain supervisor's triaged save
-//!   ([`crate::domain_save`]) with an injected decision cut, so across a
-//!   storm every triage decision point is crashed at least once;
+//!   ([`crate::domain_save`]) under a [`PowerCut`] placed at one of its
+//!   [`STORM_BOUNDARIES`], so across a storm the save is crashed at
+//!   every boundary at least once;
 //! * every recovery climbs the ladder (resolve in-doubt 2PC → log
 //!   replay / full resume → cluster rebuild for sacrificed shards), and
 //!   the *next* outage lands on a chosen rung of that climb — the climb
@@ -33,13 +34,12 @@ use wsp_det::{DetRng, Rng};
 use wsp_machine::{Machine, SystemLoad};
 use wsp_obs as obs;
 use wsp_obs::{Ctr, MetricsSnapshot, Trace};
-use wsp_pheap::{BackendStore, CrashImage, HeapConfig, PersistentHeap, PmPtr};
+use wsp_pheap::{BackendStore, CrashImage, HeapConfig, PersistentHeap, PmPtr, PowerCut};
 use wsp_power::{PowerDomain, Psu, Ultracapacitor};
 use wsp_units::{Farads, Nanos, Volts, Watts};
 
 use crate::domain::{
-    domain_decision_points, domain_save, fixed_need, shard_needs, DomainBudget, DomainInput,
-    DomainVerdict, ShardVerdict,
+    domain_save, fixed_need, shard_needs, DomainBudget, DomainInput, DomainVerdict, ShardVerdict,
 };
 use crate::model::committed_fleet;
 use crate::supervisor::{bulk_flush, clean_failure_trace};
@@ -58,14 +58,19 @@ const STORM_CELLS: usize = 3;
 /// a third participant.
 const STORM_SHARDS: usize = 3;
 
+/// The boundaries a storm's outages cut the domain save at: two before
+/// the first region arm (the triage gate and the contexts stage), a
+/// flush and a seal boundary per rank — both before that rank's region
+/// arm — and the control-region arm.
+pub const STORM_BOUNDARIES: usize = 3 + 2 * STORM_SHARDS;
+
 /// Sequential micro-outages per storm: three full rotations of the
-/// triage decision points (27 — every decision cut crossed with every
-/// ladder rung).
-const STORM_OUTAGES: usize = 3 * domain_decision_points(STORM_SHARDS);
+/// save boundaries (27 — every boundary crossed with every ladder rung).
+const STORM_OUTAGES: usize = 3 * STORM_BOUNDARIES;
 
 /// One storm scenario: how the triage is biased and which recovery rung
 /// each follow-on outage lands on. Every storm fires 27 outages over
-/// three shards (three full rotations of the triage decision points).
+/// three shards (three full rotations of the save boundaries).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StormSpec {
     /// Heap configuration for every shard (must be flush-on-commit).
@@ -75,7 +80,7 @@ pub struct StormSpec {
     /// adversarial case for cross-shard decisions.
     pub sacrifice_coordinator: bool,
     /// Offset into the ladder-rung rotation the follow-on outage lands
-    /// on (`(outage / decisions + phase) % 3`).
+    /// on (`(outage / STORM_BOUNDARIES + phase) % 3`).
     pub rung_phase: usize,
 }
 
@@ -122,7 +127,7 @@ pub struct StormStats {
     pub reclimbs_verified: usize,
     /// Power cycles, counting the mid-recovery interruptions.
     pub power_cycles: usize,
-    /// Distinct triage decision indices the storm cut at.
+    /// Distinct save boundaries the storm cut at.
     pub decision_cuts: BTreeSet<usize>,
     /// Distinct ladder rungs follow-on outages landed on.
     pub crash_rungs: BTreeSet<usize>,
@@ -159,7 +164,7 @@ pub struct PowerStormReport {
     pub points: Vec<StormPointOutcome>,
     /// Total outages fired across all points.
     pub outages: usize,
-    /// Distinct triage decision indices cut, unioned across points.
+    /// Distinct save boundaries cut, unioned across points.
     pub decision_cuts_covered: usize,
     /// Distinct ladder rungs landed on, unioned across points.
     pub crash_rungs_covered: usize,
@@ -264,7 +269,6 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
     );
     let mut rng = DetRng::seed_from_u64(seed);
     let shards = STORM_SHARDS;
-    let decisions = domain_decision_points(shards);
     let load = SystemLoad::Busy;
 
     let mut machine = Machine::intel_testbed();
@@ -364,12 +368,12 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
             in_doubt = true;
         }
 
-        // ---- The outage: triaged domain save with an injected cut and
-        // a contention-forcing window. Mode 0 trusts the measured
+        // ---- The outage: triaged domain save cut at a boundary, with a
+        // contention-forcing window. Mode 0 trusts the measured
         // window (everything fits), mode 1 covers one full save plus
         // one priority stage, mode 2 a single priority stage.
-        let cut = k % decisions;
-        stats.decision_cuts.insert(cut);
+        let boundary = k % STORM_BOUNDARIES;
+        stats.decision_cuts.insert(boundary);
         let window_cap = match k % 3 {
             0 => None,
             mode => {
@@ -389,8 +393,28 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
                 }
             }
         };
+        // The cut that stops the save at the boundary: the region arms
+        // an uncut save performs before rank `(boundary - 2) / 2` (none
+        // before the contexts, every one at the control boundary),
+        // counted on clones off the trace. The storm injects no command
+        // faults, so every arm an uncut save performs seals its shard.
+        let arms_before = boundary.checked_sub(2).map_or(0, |b| {
+            let (probe, _) = obs::capture(|| {
+                domain_save(DomainInput {
+                    machine: &mut machine.clone(),
+                    domain: &mut domain.clone(),
+                    heaps: &mut heaps.clone(),
+                    staleness: &staleness,
+                    load,
+                    trace: &clean_failure_trace(),
+                    budget: DomainBudget { window_cap, cut: None },
+                })
+            });
+            let probe = probe.expect("storm outages yield verdicts, not errors");
+            probe.shards.iter().filter(|s| s.sealed && s.rank < b / 2).count() as u64
+        });
         obs::count(Ctr::StormOutages);
-        obs::emit("faultsim", "storm_outage", Nanos::ZERO, k as i64, cut as i64);
+        obs::emit("faultsim", "storm_outage", Nanos::ZERO, k as i64, boundary as i64);
         let report = domain_save(DomainInput {
             machine: &mut machine,
             domain: &mut domain,
@@ -400,7 +424,7 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
             trace: &clean_failure_trace(),
             budget: DomainBudget {
                 window_cap,
-                cut_decision: Some(cut),
+                cut: Some(PowerCut::after(arms_before)),
             },
         })
         .expect("storm outages yield verdicts, not errors");
@@ -465,7 +489,7 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
         // rebuilds). The interrupted attempt is discarded — everything
         // it did was derived from durable state — and the re-climb must
         // reach identical contents.
-        let crash_rung = ((k / decisions) + spec.rung_phase) % 3;
+        let crash_rung = ((k / STORM_BOUNDARIES) + spec.rung_phase) % 3;
         stats.crash_rungs.insert(crash_rung);
         let first = match crash_rung {
             0 => None,
@@ -627,14 +651,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn standard_storm_covers_every_decision_and_rung() {
+    fn standard_storm_covers_every_boundary_and_rung() {
         let spec = StormSpec::standard(HeapConfig::FocUndo);
         let stats = run_power_storm(&spec, 42);
         assert!(stats.outages >= 24, "{} outages", stats.outages);
         assert_eq!(
             stats.decision_cuts.len(),
-            domain_decision_points(STORM_SHARDS),
-            "every triage decision point crashed: {:?}",
+            STORM_BOUNDARIES,
+            "every save boundary crashed: {:?}",
             stats.decision_cuts
         );
         assert_eq!(stats.crash_rungs.len(), 3, "{:?}", stats.crash_rungs);

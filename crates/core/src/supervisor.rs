@@ -32,11 +32,13 @@
 //! [`pool_save_feasibility`]: crate::pool_save_feasibility
 //! [`NvramPool::save_all_within`]: wsp_nvram::NvramPool::save_all_within
 
+use std::sync::Arc;
+
 use wsp_cache::FlushMethod;
 use wsp_machine::{Machine, SystemLoad};
 use wsp_nvram::NvramError;
 use wsp_obs as obs;
-use wsp_pheap::PersistentHeap;
+use wsp_pheap::{PersistentHeap, PowerCut};
 use wsp_power::{PwrOkSample, PwrOkVerdict};
 use wsp_units::Nanos;
 
@@ -67,9 +69,10 @@ pub enum SaveVerdict {
     /// partial-but-recoverable image, never silent corruption.
     PartialPriority,
     /// Nothing durable was produced (the budget could not even cover
-    /// the priority stage, power died mid-stage, the modules' cells
-    /// cannot cover their saves, or the save command kept failing). No
-    /// marker is set; recovery must come from the back end.
+    /// the priority stage, power failed before the save command landed,
+    /// the modules' cells cannot cover their saves, or the save command
+    /// kept failing). No marker reaches flash; recovery must come from
+    /// the back end.
     Failed {
         /// Which budget or step failed.
         reason: String,
@@ -90,15 +93,16 @@ impl SaveVerdict {
 pub const SAVE_ATTEMPTS: u32 = 3;
 
 /// Budget constraints for a supervised save, beyond the measured window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SaveBudget {
     /// Caps the residual window below the measured value (a conservative
     /// budget, or an injected window-shortfall fault).
     pub window_cap: Option<Nanos>,
-    /// The instant power *actually* dies, when earlier than the window
-    /// promises (an injected mid-save brown-out): any step that would
-    /// finish after this instant does not execute.
-    pub cut: Option<Nanos>,
+    /// The power cut the save runs under, when power dies earlier than
+    /// the window promises: the NVDIMM save command is one durable event
+    /// of it, and a cut that has struck refuses the command. Arm the
+    /// heap with the same cut to make stage A's flushes events too.
+    pub cut: Option<Arc<PowerCut>>,
 }
 
 impl SaveBudget {
@@ -134,12 +138,6 @@ pub struct StagedSaveReport {
     /// True once the NVDIMM save command was accepted by every module —
     /// from then on the modules finish on ultracapacitor power.
     pub armed: bool,
-}
-
-/// True when a step starting at `now` and costing `cost` completes
-/// before the injected brown-out `cut` (if any).
-fn survives(now: Nanos, cost: Nanos, cut: Option<Nanos>) -> bool {
-    cut.is_none_or(|c| now + cost <= c)
 }
 
 /// Simulated cost of stamping a save marker (one fenced NVRAM word).
@@ -250,7 +248,6 @@ pub fn supervised_save(
     // detector fired.
     let measured = machine.residual_window(load);
     let window = budget.window_cap.map_or(measured, |cap| cap.min(measured));
-    let cut = budget.cut;
     let mut used = detection(machine);
     obs::gauge_set(obs::Gauge::ResidualWindow, window.as_nanos() as i64);
     obs::emit(
@@ -258,7 +255,7 @@ pub fn supervised_save(
         "outage_detected",
         used,
         window.as_nanos() as i64,
-        cut.map_or(-1, |c| c.as_nanos() as i64),
+        budget.cut.as_ref().map_or(-1, |cut| cut.events() as i64),
     );
 
     let fail = |reason: String, used: Nanos, stage_a: Nanos, stage_b: Nanos| {
@@ -315,14 +312,6 @@ pub fn supervised_save(
 
     // 5. Stage: contexts first — they are the cheapest and the most
     // valuable bytes on the machine.
-    if !survives(used, contexts_cost, cut) {
-        return Ok(fail(
-            "brown-out before contexts were durable".into(),
-            used,
-            Nanos::ZERO,
-            Nanos::ZERO,
-        ));
-    }
     let core_count = save_contexts(machine);
     used += contexts_cost;
     obs::emit(
@@ -334,14 +323,6 @@ pub fn supervised_save(
     );
 
     // 6. Stage A: heap log + metadata + committed-but-unflushed lines.
-    if !survives(used, stage_a_cost, cut) {
-        return Ok(fail(
-            "brown-out during the priority flush".into(),
-            used,
-            Nanos::ZERO,
-            Nanos::ZERO,
-        ));
-    }
     let stage_a = heap.priority_flush();
     used += stage_a;
     obs::emit(
@@ -356,17 +337,6 @@ pub fn supervised_save(
     // 7. Stage B only if the plan said it fits.
     let mut stage_b = Nanos::ZERO;
     if full_fits {
-        if !survives(used, stage_b_cost, cut) {
-            // Stage A lines are flushed but no marker will ever attest
-            // to them: the image stays unmarked and recovery falls back
-            // to the back end — conservative, never corrupt.
-            return Ok(fail(
-                "brown-out during the bulk cache flush".into(),
-                used,
-                stage_a,
-                Nanos::ZERO,
-            ));
-        }
         stage_b = stage_b_cost;
         used += stage_b;
         obs::emit(
@@ -380,14 +350,6 @@ pub fn supervised_save(
     }
 
     // 8. Marker: VALID attests to both stages, PARTIAL to stage A only.
-    if !survives(used, marker_cost, cut) {
-        return Ok(fail(
-            "brown-out before the image marker".into(),
-            used,
-            stage_a,
-            stage_b,
-        ));
-    }
     if full_fits {
         machine
             .nvram_mut()
@@ -415,8 +377,10 @@ pub fn supervised_save(
 
     // 9. Arm the modules, retrying transient command failures. The
     // marker written above only becomes durable if this step lands: the
-    // flash image carries it.
-    if !survives(used, arm_cost, cut) {
+    // flash image carries it. After a cut the command never lands, and
+    // the stage-A lines it would attest to stay unmarked — recovery
+    // falls back to the back end, conservative, never corrupt.
+    if !budget.cut.as_ref().is_none_or(|cut| cut.land()) {
         return Ok(fail(
             "brown-out before the NVDIMM save command".into(),
             used,
@@ -701,34 +665,98 @@ mod tests {
         assert!(!machine.nvram().all_saved());
     }
 
-    #[test]
-    fn brown_out_mid_bulk_flush_leaves_no_marker() {
+    /// A heap with committed words on eight lines and a transaction
+    /// left open over a fresh allocation: stage A has lines to flush.
+    fn dirty_heap(config: HeapConfig) -> PersistentHeap {
+        let mut heap = PersistentHeap::create(ByteSize::kib(256), config);
+        let mut tx = heap.begin();
+        let root = tx.alloc(8 * 64).unwrap();
+        for k in 0..8 {
+            tx.write_word(root.byte_offset(64 * k), 0x5A00 + k).unwrap();
+        }
+        tx.set_root(root).unwrap();
+        tx.commit().unwrap();
+        let mut tx = heap.begin();
+        let open = tx.alloc(16).unwrap();
+        tx.write_word(open, 0xDEAD).unwrap();
+        std::mem::forget(tx); // power fails with the transaction open
+        heap
+    }
+
+    /// Runs one supervised save of a clone of `heap` with `cut` armed on
+    /// the clone and carried by the budget; then power fails and the
+    /// machine comes back. Returns the report and
+    /// the markers the flash image restores (`None` without an image).
+    fn save_cut_at(
+        heap: &PersistentHeap,
+        window_cap: Option<Nanos>,
+        cut: &Arc<PowerCut>,
+    ) -> (StagedSaveReport, Option<(u64, u64)>) {
         let mut machine = Machine::intel_testbed();
         machine.apply_load(SystemLoad::Busy, 9);
-        let mut heap = heap_with_root(7);
-        // Power actually dies halfway through stage B even though the
-        // measured window promised room for all of it.
-        let cut = detection(&machine)
-            + machine.profile().context_save
-            + bulk_flush(&machine, SystemLoad::Busy, 1) / 2;
+        let mut heap = heap.clone();
+        heap.arm(cut);
+        let budget = SaveBudget {
+            window_cap,
+            cut: Some(Arc::clone(cut)),
+        };
         let report = supervised_save(
             &mut machine,
             &mut heap,
             SystemLoad::Busy,
             &clean_failure_trace(),
-            SaveBudget {
-                cut: Some(cut),
-                ..SaveBudget::trusting()
-            },
+            budget,
         )
         .unwrap();
-        assert!(
-            matches!(report.verdict, SaveVerdict::Failed { ref reason } if reason.contains("brown-out")),
-            "{report:?}"
-        );
-        assert!(!report.armed);
-        assert_eq!(marker(&machine, layout::VALID_MARKER_ADDR), 0);
-        assert_eq!(marker(&machine, layout::PARTIAL_MARKER_ADDR), 0);
+        machine.system_power_loss();
+        machine.system_power_on();
+        let markers = machine.nvram_mut().restore_all().is_ok().then(|| {
+            (
+                marker(&machine, layout::VALID_MARKER_ADDR),
+                marker(&machine, layout::PARTIAL_MARKER_ADDR),
+            )
+        });
+        (report, markers)
+    }
+
+    #[test]
+    fn every_event_of_a_staged_save_is_a_crash_point() {
+        for config in [HeapConfig::FofUndo, HeapConfig::FocUndo] {
+            let heap = dirty_heap(config);
+            let machine = Machine::intel_testbed();
+            for window_cap in [None, Some(priority_stage_window(&machine, &heap))] {
+                // Count the save's events on a clone probe: stage A's
+                // flushes, then the NVDIMM save command.
+                let probe = PowerCut::never();
+                let (uncut, _) = save_cut_at(&heap, window_cap, &probe);
+                let events = probe.events();
+                assert!(uncut.verdict.durable(), "{config}: {uncut:?}");
+                assert!(events > 1, "{config}: stage A flushes lines before the arm ({events})");
+                let arm = events - 1;
+                for n in 0..=events {
+                    let at = format!("{config} cap {window_cap:?} cut {n}/{events}");
+                    let (report, markers) = save_cut_at(&heap, window_cap, &PowerCut::after(n));
+                    assert_eq!(report.verdict.durable(), n > arm, "{at}: {report:?}");
+                    assert_eq!(report.armed, n > arm, "{at}");
+                    if n > arm {
+                        assert_eq!(report.verdict, uncut.verdict, "{at}");
+                        let want = if report.verdict == SaveVerdict::Complete {
+                            (layout::VALID_MAGIC, 0)
+                        } else {
+                            (0, layout::PARTIAL_MAGIC)
+                        };
+                        assert_eq!(markers, Some(want), "{at}: the marker lands with its arm");
+                    } else {
+                        assert!(
+                            matches!(report.verdict, SaveVerdict::Failed { ref reason }
+                                if reason.contains("before the NVDIMM save command")),
+                            "{at}: {report:?}"
+                        );
+                        assert_eq!(markers, None, "{at}: no marker reaches flash before its arm");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

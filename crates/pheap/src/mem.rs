@@ -145,6 +145,34 @@ impl PowerCut {
         self.events.load(Ordering::Relaxed)
     }
 
+    /// Counts one durable event of a device that is not a
+    /// [`PersistentMemory`] (an NVDIMM save command, say) and returns
+    /// whether it lands: `false` for the event power fails before and
+    /// for every one after it. Armed memories freeze at their next
+    /// landing, exactly as after an event of their own.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use wsp_pheap::{PersistentMemory, PowerCut};
+    /// use wsp_units::ByteSize;
+    ///
+    /// let mut mem = PersistentMemory::new(ByteSize::kib(64));
+    /// mem.write_u64(0, 7);
+    /// let probe = mem.clone();
+    /// let cut = PowerCut::after(0);
+    /// mem.arm(&cut);
+    /// assert!(!cut.land()); // the save command: power fails first
+    /// assert!(!cut.land()); // and stays failed
+    /// mem.flush_all(); // the armed memory lands nothing any more
+    /// assert_eq!(mem.crash(true)[0], 0);
+    /// assert_eq!(probe.crash(true)[0], 7); // a clone was never armed
+    /// ```
+    pub fn land(&self) -> bool {
+        self.events.fetch_add(1, Ordering::Relaxed);
+        !self.struck()
+    }
+
     fn struck(&self) -> bool {
         self.events() > self.fail_at
     }
@@ -750,6 +778,24 @@ mod tests {
         m.ntstore_u64(128, 2);
         m.sfence();
         assert_eq!(slots(&m.crash(false), 2), [1, 0], "the cut still strikes at event 1");
+    }
+
+    #[test]
+    fn a_struck_landing_freezes_armed_memories_at_their_next_landing() {
+        let cut = PowerCut::after(1);
+        let mut m = mem();
+        m.arm(&cut);
+        m.write_u64(64, 1);
+        m.clflush_range(64, 8); // event 0 lands
+        m.write_u64(128, 2);
+        let probe = m.clone();
+        assert!(!cut.land(), "event 1: power fails first");
+        assert!(!cut.land(), "and stays failed");
+        assert_eq!(cut.events(), 3);
+        m.clflush_range(128, 8);
+        m.flush_all();
+        assert_eq!(slots(&m.crash(true), 2), [1, 0], "frozen at the landing");
+        assert_eq!(slots(&probe.crash(true), 2), [1, 2], "the clone is unarmed");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! different `WSP_FAULTSIM_THREADS` settings — the scorecard must come
 //! out bitwise identical however the sweep is sharded.
 
-use wsp_core::{domain_decision_points, sweep_power_storm, PowerStormReport};
+use wsp_core::{sweep_power_storm, PowerStormReport, STORM_BOUNDARIES};
 use wsp_pheap::HeapConfig;
 
 /// A multi-seed power-storm soak over one heap configuration.
@@ -85,8 +85,7 @@ impl PowerStormBench {
                 coordinator_shard_sacrifices += point.stats.coordinator_shard_sacrifices;
                 reclimbs_verified += point.stats.reclimbs_verified;
             }
-            full_decision_coverage &=
-                sweep.decision_cuts_covered == domain_decision_points(3);
+            full_decision_coverage &= sweep.decision_cuts_covered == STORM_BOUNDARIES;
             full_rung_coverage &= sweep.crash_rungs_covered == 3;
         }
 
@@ -137,7 +136,7 @@ pub struct PowerStormSoakReport {
     pub coordinator_shard_sacrifices: usize,
     /// Interrupted recoveries whose re-climb matched bit-for-bit.
     pub reclimbs_verified: usize,
-    /// Every sweep crashed every triage decision point.
+    /// Every sweep crashed the save at every storm boundary.
     pub full_decision_coverage: bool,
     /// Every sweep landed outages on every recovery rung.
     pub full_rung_coverage: bool,

@@ -9,39 +9,32 @@ use wsp_repro::obs;
 use wsp_repro::pheap::HeapConfig;
 use wsp_repro::wsp::{
     ladder_crash_points, save_path_crash_points, sweep_mid_transaction, sweep_recovery_ladder,
-    sweep_save_path, LadderFault, LadderRung, RecoveryOutcome, RestartStrategy, SaveFault,
-    SaveStep, FLUSH_BATCHES,
+    sweep_save_path, LadderFault, LadderRung, RecoveryOutcome, RestartStrategy, SaveCrashPoint,
 };
 
-/// The sweep enumerates one point per Figure-4 step (the ACPI suspend
-/// step only on the strawman strategy), one per cache-flush batch, and
-/// one ultracap brown-out per NVDIMM module.
+/// The sweep cuts power before every durable event of the Figure-4 save
+/// (its NVDIMM save command is the only one) and after the last, and
+/// drains one ultracap per NVDIMM module, on both testbeds at both
+/// loads.
 #[test]
 fn crash_point_enumeration_is_exhaustive() {
-    let machine = Machine::intel_testbed();
-    let modules = machine.nvram().dimms().len();
-    let points = save_path_crash_points(RestartStrategy::RestorePathReinit, modules);
-    assert_eq!(points.len(), 9 + FLUSH_BATCHES + modules);
-    // Every injectable Figure-4 step is present.
-    for step in [
-        SaveStep::PowerFailInterrupt,
-        SaveStep::InterruptAllProcessors,
-        SaveStep::SaveContexts,
-        SaveStep::FlushCaches,
-        SaveStep::HaltOthers,
-        SaveStep::SetupResumeBlock,
-        SaveStep::MarkImageValid,
-        SaveStep::InitiateNvdimmSave,
-        SaveStep::Halt,
-    ] {
-        assert!(points.contains(&SaveFault::BeforeStep(step)), "{step:?}");
+    for make in [Machine::intel_testbed, Machine::amd_testbed] {
+        for load in SystemLoad::both() {
+            let machine = make();
+            let modules = machine.nvram().dimms().len();
+            let points = save_path_crash_points(&machine, load, RestartStrategy::RestorePathReinit);
+            let cut = |events| SaveCrashPoint::Cut { events };
+            let mut want = vec![cut(0), cut(1)];
+            want.extend((0..modules).map(|module| SaveCrashPoint::UltracapShortfall { module }));
+            assert_eq!(points, want, "{} {load:?}", machine.profile().name);
+        }
     }
 }
 
 /// The all-or-nothing invariant holds at every crash point on both
 /// testbeds, at both loads, for randomized sentinel seeds. The sweep
 /// itself panics on any violation; exactly one injection point (power
-/// dying after the NVDIMM arm) may recover locally.
+/// failing after the NVDIMM arm) may recover locally.
 #[test]
 fn save_path_sweep_holds_across_testbeds_loads_and_seeds() {
     Forall::new(gen::triple(
@@ -63,10 +56,11 @@ fn save_path_sweep_holds_across_testbeds_loads_and_seeds() {
         };
         let report = sweep_save_path(make, load, RestartStrategy::RestorePathReinit, seed);
         assert_eq!(report.locally_restored, 1);
+        let past_arm = SaveCrashPoint::Cut { events: 1 };
         assert!(report
             .outcomes
             .iter()
-            .all(|o| o.locally_restored == o.fault.recoverable()));
+            .all(|o| o.locally_restored == (o.point == past_arm)));
     });
 }
 
@@ -304,14 +298,14 @@ fn cross_shard_sweep_is_reproducible() {
 
 /// The power-storm sweep: 6 storms (3 rung phases x 2 triage biases) of
 /// 27 sequential micro-outages each, every one landing mid-recovery of
-/// the one before. Coverage must be total — every global-triage
-/// decision point cut at least once, every recovery rung interrupted —
+/// the one before. Coverage must be total — the domain save cut at
+/// every storm boundary at least once, every recovery rung interrupted —
 /// and survival absolute: every sacrificed shard-epoch rebuilt, every
 /// committed cross-shard transaction present afterwards (the sweep
 /// panics internally on any lost cell or divergent re-climb).
 #[test]
 fn power_storm_survives_with_full_triage_coverage() {
-    use wsp_repro::wsp::{domain_decision_points, sweep_power_storm};
+    use wsp_repro::wsp::{sweep_power_storm, STORM_BOUNDARIES};
 
     let seed = std::env::var("WSP_DET_SEED")
         .ok()
@@ -321,8 +315,8 @@ fn power_storm_survives_with_full_triage_coverage() {
         assert_eq!(report.points.len(), 6, "{config}");
         assert_eq!(
             report.decision_cuts_covered,
-            domain_decision_points(3),
-            "{config} seed {seed}: every triage decision point crashed"
+            STORM_BOUNDARIES,
+            "{config} seed {seed}: every storm boundary crashed"
         );
         assert_eq!(report.crash_rungs_covered, 3, "{config} seed {seed}");
         for point in &report.points {
