@@ -12,10 +12,9 @@ use std::time::Instant;
 
 use wsp_cache::{CacheHierarchy, CpuProfile, FlushMethod};
 use wsp_core::{
-    clean_failure_trace, domain_save, ladder_crash_points, priority_stage_window,
-    supervised_save, sweep_lockfree, sweep_mid_transaction, sweep_power_storm,
-    sweep_recovery_ladder, sweep_save_path, DomainBudget, DomainInput, LfStructure,
-    LockfreeSweepReport, PowerStormReport, RestartStrategy, SaveBudget, SaveVerdict, ShardVerdict,
+    clean_failure_trace, domain_save, ladder_crash_points, node_save, priority_stage_window,
+    sweep_lockfree, sweep_mid_transaction, sweep_power_storm, sweep_recovery_ladder,
+    sweep_save_path, DomainBudget, DomainInput, LfStructure, LockfreeSweepReport, PowerStormReport, RestartStrategy, ShardVerdict,
     StormStats, STORM_BOUNDARIES,
 };
 use wsp_machine::{Machine, SystemLoad};
@@ -664,8 +663,9 @@ fn global_triage(config: HeapConfig) -> TriageOutcome {
 }
 
 /// The same fleet and the same total window, but split into private
-/// slices — every slice re-pays its own detection and context costs,
-/// and no shard can borrow a neighbour's surplus.
+/// slices — each heap saved over its own machine's private domain, so
+/// every slice re-pays its own detection and context costs, and no
+/// shard can borrow a neighbour's surplus.
 fn private_split(config: HeapConfig) -> TriageOutcome {
     let heaps = contended_fleet(config);
     let window = contention_window(&loaded_machine(), &heaps);
@@ -677,21 +677,23 @@ fn private_split(config: HeapConfig) -> TriageOutcome {
         used: Nanos::ZERO,
     };
     for mut heap in heaps {
-        let report = supervised_save(
-            &mut loaded_machine(),
+        let mut machine = loaded_machine();
+        let budget = DomainBudget {
+            window_cap: Some(window / FLEET as u64),
+            ..DomainBudget::trusting()
+        };
+        let report = node_save(
+            &mut machine,
             &mut heap,
             SystemLoad::Busy,
             &clean_failure_trace(),
-            SaveBudget {
-                window_cap: Some(window / FLEET as u64),
-                ..SaveBudget::trusting()
-            },
+            budget,
         )
-        .expect("supervised save yields a verdict");
-        match report.verdict {
-            SaveVerdict::Complete => outcome.complete += 1,
-            SaveVerdict::PartialPriority => outcome.partial += 1,
-            _ => outcome.sacrificed += 1,
+        .expect("private save yields a verdict");
+        match report.shards[0].verdict {
+            ShardVerdict::Complete => outcome.complete += 1,
+            ShardVerdict::PartialPriority => outcome.partial += 1,
+            ShardVerdict::Sacrificed => outcome.sacrificed += 1,
         }
         outcome.used = outcome.used.saturating_add(report.used);
     }

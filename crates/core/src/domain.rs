@@ -1,11 +1,13 @@
-//! The domain supervisor: triaged, staged saves for many heaps sharing
-//! **one** power domain.
+//! The save supervisor: triaged, staged saves for the heaps of **one**
+//! power domain — the one executor of every staged save.
 //!
-//! The PR 3 supervisor budgets a single heap against a private residual
-//! window. Under a shared NVDIMM power domain there is no private
-//! window: a brown-out gives every shard's flush a claim on the same
-//! pool of joules ([`PowerDomain`]), and the supervisor must *choose*.
-//! [`domain_save`] runs that choice:
+//! A brown-out gives every shard's flush a claim on the same pool of
+//! joules ([`PowerDomain`]), and the supervisor must *choose*. A single
+//! node is that pool with one consumer: [`PowerDomain::private`] is the
+//! machine's own PSU, its window the machine's residual window, its one
+//! region the whole pool with no control prefix, so the shard's arm is
+//! the only arm and its markers are the words [`crate::restore`] reads;
+//! [`node_save`] saves one heap over it. [`domain_save`] runs the choice:
 //!
 //! 1. The `PWR_OK` trace is debounced once, domain-wide.
 //! 2. Every shard is scored for **urgency** — in-doubt 2PC pins (losing
@@ -22,10 +24,11 @@
 //! 4. Execution seals shards one at a time: per-region marker, then a
 //!    region-scoped NVDIMM arm ([`NvramPool::save_range_within`]) whose
 //!    retry backoff is bounded by the remaining window. Each arm, and
-//!    the control region's, is one durable event of the budget's
-//!    [`PowerCut`]. A shard is durable exactly from its seal onward — a
-//!    power failure before its arm leaves that shard with *no* marker in
-//!    flash, never a torn one.
+//!    the control region's (shared domains only), is one durable event
+//!    of the budget's [`PowerCut`]. A shard is durable exactly from its
+//!    seal onward — a power failure before its arm, or a module whose
+//!    DRAM→flash copy tears, leaves that shard with *no* trusted marker
+//!    in flash, never a torn image taken for a whole one.
 //!
 //! Every verdict is typed and every sacrifice carries a refusal: the
 //! contract is the supervisor's "never a silent tear", applied
@@ -48,8 +51,9 @@ use crate::save::save_contexts;
 use crate::supervisor::{bulk_flush, detection, stage_a_probe, MARKER_COST, SAVE_ATTEMPTS};
 use crate::WspError;
 
-/// Pool modules reserved for the domain's control state (CPU contexts,
-/// global markers) ahead of the shard regions.
+/// Pool modules a shared domain reserves for its control state (CPU
+/// contexts, global markers) ahead of the shard regions. A private
+/// domain reserves none: its one region starts at pool address 0.
 pub const DOMAIN_CONTROL_MODULES: usize = 1;
 
 /// Urgency weight of one in-doubt 2PC pin: a prepared-but-undecided
@@ -133,7 +137,8 @@ pub struct ShardSaveReport {
 /// How the domain save ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DomainVerdict {
-    /// The trace was a glitch storm; nothing was touched on any shard.
+    /// The trace was a glitch storm; nothing was touched on any shard:
+    /// no flush, no marker, no flash wear, no ultracap discharge.
     GlitchIgnored {
         /// Sub-threshold dips observed.
         dips: u32,
@@ -202,7 +207,9 @@ pub struct DomainSaveReport {
     pub triage: Vec<ShardTriage>,
     /// Per-shard outcomes in *shard* order.
     pub shards: Vec<ShardSaveReport>,
-    /// True once the control region (contexts, global state) was armed.
+    /// True once the control region (contexts, global state) was armed;
+    /// for a private domain, once the shard's arm landed — from then on
+    /// the modules finish on ultracapacitor power.
     pub armed: bool,
     /// Save-command retries absorbed across all region arms.
     pub retries: u32,
@@ -219,9 +226,13 @@ impl DomainSaveReport {
 }
 
 /// The triage's fixed need ahead of every shard: outage detection, the
-/// CPU contexts and the control-region arm.
-pub(crate) fn fixed_need(machine: &Machine) -> Nanos {
-    detection(machine) + machine.profile().context_save + machine.monitor().i2c_command_latency
+/// CPU contexts and, for a shared domain, the control-region arm.
+pub(crate) fn fixed_need(machine: &Machine, domain: &PowerDomain) -> Nanos {
+    let fixed = detection(machine) + machine.profile().context_save;
+    if domain.is_private() {
+        return fixed;
+    }
+    fixed + machine.monitor().i2c_command_latency
 }
 
 /// One shard's window needs in the triage, given its `share` of the
@@ -237,11 +248,11 @@ pub(crate) fn shard_needs(
 }
 
 /// Runs the triaged, staged domain save. Mutates `machine` (contexts,
-/// region markers, region arms), `domain` (reservation scopes) and each
-/// heap (priority lines flushed) exactly as far as the budget allows —
-/// and no further. Once the budget's cut has struck, every later arm is
-/// refused and its shard sacrificed; the rest runs on, as the host does
-/// after a cut (contexts and markers are DRAM stores the outage clears).
+/// region markers, region arms) and each heap (priority lines flushed)
+/// exactly as far as the budget allows — and no further. Once the
+/// budget's cut has struck, every later arm is refused and its shard
+/// sacrificed; the rest runs on, as the host does after a cut (contexts
+/// and markers are DRAM stores the outage clears).
 ///
 /// # Errors
 ///
@@ -252,8 +263,9 @@ pub(crate) fn shard_needs(
 ///
 /// # Panics
 ///
-/// Panics when `staleness.len() != heaps.len()` or the machine's pool
-/// cannot give every shard a module past the control prefix.
+/// Panics when `staleness.len() != heaps.len()`, when a private domain
+/// is given other than one heap, or when the machine's pool cannot give
+/// every shard a module past the control prefix.
 #[allow(clippy::too_many_lines)]
 pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError> {
     let DomainInput {
@@ -270,6 +282,13 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
         staleness.len(),
         shard_count,
         "one staleness entry per shard"
+    );
+    // The layout follows the domain, never the shard count: a one-shard
+    // *shared* domain still reserves its control prefix and arms it.
+    let private = domain.is_private();
+    assert!(
+        !private || shard_count == 1,
+        "a private domain saves one heap"
     );
     // Debounce, domain-wide. A glitch touches nothing.
     match machine.monitor().classify_pwr_ok(trace)? {
@@ -314,7 +333,8 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
         budget.cut.as_ref().map_or(-1, |cut| cut.events() as i64),
     );
 
-    let regions = RegionMap::partition(machine.nvram(), shard_count, DOMAIN_CONTROL_MODULES);
+    let control = if private { 0 } else { DOMAIN_CONTROL_MODULES };
+    let regions = RegionMap::partition(machine.nvram(), shard_count, control);
     let arm_cost = machine.monitor().i2c_command_latency;
     let contexts_cost = machine.profile().context_save;
 
@@ -353,10 +373,9 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
     // Greedy carve: priority stages are cheap and flush first
     // everywhere, so grant them in rank order; bulk stages only for
     // shards whose full need still fits.
-    let fixed = fixed_need(machine);
+    let fixed = fixed_need(machine, domain);
     let mut remaining = window.saturating_sub(fixed);
     let mut full_demand = fixed;
-    domain.release_all();
     for t in &mut triage {
         full_demand = full_demand.saturating_add(t.full_need);
         if infeasible.is_some() {
@@ -369,10 +388,7 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
         } else {
             (Nanos::ZERO, ShardVerdict::Sacrificed)
         };
-        if verdict != ShardVerdict::Sacrificed {
-            remaining = remaining.saturating_sub(granted);
-            domain.reserve_for(t.shard, granted);
-        }
+        remaining = remaining.saturating_sub(granted);
         t.planned = verdict;
     }
     let deficit = full_demand.saturating_sub(window);
@@ -409,8 +425,7 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
                   triage: Vec<ShardTriage>,
                   armed: bool,
                   retries: u32,
-                  backoff: Nanos,
-                  domain: &mut PowerDomain| {
+                  backoff: Nanos| {
         let sacrificed = shards
             .iter()
             .filter(|s| s.verdict == ShardVerdict::Sacrificed)
@@ -424,7 +439,6 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
             (shards.len() - sacrificed) as i64,
             sacrificed as i64,
         );
-        domain.release_all();
         DomainSaveReport {
             verdict: DomainVerdict::Triaged,
             window,
@@ -456,7 +470,7 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
                 reason: format!("NVDIMM save infeasible: {reason}"),
             });
         }
-        return Ok(finish(used, shards, triage, false, 0, Nanos::ZERO, domain));
+        return Ok(finish(used, shards, triage, false, 0, Nanos::ZERO));
     }
 
     // Contexts — cheapest, most valuable bytes first.
@@ -548,6 +562,18 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
                 used += arm_cost + r.backoff;
                 retries += r.retries;
                 backoff += r.backoff;
+                armed |= private;
+                if let Some(torn) = r.outcomes.iter().position(|o| !o.completed) {
+                    // The feasibility gate makes this unreachable for
+                    // honest cells, but a cell that lies about its charge
+                    // still ends in a typed sacrifice, not a seal.
+                    let module = region.modules.start + torn;
+                    let refusal = WspError::TornImage {
+                        detail: format!("module {module} browned out during its DRAM→flash copy"),
+                    };
+                    sacrifice(&mut shards[shard], refusal, used);
+                    continue;
+                }
                 shards[shard].sealed = true;
                 shards[shard].verdict = verdict;
                 obs::emit_detail(
@@ -576,8 +602,9 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
         }
     }
 
-    // Last, arm the control region (contexts + global state).
-    if used + arm_cost <= window && lands() {
+    // Last, arm a shared domain's control region (contexts + global
+    // state); a private domain's contexts sit in its one region.
+    if !private && used + arm_cost <= window && lands() {
         let arm_window = window.saturating_sub(used + arm_cost);
         match machine.nvram_mut().save_range_within(
             0..DOMAIN_CONTROL_MODULES,
@@ -609,7 +636,35 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
     for core in machine.cores_mut().iter_mut() {
         core.halted = true;
     }
-    Ok(finish(used, shards, triage, armed, retries, backoff, domain))
+    Ok(finish(used, shards, triage, armed, retries, backoff))
+}
+
+/// One node's save: [`domain_save`] of `heap` over the machine's
+/// private domain (its own PSU at its draw under `load`), so the window
+/// is `machine.residual_window(load)` and the shard's region is the
+/// whole pool under the markers `restore` reads. The node's verdict is
+/// `report.shards[0]` (or [`DomainVerdict::GlitchIgnored`]).
+///
+/// # Errors
+///
+/// As [`domain_save`].
+pub fn node_save(
+    machine: &mut Machine,
+    heap: &mut PersistentHeap,
+    load: SystemLoad,
+    trace: &[PwrOkSample],
+    budget: DomainBudget,
+) -> Result<DomainSaveReport, WspError> {
+    let mut domain = PowerDomain::private(machine.psu().clone(), machine.power_draw(load));
+    domain_save(DomainInput {
+        machine,
+        domain: &mut domain,
+        heaps: std::slice::from_mut(heap),
+        staleness: &[Nanos::ZERO],
+        load,
+        trace,
+        budget,
+    })
 }
 
 #[cfg(test)]
@@ -619,12 +674,72 @@ mod tests {
     use wsp_power::{Psu, Ultracapacitor};
     use wsp_units::{ByteSize, Farads, Volts, Watts};
 
-    use crate::supervisor::clean_failure_trace;
+    use crate::supervisor::{clean_failure_trace, priority_stage_window, PARTIAL_STAGE_SLACK};
+    use crate::{restore, RestartStrategy};
 
     fn storm_domain(shards: usize) -> PowerDomain {
         let reserve =
             Ultracapacitor::new(Farads::new(0.5), Volts::new(12.0), Volts::new(6.0));
         PowerDomain::new(Psu::atx_750w(), reserve, Watts::new(300.0), shards)
+    }
+
+    fn loaded_machine() -> Machine {
+        let mut machine = Machine::intel_testbed();
+        machine.apply_load(SystemLoad::Busy, 9);
+        machine
+    }
+
+    fn private_domain(machine: &Machine) -> PowerDomain {
+        PowerDomain::private(machine.psu().clone(), machine.power_draw(SystemLoad::Busy))
+    }
+
+    fn marker(machine: &Machine, addr: u64) -> u64 {
+        let mut buf = [0u8; 8];
+        machine.nvram().read(addr, &mut buf);
+        u64::from_le_bytes(buf)
+    }
+
+    /// A busy-load [`node_save`] of `heap` (fresh clean trace), capped
+    /// at `window_cap`.
+    fn private_save(
+        machine: &mut Machine,
+        heap: &mut PersistentHeap,
+        window_cap: Option<Nanos>,
+    ) -> DomainSaveReport {
+        let budget = DomainBudget {
+            window_cap,
+            ..DomainBudget::trusting()
+        };
+        node_save(machine, heap, SystemLoad::Busy, &clean_failure_trace(), budget)
+            .expect("verdict, not error")
+    }
+
+    fn heap_with_root(value: u64) -> PersistentHeap {
+        let mut heap = PersistentHeap::create(ByteSize::kib(256), HeapConfig::FofUndo);
+        let mut tx = heap.begin();
+        let p = tx.alloc(16).unwrap();
+        tx.write_word(p, value).unwrap();
+        tx.set_root(p).unwrap();
+        tx.commit().unwrap();
+        heap
+    }
+
+    /// A heap with committed words on eight lines and a transaction
+    /// left open over a fresh allocation: stage A has lines to flush.
+    fn dirty_heap(config: HeapConfig) -> PersistentHeap {
+        let mut heap = PersistentHeap::create(ByteSize::kib(256), config);
+        let mut tx = heap.begin();
+        let root = tx.alloc(8 * 64).unwrap();
+        for k in 0..8 {
+            tx.write_word(root.byte_offset(64 * k), 0x5A00 + k).unwrap();
+        }
+        tx.set_root(root).unwrap();
+        tx.commit().unwrap();
+        let mut tx = heap.begin();
+        let open = tx.alloc(16).unwrap();
+        tx.write_word(open, 0xDEAD).unwrap();
+        std::mem::forget(tx); // power fails with the transaction open
+        heap
     }
 
     fn shard_fleet(n: usize) -> Vec<PersistentHeap> {
@@ -690,9 +805,10 @@ mod tests {
             report.triage.sort_by_key(|t| t.shard);
             report
         };
-        let mut machine = Machine::intel_testbed();
-        machine.apply_load(SystemLoad::Busy, 9);
-        let cap = fixed_need(&machine) + probe.triage[1].full_need + probe.triage[2].partial_need;
+        let machine = loaded_machine();
+        let cap = fixed_need(&machine, &storm_domain(3))
+            + probe.triage[1].full_need
+            + probe.triage[2].partial_need;
         let (report, _) = save_with(
             DomainBudget {
                 window_cap: Some(cap),
@@ -741,55 +857,151 @@ mod tests {
         assert_eq!(report.triage[0].pins, 1);
     }
 
-    /// One 3-shard save under `budget` with its cut (if any) armed on
-    /// every heap too; then power fails and the machine comes back.
-    /// Returns the report and, per shard, the markers its region's flash
-    /// image restores (`None` without an image).
+    /// One save of `heaps` over a copy of `domain` under `budget`, with
+    /// its cut (if any) armed on every heap too; then power fails and
+    /// the machine comes back. Returns the report and, per shard, the
+    /// markers its region's flash image restores (`None` without an
+    /// image).
     fn save_then_restore(
         heaps: &[PersistentHeap],
+        domain: &PowerDomain,
         budget: DomainBudget,
     ) -> (DomainSaveReport, Vec<Option<(u64, u64)>>) {
-        let mut machine = Machine::intel_testbed();
-        machine.apply_load(SystemLoad::Busy, 9);
-        let mut domain = storm_domain(3);
+        let mut machine = loaded_machine();
         let mut heaps = heaps.to_vec();
         if let Some(cut) = &budget.cut {
             heaps.iter_mut().for_each(|h| h.arm(cut));
         }
+        let staleness = [Nanos::ZERO, Nanos::from_millis(9), Nanos::from_millis(5)];
+        let staleness = &staleness[..heaps.len()];
         let report = domain_save(DomainInput {
             machine: &mut machine,
-            domain: &mut domain,
+            domain: &mut domain.clone(),
             heaps: &mut heaps,
-            staleness: &[Nanos::ZERO, Nanos::from_millis(9), Nanos::from_millis(5)],
+            staleness,
             load: SystemLoad::Busy,
             trace: &clean_failure_trace(),
             budget,
         })
         .expect("verdict, not error");
-        let regions = RegionMap::partition(machine.nvram(), 3, DOMAIN_CONTROL_MODULES);
+        let control = if domain.is_private() {
+            0
+        } else {
+            DOMAIN_CONTROL_MODULES
+        };
+        let regions = RegionMap::partition(machine.nvram(), heaps.len(), control);
         machine.system_power_loss();
         machine.system_power_on();
-        let markers = (0..3)
-            .map(|shard| {
-                let region = regions.region(shard);
+        let markers = regions
+            .regions()
+            .iter()
+            .map(|region| {
                 let dimms = &mut machine.nvram_mut().dimms_mut()[region.modules.clone()];
                 dimms.iter_mut().all(|d| d.restore().is_ok()).then(|| {
-                    let word = |addr| {
-                        let mut buf = [0u8; 8];
-                        machine.nvram().read(addr, &mut buf);
-                        u64::from_le_bytes(buf)
-                    };
-                    (word(region.marker_addr()), word(region.partial_marker_addr()))
+                    (
+                        marker(&machine, region.marker_addr()),
+                        marker(&machine, region.partial_marker_addr()),
+                    )
                 })
             })
             .collect();
         (report, markers)
     }
 
+    /// Crashes a save of `heaps` over `domain` capped at `window_cap`
+    /// before each of its durable events and after the last: every
+    /// shard seals exactly when its arm lands, with the uncut verdict
+    /// and marker; every other shard is a typed sacrifice with no marker
+    /// in flash.
+    fn crash_every_event(
+        heaps: &[PersistentHeap],
+        domain: &PowerDomain,
+        window_cap: Option<Nanos>,
+    ) {
+        let budget = |cut| DomainBudget { window_cap, cut };
+        let (uncut, _) = save_then_restore(heaps, domain, budget(None));
+        // Where each arm lands: ranks run in order, each flushing stage A
+        // (its heap's own events) and then arming its region (one
+        // event); a shared domain's control arm comes last.
+        let mut arm_of = vec![None; heaps.len()];
+        let mut next = 0u64;
+        for t in &uncut.triage {
+            if t.planned != ShardVerdict::Sacrificed {
+                next += heaps[t.shard].durable_events(PersistentHeap::priority_flush);
+                if uncut.shards[t.shard].sealed {
+                    arm_of[t.shard] = Some(next);
+                    next += 1;
+                }
+            }
+        }
+        // The uncut save is durable, and the cuts below test a seal:
+        // two shards (one for a private domain) land their arms.
+        assert!(uncut.armed, "cap {window_cap:?}: the uncut save arms");
+        assert!(
+            arm_of.iter().flatten().count() >= heaps.len().min(2),
+            "cap {window_cap:?}: too few shards seal uncut: {arm_of:?}"
+        );
+        let control = u64::from(!domain.is_private());
+        let probe = PowerCut::never();
+        let _ = save_then_restore(heaps, domain, budget(Some(Arc::clone(&probe))));
+        let events = probe.events();
+        assert_eq!(
+            events,
+            next + control,
+            "cap {window_cap:?}: the control arm is last"
+        );
+        assert!(
+            next > 1,
+            "cap {window_cap:?}: stage A flushes lines before an arm"
+        );
+        for n in 0..=events {
+            let at = format!("cap {window_cap:?} cut {n}/{events}");
+            let (report, markers) =
+                save_then_restore(heaps, domain, budget(Some(PowerCut::after(n))));
+            let armed = if domain.is_private() {
+                arm_of[0].is_some_and(|arm| n > arm)
+            } else {
+                n > next
+            };
+            assert_eq!(report.armed, armed, "{at}");
+            for s in &report.shards {
+                let landed = arm_of[s.shard].is_some_and(|arm| n > arm);
+                assert_eq!(
+                    s.sealed, landed,
+                    "{at}: shard {} seals with its arm",
+                    s.shard
+                );
+                if s.sealed {
+                    assert_eq!(s.verdict, uncut.shards[s.shard].verdict, "{at}");
+                    let want = if s.verdict == ShardVerdict::Complete {
+                        (layout::VALID_MAGIC, 0)
+                    } else {
+                        (0, layout::PARTIAL_MAGIC)
+                    };
+                    assert_eq!(markers[s.shard], Some(want), "{at}: shard {}", s.shard);
+                } else {
+                    assert_eq!(s.verdict, ShardVerdict::Sacrificed, "{at}");
+                    assert!(
+                        matches!(s.refusal, Some(WspError::WindowExhausted { .. })),
+                        "{at}: sacrifice of shard {} must be typed",
+                        s.shard
+                    );
+                    assert_eq!(
+                        markers[s.shard], None,
+                        "{at}: no marker of shard {} reaches flash before its arm",
+                        s.shard
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn every_event_of_a_domain_save_is_a_crash_point() {
-        // A transaction left open on each shard gives stage A lines to
-        // flush.
+        // Shared: a transaction left open on each of three shards gives
+        // stage A lines to flush. Trusting, and capped to one full save
+        // plus one priority stage: the third shard is sacrificed by the
+        // plan.
         let mut heaps = shard_fleet(3);
         for heap in &mut heaps {
             let mut tx = heap.begin();
@@ -797,67 +1009,144 @@ mod tests {
             tx.write_word(p, 0xDEAD).expect("writable");
             std::mem::forget(tx);
         }
-        let machine = Machine::intel_testbed();
-        let share = {
-            let mut loaded = machine.clone();
-            loaded.apply_load(SystemLoad::Busy, 9);
-            crate::supervisor::bulk_flush(&loaded, SystemLoad::Busy, 3)
-        };
+        let machine = loaded_machine();
+        let shared = storm_domain(3);
+        let share = crate::supervisor::bulk_flush(&machine, SystemLoad::Busy, 3);
         let (full, partial) = shard_needs(&machine, &heaps[0], share);
-        // Trusting, and capped to one full save plus one priority stage:
-        // the third shard is sacrificed by the plan.
-        for window_cap in [None, Some(fixed_need(&machine) + full + partial)] {
-            let budget = |cut| DomainBudget { window_cap, cut };
-            let (uncut, _) = save_then_restore(&heaps, budget(None));
-            // Where each arm lands: ranks run in order, each flushing
-            // stage A (its heap's own events) and then arming its region
-            // (one event); the control arm comes last.
-            let mut arm_of = [None; 3];
-            let mut next = 0u64;
-            for t in &uncut.triage {
-                if t.planned != ShardVerdict::Sacrificed {
-                    next += heaps[t.shard].durable_events(PersistentHeap::priority_flush);
-                    if uncut.shards[t.shard].sealed {
-                        arm_of[t.shard] = Some(next);
-                        next += 1;
-                    }
-                }
-            }
-            let probe = PowerCut::never();
-            let _ = save_then_restore(&heaps, budget(Some(Arc::clone(&probe))));
-            assert_eq!(probe.events(), next + 1, "cap {window_cap:?}: the control arm is last");
-            assert!(arm_of.iter().flatten().count() >= 2, "cap {window_cap:?}: {uncut:?}");
-            for n in 0..=probe.events() {
-                let at = format!("cap {window_cap:?} cut {n}/{}", probe.events());
-                let (report, markers) = save_then_restore(&heaps, budget(Some(PowerCut::after(n))));
-                assert_eq!(report.armed, n > next, "{at}");
-                for s in &report.shards {
-                    let landed = arm_of[s.shard].is_some_and(|arm| n > arm);
-                    assert_eq!(s.sealed, landed, "{at}: shard {} seals with its arm", s.shard);
-                    if s.sealed {
-                        assert_eq!(s.verdict, uncut.shards[s.shard].verdict, "{at}");
-                        let want = if s.verdict == ShardVerdict::Complete {
-                            (layout::VALID_MAGIC, 0)
-                        } else {
-                            (0, layout::PARTIAL_MAGIC)
-                        };
-                        assert_eq!(markers[s.shard], Some(want), "{at}: shard {}", s.shard);
-                    } else {
-                        assert_eq!(s.verdict, ShardVerdict::Sacrificed, "{at}");
-                        assert!(
-                            matches!(s.refusal, Some(WspError::WindowExhausted { .. })),
-                            "{at}: sacrifice of shard {} must be typed",
-                            s.shard
-                        );
-                        assert_eq!(
-                            markers[s.shard], None,
-                            "{at}: no marker of shard {} reaches flash before its arm",
-                            s.shard
-                        );
-                    }
-                }
+        for window_cap in [None, Some(fixed_need(&machine, &shared) + full + partial)] {
+            crash_every_event(&heaps, &shared, window_cap);
+        }
+        // Private: one node's FoF + UL or FoC + UL heap, trusting (a
+        // complete save) and capped to its priority stage (a partial one).
+        let private = private_domain(&machine);
+        for config in [HeapConfig::FofUndo, HeapConfig::FocUndo] {
+            let heap = dirty_heap(config);
+            for window_cap in [None, Some(priority_stage_window(&machine, &heap))] {
+                crash_every_event(std::slice::from_ref(&heap), &private, window_cap);
             }
         }
+    }
+
+    #[test]
+    fn private_domain_saves_the_whole_pool_under_the_restore_markers() {
+        let mut machine = loaded_machine();
+        let mut heap = heap_with_root(7);
+        let report = private_save(&mut machine, &mut heap, None);
+        // The machine's own window, bit for bit, and no control arm.
+        assert_eq!(report.window, machine.residual_window(SystemLoad::Busy));
+        assert_eq!(report.shards[0].verdict, ShardVerdict::Complete);
+        assert!(report.armed && report.shards[0].sealed);
+        assert!(report.shards[0].stage_b > Nanos::ZERO);
+        assert!(report.used <= report.window, "{report:?}");
+        // The one region is every module from pool address 0, so the
+        // region markers are the words `restore` reads.
+        let region = RegionMap::partition(machine.nvram(), 1, 0)
+            .region(0)
+            .clone();
+        assert_eq!(region.modules, 0..machine.nvram().dimms().len());
+        assert_eq!(region.marker_addr(), layout::VALID_MARKER_ADDR);
+        assert_eq!(region.partial_marker_addr(), layout::PARTIAL_MARKER_ADDR);
+        assert!(machine.nvram().all_saved());
+        assert!(machine.cores().iter().all(|c| c.halted));
+        machine.system_power_loss();
+        machine.system_power_on();
+        restore(&mut machine, RestartStrategy::RestorePathReinit)
+            .expect("a complete image resumes");
+        // A one-shard *shared* domain keeps its control prefix and pays
+        // its control arm: the layout follows the domain, not the count.
+        let mut shared_machine = loaded_machine();
+        let shared = domain_save(DomainInput {
+            machine: &mut shared_machine,
+            domain: &mut storm_domain(1),
+            heaps: &mut [heap_with_root(7)],
+            staleness: &[Nanos::ZERO],
+            load: SystemLoad::Busy,
+            trace: &clean_failure_trace(),
+            budget: DomainBudget::trusting(),
+        })
+        .expect("verdict, not error");
+        assert_eq!(shared.shards[0].verdict, ShardVerdict::Complete);
+        assert_eq!(
+            shared.used,
+            report.used + shared_machine.monitor().i2c_command_latency,
+            "exactly one control arm more"
+        );
+    }
+
+    #[test]
+    fn priority_stage_window_is_the_partial_boundary() {
+        // Without the slack, the priority-stage window is exactly what a
+        // partial save costs: every term of the shared plan counts, so
+        // one nanosecond less must refuse, leaving no marker anywhere.
+        let save_at = |shortfall: Nanos| {
+            let mut machine = loaded_machine();
+            let mut heap = heap_with_root(7);
+            let exact = priority_stage_window(&machine, &heap) - PARTIAL_STAGE_SLACK;
+            let report = private_save(&mut machine, &mut heap, Some(exact - shortfall));
+            machine.system_power_loss();
+            machine.system_power_on();
+            (
+                report,
+                restore(&mut machine, RestartStrategy::RestorePathReinit),
+            )
+        };
+        let (report, restored) = save_at(Nanos::ZERO);
+        assert_eq!(report.shards[0].verdict, ShardVerdict::PartialPriority);
+        assert!(report.armed);
+        assert_eq!(report.shards[0].stage_b, Nanos::ZERO);
+        assert!(
+            matches!(restored, Err(WspError::PartialImage)),
+            "{restored:?}"
+        );
+        let (short, restored) = save_at(Nanos::new(1));
+        assert_eq!(short.shards[0].verdict, ShardVerdict::Sacrificed);
+        assert!(
+            matches!(
+                short.shards[0].refusal,
+                Some(WspError::WindowExhausted { .. })
+            ),
+            "{short:?}"
+        );
+        assert!(!short.armed);
+        assert!(
+            matches!(restored, Err(WspError::BackendRecoveryRequired { .. })),
+            "no marker reaches flash: {restored:?}"
+        );
+    }
+
+    #[test]
+    fn drained_cell_is_refused_before_any_flash_wear() {
+        let mut machine = loaded_machine();
+        let cap = machine.nvram_mut().dimms_mut()[0].ultracap_mut();
+        let _ = cap.discharge(Watts::new(1e6), Nanos::from_secs(3600));
+        let wear_before = machine.nvram().dimms()[0].flash().health().pe_cycles;
+        let report = private_save(&mut machine, &mut heap_with_root(7), None);
+        assert!(
+            matches!(&report.shards[0].refusal,
+                Some(WspError::BackendRecoveryRequired { reason }) if reason.contains("infeasible")),
+            "{report:?}"
+        );
+        assert!(!report.armed);
+        assert_eq!(
+            machine.nvram().dimms()[0].flash().health().pe_cycles,
+            wear_before,
+            "a refused save must not burn a program/erase cycle"
+        );
+    }
+
+    #[test]
+    fn partial_save_round_trips_through_log_replay() {
+        let mut machine = loaded_machine();
+        let mut heap = heap_with_root(4242);
+        let window_cap = priority_stage_window(&machine, &heap);
+        let report = private_save(&mut machine, &mut heap, Some(window_cap));
+        assert_eq!(report.shards[0].verdict, ShardVerdict::PartialPriority);
+        // No bulk flush ran, so the crash keeps only stage-A durability.
+        let mut recovered = PersistentHeap::recover_partial(heap.crash(false)).unwrap();
+        let root = recovered.root().expect("committed root survives stage A");
+        let mut tx = recovered.begin();
+        assert_eq!(tx.read_word(root).unwrap(), 4242);
+        tx.commit().unwrap();
     }
 
     #[test]

@@ -27,6 +27,13 @@
 //! at all — recovers exactly the words written so far. The 2PC property
 //! tests drive the same scenario through [`cross_shard_scenario`].
 //!
+//! The recovery-ladder sweep ([`sweep_recovery_ladder`]) injects each
+//! [`LadderFault`] into one node's staged save — [`node_save`], i.e.
+//! [`crate::domain_save`] over the node's private
+//! [`PowerDomain`](wsp_power::PowerDomain), the executor the power storm
+//! runs over a shared one — and checks that the save's verdict predicts
+//! the rung the ladder climbs to.
+//!
 //! # Examples
 //!
 //! ```
@@ -57,14 +64,12 @@ use wsp_pheap::{BackendStore, CrashImage, HeapConfig, PersistentHeap, PowerCut};
 use wsp_power::{AgingModel, Ultracapacitor};
 use wsp_units::{ByteSize, Farads, Nanos, Volts, Watts};
 
+use crate::domain::{node_save, DomainBudget, DomainVerdict, ShardVerdict};
 use crate::ladder::{run_recovery_ladder, LadderInput, LadderRung, RecoveryOutcome};
 use crate::model::{committed_fleet, CellModel};
 use crate::restore::restore;
 use crate::save::{flush_on_fail_save_with_fault, SaveReport};
-use crate::supervisor::{
-    clean_failure_trace, glitch_storm_trace, priority_stage_window, supervised_save, SaveBudget,
-    SaveVerdict,
-};
+use crate::supervisor::{clean_failure_trace, glitch_storm_trace, priority_stage_window};
 use crate::sweep;
 use crate::txn::{
     coordinator_of, recover_routing, resolve_cross_shard, CoordinatorPool, GtxidOrigin,
@@ -942,7 +947,7 @@ pub fn cross_shard_scenario(
     Scenario { label, config, runs, drive: Box::new(drive), known: true }
 }
 
-/// A fault class injected into the supervised save → recovery-ladder
+/// A fault class injected into the single-node save → recovery-ladder
 /// pipeline. Unlike a [`SaveCrashPoint`] (a single crash instant on the
 /// plain save path), each of these exercises a whole degraded-mode scenario:
 /// how the save supervisor budgets it and which ladder rung the node
@@ -1013,8 +1018,9 @@ pub enum LadderFault {
 pub struct LadderPointOutcome {
     /// The injected fault class.
     pub fault: LadderFault,
-    /// The supervisor's save verdict under the fault.
-    pub verdict: SaveVerdict,
+    /// The node's save verdict under the fault — `None` only for glitch
+    /// storms, where the debounce filter swallowed the trace.
+    pub verdict: Option<ShardVerdict>,
     /// The ladder's terminal verdict — `None` only for glitch storms,
     /// where no outage happened and no recovery ran.
     pub outcome: Option<RecoveryOutcome>,
@@ -1024,7 +1030,7 @@ pub struct LadderPointOutcome {
     pub rungs_tried: usize,
 }
 
-/// The full supervised-save → recovery-ladder sweep.
+/// The full single-node save → recovery-ladder sweep.
 #[derive(Debug, Clone)]
 pub struct LadderSweepReport {
     /// One outcome per fault class, in [`ladder_crash_points`] order.
@@ -1081,13 +1087,14 @@ pub fn ladder_crash_points(modules: usize) -> Vec<LadderFault> {
 /// Runs the recovery-ladder sweep: for every fault class from
 /// [`ladder_crash_points`], build a fresh machine and heap (committed
 /// state plus an in-flight transaction and a deliberately stale back-end
-/// checkpoint), run the supervised save under the fault, cut power,
-/// climb the ladder, and assert the degraded-mode contract.
+/// checkpoint), run the node's save ([`node_save`], over its private
+/// power domain) under the fault, cut power, climb the ladder, and
+/// assert the degraded-mode contract.
 ///
 /// The contract, checked at every point:
 ///
-/// * the supervisor's verdict *predicts* the terminal rung (complete →
-///   full resume, partial → log replay, failed/torn → cluster rebuild);
+/// * the save's verdict *predicts* the terminal rung (complete → full
+///   resume, partial → log replay, sacrificed/torn → cluster rebuild);
 /// * `Recovered` outcomes hold every committed transaction, `Degraded`
 ///   outcomes hold exactly the checkpoint and *quantify* the loss;
 /// * glitch storms touch nothing;
@@ -1240,33 +1247,30 @@ fn run_ladder_point(
         _ => clean_failure_trace(),
     };
     let partial_window = priority_stage_window(&machine, &heap);
-    let budget = match fault {
+    let (window_cap, cut) = match fault {
         LadderFault::WindowShortfall { fatal: false }
         | LadderFault::CrashDuringRestore {
             rung: LadderRung::LocalWsp | LadderRung::HeapLogReplay,
-        } => SaveBudget {
-            window_cap: Some(partial_window),
-            ..SaveBudget::trusting()
-        },
+        } => (Some(partial_window), None),
         LadderFault::WindowShortfall { fatal: true }
         | LadderFault::CrashDuringRestore {
             rung: LadderRung::ClusterRebuild,
-        } => SaveBudget {
-            window_cap: Some(Nanos::from_micros(150)),
-            ..SaveBudget::trusting()
-        },
+        } => (Some(Nanos::from_micros(150)), None),
         // The heap stays unarmed: stage A lands, the arm is refused.
-        LadderFault::BrownOutMidSave => SaveBudget {
-            cut: Some(PowerCut::after(0)),
-            ..SaveBudget::trusting()
-        },
-        _ => SaveBudget::trusting(),
+        LadderFault::BrownOutMidSave => (None, Some(PowerCut::after(0))),
+        _ => (None, None),
     };
 
-    let report = supervised_save(&mut machine, &mut heap, load, &trace, budget)
-        .expect("every injected fault class yields a verdict, not an error");
+    let report = node_save(
+        &mut machine,
+        &mut heap,
+        load,
+        &trace,
+        DomainBudget { window_cap, cut },
+    )
+    .expect("every injected fault class yields a verdict, not an error");
 
-    if let SaveVerdict::GlitchIgnored { .. } = report.verdict {
+    if let DomainVerdict::GlitchIgnored { .. } = report.verdict {
         assert!(!report.armed, "{fault:?}: glitches must not arm the modules");
         assert!(
             !machine.nvram().all_saved(),
@@ -1278,7 +1282,7 @@ fn run_ladder_point(
         );
         return LadderPointOutcome {
             fault,
-            verdict: report.verdict,
+            verdict: None,
             outcome: None,
             power_cycles: 0,
             rungs_tried: 0,
@@ -1288,10 +1292,11 @@ fn run_ladder_point(
     // Post-save sabotage: tear a completed flash image behind the
     // supervisor's back — the valid flag stays high, only the checksum
     // knows.
+    let verdict = report.shards[0].verdict;
     if let LadderFault::TornSave { module } = fault {
         assert_eq!(
-            report.verdict,
-            SaveVerdict::Complete,
+            verdict,
+            ShardVerdict::Complete,
             "torn-save points ride a completed save"
         );
         // Tearing anywhere inside the first page drops every stored
@@ -1303,7 +1308,7 @@ fn run_ladder_point(
 
     let image = report
         .armed
-        .then(|| heap.crash(report.verdict == SaveVerdict::Complete));
+        .then(|| heap.crash(verdict == ShardVerdict::Complete));
 
     machine.system_power_loss();
     machine.system_power_on();
@@ -1323,12 +1328,10 @@ fn run_ladder_point(
     });
 
     // The degraded-mode contract: the save verdict predicts the rung.
-    let expect = match (fault, &report.verdict) {
-        (LadderFault::TornSave { .. }, _) => LadderExpect::Rebuild,
-        (_, SaveVerdict::Complete) => LadderExpect::LocalResume,
-        (_, SaveVerdict::PartialPriority) => LadderExpect::LogReplay,
-        (_, SaveVerdict::Failed { .. }) => LadderExpect::Rebuild,
-        (_, SaveVerdict::GlitchIgnored { .. }) => unreachable!("returned above"),
+    let expect = match (fault, verdict) {
+        (LadderFault::TornSave { .. }, _) | (_, ShardVerdict::Sacrificed) => LadderExpect::Rebuild,
+        (_, ShardVerdict::Complete) => LadderExpect::LocalResume,
+        (_, ShardVerdict::PartialPriority) => LadderExpect::LogReplay,
     };
     match &ladder.outcome {
         RecoveryOutcome::Recovered {
@@ -1386,7 +1389,7 @@ fn run_ladder_point(
 
     LadderPointOutcome {
         fault,
-        verdict: report.verdict,
+        verdict: Some(verdict),
         outcome: Some(ladder.outcome),
         power_cycles: ladder.power_cycles,
         rungs_tried: ladder.attempts.len(),

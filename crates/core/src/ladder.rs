@@ -1,11 +1,12 @@
 //! The whole-node recovery ladder: every way a post-outage node can come
 //! back, ordered from best to worst, with typed refusals at every rung.
 //!
-//! The supervisor ([`crate::supervised_save`]) may leave the node in any
-//! of three durable states: a complete image, a priority-stage-only
-//! partial image, or nothing. The ladder is the restore-side dual — it
-//! tries the best rung the image supports and *degrades gracefully*
-//! through the rest:
+//! The save ([`crate::domain_save`], over the node's private
+//! [`PowerDomain`](wsp_power::PowerDomain) or a shared one) may leave
+//! the node in any of three durable states: a complete image, a
+//! priority-stage-only partial image, or nothing. The ladder is the
+//! restore-side dual — it tries the best rung the image supports and
+//! *degrades gracefully* through the rest:
 //!
 //! 1. **Full WSP resume** ([`LadderRung::LocalWsp`]): the valid marker
 //!    checks out, contexts and memory come back, the heap recovers from
@@ -358,9 +359,8 @@ pub fn run_recovery_ladder(input: LadderInput<'_>) -> (LadderReport, Option<Pers
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::supervisor::{
-        clean_failure_trace, priority_stage_window, supervised_save, SaveBudget, SaveVerdict,
-    };
+    use crate::domain::{node_save, DomainBudget, ShardVerdict};
+    use crate::supervisor::{clean_failure_trace, priority_stage_window};
     use wsp_machine::SystemLoad;
     use wsp_pheap::HeapConfig;
     use wsp_units::ByteSize;
@@ -399,11 +399,18 @@ mod tests {
         }
     }
 
-    fn partial_budget(machine: &Machine, heap: &PersistentHeap) -> SaveBudget {
-        SaveBudget {
+    fn partial_budget(machine: &Machine, heap: &PersistentHeap) -> DomainBudget {
+        DomainBudget {
             window_cap: Some(priority_stage_window(machine, heap)),
-            ..SaveBudget::trusting()
+            ..DomainBudget::trusting()
         }
+    }
+
+    /// The node's save over its private domain; returns its verdict.
+    fn save(r: &mut Rig, heap: &mut PersistentHeap, budget: DomainBudget) -> ShardVerdict {
+        let trace = clean_failure_trace();
+        let report = node_save(&mut r.machine, heap, SystemLoad::Busy, &trace, budget).unwrap();
+        report.shards[0].verdict
     }
 
     #[test]
@@ -411,15 +418,10 @@ mod tests {
         let mut r = rig();
         let mut heap = heap_with_root(11);
         r.backend.checkpoint(&heap);
-        let report = supervised_save(
-            &mut r.machine,
-            &mut heap,
-            SystemLoad::Busy,
-            &clean_failure_trace(),
-            SaveBudget::trusting(),
-        )
-        .unwrap();
-        assert_eq!(report.verdict, SaveVerdict::Complete);
+        assert_eq!(
+            save(&mut r, &mut heap, DomainBudget::trusting()),
+            ShardVerdict::Complete
+        );
         r.machine.system_power_loss();
         r.machine.system_power_on();
         let (report, heap) = run_recovery_ladder(LadderInput {
@@ -450,15 +452,10 @@ mod tests {
         let mut heap = heap_with_root(22);
         r.backend.checkpoint(&heap);
         let budget = partial_budget(&r.machine, &heap);
-        let report = supervised_save(
-            &mut r.machine,
-            &mut heap,
-            SystemLoad::Busy,
-            &clean_failure_trace(),
-            budget,
-        )
-        .unwrap();
-        assert_eq!(report.verdict, SaveVerdict::PartialPriority);
+        assert_eq!(
+            save(&mut r, &mut heap, budget),
+            ShardVerdict::PartialPriority
+        );
         r.machine.system_power_loss();
         r.machine.system_power_on();
         let (report, heap) = run_recovery_ladder(LadderInput {
@@ -551,15 +548,10 @@ mod tests {
             let mut heap = heap_with_root(55);
             r.backend.checkpoint(&heap);
             let budget = partial_budget(&r.machine, &heap);
-            let report = supervised_save(
-                &mut r.machine,
-                &mut heap,
-                SystemLoad::Busy,
-                &clean_failure_trace(),
-                budget,
-            )
-            .unwrap();
-            assert_eq!(report.verdict, SaveVerdict::PartialPriority);
+            assert_eq!(
+                save(&mut r, &mut heap, budget),
+                ShardVerdict::PartialPriority
+            );
             r.machine.system_power_loss();
             r.machine.system_power_on();
             let (report, heap) = run_recovery_ladder(LadderInput {

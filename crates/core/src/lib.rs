@@ -67,7 +67,7 @@ mod txn;
 mod vm;
 
 pub use domain::{
-    domain_save, DomainBudget, DomainInput, DomainSaveReport,
+    domain_save, node_save, DomainBudget, DomainInput, DomainSaveReport,
     DomainVerdict, ShardSaveReport, ShardTriage, ShardVerdict, DOMAIN_CONTROL_MODULES,
 };
 pub use error::WspError;
@@ -95,8 +95,8 @@ pub use storm::{
     StormStats, STORM_BOUNDARIES,
 };
 pub use supervisor::{
-    clean_failure_trace, glitch_storm_trace, priority_stage_window, supervised_save,
-    SaveBudget, SaveVerdict, StagedSaveReport, PARTIAL_STAGE_SLACK, SAVE_ATTEMPTS,
+    clean_failure_trace, glitch_storm_trace, priority_stage_window, PARTIAL_STAGE_SLACK,
+    SAVE_ATTEMPTS,
 };
 pub use system::{OutageReport, WspSystem};
 pub use tradeoff::{CapacitanceTradeoff, TradeoffPoint};

@@ -84,8 +84,8 @@ impl SaveReport {
 
 /// Writes the core count and every core's register context to the
 /// NVDIMM pool (Figure 4's context-save step) and returns the core
-/// count. The Figure-4 save, the supervised save and the domain save
-/// all stage their contexts through here.
+/// count. The Figure-4 save and the domain save (private or shared)
+/// both stage their contexts through here.
 pub(crate) fn save_contexts(machine: &mut Machine) -> u64 {
     let contexts: Vec<(u32, CpuContext)> =
         machine.cores().iter().map(|c| (c.id, c.context)).collect();

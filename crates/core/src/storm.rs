@@ -385,7 +385,7 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
                     max_full = max_full.max(full);
                     max_partial = max_partial.max(partial);
                 }
-                let fixed = fixed_need(&machine);
+                let fixed = fixed_need(&machine, &domain);
                 if mode == 1 {
                     Some(fixed + max_full + max_partial)
                 } else {

@@ -50,18 +50,8 @@ metric_ids! {
         SavesCompleted => "save.completed",
         /// Plain saves truncated by an injected fault or the window.
         SavesInterrupted => "save.interrupted",
-        /// Supervised saves ending `Complete`.
-        SupervisedComplete => "supervisor.complete",
-        /// Supervised saves ending `PartialPriority`.
-        SupervisedPartial => "supervisor.partial",
-        /// Supervised saves ending `Failed`.
-        SupervisedFailed => "supervisor.failed",
         /// Glitch storms the debounce filter absorbed.
         GlitchesIgnored => "supervisor.glitches_ignored",
-        /// Valid markers written.
-        ValidMarkers => "supervisor.valid_markers",
-        /// Partial markers written.
-        PartialMarkers => "supervisor.partial_markers",
         /// NVDIMM save-command retries absorbed by backoff.
         NvdimmSaveRetries => "nvram.save_retries",
         /// NVDIMM save commands that exhausted their retry budget.
@@ -187,12 +177,6 @@ metric_ids! {
         SaveStep => "save.step_time",
         /// Total save-path times.
         SaveTotal => "save.total",
-        /// Supervised-save wall clock (`used`).
-        SupervisorUsed => "supervisor.used",
-        /// Stage-A (priority flush) times.
-        StageA => "supervisor.stage_a",
-        /// Stage-B (bulk flush) times.
-        StageB => "supervisor.stage_b",
         /// Restore-path totals.
         RestoreTotal => "restore.total",
         /// Terminal recovery times reported by the ladder.
@@ -217,8 +201,8 @@ metric_ids! {
         /// Time a decided gtxid waited in the coordinator's buffer
         /// before its group record was sealed (simulated clock).
         TxnDecisionStall => "txn.decision_stall_time",
-        /// Wall clock consumed by domain-supervised (multi-shard
-        /// triage) saves.
+        /// Wall clock consumed by staged saves (`domain_save`, over a
+        /// private or a shared domain).
         DomainUsed => "domain.used",
         /// Per-operation simulated time of lock-free structure ops.
         LockfreeOp => "lockfree.op_time",

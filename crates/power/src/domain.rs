@@ -1,15 +1,15 @@
-//! The shared NVDIMM power domain: one PSU plus one ultracapacitor
-//! reserve backing *every* shard's flush window.
+//! The NVDIMM power domain: one PSU, plus an optional ultracapacitor
+//! reserve, backing *every* shard's flush window.
 //!
 //! The paper treats each machine's residual-energy window as private and
-//! sufficient; real NVDIMM deployments share a power domain, so a
-//! brown-out is a fight over one pool of joules. [`PowerDomain`] models
-//! that pool and the vNV-Heap-style per-shard reservation accounting the
-//! domain supervisor uses to carve the **global** residual window into
-//! staged flush budgets. Between outages the reserve recharges with a
-//! harvesting-style partial top-up (`replenish`), the regime of the
-//! energy-harvesting literature: dozens of micro-outages in sequence,
-//! none of which leaves time for a full recharge.
+//! sufficient: [`PowerDomain::private`] is that case, one machine's own
+//! PSU and one consumer. Real NVDIMM deployments share a power domain
+//! ([`PowerDomain::new`]), so a brown-out is a fight over one pool of
+//! joules: the domain supervisor carves the **global** residual window
+//! into staged flush budgets. Between outages a shared reserve recharges
+//! with a harvesting-style partial top-up (`replenish`), the regime of
+//! the energy-harvesting literature: dozens of micro-outages in
+//! sequence, none of which leaves time for a full recharge.
 //!
 //! # Examples
 //!
@@ -18,63 +18,65 @@
 //! use wsp_units::{Farads, Nanos, Volts, Watts};
 //!
 //! let reserve = Ultracapacitor::new(Farads::new(2.0), Volts::new(12.0), Volts::new(6.0));
-//! let mut domain = PowerDomain::new(Psu::atx_750w(), reserve, Watts::new(300.0), 3);
-//! let window = domain.global_window();
-//! assert!(window > Nanos::ZERO);
-//! // Shard 0 reserves half the window; shard 1 cannot take the rest + 1.
-//! assert!(domain.reserve_for(0, window / 2));
-//! assert!(!domain.reserve_for(1, window));
-//! domain.release(0);
+//! let shared = PowerDomain::new(Psu::atx_750w(), reserve, Watts::new(300.0), 3);
+//! let private = PowerDomain::private(Psu::atx_750w(), Watts::new(300.0));
+//! // The private window is the PSU's own hold-up; the reserve adds time.
+//! assert_eq!(private.global_window(), Psu::atx_750w().residual_window(Watts::new(300.0)));
+//! assert!(shared.global_window() > private.global_window());
+//! assert!(private.is_private() && !shared.is_private());
 //! ```
 
 use wsp_units::{Joules, Nanos, Watts};
 
 use crate::{Psu, Ultracapacitor};
 
-/// One shard's reservation against the shared window: how much of the
-/// global residual budget it currently owns (vNV-Heap ownership-style
-/// accounting — a shard may only spend window time it reserved first).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardScope {
-    /// Shard index inside the domain.
-    pub shard: usize,
-    /// Time-slice of the shared window currently reserved.
-    pub reserved: Nanos,
-}
-
-/// A shared power domain: one PSU's hold-up plus one ultracapacitor
-/// reserve, divided among `shards` persistent heaps by explicit
-/// reservation.
+/// A power domain: one PSU's hold-up, plus (when shared) one
+/// ultracapacitor reserve, divided among `shards` persistent heaps.
 #[derive(Debug, Clone)]
 pub struct PowerDomain {
     psu: Psu,
-    reserve: Ultracapacitor,
+    /// The shared reserve; `None` for a private domain.
+    reserve: Option<Ultracapacitor>,
     draw: Watts,
-    scopes: Vec<ShardScope>,
+    shards: usize,
 }
 
 impl PowerDomain {
-    /// A domain of `shards` scopes over `psu` + `reserve`, drawing a
-    /// constant `draw` during a save.
+    /// A shared domain of `shards` heaps over `psu` + `reserve`, drawing
+    /// a constant `draw` during a save.
     #[must_use]
     pub fn new(psu: Psu, reserve: Ultracapacitor, draw: Watts, shards: usize) -> Self {
         PowerDomain {
             psu,
-            reserve,
+            reserve: Some(reserve),
             draw,
-            scopes: (0..shards)
-                .map(|shard| ShardScope {
-                    shard,
-                    reserved: Nanos::ZERO,
-                })
-                .collect(),
+            shards,
         }
     }
 
-    /// Number of shard scopes in the domain.
+    /// One machine's own supply: its PSU at `draw`, one shard, no
+    /// reserve. The window is exactly `psu.residual_window(draw)`.
+    #[must_use]
+    pub fn private(psu: Psu, draw: Watts) -> Self {
+        PowerDomain {
+            psu,
+            reserve: None,
+            draw,
+            shards: 1,
+        }
+    }
+
+    /// True for a [`PowerDomain::private`] domain: one machine, one
+    /// consumer, no shared reserve.
+    #[must_use]
+    pub fn is_private(&self) -> bool {
+        self.reserve.is_none()
+    }
+
+    /// Number of shards in the domain.
     #[must_use]
     pub fn shards(&self) -> usize {
-        self.scopes.len()
+        self.shards
     }
 
     /// The constant save-time power draw the windows are computed at.
@@ -89,64 +91,25 @@ impl PowerDomain {
     /// number — there is no per-shard ultracap to fall back on.
     #[must_use]
     pub fn global_window(&self) -> Nanos {
-        self.psu
-            .residual_window(self.draw)
-            .saturating_add(self.reserve.supply_time(self.draw))
-    }
-
-    /// Sum of all outstanding shard reservations.
-    #[must_use]
-    pub fn reserved_total(&self) -> Nanos {
-        self.scopes
-            .iter()
-            .fold(Nanos::ZERO, |acc, s| acc.saturating_add(s.reserved))
-    }
-
-    /// Window time no shard has claimed yet.
-    #[must_use]
-    pub fn unreserved(&self) -> Nanos {
-        self.global_window().saturating_sub(self.reserved_total())
-    }
-
-    /// Reserves `need` more of the shared window for `shard`. Refuses
-    /// (returns `false`, reserving nothing) when the unreserved
-    /// remainder cannot cover it — the caller must sacrifice or shrink.
-    pub fn reserve_for(&mut self, shard: usize, need: Nanos) -> bool {
-        if need > self.unreserved() {
-            return false;
+        let hold_up = self.psu.residual_window(self.draw);
+        match &self.reserve {
+            Some(reserve) => hold_up.saturating_add(reserve.supply_time(self.draw)),
+            None => hold_up,
         }
-        self.scopes[shard].reserved = self.scopes[shard].reserved.saturating_add(need);
-        true
-    }
-
-    /// Releases `shard`'s reservation, returning what it held.
-    pub fn release(&mut self, shard: usize) -> Nanos {
-        std::mem::replace(&mut self.scopes[shard].reserved, Nanos::ZERO)
-    }
-
-    /// Releases every shard's reservation (end of a triage pass).
-    pub fn release_all(&mut self) {
-        for scope in &mut self.scopes {
-            scope.reserved = Nanos::ZERO;
-        }
-    }
-
-    /// The scope record for `shard`.
-    #[must_use]
-    pub fn scope(&self, shard: usize) -> ShardScope {
-        self.scopes[shard]
     }
 
     /// Drains the shared reserve for an outage of `duration`: the PSU
     /// rides through its own hold-up, everything longer comes out of
     /// the reserve. Returns `false` if the reserve sagged below its
-    /// usable floor before the interval ended.
+    /// usable floor before the interval ended (at once, without one).
     pub fn drain_outage(&mut self, duration: Nanos) -> bool {
         let from_reserve = duration.saturating_sub(self.psu.residual_window(self.draw));
         if from_reserve == Nanos::ZERO {
             return true;
         }
-        self.reserve.discharge(self.draw, from_reserve)
+        self.reserve
+            .as_mut()
+            .is_some_and(|reserve| reserve.discharge(self.draw, from_reserve))
     }
 
     /// Harvesting-style replenish between outages: `charge` watts for
@@ -155,19 +118,22 @@ impl PowerDomain {
     /// cycle); a partial top-up — the common case inside a storm —
     /// records none.
     pub fn replenish(&mut self, charge: Watts, duration: Nanos) -> bool {
-        self.reserve.recharge_partial(charge * duration)
+        self.replenish_energy(charge * duration)
     }
 
     /// Deposits raw energy into the reserve (see
-    /// [`Ultracapacitor::recharge_partial`]).
+    /// [`Ultracapacitor::recharge_partial`]); a private domain has no
+    /// reserve to fill.
     pub fn replenish_energy(&mut self, energy: Joules) -> bool {
-        self.reserve.recharge_partial(energy)
+        self.reserve
+            .as_mut()
+            .is_some_and(|reserve| reserve.recharge_partial(energy))
     }
 
-    /// The shared reserve cell.
+    /// The shared reserve cell, `None` for a private domain.
     #[must_use]
-    pub fn reserve_cell(&self) -> &Ultracapacitor {
-        &self.reserve
+    pub fn reserve_cell(&self) -> Option<&Ultracapacitor> {
+        self.reserve.as_ref()
     }
 }
 
@@ -187,27 +153,13 @@ mod tests {
         let d = domain();
         let psu_only = Psu::atx_750w().residual_window(Watts::new(300.0));
         assert!(d.global_window() > psu_only, "the reserve must add time");
-    }
-
-    #[test]
-    fn reservations_are_conserved_and_refused_past_the_window() {
-        let mut d = domain();
-        let window = d.global_window();
-        assert!(d.reserve_for(0, window / 2));
-        assert!(d.reserve_for(1, window / 4));
-        assert_eq!(d.reserved_total(), window / 2 + window / 4);
-        // The remaining quarter cannot cover half.
-        assert!(!d.reserve_for(2, window / 2));
+        let private = PowerDomain::private(Psu::atx_750w(), Watts::new(300.0));
         assert_eq!(
-            d.scope(2).reserved,
-            Nanos::ZERO,
-            "a refused reservation takes nothing"
+            private.global_window(),
+            psu_only,
+            "no reserve, no extra time"
         );
-        assert_eq!(d.release(0), window / 2);
-        assert!(d.reserve_for(2, window / 2));
-        d.release_all();
-        assert_eq!(d.reserved_total(), Nanos::ZERO);
-        assert_eq!(d.unreserved(), d.global_window());
+        assert_eq!(private.shards(), 1);
     }
 
     #[test]
@@ -224,14 +176,14 @@ mod tests {
         assert!(d.drain_outage(Nanos::from_micros(10)));
         assert_eq!(d.global_window(), mid);
         // Partial replenish grows the window without an aging cycle.
-        let cycles = d.reserve_cell().cycles();
+        let cycles = d.reserve_cell().unwrap().cycles();
         assert!(!d.replenish(Watts::new(5.0), Nanos::from_millis(1)));
         assert!(d.global_window() > after);
-        assert_eq!(d.reserve_cell().cycles(), cycles);
+        assert_eq!(d.reserve_cell().unwrap().cycles(), cycles);
         // A long charge reaches full and records the cycle; the window
         // comes back to (almost) new, minus one cycle of Figure 1 fade.
         assert!(d.replenish(Watts::new(200.0), Nanos::from_secs(10)));
-        assert_eq!(d.reserve_cell().cycles(), cycles + 1);
+        assert_eq!(d.reserve_cell().unwrap().cycles(), cycles + 1);
         let back = d.global_window();
         assert!(back > after && back <= before, "{back} vs {before}");
         assert!(before.as_nanos() - back.as_nanos() < before.as_nanos() / 100);

@@ -34,7 +34,7 @@ mod scope;
 mod ultracap;
 mod ups;
 
-pub use domain::{PowerDomain, ShardScope};
+pub use domain::PowerDomain;
 pub use monitor::{MonitorError, PowerFailEvent, PowerMonitor, PwrOkSample, PwrOkVerdict};
 pub use provision::{ProvisionPlan, SupercapProvisioner};
 pub use psu::{Psu, Rail};

@@ -48,7 +48,6 @@ mod hashtable;
 mod kvserver;
 mod queue;
 mod shard;
-mod storm;
 mod xshard;
 mod ycsb;
 
@@ -62,7 +61,6 @@ pub use hashtable::PmHashTable;
 pub use kvserver::{Command, KvServer, ProtocolError, Response, ServeError};
 pub use queue::PmQueue;
 pub use shard::{ShardOutcome, ShardedKvBench, ShardedKvReport};
-pub use storm::{PowerStormBench, PowerStormSoakReport};
 pub use xshard::{
     CrossShardKvBench, CrossShardKvReport, DegradedShard, Transfer, TransferOutcome, TxnOutcome,
 };

@@ -195,8 +195,8 @@ fn recovery_ladder_sweep_is_reproducible() {
 /// Planning a save is not flushing: the ladder sweep's stage-A cost
 /// probes run off the trace, so every recorded `pheap priority_flush`
 /// event (and every `PriorityFlushes` count) is a live stage A — one
-/// per `supervisor stage_a_flushed`, none on the glitch points where
-/// nothing is touched.
+/// per `domain shard_flushed`, none on the glitch points where nothing
+/// is touched.
 #[test]
 fn ladder_sweep_records_only_live_priority_flushes() {
     let r = sweep_recovery_ladder(Machine::intel_testbed, SystemLoad::Busy, 7);
@@ -207,7 +207,7 @@ fn ladder_sweep_records_only_live_priority_flushes() {
             .filter(|e| e.subsystem == subsystem && e.name == name)
             .count()
     };
-    let live = events("supervisor", "stage_a_flushed");
+    let live = events("domain", "shard_flushed");
     assert!(live > 0, "the sweep runs stage A somewhere");
     assert_eq!(events("pheap", "priority_flush"), live);
     assert_eq!(r.metrics.counter(obs::Ctr::PriorityFlushes), live as u64);
@@ -345,20 +345,6 @@ fn power_storm_survives_with_full_triage_coverage() {
             );
         }
     }
-}
-
-/// The multi-seed soak the roadmap's verify gate runs: full coverage
-/// and a clean survival verdict on every seed, for the workload-level
-/// driver too.
-#[test]
-fn power_storm_soak_scorecard_survives() {
-    use wsp_repro::workloads::PowerStormBench;
-
-    let report = PowerStormBench::quick(HeapConfig::FocUndo).run();
-    assert!(report.survived);
-    assert_eq!(report.rebuilt, report.sacrificed);
-    assert!(report.rerouted_writes > 0);
-    assert!(report.coordinator_shard_sacrifices > 0);
 }
 
 // ---- sweep digest corpus ------------------------------------------------

@@ -22,8 +22,8 @@ use wsp_repro::obs::{self, Capture, DiffMode};
 use wsp_repro::pheap::{BackendStore, HeapConfig, PersistentHeap};
 use wsp_repro::units::{ByteSize, Nanos};
 use wsp_repro::wsp::{
-    clean_failure_trace, run_recovery_ladder, supervised_save, LadderInput, RestartStrategy,
-    SaveBudget, SaveVerdict, WspSystem,
+    clean_failure_trace, node_save, run_recovery_ladder, DomainBudget, LadderInput,
+    RestartStrategy, ShardVerdict, WspSystem,
 };
 
 /// Seeds the corpus is recorded at. `WSP_DET_SEED` narrows the run to a
@@ -72,11 +72,18 @@ fn heap_with_root(value: u64) -> PersistentHeap {
 /// [`wsp_repro::wsp::priority_stage_window`] is the shared formula the domain
 /// supervisor budgets with; the inline single-shard arithmetic this
 /// helper used to carry is gone.
-fn partial_budget(machine: &Machine, heap: &PersistentHeap) -> SaveBudget {
-    SaveBudget {
+fn partial_budget(machine: &Machine, heap: &PersistentHeap) -> DomainBudget {
+    DomainBudget {
         window_cap: Some(wsp_repro::wsp::priority_stage_window(machine, heap)),
-        ..SaveBudget::trusting()
+        ..DomainBudget::trusting()
     }
+}
+
+/// The node's busy-load save; returns its verdict.
+fn save(machine: &mut Machine, heap: &mut PersistentHeap, budget: DomainBudget) -> ShardVerdict {
+    let trace = clean_failure_trace();
+    let report = node_save(machine, heap, SystemLoad::Busy, &trace, budget).unwrap();
+    report.shards[0].verdict
 }
 
 struct Rig {
@@ -107,43 +114,29 @@ fn clean_save_restore(seed: u64) -> Capture {
     cap
 }
 
-/// A brown-out mid cache flush: the supervisor's window cap only admits
-/// stage A, so the save degrades to partial-priority.
+/// A brown-out mid cache flush: the save's window cap only admits stage
+/// A, so it degrades to partial-priority.
 fn mid_flush_brownout(seed: u64) -> Capture {
     let mut r = rig(seed);
     let mut heap = heap_with_root(seed);
     let budget = partial_budget(&r.machine, &heap);
     let ((), cap) = obs::capture(|| {
         obs::emit("golden", "scenario", Nanos::ZERO, seed as i64, 0);
-        let report = supervised_save(
-            &mut r.machine,
-            &mut heap,
-            SystemLoad::Busy,
-            &clean_failure_trace(),
-            budget,
-        )
-        .unwrap();
-        assert_eq!(report.verdict, SaveVerdict::PartialPriority, "seed {seed}");
+        let verdict = save(&mut r.machine, &mut heap, budget);
+        assert_eq!(verdict, ShardVerdict::PartialPriority, "seed {seed}");
     });
     cap
 }
 
-/// Ladder rung 1: a complete supervised save, then a full WSP resume.
+/// Ladder rung 1: a complete save, then a full WSP resume.
 fn ladder_full_resume(seed: u64) -> Capture {
     let mut r = rig(seed);
     let mut heap = heap_with_root(seed);
     r.backend.checkpoint(&heap);
     let ((), cap) = obs::capture(|| {
         obs::emit("golden", "scenario", Nanos::ZERO, seed as i64, 0);
-        let report = supervised_save(
-            &mut r.machine,
-            &mut heap,
-            SystemLoad::Busy,
-            &clean_failure_trace(),
-            SaveBudget::trusting(),
-        )
-        .unwrap();
-        assert_eq!(report.verdict, SaveVerdict::Complete, "seed {seed}");
+        let verdict = save(&mut r.machine, &mut heap, DomainBudget::trusting());
+        assert_eq!(verdict, ShardVerdict::Complete, "seed {seed}");
         r.machine.system_power_loss();
         r.machine.system_power_on();
         let (report, _) = run_recovery_ladder(LadderInput {
@@ -168,15 +161,8 @@ fn ladder_log_replay(seed: u64) -> Capture {
     let budget = partial_budget(&r.machine, &heap);
     let ((), cap) = obs::capture(|| {
         obs::emit("golden", "scenario", Nanos::ZERO, seed as i64, 0);
-        let report = supervised_save(
-            &mut r.machine,
-            &mut heap,
-            SystemLoad::Busy,
-            &clean_failure_trace(),
-            budget,
-        )
-        .unwrap();
-        assert_eq!(report.verdict, SaveVerdict::PartialPriority, "seed {seed}");
+        let verdict = save(&mut r.machine, &mut heap, budget);
+        assert_eq!(verdict, ShardVerdict::PartialPriority, "seed {seed}");
         r.machine.system_power_loss();
         r.machine.system_power_on();
         let (report, _) = run_recovery_ladder(LadderInput {

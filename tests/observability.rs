@@ -8,9 +8,9 @@ use wsp_repro::obs::{self, Ctr, DiffMode, Event};
 use wsp_repro::pheap::{BackendStore, HeapConfig, PersistentHeap};
 use wsp_repro::units::ByteSize;
 use wsp_repro::wsp::{
-    clean_failure_trace, flush_on_fail_save, restore, run_recovery_ladder, supervised_save,
-    sweep_save_path, LadderInput, LadderRung, RestartStrategy, SaveBudget, SaveVerdict, WspError,
-    WspSystem,
+    clean_failure_trace, flush_on_fail_save, node_save, restore, run_recovery_ladder,
+    sweep_save_path, DomainBudget, LadderInput, LadderRung, RestartStrategy,
+    ShardVerdict, WspError, WspSystem,
 };
 
 fn refusal_events<'a>(events: &'a [Event], subsystem: &str) -> Vec<&'a Event> {
@@ -30,13 +30,17 @@ fn heap_with_root(value: u64) -> PersistentHeap {
     heap
 }
 
-fn partial_budget(machine: &Machine, heap: &PersistentHeap) -> SaveBudget {
-    // The shared-domain formula (stage A + marker + arm + slack); see
-    // wsp_repro::wsp::priority_stage_window for why the inline arithmetic left.
-    SaveBudget {
+/// A busy-load save of `heap` over the machine's private power domain,
+/// capped to the priority stage (stage A + marker + arm + slack, see
+/// `wsp_repro::wsp::priority_stage_window`); returns its verdict.
+fn partial_save(machine: &mut Machine, heap: &mut PersistentHeap) -> ShardVerdict {
+    let budget = DomainBudget {
         window_cap: Some(wsp_repro::wsp::priority_stage_window(machine, heap)),
-        ..SaveBudget::trusting()
-    }
+        ..DomainBudget::trusting()
+    };
+    let trace = clean_failure_trace();
+    let report = node_save(machine, heap, SystemLoad::Busy, &trace, budget).unwrap();
+    report.shards[0].verdict
 }
 
 // ---- exactly one typed refusal event per error return ------------------
@@ -61,16 +65,10 @@ fn partial_image_refusal_is_traced_exactly_once() {
     let mut machine = Machine::intel_testbed();
     machine.apply_load(SystemLoad::Busy, 3);
     let mut heap = heap_with_root(3);
-    let budget = partial_budget(&machine, &heap);
-    let report = supervised_save(
-        &mut machine,
-        &mut heap,
-        SystemLoad::Busy,
-        &clean_failure_trace(),
-        budget,
-    )
-    .unwrap();
-    assert_eq!(report.verdict, SaveVerdict::PartialPriority);
+    assert_eq!(
+        partial_save(&mut machine, &mut heap),
+        ShardVerdict::PartialPriority
+    );
     machine.system_power_loss();
     machine.system_power_on();
 
@@ -154,16 +152,10 @@ fn ladder_trace(crash_at: Option<LadderRung>) -> Vec<Event> {
     let backend = BackendStore::disk_array();
     let cluster = ClusterSpec::memcache_tier(50);
     let mut heap = heap_with_root(9);
-    let budget = partial_budget(&machine, &heap);
-    let report = supervised_save(
-        &mut machine,
-        &mut heap,
-        SystemLoad::Busy,
-        &clean_failure_trace(),
-        budget,
-    )
-    .unwrap();
-    assert_eq!(report.verdict, SaveVerdict::PartialPriority);
+    assert_eq!(
+        partial_save(&mut machine, &mut heap),
+        ShardVerdict::PartialPriority
+    );
     machine.system_power_loss();
     machine.system_power_on();
     let ((), cap) = obs::capture(|| {

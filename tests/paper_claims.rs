@@ -10,7 +10,7 @@ use wsp_repro::pheap::{HeapConfig, PersistentHeap};
 use wsp_repro::power::Psu;
 use wsp_repro::units::{ByteSize, Nanos, Watts};
 use wsp_repro::wsp::{
-    clean_failure_trace, feasibility_matrix, supervised_save, SaveBudget, SaveVerdict,
+    clean_failure_trace, feasibility_matrix, node_save, DomainBudget, ShardVerdict,
 };
 use wsp_repro::workloads::{HashBenchmark, LdapBenchmark};
 
@@ -214,31 +214,36 @@ fn traced_supervised_save_fits_the_residual_window() {
             machine.apply_load(load, 13);
             let name = machine.profile().name.clone();
             let mut heap = claims_heap();
-            let ((), cap) = obs::capture(|| {
-                let report = supervised_save(
-                    &mut machine,
-                    &mut heap,
-                    load,
-                    &clean_failure_trace(),
-                    SaveBudget::trusting(),
-                )
-                .unwrap();
-                assert_eq!(report.verdict, SaveVerdict::Complete);
+            let trace = clean_failure_trace();
+            let (report, cap) = obs::capture(|| {
+                node_save(&mut machine, &mut heap, load, &trace, DomainBudget::trusting())
             });
-            assert_eq!(cap.metrics.counter(Ctr::SupervisedComplete), 1);
+            let report = report.unwrap();
+            assert_eq!(report.shards[0].verdict, ShardVerdict::Complete);
+            assert_eq!(cap.metrics.counter(Ctr::ShardsSacrificed), 0);
             let window = cap.metrics.gauge(Gauge::ResidualWindow);
             assert!(window > 0, "{name} {}", load.label());
-            let used = cap.metrics.hist(Hist::SupervisorUsed).max().as_nanos() as i64;
-            assert!(used <= window, "{name} {}: used {used} > window {window}", load.label());
+            let used = cap.metrics.hist(Hist::DomainUsed).max().as_nanos() as i64;
+            assert_eq!(
+                used,
+                report.used.as_nanos() as i64,
+                "{name} {}",
+                load.label()
+            );
+            assert!(
+                used <= window,
+                "{name} {}: used {used} > window {window}",
+                load.label()
+            );
             assert!(
                 (used as f64) < 0.35 * window as f64,
                 "{name} {}: {:.1}% of the window",
                 load.label(),
                 100.0 * used as f64 / window as f64
             );
-            // Both flush stages are individually metered and together
+            // Both flush stages are individually reported and together
             // stay inside the total the supervisor reported.
-            let stages = cap.metrics.hist(Hist::StageA).max() + cap.metrics.hist(Hist::StageB).max();
+            let stages = report.shards[0].stage_a + report.shards[0].stage_b;
             assert!(stages.as_nanos() as i64 <= used, "{name} {}", load.label());
         }
     }
@@ -246,24 +251,20 @@ fn traced_supervised_save_fits_the_residual_window() {
 
 /// §4's staging contract, visible in the event stream: the heap's
 /// priority lines (log + metadata) are flushed in stage A strictly
-/// before the bulk stage-B flush runs, and the line counts show up in
-/// the counters.
+/// before the bulk stage-B flush is charged and the region sealed, and
+/// the line counts show up in the counters.
 #[test]
 fn priority_lines_flush_first_in_the_trace() {
     let mut machine = Machine::intel_testbed();
     machine.apply_load(SystemLoad::Busy, 17);
     let mut heap = claims_heap();
-    let ((), cap) = obs::capture(|| {
-        let report = supervised_save(
-            &mut machine,
-            &mut heap,
-            SystemLoad::Busy,
-            &clean_failure_trace(),
-            SaveBudget::trusting(),
-        )
-        .unwrap();
-        assert_eq!(report.verdict, SaveVerdict::Complete);
+    let trace = clean_failure_trace();
+    let (report, cap) = obs::capture(|| {
+        node_save(&mut machine, &mut heap, SystemLoad::Busy, &trace, DomainBudget::trusting())
     });
+    let report = report.unwrap();
+    assert_eq!(report.shards[0].verdict, ShardVerdict::Complete);
+    assert!(report.shards[0].stage_b > Nanos::ZERO);
     let events = cap.trace.events();
     let pos = |sub: &str, name: &str| {
         events
@@ -271,12 +272,20 @@ fn priority_lines_flush_first_in_the_trace() {
             .position(|e| e.subsystem == sub && e.name == name)
             .unwrap_or_else(|| panic!("no {sub}/{name} event in the save trace"))
     };
+    let contexts = pos("domain", "contexts_saved");
     let priority = pos("pheap", "priority_flush");
-    let stage_a = pos("supervisor", "stage_a_flushed");
-    let stage_b = pos("supervisor", "stage_b_flushed");
+    let flushed = pos("domain", "shard_flushed");
+    let sealed = pos("domain", "shard_sealed");
     assert!(
-        priority < stage_a && stage_a < stage_b,
-        "staging order: priority_flush@{priority}, stage_a@{stage_a}, stage_b@{stage_b}"
+        contexts < priority && priority < flushed && flushed < sealed,
+        "staging order: contexts@{contexts}, priority_flush@{priority}, \
+         stages A+B@{flushed}, seal@{sealed}"
+    );
+    let stages = report.shards[0].stage_a + report.shards[0].stage_b;
+    assert_eq!(
+        events[flushed].b,
+        stages.as_nanos() as i64,
+        "stage B follows stage A"
     );
     assert_eq!(cap.metrics.counter(Ctr::PriorityFlushes), 1);
     assert!(cap.metrics.counter(Ctr::PriorityLinesFlushed) > 0);
