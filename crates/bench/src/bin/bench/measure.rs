@@ -649,7 +649,6 @@ fn global_triage(config: HeapConfig) -> TriageOutcome {
         trace: &clean_failure_trace(),
         budget: DomainBudget {
             window_cap: Some(window),
-            ..DomainBudget::trusting()
         },
     })
     .expect("domain save yields a verdict");
@@ -680,7 +679,6 @@ fn private_split(config: HeapConfig) -> TriageOutcome {
         let mut machine = loaded_machine();
         let budget = DomainBudget {
             window_cap: Some(window / FLEET as u64),
-            ..DomainBudget::trusting()
         };
         let report = node_save(
             &mut machine,

@@ -24,24 +24,24 @@
 //! 4. Execution seals shards one at a time: per-region marker, then a
 //!    region-scoped NVDIMM arm ([`NvramPool::save_range_within`]) whose
 //!    retry backoff is bounded by the remaining window. Each arm, and
-//!    the control region's (shared domains only), is one durable event
-//!    of the budget's [`PowerCut`]. A shard is durable exactly from its
-//!    seal onward — a power failure before its arm, or a module whose
-//!    DRAM→flash copy tears, leaves that shard with *no* trusted marker
-//!    in flash, never a torn image taken for a whole one.
+//!    the control region's (shared domains only), is one save command:
+//!    one durable event of the [`PowerCut`] armed on the pool. A shard
+//!    is durable exactly from its seal onward — a power failure before
+//!    its arm, or a module whose DRAM→flash copy tears, leaves that
+//!    shard with *no* trusted marker in flash, never a torn image taken
+//!    for a whole one.
 //!
 //! Every verdict is typed and every sacrifice carries a refusal: the
 //! contract is the supervisor's "never a silent tear", applied
 //! fleet-wide under contention.
 //!
 //! [`NvramPool::save_range_within`]: wsp_nvram::NvramPool::save_range_within
-
-use std::sync::Arc;
+//! [`PowerCut`]: wsp_power::PowerCut
 
 use wsp_machine::{Machine, SystemLoad};
 use wsp_nvram::{NvramError, RegionMap};
 use wsp_obs as obs;
-use wsp_pheap::{PersistentHeap, PowerCut};
+use wsp_pheap::PersistentHeap;
 use wsp_power::{PowerDomain, PwrOkSample, PwrOkVerdict};
 use wsp_units::Nanos;
 
@@ -155,21 +155,13 @@ pub enum DomainVerdict {
 pub struct DomainBudget {
     /// Caps the global window below the measured value.
     pub window_cap: Option<Nanos>,
-    /// The power cut the save runs under: every region arm and the
-    /// control arm is one durable event of it, and a cut that has
-    /// struck refuses the arm. Arm the heaps with the same cut to make
-    /// stage A's flushes events too.
-    pub cut: Option<Arc<PowerCut>>,
 }
 
 impl DomainBudget {
     /// The unconstrained budget.
     #[must_use]
     pub fn trusting() -> Self {
-        DomainBudget {
-            window_cap: None,
-            cut: None,
-        }
+        DomainBudget { window_cap: None }
     }
 }
 
@@ -187,7 +179,7 @@ pub struct DomainInput<'a> {
     pub load: SystemLoad,
     /// The `PWR_OK` trace that triggered the save.
     pub trace: &'a [PwrOkSample],
-    /// Budget constraints and injected cuts.
+    /// Budget constraints.
     pub budget: DomainBudget,
 }
 
@@ -249,10 +241,11 @@ pub(crate) fn shard_needs(
 
 /// Runs the triaged, staged domain save. Mutates `machine` (contexts,
 /// region markers, region arms) and each heap (priority lines flushed)
-/// exactly as far as the budget allows — and no further. Once the
-/// budget's cut has struck, every later arm is refused and its shard
-/// sacrificed; the rest runs on, as the host does after a cut (contexts
-/// and markers are DRAM stores the outage clears).
+/// exactly as far as the budget allows — and no further. Once a cut
+/// armed on the machine's pool has struck, every later arm is refused
+/// and its shard sacrificed; the rest runs on, as the host does after a
+/// cut (contexts and markers are DRAM stores the outage clears). Arm
+/// the heaps with the same cut to make stage A's flushes events too.
 ///
 /// # Errors
 ///
@@ -316,10 +309,6 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
         PwrOkVerdict::PowerFail { .. } => {}
     }
 
-    // Every arm is a durable event of the cut: it lands, or power has
-    // failed before it.
-    let lands = || budget.cut.as_ref().is_none_or(|cut| cut.land());
-
     // The *global* window: one number for the whole fleet.
     let measured = domain.global_window();
     let window = budget.window_cap.map_or(measured, |cap| cap.min(measured));
@@ -330,7 +319,7 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
         "outage_detected",
         used,
         window.as_nanos() as i64,
-        budget.cut.as_ref().map_or(-1, |cut| cut.events() as i64),
+        machine.nvram().cut().map_or(-1, |cut| cut.events() as i64),
     );
 
     let control = if private { 0 } else { DOMAIN_CONTROL_MODULES };
@@ -541,17 +530,6 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
             );
         }
         used += MARKER_COST;
-        if !lands() {
-            // Flushed and marked, but the marker never reaches flash:
-            // an honest sacrifice, not a tear — nothing attests to this
-            // region, so recovery will not trust it.
-            let refusal = WspError::WindowExhausted {
-                needed: arm_cost,
-                window: Nanos::ZERO,
-            };
-            sacrifice(&mut shards[shard], refusal, used);
-            continue;
-        }
         let arm_window = window.saturating_sub(used + arm_cost);
         match machine.nvram_mut().save_range_within(
             region.modules.clone(),
@@ -585,18 +563,38 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
                     verdict.label().into(),
                 );
             }
-            Err(NvramError::RetryWindowExhausted { needed, budget, .. }) => {
-                used += arm_cost;
+            Err(NvramError::PowerFailed) => {
+                // Flushed and marked, but the marker never reaches flash:
+                // an honest sacrifice, not a tear — nothing attests to
+                // this region, so recovery will not trust it.
+                let refusal = WspError::WindowExhausted {
+                    needed: arm_cost,
+                    window: Nanos::ZERO,
+                };
+                sacrifice(&mut shards[shard], refusal, used);
+            }
+            // A failed command still spent its retries' backoff.
+            Err(NvramError::RetryWindowExhausted {
+                needed,
+                budget,
+                retries: r,
+                backoff: b,
+                ..
+            }) => {
+                used += arm_cost + b;
+                retries += r;
+                backoff += b;
                 let refusal = WspError::WindowExhausted {
                     needed,
                     window: budget,
                 };
                 sacrifice(&mut shards[shard], refusal, used);
             }
-            Err(NvramError::SaveCommandFailed { attempts }) => {
-                used += arm_cost;
-                let refusal = WspError::Nvram(NvramError::SaveCommandFailed { attempts });
-                sacrifice(&mut shards[shard], refusal, used);
+            Err(err @ NvramError::SaveCommandFailed { retries: r, backoff: b, .. }) => {
+                used += arm_cost + b;
+                retries += r;
+                backoff += b;
+                sacrifice(&mut shards[shard], WspError::Nvram(err), used);
             }
             Err(other) => return Err(other.into()),
         }
@@ -604,7 +602,7 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
 
     // Last, arm a shared domain's control region (contexts + global
     // state); a private domain's contexts sit in its one region.
-    if !private && used + arm_cost <= window && lands() {
+    if !private && used + arm_cost <= window {
         let arm_window = window.saturating_sub(used + arm_cost);
         match machine.nvram_mut().save_range_within(
             0..DOMAIN_CONTROL_MODULES,
@@ -624,10 +622,23 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
                     r.backoff.as_nanos() as i64,
                 );
             }
+            // Power failed first: the command cost nothing.
+            Err(NvramError::PowerFailed) => {}
             Err(
-                NvramError::RetryWindowExhausted { .. } | NvramError::SaveCommandFailed { .. },
+                NvramError::RetryWindowExhausted {
+                    retries: r,
+                    backoff: b,
+                    ..
+                }
+                | NvramError::SaveCommandFailed {
+                    retries: r,
+                    backoff: b,
+                    ..
+                },
             ) => {
-                used += arm_cost;
+                used += arm_cost + b;
+                retries += r;
+                backoff += b;
             }
             Err(other) => return Err(other.into()),
         }
@@ -670,8 +681,9 @@ pub fn node_save(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use wsp_pheap::HeapConfig;
-    use wsp_power::{Psu, Ultracapacitor};
+    use wsp_power::{PowerCut, Psu, Ultracapacitor};
     use wsp_units::{ByteSize, Farads, Volts, Watts};
 
     use crate::supervisor::{clean_failure_trace, priority_stage_window, PARTIAL_STAGE_SLACK};
@@ -706,10 +718,7 @@ mod tests {
         heap: &mut PersistentHeap,
         window_cap: Option<Nanos>,
     ) -> DomainSaveReport {
-        let budget = DomainBudget {
-            window_cap,
-            ..DomainBudget::trusting()
-        };
+        let budget = DomainBudget { window_cap };
         node_save(machine, heap, SystemLoad::Busy, &clean_failure_trace(), budget)
             .expect("verdict, not error")
     }
@@ -812,7 +821,6 @@ mod tests {
         let (report, _) = save_with(
             DomainBudget {
                 window_cap: Some(cap),
-                ..DomainBudget::trusting()
             },
             &staleness,
         );
@@ -857,19 +865,21 @@ mod tests {
         assert_eq!(report.triage[0].pins, 1);
     }
 
-    /// One save of `heaps` over a copy of `domain` under `budget`, with
-    /// its cut (if any) armed on every heap too; then power fails and
-    /// the machine comes back. Returns the report and, per shard, the
-    /// markers its region's flash image restores (`None` without an
-    /// image).
+    /// One save of `heaps` over a copy of `domain` capped at
+    /// `window_cap`, with `cut` (if any) armed on the pool and every
+    /// heap; then power fails and the machine comes back. Returns the
+    /// report and, per shard, the markers its region's flash image
+    /// restores (`None` without an image).
     fn save_then_restore(
         heaps: &[PersistentHeap],
         domain: &PowerDomain,
-        budget: DomainBudget,
+        window_cap: Option<Nanos>,
+        cut: Option<&Arc<PowerCut>>,
     ) -> (DomainSaveReport, Vec<Option<(u64, u64)>>) {
         let mut machine = loaded_machine();
         let mut heaps = heaps.to_vec();
-        if let Some(cut) = &budget.cut {
+        if let Some(cut) = cut {
+            machine.nvram_mut().arm(cut);
             heaps.iter_mut().for_each(|h| h.arm(cut));
         }
         let staleness = [Nanos::ZERO, Nanos::from_millis(9), Nanos::from_millis(5)];
@@ -881,7 +891,7 @@ mod tests {
             staleness,
             load: SystemLoad::Busy,
             trace: &clean_failure_trace(),
-            budget,
+            budget: DomainBudget { window_cap },
         })
         .expect("verdict, not error");
         let control = if domain.is_private() {
@@ -918,8 +928,7 @@ mod tests {
         domain: &PowerDomain,
         window_cap: Option<Nanos>,
     ) {
-        let budget = |cut| DomainBudget { window_cap, cut };
-        let (uncut, _) = save_then_restore(heaps, domain, budget(None));
+        let (uncut, _) = save_then_restore(heaps, domain, window_cap, None);
         // Where each arm lands: ranks run in order, each flushing stage A
         // (its heap's own events) and then arming its region (one
         // event); a shared domain's control arm comes last.
@@ -943,7 +952,7 @@ mod tests {
         );
         let control = u64::from(!domain.is_private());
         let probe = PowerCut::never();
-        let _ = save_then_restore(heaps, domain, budget(Some(Arc::clone(&probe))));
+        let _ = save_then_restore(heaps, domain, window_cap, Some(&probe));
         let events = probe.events();
         assert_eq!(
             events,
@@ -957,7 +966,7 @@ mod tests {
         for n in 0..=events {
             let at = format!("cap {window_cap:?} cut {n}/{events}");
             let (report, markers) =
-                save_then_restore(heaps, domain, budget(Some(PowerCut::after(n))));
+                save_then_restore(heaps, domain, window_cap, Some(&PowerCut::after(n)));
             let armed = if domain.is_private() {
                 arm_of[0].is_some_and(|arm| n > arm)
             } else {
@@ -1112,6 +1121,30 @@ mod tests {
             matches!(restored, Err(WspError::BackendRecoveryRequired { .. })),
             "no marker reaches flash: {restored:?}"
         );
+    }
+
+    #[test]
+    fn a_failed_save_command_charges_the_backoff_it_spent() {
+        // Two failed attempts, then success (a flake) or a third failure
+        // (stuck): both spend 100 + 200 µs of backoff, and both charge it.
+        let save = |failures| {
+            let mut machine = loaded_machine();
+            machine.nvram_mut().dimms_mut()[1].inject_save_command_faults(failures);
+            private_save(&mut machine, &mut heap_with_root(7), None)
+        };
+        let (flake, stuck) = (save(2), save(u32::MAX));
+        assert!(flake.shards[0].sealed && !stuck.shards[0].sealed);
+        assert!(
+            matches!(
+                stuck.shards[0].refusal,
+                Some(WspError::Nvram(NvramError::SaveCommandFailed { attempts: 3, .. }))
+            ),
+            "{stuck:?}"
+        );
+        for report in [&flake, &stuck] {
+            assert_eq!((report.retries, report.backoff), (2, Nanos::from_micros(300)));
+        }
+        assert_eq!(stuck.used, flake.used, "the failed arm costs what the flaky one did");
     }
 
     #[test]

@@ -60,17 +60,18 @@ use wsp_det::{DetRng, Rng};
 use wsp_machine::{CpuContext, Machine, SystemLoad};
 use wsp_obs as obs;
 use wsp_obs::{Capture, MetricsSnapshot, Trace};
-use wsp_pheap::{BackendStore, CrashImage, HeapConfig, PersistentHeap, PowerCut};
-use wsp_power::{AgingModel, Ultracapacitor};
+use wsp_pheap::{BackendStore, CrashImage, HeapConfig, PersistentHeap};
+use wsp_power::{AgingModel, PowerCut, Ultracapacitor};
 use wsp_units::{ByteSize, Farads, Nanos, Volts, Watts};
 
 use crate::domain::{node_save, DomainBudget, DomainVerdict, ShardVerdict};
 use crate::ladder::{run_recovery_ladder, LadderInput, LadderRung, RecoveryOutcome};
 use crate::model::{committed_fleet, CellModel};
 use crate::restore::restore;
-use crate::save::{flush_on_fail_save_with_fault, SaveReport};
+use crate::save::{flush_on_fail_save, SaveReport};
 use crate::supervisor::{clean_failure_trace, glitch_storm_trace, priority_stage_window};
 use crate::sweep;
+use crate::system::{lost_sentinel, scatter_sentinels};
 use crate::txn::{
     coordinator_of, recover_routing, resolve_cross_shard, CoordinatorPool, GtxidOrigin,
     RoutedWrite,
@@ -140,9 +141,9 @@ pub fn save_path_crash_points(
     strategy: RestartStrategy,
 ) -> Vec<SaveCrashPoint> {
     let probe = PowerCut::never();
-    let _ = obs::capture(|| {
-        flush_on_fail_save_with_fault(&mut machine.clone(), load, strategy, Some(&probe))
-    });
+    let mut machine = machine.clone();
+    machine.nvram_mut().arm(&probe);
+    let _ = obs::capture(|| flush_on_fail_save(&mut machine, load, strategy));
     let modules = machine.nvram().dimms().len();
     (0..=probe.events())
         .map(|events| SaveCrashPoint::Cut { events })
@@ -220,32 +221,19 @@ fn run_save_point(
     machine.apply_load(load, seed);
 
     // The in-memory model: sentinel heap data plus the registers.
-    let capacity = machine.nvram().total_capacity().as_u64();
-    let sentinels: Vec<(u64, [u8; 32])> = (0..64)
-        .map(|_| {
-            // Keep clear of the resume block in the first page.
-            let addr = rng.gen_range(8192..capacity - 32) / 8 * 8;
-            let mut data = [0u8; 32];
-            rng.fill_bytes(&mut data);
-            (addr, data)
-        })
-        .collect();
-    for (addr, data) in &sentinels {
-        machine.nvram_mut().write(*addr, data);
-    }
+    let sentinels = scatter_sentinels(&mut machine, &mut rng);
     let contexts_before: Vec<CpuContext> =
         machine.cores().iter().map(|c| c.context).collect();
 
-    let cut = match fault {
-        SaveCrashPoint::Cut { events } => Some(PowerCut::after(events)),
+    match fault {
+        SaveCrashPoint::Cut { events } => machine.nvram_mut().arm(&PowerCut::after(events)),
         SaveCrashPoint::UltracapShortfall { module } => {
             // Drain the bank below its usable floor; the save tears.
             let cap = machine.nvram_mut().dimms_mut()[module].ultracap_mut();
             let _ = cap.discharge(Watts::new(1e6), Nanos::from_secs(3600));
-            None
         }
-    };
-    let save = flush_on_fail_save_with_fault(&mut machine, load, strategy, cut.as_ref());
+    }
+    let save = flush_on_fail_save(&mut machine, load, strategy);
     machine.system_power_loss();
     machine.system_power_on();
 
@@ -259,10 +247,8 @@ fn run_save_point(
                 expect_recovery,
                 "fault {fault:?} must force back-end recovery, but restore succeeded"
             );
-            for (addr, data) in &sentinels {
-                let mut buf = [0u8; 32];
-                machine.nvram().read(*addr, &mut buf);
-                assert_eq!(&buf, data, "sentinel at {addr:#x} after {fault:?}");
+            if let Some(addr) = lost_sentinel(&machine, &sentinels) {
+                panic!("sentinel at {addr:#x} lost after {fault:?}");
             }
             let contexts_after: Vec<CpuContext> =
                 machine.cores().iter().map(|c| c.context).collect();
@@ -1212,6 +1198,8 @@ fn run_ladder_point(
         LadderFault::SaveCommandStuck { module } => {
             machine.nvram_mut().dimms_mut()[module].inject_save_command_faults(u32::MAX);
         }
+        // Only the pool is armed: stage A lands, the arm is refused.
+        LadderFault::BrownOutMidSave => machine.nvram_mut().arm(&PowerCut::after(0)),
         _ => {}
     }
 
@@ -1247,18 +1235,16 @@ fn run_ladder_point(
         _ => clean_failure_trace(),
     };
     let partial_window = priority_stage_window(&machine, &heap);
-    let (window_cap, cut) = match fault {
+    let window_cap = match fault {
         LadderFault::WindowShortfall { fatal: false }
         | LadderFault::CrashDuringRestore {
             rung: LadderRung::LocalWsp | LadderRung::HeapLogReplay,
-        } => (Some(partial_window), None),
+        } => Some(partial_window),
         LadderFault::WindowShortfall { fatal: true }
         | LadderFault::CrashDuringRestore {
             rung: LadderRung::ClusterRebuild,
-        } => (Some(Nanos::from_micros(150)), None),
-        // The heap stays unarmed: stage A lands, the arm is refused.
-        LadderFault::BrownOutMidSave => (None, Some(PowerCut::after(0))),
-        _ => (None, None),
+        } => Some(Nanos::from_micros(150)),
+        _ => None,
     };
 
     let report = node_save(
@@ -1266,7 +1252,7 @@ fn run_ladder_point(
         &mut heap,
         load,
         &trace,
-        DomainBudget { window_cap, cut },
+        DomainBudget { window_cap },
     )
     .expect("every injected fault class yields a verdict, not an error");
 

@@ -402,7 +402,6 @@ mod tests {
     fn partial_budget(machine: &Machine, heap: &PersistentHeap) -> DomainBudget {
         DomainBudget {
             window_cap: Some(priority_stage_window(machine, heap)),
-            ..DomainBudget::trusting()
         }
     }
 

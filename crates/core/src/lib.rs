@@ -89,7 +89,7 @@ pub use model::{committed_fleet, CellModel};
 pub use process::{ProcessPersistence, ProcessSaveReport};
 pub use restart::RestartStrategy;
 pub use restore::{restore, RestoreReport, RestoreStep};
-pub use save::{flush_on_fail_save, flush_on_fail_save_with_fault, SaveReport, SaveStep};
+pub use save::{flush_on_fail_save, SaveReport, SaveStep};
 pub use storm::{
     run_power_storm, sweep_power_storm, PowerStormReport, StormPoint, StormPointOutcome, StormSpec,
     StormStats, STORM_BOUNDARIES,

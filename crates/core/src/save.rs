@@ -1,14 +1,12 @@
 //! The flush-on-fail save routine: Figure 4 steps 1–8, raced against the
 //! residual energy window. Its NVDIMM save command is a durable event
-//! of an optional [`PowerCut`], which is how the crash-point sweep
-//! engine fails power during it.
-
-use std::sync::Arc;
+//! of the cut armed on the machine's pool
+//! ([`NvramPool::arm`](wsp_nvram::NvramPool::arm)), which is how the
+//! crash-point sweep engine fails power during it.
 
 use wsp_cache::FlushMethod;
 use wsp_machine::{CpuContext, Machine, SystemLoad};
 use wsp_obs as obs;
-use wsp_pheap::PowerCut;
 use wsp_units::Nanos;
 
 use crate::layout;
@@ -108,25 +106,16 @@ pub(crate) fn save_contexts(machine: &mut Machine) -> u64 {
 /// The stress load keeps running during the save (the paper's worst-case
 /// configuration), so the window is computed at the *busy* draw even
 /// while saving.
+///
+/// The save's one durable event is its NVDIMM save command: once a cut
+/// armed on the pool has struck, the command is refused, the DRAM image
+/// never reaches flash and the save does not complete. Everything else
+/// runs on, as the host does after a cut: the contexts and the marker
+/// are DRAM stores the power loss clears.
 pub fn flush_on_fail_save(
     machine: &mut Machine,
     load: SystemLoad,
     strategy: RestartStrategy,
-) -> SaveReport {
-    flush_on_fail_save_with_fault(machine, load, strategy, None)
-}
-
-/// [`flush_on_fail_save`] under a power cut. The save's one durable
-/// event is its NVDIMM save command: once `cut` has struck the command
-/// is refused, the DRAM image never reaches flash and the save does not
-/// complete. Everything else runs on, as the host does after a cut: the
-/// contexts and the marker are DRAM stores the power loss clears.
-/// `cut: None` is the uncut path.
-pub fn flush_on_fail_save_with_fault(
-    machine: &mut Machine,
-    load: SystemLoad,
-    strategy: RestartStrategy,
-    cut: Option<&Arc<PowerCut>>,
 ) -> SaveReport {
     let window = machine.residual_window(load);
     let mut steps: Vec<(SaveStep, Nanos)> = Vec::new();
@@ -194,11 +183,11 @@ pub fn flush_on_fail_save_with_fault(
         // (module off, relay dropping the I2C command) or a module whose
         // ultracapacitor cannot cover its copy all leave the save
         // incomplete, and restore will refuse — no panic on this path.
-        modules_saved = cut.is_none_or(|cut| cut.land())
-            && machine
-                .nvram_mut()
-                .save_all()
-                .is_ok_and(|outcomes| outcomes.iter().all(|o| o.completed));
+        let modules = machine.nvram().dimms().len();
+        modules_saved = machine
+            .nvram_mut()
+            .save_range_within(0..modules, 1, Nanos::MAX)
+            .is_ok_and(|r| r.outcomes.iter().all(|o| o.completed));
     }
 
     if let Some(core) = machine.cores_mut().first_mut() {
@@ -327,12 +316,12 @@ mod tests {
     #[test]
     fn a_struck_cut_refuses_the_save_command() {
         let mut machine = Machine::intel_testbed();
-        let cut = PowerCut::after(0);
-        let report = flush_on_fail_save_with_fault(
+        let cut = wsp_power::PowerCut::after(0);
+        machine.nvram_mut().arm(&cut);
+        let report = flush_on_fail_save(
             &mut machine,
             SystemLoad::Busy,
             RestartStrategy::RestorePathReinit,
-            Some(&cut),
         );
         assert!(!report.completed);
         assert_eq!(cut.events(), 1, "the save command is the save's one event");

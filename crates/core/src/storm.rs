@@ -34,8 +34,8 @@ use wsp_det::{DetRng, Rng};
 use wsp_machine::{Machine, SystemLoad};
 use wsp_obs as obs;
 use wsp_obs::{Ctr, MetricsSnapshot, Trace};
-use wsp_pheap::{BackendStore, CrashImage, HeapConfig, PersistentHeap, PmPtr, PowerCut};
-use wsp_power::{PowerDomain, Psu, Ultracapacitor};
+use wsp_pheap::{BackendStore, CrashImage, HeapConfig, PersistentHeap, PmPtr};
+use wsp_power::{PowerCut, PowerDomain, Psu, Ultracapacitor};
 use wsp_units::{Farads, Nanos, Volts, Watts};
 
 use crate::domain::{
@@ -407,7 +407,7 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
                     staleness: &staleness,
                     load,
                     trace: &clean_failure_trace(),
-                    budget: DomainBudget { window_cap, cut: None },
+                    budget: DomainBudget { window_cap },
                 })
             });
             let probe = probe.expect("storm outages yield verdicts, not errors");
@@ -415,6 +415,7 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
         });
         obs::count(Ctr::StormOutages);
         obs::emit("faultsim", "storm_outage", Nanos::ZERO, k as i64, boundary as i64);
+        machine.nvram_mut().arm(&PowerCut::after(arms_before));
         let report = domain_save(DomainInput {
             machine: &mut machine,
             domain: &mut domain,
@@ -422,10 +423,7 @@ pub fn run_power_storm(spec: &StormSpec, seed: u64) -> StormStats {
             staleness: &staleness,
             load,
             trace: &clean_failure_trace(),
-            budget: DomainBudget {
-                window_cap,
-                cut: Some(PowerCut::after(arms_before)),
-            },
+            budget: DomainBudget { window_cap },
         })
         .expect("storm outages yield verdicts, not errors");
         assert_eq!(report.verdict, DomainVerdict::Triaged, "outage {k}");

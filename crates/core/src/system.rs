@@ -9,6 +9,39 @@ use crate::restore::restore;
 use crate::save::flush_on_fail_save;
 use crate::{RestartStrategy, RestoreReport, SaveReport, WspError};
 
+/// Seeded sentinel data scattered through NVRAM: what an in-memory
+/// database's heap would be.
+pub(crate) type Sentinels = Vec<(u64, [u8; 32])>;
+
+/// Writes 64 sentinels of 32 random bytes at random word-aligned pool
+/// addresses from 8 KiB up (clear of the resume block in the first
+/// page) and returns them.
+pub(crate) fn scatter_sentinels(machine: &mut Machine, rng: &mut DetRng) -> Sentinels {
+    let capacity = machine.nvram().total_capacity().as_u64();
+    let sentinels: Sentinels = (0..64)
+        .map(|_| {
+            let addr = rng.gen_range(8192..capacity - 32) / 8 * 8;
+            let mut data = [0u8; 32];
+            rng.fill_bytes(&mut data);
+            (addr, data)
+        })
+        .collect();
+    for (addr, data) in &sentinels {
+        machine.nvram_mut().write(*addr, data);
+    }
+    sentinels
+}
+
+/// The address of the first sentinel `machine`'s pool no longer holds,
+/// or `None` when every one survived bit-exactly.
+pub(crate) fn lost_sentinel(machine: &Machine, sentinels: &Sentinels) -> Option<u64> {
+    sentinels.iter().find_map(|(addr, data)| {
+        let mut buf = [0u8; 32];
+        machine.nvram().read(*addr, &mut buf);
+        (buf != *data).then_some(*addr)
+    })
+}
+
 /// The complete record of one simulated outage.
 #[derive(Debug, Clone)]
 pub struct OutageReport {
@@ -68,21 +101,8 @@ impl WspSystem {
     ) -> OutageReport {
         self.machine.apply_load(load, seed);
 
-        // Sentinel data: what an in-memory database's heap would be.
-        let mut rng = DetRng::seed_from_u64(seed ^ 0x57u64);
-        let capacity = self.machine.nvram().total_capacity().as_u64();
-        let sentinels: Vec<(u64, [u8; 32])> = (0..64)
-            .map(|_| {
-                // Keep clear of the resume block in the first page.
-                let addr = rng.gen_range(8192..capacity - 32) / 8 * 8;
-                let mut data = [0u8; 32];
-                rng.fill_bytes(&mut data);
-                (addr, data)
-            })
-            .collect();
-        for (addr, data) in &sentinels {
-            self.machine.nvram_mut().write(*addr, data);
-        }
+        let sentinels =
+            scatter_sentinels(&mut self.machine, &mut DetRng::seed_from_u64(seed ^ 0x57u64));
 
         obs::emit_detail(
             "system",
@@ -108,12 +128,8 @@ impl WspSystem {
             Err(e) => (None, Some(e.to_string())),
         };
 
-        let data_preserved = restore_report.is_some()
-            && sentinels.iter().all(|(addr, data)| {
-                let mut buf = [0u8; 32];
-                self.machine.nvram().read(*addr, &mut buf);
-                buf == *data
-            });
+        let data_preserved =
+            restore_report.is_some() && lost_sentinel(&self.machine, &sentinels).is_none();
 
         let nvdimm_save = self.machine.nvram().parallel_save_time();
         let local_downtime = save.total

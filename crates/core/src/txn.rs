@@ -60,8 +60,9 @@ use wsp_cluster::ClusterSpec;
 use wsp_obs as obs;
 use wsp_pheap::{
     pack_group_entry, CrashImage, HeapError, LogRecord, PersistentHeap, PersistentMemory, PmPtr,
-    PowerCut, RecordKind, TornLog, TxnResolution, GROUP_ENTRY_GEN_MAX, GTXID_BASE,
+    RecordKind, TornLog, TxnResolution, GROUP_ENTRY_GEN_MAX, GTXID_BASE,
 };
+use wsp_power::PowerCut;
 use wsp_units::{ByteSize, Nanos};
 
 use crate::error::WspError;

@@ -298,7 +298,11 @@ impl NvDimm {
         }
         if self.pending_command_faults > 0 {
             self.pending_command_faults -= 1;
-            return Err(NvramError::SaveCommandFailed { attempts: 1 });
+            return Err(NvramError::SaveCommandFailed {
+                attempts: 1,
+                retries: 0,
+                backoff: Nanos::ZERO,
+            });
         }
         let full_time = self.flash.full_save_time();
         let available = self.ultracap.supply_time(self.save_power);
@@ -431,6 +435,8 @@ mod tests {
         d.power_loss();
         d.power_on();
         d.restore().unwrap();
+        assert_eq!(d.state(), DimmState::Active);
+        assert!(d.flash().has_valid_image(), "restore keeps the image");
         let mut buf = [0u8; 5];
         d.read(12345, &mut buf);
         assert_eq!(&buf, b"hello");
@@ -542,11 +548,19 @@ mod tests {
         d.enter_self_refresh();
         assert_eq!(
             d.save().unwrap_err(),
-            NvramError::SaveCommandFailed { attempts: 1 }
+            NvramError::SaveCommandFailed {
+                attempts: 1,
+                retries: 0,
+                backoff: Nanos::ZERO,
+            }
         );
         assert_eq!(
             d.save().unwrap_err(),
-            NvramError::SaveCommandFailed { attempts: 1 }
+            NvramError::SaveCommandFailed {
+                attempts: 1,
+                retries: 0,
+                backoff: Nanos::ZERO,
+            }
         );
         let out = d.save().unwrap();
         assert!(out.completed, "third attempt succeeds");

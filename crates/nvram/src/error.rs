@@ -56,6 +56,10 @@ pub enum NvramError {
     SaveCommandFailed {
         /// Attempts made, including the first.
         attempts: u32,
+        /// Retries the save command spent across its modules.
+        retries: u32,
+        /// Simulated time those retries spent backing off.
+        backoff: Nanos,
     },
     /// The exponential backoff of a retried save command would overrun
     /// the residual-energy window it must finish inside: the pool
@@ -68,7 +72,15 @@ pub enum NvramError {
         needed: Nanos,
         /// The backoff budget the retries had to fit inside.
         budget: Nanos,
+        /// Retries the save command spent before the refusal.
+        retries: u32,
+        /// Simulated time those retries spent backing off.
+        backoff: Nanos,
     },
+    /// Power failed before the save command landed (the cut armed on
+    /// the pool has struck): no module was touched, so each stays
+    /// active and its DRAM never reaches flash.
+    PowerFailed,
 }
 
 impl fmt::Display for NvramError {
@@ -101,18 +113,20 @@ impl fmt::Display for NvramError {
                 f,
                 "pool images span save generations {stale} and {newest}"
             ),
-            NvramError::SaveCommandFailed { attempts } => {
+            NvramError::SaveCommandFailed { attempts, .. } => {
                 write!(f, "save command failed after {attempts} attempts")
             }
             NvramError::RetryWindowExhausted {
                 attempts,
                 needed,
                 budget,
+                ..
             } => write!(
                 f,
                 "save retries exhausted the residual window after {attempts} attempts: \
                  {needed} of backoff against a {budget} budget"
             ),
+            NvramError::PowerFailed => write!(f, "power failed before the save command"),
         }
     }
 }
@@ -129,6 +143,7 @@ mod tests {
             NvramError::NotInSelfRefresh,
             NvramError::UltracapDepleted,
             NvramError::NoValidImage,
+            NvramError::PowerFailed,
             NvramError::OutOfRange {
                 addr: 0x100,
                 len: 8,

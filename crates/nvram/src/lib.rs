@@ -41,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod command;
 mod dimm;
 mod envy;
 mod error;
@@ -49,7 +48,6 @@ mod flash;
 mod pool;
 mod region;
 
-pub use command::{I2cCommand, I2cResponse};
 pub use dimm::{DimmState, NvDimm, SaveOutcome, SaveTracePoint};
 pub use envy::EnvyStore;
 pub use error::NvramError;

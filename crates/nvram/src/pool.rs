@@ -2,13 +2,16 @@
 //! concatenation, with saves and restores running on all modules in
 //! parallel (they share no resources — paper §2).
 
+use std::sync::Arc;
+
 use wsp_obs as obs;
+use wsp_power::{ArmedCut, PowerCut};
 use wsp_units::{ByteSize, Nanos};
 
 use crate::dimm::DimmState;
 use crate::{NvDimm, NvramError, SaveOutcome};
 
-/// Result of a pool save that retried transient command failures.
+/// Result of a pool save command that retried transient failures.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PoolSaveReport {
     /// Per-module outcomes, in address order.
@@ -36,6 +39,7 @@ pub struct PoolSaveReport {
 #[derive(Debug, Clone)]
 pub struct NvramPool {
     dimms: Vec<NvDimm>,
+    cut: ArmedCut,
 }
 
 impl NvramPool {
@@ -47,7 +51,10 @@ impl NvramPool {
     #[must_use]
     pub fn new(dimms: Vec<NvDimm>) -> Self {
         assert!(!dimms.is_empty(), "a pool needs at least one module");
-        NvramPool { dimms }
+        NvramPool {
+            dimms,
+            cut: ArmedCut::default(),
+        }
     }
 
     /// Builds a pool of `n` identical AgigaRAM-style modules.
@@ -125,70 +132,69 @@ impl NvramPool {
         }
     }
 
-    /// Enters self-refresh and saves every module. Modules save in
-    /// parallel on their own ultracaps, so the pool save time is the
-    /// slowest module's, not the sum.
-    ///
-    /// Returns per-module outcomes; the save as a whole succeeded only if
-    /// [`NvramPool::all_saved`] is true afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first module handshake error.
-    pub fn save_all(&mut self) -> Result<Vec<SaveOutcome>, NvramError> {
-        Ok(self.save_all_with_retry(1)?.outcomes)
-    }
-
     /// Base backoff between save-command attempts; doubles per retry
     /// (the monitor re-issues the I2C command after a quiet interval).
     pub const RETRY_BACKOFF_BASE: Nanos = Nanos::from_micros(100);
 
-    /// Enters self-refresh and saves every module, retrying transient
-    /// save-command failures up to `max_attempts` times per module with
-    /// exponential backoff. Modules save in parallel on their own
-    /// ultracaps, so the pool save time is the slowest module's plus the
-    /// accumulated backoff.
+    /// Arms `cut` (replacing any earlier one): each save command counts
+    /// as one durable event of it from now on, and once it has struck
+    /// every command is refused with [`NvramError::PowerFailed`]. One
+    /// cut armed on the pool and on the heaps fails the whole save
+    /// window at one instant. Clones are never armed.
     ///
-    /// # Errors
+    /// # Examples
     ///
-    /// Returns [`NvramError::BadState`] if any module is powered off
-    /// (instead of panicking inside the handshake),
-    /// [`NvramError::SaveCommandFailed`] when a module's command keeps
-    /// failing after `max_attempts` attempts, and propagates any other
-    /// module error unchanged.
-    pub fn save_all_with_retry(&mut self, max_attempts: u32) -> Result<PoolSaveReport, NvramError> {
-        self.save_all_within(max_attempts, Nanos::MAX)
+    /// ```
+    /// use wsp_nvram::{NvramError, NvramPool};
+    /// use wsp_power::PowerCut;
+    /// use wsp_units::{ByteSize, Nanos};
+    ///
+    /// let mut pool = NvramPool::uniform(2, ByteSize::mib(1));
+    /// let cut = PowerCut::after(0);
+    /// pool.arm(&cut);
+    /// let probe = pool.clone();
+    /// assert_eq!(
+    ///     pool.save_range_within(0..2, 1, Nanos::MAX),
+    ///     Err(NvramError::PowerFailed),
+    /// );
+    /// assert_eq!(cut.events(), 1, "the save command is one event");
+    /// assert!(probe.cut().is_none(), "a clone is unarmed");
+    /// ```
+    pub fn arm(&mut self, cut: &Arc<PowerCut>) {
+        self.cut.arm(cut);
     }
 
-    /// [`NvramPool::save_all_with_retry`] with a bounded backoff budget:
-    /// when the *next* retry's exponential backoff would push the
-    /// accumulated total past `window`, the pool refuses with
-    /// [`NvramError::RetryWindowExhausted`] instead of spinning the
-    /// simulated clock past the residual energy it does not have (the
-    /// failure mode of every retry landing inside the same glitch
-    /// storm).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`NvramPool::save_all_with_retry`] returns, plus
-    /// [`NvramError::RetryWindowExhausted`] for the budget refusal.
-    pub fn save_all_within(
-        &mut self,
-        max_attempts: u32,
-        window: Nanos,
-    ) -> Result<PoolSaveReport, NvramError> {
-        self.save_range_within(0..self.dimms.len(), max_attempts, window)
+    /// The armed cut, if any.
+    #[must_use]
+    pub fn cut(&self) -> Option<&PowerCut> {
+        self.cut.cut()
     }
 
-    /// Region-scoped arm for a shared power domain: saves only the
-    /// modules in `range` (a shard's region of the pool), leaving the
-    /// rest active and writable, with the same retry/backoff budget as
-    /// [`NvramPool::save_all_within`].
+    /// The save command: enters self-refresh and saves the modules in
+    /// `range` (the whole pool, or a shard's region of it), leaving the
+    /// rest active and writable. Modules save in parallel on their own
+    /// ultracaps, so the save time is the slowest module's plus the
+    /// accumulated backoff. Transient command failures are retried up
+    /// to `max_attempts` times per module with exponential backoff;
+    /// when the *next* retry's backoff would push the accumulated total
+    /// past `window`, the pool refuses instead of spinning the simulated
+    /// clock past the residual energy it does not have (the failure
+    /// mode of every retry landing inside the same glitch storm).
+    ///
+    /// The command is one durable event of an armed cut
+    /// ([`NvramPool::arm`]), counted before any module enters
+    /// self-refresh. Per-module outcomes are in the report; the save
+    /// succeeded only if every one completed.
     ///
     /// # Errors
     ///
-    /// Same contract as [`NvramPool::save_all_within`], scoped to the
-    /// modules in `range`.
+    /// [`NvramError::PowerFailed`] once the armed cut has struck (no
+    /// module is touched), [`NvramError::BadState`] if a module in
+    /// `range` is powered off (instead of panicking inside the
+    /// handshake), [`NvramError::SaveCommandFailed`] when a module's
+    /// command keeps failing after `max_attempts` attempts,
+    /// [`NvramError::RetryWindowExhausted`] for the backoff refusal, and
+    /// any other module error unchanged.
     ///
     /// # Panics
     ///
@@ -199,6 +205,9 @@ impl NvramPool {
         max_attempts: u32,
         window: Nanos,
     ) -> Result<PoolSaveReport, NvramError> {
+        if !self.cut.land() {
+            return Err(NvramError::PowerFailed);
+        }
         let max_attempts = max_attempts.max(1);
         for d in &self.dimms[range.clone()] {
             if d.state() == DimmState::Off {
@@ -240,6 +249,8 @@ impl NvramPool {
                                 attempts: attempt,
                                 needed: backoff.saturating_add(step),
                                 budget: window,
+                                retries,
+                                backoff,
                             });
                         }
                         retries += 1;
@@ -262,7 +273,11 @@ impl NvramPool {
                             i64::from(attempt),
                         );
                         obs::count(obs::Ctr::NvdimmSaveFailures);
-                        return Err(NvramError::SaveCommandFailed { attempts: attempt });
+                        return Err(NvramError::SaveCommandFailed {
+                            attempts: attempt,
+                            retries,
+                            backoff,
+                        });
                     }
                     Err(e) => return Err(e),
                 }
@@ -350,6 +365,11 @@ mod tests {
         NvramPool::uniform(2, ByteSize::mib(1))
     }
 
+    /// One save command over the whole pool with an unbounded window.
+    fn save(p: &mut NvramPool, max_attempts: u32) -> Result<PoolSaveReport, NvramError> {
+        p.save_range_within(0..p.dimms().len(), max_attempts, Nanos::MAX)
+    }
+
     #[test]
     fn addresses_concatenate_across_modules() {
         let mut p = pool();
@@ -372,8 +392,8 @@ mod tests {
         let mut p = pool();
         p.write(123, b"abc");
         p.write(ByteSize::mib(1).as_u64() + 7, b"def");
-        let outcomes = p.save_all().unwrap();
-        assert!(outcomes.iter().all(|o| o.completed));
+        let report = save(&mut p, 1).unwrap();
+        assert!(report.outcomes.iter().all(|o| o.completed));
         assert!(p.all_saved());
         p.power_loss();
         p.power_on();
@@ -421,7 +441,7 @@ mod tests {
         let mut p = pool();
         p.write(0, b"flaky");
         p.dimms_mut()[1].inject_save_command_faults(2);
-        let report = p.save_all_with_retry(4).unwrap();
+        let report = save(&mut p, 4).unwrap();
         assert!(report.outcomes.iter().all(|o| o.completed));
         assert_eq!(report.retries, 2);
         // 100 µs + 200 µs of exponential backoff.
@@ -434,8 +454,12 @@ mod tests {
         let mut p = pool();
         p.dimms_mut()[0].inject_save_command_faults(10);
         assert_eq!(
-            p.save_all_with_retry(3).unwrap_err(),
-            NvramError::SaveCommandFailed { attempts: 3 }
+            save(&mut p, 3).unwrap_err(),
+            NvramError::SaveCommandFailed {
+                attempts: 3,
+                retries: 2,
+                backoff: Nanos::from_micros(300),
+            }
         );
     }
 
@@ -446,7 +470,7 @@ mod tests {
         // Four attempts would accumulate 100 + 200 + 400 µs of backoff;
         // a 250 µs budget covers the first retry but not the second.
         let err = p
-            .save_all_within(4, Nanos::from_micros(250))
+            .save_range_within(0..2, 4, Nanos::from_micros(250))
             .unwrap_err();
         assert_eq!(
             err,
@@ -454,14 +478,10 @@ mod tests {
                 attempts: 2,
                 needed: Nanos::from_micros(300),
                 budget: Nanos::from_micros(250),
+                retries: 1,
+                backoff: Nanos::from_micros(100),
             }
         );
-        // An unbounded window behaves exactly like save_all_with_retry.
-        let mut p = pool();
-        p.dimms_mut()[1].inject_save_command_faults(2);
-        let report = p.save_all_within(4, Nanos::MAX).unwrap();
-        assert_eq!(report.retries, 2);
-        assert_eq!(report.backoff, Nanos::from_micros(300));
     }
 
     #[test]
@@ -486,7 +506,7 @@ mod tests {
         let mut p = pool();
         p.power_loss();
         assert!(matches!(
-            p.save_all(),
+            save(&mut p, 1),
             Err(NvramError::BadState { state: "Off", .. })
         ));
     }
@@ -495,7 +515,7 @@ mod tests {
     fn mixed_generation_images_are_rejected() {
         let mut p = pool();
         p.write(0, b"gen1");
-        p.save_all().unwrap(); // both modules at generation 1
+        save(&mut p, 1).unwrap(); // both modules at generation 1
         for d in p.dimms_mut() {
             d.exit_self_refresh().unwrap();
         }
@@ -503,7 +523,7 @@ mod tests {
         // failing and retains its valid generation-1 image.
         p.dimms_mut()[1].inject_save_command_faults(10);
         assert!(matches!(
-            p.save_all_with_retry(2),
+            save(&mut p, 2),
             Err(NvramError::SaveCommandFailed { .. })
         ));
         p.power_loss();
@@ -512,5 +532,53 @@ mod tests {
             p.restore_all().unwrap_err(),
             NvramError::GenerationMismatch { newest: 2, stale: 1 }
         );
+    }
+
+    #[test]
+    fn an_armed_pool_counts_one_event_per_save_command() {
+        let mut p = NvramPool::uniform(4, ByteSize::mib(1));
+        let cut = PowerCut::never();
+        p.arm(&cut);
+        p.dimms_mut()[1].inject_save_command_faults(2);
+        // Retries belong to the one command: still one event.
+        let report = p.save_range_within(0..2, 4, Nanos::MAX).unwrap();
+        assert_eq!((report.retries, cut.events()), (2, 1));
+        p.save_range_within(2..4, 1, Nanos::MAX).unwrap();
+        assert_eq!(cut.events(), 2);
+        assert!(p.all_saved());
+    }
+
+    #[test]
+    fn a_struck_cut_refuses_the_command_and_touches_no_module() {
+        let mut p = pool();
+        p.write(0, b"unsaved");
+        let cut = PowerCut::after(1);
+        p.arm(&cut);
+        p.save_range_within(0..1, 1, Nanos::MAX).unwrap(); // event 0 lands
+        for _ in 0..2 {
+            assert_eq!(
+                p.save_range_within(1..2, 1, Nanos::MAX),
+                Err(NvramError::PowerFailed)
+            );
+        }
+        assert_eq!(cut.events(), 3);
+        let module = &p.dimms()[1];
+        assert_eq!(module.state(), DimmState::Active, "no self-refresh");
+        assert!(!module.flash().has_valid_image());
+        assert_eq!(module.flash().health().pe_cycles, 0, "no flash wear");
+        p.write(ByteSize::mib(1).as_u64(), b"still-writable");
+    }
+
+    #[test]
+    fn a_clone_of_an_armed_pool_is_unarmed() {
+        let mut p = pool();
+        let cut = PowerCut::after(0);
+        p.arm(&cut);
+        let mut probe = p.clone();
+        assert!(probe.cut().is_none());
+        save(&mut probe, 1).unwrap();
+        assert!(probe.all_saved());
+        assert_eq!(cut.events(), 0, "the clone never spends the cut");
+        assert_eq!(save(&mut p, 1), Err(NvramError::PowerFailed));
     }
 }

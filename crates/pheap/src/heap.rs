@@ -9,13 +9,14 @@ use crate::fasthash::{FastMap, FastSet};
 
 use wsp_cache::{CpuProfile, LineWalk, LINE_SIZE};
 use wsp_obs as obs;
+use wsp_power::PowerCut;
 use wsp_units::{ByteSize, Nanos};
 
 use crate::alloc::WordStore;
 use crate::flit::FlitTable;
 use crate::{
     cost, FreeListAllocator, HeapConfig, HeapError, HeapStats, LogRecord, PersistentMemory,
-    PowerCut, RecordKind, Stm, TornLog,
+    RecordKind, Stm, TornLog,
 };
 
 /// Region magic ("WSPHEAP0" as little-endian bytes).

@@ -77,5 +77,5 @@ pub use log::{
     pack_group_entry, unpack_group_entry, LogRecord, RecordKind, TornLog, GROUP_ENTRY_GEN_MAX,
     GROUP_ENTRY_GEN_SHIFT,
 };
-pub use mem::{PersistentMemory, PowerCut};
+pub use mem::PersistentMemory;
 pub use stm::Stm;

@@ -536,7 +536,7 @@ impl TornLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mem::PowerCut;
+    use wsp_power::PowerCut;
     use wsp_units::ByteSize;
 
     const BASE: u64 = 4096;

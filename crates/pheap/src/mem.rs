@@ -17,10 +17,10 @@
 //! in program order, so every durable path of every protocol above is
 //! crashable at any instant, with no per-protocol cut.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use wsp_cache::{CacheHierarchy, CpuProfile, LineAddr, LINE_SIZE};
+use wsp_power::{ArmedCut, PowerCut};
 use wsp_units::{ByteSize, Nanos};
 
 use crate::linetable::LineTable;
@@ -86,132 +86,28 @@ pub struct PersistentMemory {
     budget: EventBudget,
 }
 
-/// One power failure shared by every memory armed with it (see
-/// [`PersistentMemory::arm`]): it counts their durable events together,
-/// in program order, and fails power just before the `(n + 1)`-th. The
-/// memory that reaches that event freezes its durable image then; every
-/// other armed memory freezes before the next thing that lands on it (a
-/// durable event, an eviction writeback, a write-combining drain,
-/// [`PersistentMemory::flush_all`] or [`PersistentMemory::scrub`]), so
-/// the whole fleet stops at one instant.
-///
-/// # Examples
-///
-/// ```
-/// use wsp_pheap::{PersistentMemory, PowerCut};
-/// use wsp_units::ByteSize;
-///
-/// let mut a = PersistentMemory::new(ByteSize::kib(64));
-/// let mut b = a.clone();
-/// let cut = PowerCut::after(1);
-/// a.arm(&cut);
-/// b.arm(&cut);
-/// a.ntstore_u64(0, 1);
-/// a.sfence(); // event 0 lands
-/// b.ntstore_u64(0, 2);
-/// b.sfence(); // event 1: power fails first
-/// assert_eq!(cut.events(), 2);
-/// assert_eq!(a.crash(false)[0], 1);
-/// assert_eq!(b.crash(false)[0], 0);
-/// ```
-#[derive(Debug)]
-pub struct PowerCut {
-    events: AtomicU64,
-    /// The event power fails just before.
-    fail_at: u64,
-}
-
-impl PowerCut {
-    /// A cut failing power just before the `(n + 1)`-th durable event
-    /// its memories perform once armed.
-    #[must_use]
-    pub fn after(n: u64) -> Arc<Self> {
-        Arc::new(PowerCut {
-            events: AtomicU64::new(0),
-            fail_at: n,
-        })
-    }
-
-    /// A cut that never fails power and only counts.
-    #[must_use]
-    pub fn never() -> Arc<Self> {
-        Self::after(u64::MAX)
-    }
-
-    /// Durable events the armed memories have performed so far,
-    /// including any after the failure.
-    #[must_use]
-    pub fn events(&self) -> u64 {
-        self.events.load(Ordering::Relaxed)
-    }
-
-    /// Counts one durable event of a device that is not a
-    /// [`PersistentMemory`] (an NVDIMM save command, say) and returns
-    /// whether it lands: `false` for the event power fails before and
-    /// for every one after it. Armed memories freeze at their next
-    /// landing, exactly as after an event of their own.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use wsp_pheap::{PersistentMemory, PowerCut};
-    /// use wsp_units::ByteSize;
-    ///
-    /// let mut mem = PersistentMemory::new(ByteSize::kib(64));
-    /// mem.write_u64(0, 7);
-    /// let probe = mem.clone();
-    /// let cut = PowerCut::after(0);
-    /// mem.arm(&cut);
-    /// assert!(!cut.land()); // the save command: power fails first
-    /// assert!(!cut.land()); // and stays failed
-    /// mem.flush_all(); // the armed memory lands nothing any more
-    /// assert_eq!(mem.crash(true)[0], 0);
-    /// assert_eq!(probe.crash(true)[0], 7); // a clone was never armed
-    /// ```
-    pub fn land(&self) -> bool {
-        self.events.fetch_add(1, Ordering::Relaxed);
-        !self.struck()
-    }
-
-    fn struck(&self) -> bool {
-        self.events() > self.fail_at
-    }
-}
-
-/// The durable-event count, the armed cut and the image it froze.
-#[derive(Debug, Default)]
+/// The durable-event count, the armed cut and the image it froze. A
+/// clone keeps the count and is unarmed ([`ArmedCut`]).
+#[derive(Debug, Default, Clone)]
 struct EventBudget {
     events: u64,
-    cut: Option<Arc<PowerCut>>,
+    cut: ArmedCut,
     /// The durable bytes at the instant power failed.
     frozen: Option<Vec<u8>>,
-}
-
-/// A clone is never armed: probes run on clones must not spend the cut.
-impl Clone for EventBudget {
-    fn clone(&self) -> Self {
-        EventBudget {
-            events: self.events,
-            cut: None,
-            frozen: self.frozen.clone(),
-        }
-    }
 }
 
 impl EventBudget {
     /// Counts one durable event about to land on `durable`.
     fn tick(&mut self, durable: &[u8]) {
         self.events += 1;
-        if let Some(cut) = &self.cut {
-            cut.events.fetch_add(1, Ordering::Relaxed);
-        }
+        self.cut.land();
         self.landing(durable);
     }
 
     /// Called before anything lands on `durable`: freezes it once the
     /// armed cut has struck.
     fn landing(&mut self, durable: &[u8]) {
-        if self.frozen.is_none() && self.cut.as_ref().is_some_and(|cut| cut.struck()) {
+        if self.frozen.is_none() && self.cut.struck() {
             self.frozen = Some(durable.to_vec());
         }
     }
@@ -273,9 +169,35 @@ impl PersistentMemory {
     /// instant it strikes are kept and [`PersistentMemory::crash`]
     /// returns them; the memory keeps running (later stores stay
     /// readable), but nothing that lands after the failure reaches the
-    /// crash image. Clones are never armed.
+    /// crash image. A memory that did not perform the failing event
+    /// freezes before the next thing that lands on it (a durable event,
+    /// an eviction writeback, a write-combining drain,
+    /// [`PersistentMemory::flush_all`] or [`PersistentMemory::scrub`]),
+    /// so every armed memory stops at one instant. Clones are never
+    /// armed.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use wsp_pheap::PersistentMemory;
+    /// use wsp_power::PowerCut;
+    /// use wsp_units::ByteSize;
+    ///
+    /// let mut a = PersistentMemory::new(ByteSize::kib(64));
+    /// let mut b = a.clone();
+    /// let cut = PowerCut::after(1);
+    /// a.arm(&cut);
+    /// b.arm(&cut);
+    /// a.ntstore_u64(0, 1);
+    /// a.sfence(); // event 0 lands
+    /// b.ntstore_u64(0, 2);
+    /// b.sfence(); // event 1: power fails first
+    /// assert_eq!(cut.events(), 2);
+    /// assert_eq!(a.crash(false)[0], 1);
+    /// assert_eq!(b.crash(false)[0], 0);
+    /// ```
     pub fn arm(&mut self, cut: &Arc<PowerCut>) {
-        self.budget.cut = Some(Arc::clone(cut));
+        self.budget.cut.arm(cut);
     }
 
     /// The cache hierarchy (for statistics inspection).

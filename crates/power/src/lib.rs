@@ -1,7 +1,8 @@
 //! Power-delivery models for the whole-system-persistence reproduction:
 //! ATX power supplies and their residual energy windows, the power-fail
-//! monitor, ultracapacitors (with cycle aging), and supercapacitor
-//! provisioning.
+//! monitor, ultracapacitors (with cycle aging), supercapacitor
+//! provisioning, and the [`PowerCut`] every persisting device is armed
+//! with to fail at one instant.
 //!
 //! The feasibility of WSP's *flush-on-fail* rests on one inequality: the
 //! time to save CPU contexts and flush caches must fit inside the
@@ -26,6 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cut;
 mod domain;
 mod monitor;
 mod provision;
@@ -34,6 +36,7 @@ mod scope;
 mod ultracap;
 mod ups;
 
+pub use cut::{ArmedCut, PowerCut};
 pub use domain::PowerDomain;
 pub use monitor::{MonitorError, PowerFailEvent, PowerMonitor, PwrOkSample, PwrOkVerdict};
 pub use provision::{ProvisionPlan, SupercapProvisioner};

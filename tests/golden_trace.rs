@@ -75,7 +75,6 @@ fn heap_with_root(value: u64) -> PersistentHeap {
 fn partial_budget(machine: &Machine, heap: &PersistentHeap) -> DomainBudget {
     DomainBudget {
         window_cap: Some(wsp_repro::wsp::priority_stage_window(machine, heap)),
-        ..DomainBudget::trusting()
     }
 }
 

@@ -36,7 +36,6 @@ fn heap_with_root(value: u64) -> PersistentHeap {
 fn partial_save(machine: &mut Machine, heap: &mut PersistentHeap) -> ShardVerdict {
     let budget = DomainBudget {
         window_cap: Some(wsp_repro::wsp::priority_stage_window(machine, heap)),
-        ..DomainBudget::trusting()
     };
     let trace = clean_failure_trace();
     let report = node_save(machine, heap, SystemLoad::Busy, &trace, budget).unwrap();
