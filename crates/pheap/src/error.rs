@@ -33,12 +33,14 @@ pub enum HeapError {
     /// The operation requires an open transaction, or the transaction is
     /// already finished.
     NoTransaction,
-    /// The log cannot hold the operation's records, and truncation could
-    /// not reclaim enough space (in-doubt prepared transactions must keep
-    /// their records until the coordinator decides). The caller should
-    /// abort or retry once the in-doubt transactions resolve.
+    /// The log cannot hold the operation's records beside the room a
+    /// truncation needs to copy the in-doubt prepared transactions, and
+    /// truncation could not reclaim enough space (those transactions
+    /// must keep their records until the coordinator decides). The
+    /// caller should abort or retry once the in-doubt transactions
+    /// resolve.
     LogFull {
-        /// Log words the operation needs.
+        /// Log words the operation needs, the copies' room included.
         needed_words: u64,
         /// Log words actually free.
         free_words: u64,

@@ -28,6 +28,9 @@ const TAIL_PTR_ADDR: u64 = 24;
 const ALLOC_HEAD_ADDR: u64 = 32;
 /// The log area starts one page in; everything before it is header.
 const LOG_BASE: u64 = 4096;
+/// Words [`PersistentHeap`]'s log reserve truncates ahead of need, so a
+/// truncation comes a few appends before a refusal would.
+const LOG_HEADROOM_WORDS: u64 = 8;
 
 /// Log area size for a region: 1/16th of capacity, clamped to
 /// [8 KiB, 4 MiB].
@@ -537,12 +540,10 @@ impl PersistentHeap {
         let plan = coalesce(&batch.buffered);
         // Room for the whole coalesced record set plus the marker. Prior
         // epochs' records are dead (their data was applied durably), so
-        // truncation is always safe here — in-doubt prepared records are
-        // carried across it by the preserving truncation.
-        let needed = plan.len() as u64 * 4 + 1;
-        if self.log.free_words() < needed + 8 {
-            self.make_log_room();
-        }
+        // the reserve may truncate; `epoch_absorb` kept every batch
+        // inside it.
+        self.reserve_log(plan.len() as u64 * 4 + 1)
+            .expect("an admitted epoch batch fits the log reserve");
         let marker = LogRecord::epoch_commit(batch.max_txid);
         let applies = &batch.buffered;
         self.persist_write_set(&mut epoch.walk, &plan, applies, &marker);
@@ -575,7 +576,7 @@ impl PersistentHeap {
         if self.log.needs_truncation() {
             // Undo flavour: the batch's data lines were just flushed, so
             // the records before the marker are dead.
-            self.make_log_room();
+            self.truncate_log();
         }
     }
 
@@ -642,16 +643,35 @@ impl PersistentHeap {
 
     /// Absorbs a committed transaction's write set into the open batch,
     /// staging the batch behind a fresh one when the epoch fills (the
-    /// double-buffered pipeline) and fully sealing when the coalesced
-    /// record sets approach log capacity (every live batch must fit in
-    /// the log in one piece).
-    fn epoch_absorb(&mut self, txid: u64, write_set: &[(u64, u64)]) {
-        // In-doubt prepared records are pinned in the log until the
-        // coordinator decides; the epochs' coalesced sets must fit beside
-        // them.
-        let pinned = self.prepared_log_words();
-        let flit_on = self.flit_enabled;
+    /// double-buffered pipeline). Every live batch must drain in one
+    /// piece beside the in-doubt records and the copy of them a
+    /// truncation re-appends: a write set that would bring the buffered
+    /// record sets near that room seals them first.
+    ///
+    /// # Errors
+    ///
+    /// [`HeapError::LogFull`] when the write set could not drain even
+    /// from an emptied log; nothing is absorbed.
+    fn epoch_absorb(&mut self, txid: u64, write_set: &[(u64, u64)]) -> Result<(), HeapError> {
+        // The write set's length bounds its distinct words.
+        let pinned = 2 * self.prepared_log_words();
+        let incoming = write_set.len() as u64 * 4;
+        let capacity = self.log.capacity_words();
+        if incoming + pinned + 2 > capacity {
+            return Err(HeapError::LogFull {
+                needed_words: incoming + pinned + 2,
+                free_words: self.log.free_words(),
+            });
+        }
         // Only `Tx::commit` calls this, and only after seeing epoch mode on.
+        let epoch = self.epoch.as_ref().expect("epoch mode active");
+        let buffered =
+            epoch.open.index.len() + epoch.in_flight.as_ref().map_or(0, |b| b.index.len());
+        if buffered as u64 * 4 + incoming + 64 + pinned >= capacity {
+            // Give up the overlap: make everything durable now.
+            self.seal_epoch();
+        }
+        let flit_on = self.flit_enabled;
         let epoch = self.epoch.as_mut().expect("epoch mode active");
         let gen = epoch.open.gen;
         let mut elided = 0u64;
@@ -686,17 +706,10 @@ impl PersistentHeap {
         }
         epoch.open.pending += 1;
         epoch.open.max_txid = epoch.open.max_txid.max(txid);
-        let unique_records = epoch.open.index.len() as u64
-            + epoch.in_flight.as_ref().map_or(0, |b| b.index.len() as u64);
-        let pressure = unique_records * 4 + 64 + pinned >= self.log.capacity_words();
-        let full = epoch.open.pending >= epoch.size;
-        if pressure {
-            // Give up the overlap: both generations must fit in the log,
-            // so make everything durable now.
-            self.seal_epoch();
-        } else if full {
+        if epoch.open.pending >= epoch.size {
             self.stage_open_batch();
         }
+        Ok(())
     }
 
     /// The current root object, if one was ever published.
@@ -722,17 +735,18 @@ impl PersistentHeap {
         });
         // Undo logs can only truncate between transactions (truncating
         // mid-transaction would discard the records needed to roll this
-        // very transaction back). Under an open epoch the seal manages
-        // its own log space, so truncation is left to it.
+        // very transaction back), so the transaction starts with room for
+        // its commit or abort marker. Under an open epoch the seal
+        // manages its own log space, so truncation is left to it.
         if self.config.uses_undo_log()
-            && self.log.needs_truncation()
+            && (self.log.needs_truncation() || self.log_room(1).is_err())
             && self.epoch.as_ref().is_none_or(EpochCommitter::is_clean)
         {
             // Committed data was flushed at each commit (FoC) or will be
             // covered by flush-on-fail (FoF); either way the log records
             // before this point are dead — except in-doubt prepared
-            // records, which the preserving truncation carries across.
-            self.truncate_preserving(self.config.flush_on_commit());
+            // records, which the truncation carries across.
+            self.truncate_log();
         }
         self.stats.txs_started += 1;
         let txid = self.next_txid;
@@ -903,21 +917,13 @@ impl PersistentHeap {
         }
         self.seal_epoch();
         let plan = coalesce(writes);
-        // Room for the records, the PREPARED marker and the later
-        // decision marker. Truncation preserves any other in-doubt
-        // transaction's records; if the pinned set still leaves too
-        // little room, refuse with a typed error so the coordinator can
-        // abort cleanly instead of the append panicking.
-        let needed = plan.len() as u64 * 4 + 2;
-        if self.log.free_words() < needed + 8 {
-            self.make_log_room();
-        }
-        if self.log.free_words() < needed {
-            return Err(HeapError::LogFull {
-                needed_words: needed,
-                free_words: self.log.free_words(),
-            });
-        }
+        // Room for the records and the PREPARED marker, the later
+        // decision marker, and the copy of both every truncation until
+        // the decision re-appends. A pin the reserve cannot hold is
+        // refused with a typed error, so the coordinator can abort
+        // cleanly.
+        let pin = plan.len() as u64 * 4 + 1;
+        self.reserve_log(2 * pin + 1)?;
         // The undo flavour applies one final value per address in place.
         let marker = LogRecord::prepare(gtxid);
         let mut walk = LineWalk::default();
@@ -936,11 +942,8 @@ impl PersistentHeap {
     ///
     /// [`HeapError::NoTransaction`] if `gtxid` was never prepared here.
     pub fn commit_distributed(&mut self, gtxid: u64) -> Result<(), HeapError> {
-        // Make room for the marker while `gtxid` is still in the
-        // prepared map, so a preserving truncation keeps its records.
-        if self.log.free_words() < 1 && self.prepared.contains_key(&gtxid) {
-            self.make_log_room();
-        }
+        // The marker needs no room check: the reserve kept this pin's
+        // copy room free, and the marker is one word of it.
         let Some(p) = self.prepared.remove(&gtxid) else {
             return Err(HeapError::NoTransaction);
         };
@@ -956,7 +959,7 @@ impl PersistentHeap {
         }
         self.stats.commits += 1;
         if self.log.needs_truncation() {
-            self.make_log_room();
+            self.truncate_log();
         }
         Ok(())
     }
@@ -971,11 +974,8 @@ impl PersistentHeap {
     ///
     /// [`HeapError::NoTransaction`] if `gtxid` was never prepared here.
     pub fn abort_distributed(&mut self, gtxid: u64) -> Result<(), HeapError> {
-        // Room for the abort marker, preserving every in-doubt record
-        // set (including this one — rollback has not run yet).
-        if self.log.free_words() < 1 && self.prepared.contains_key(&gtxid) {
-            self.make_log_room();
-        }
+        // As for the commit marker, the abort marker fits in this pin's
+        // copy room.
         let Some(p) = self.prepared.remove(&gtxid) else {
             return Err(HeapError::NoTransaction);
         };
@@ -1426,17 +1426,13 @@ impl Tx<'_> {
                 .iter()
                 .any(|&(start, len)| addr >= start && addr < start + len);
             if !fresh && self.undo_logged.insert(addr) {
-                // An undo log cannot truncate mid-transaction; if the
-                // free space (minus one word reserved for the commit or
-                // abort marker) cannot hold this record, refuse instead
-                // of letting the append panic. In-doubt prepared records
-                // pinning the log is the usual way to get here.
-                if self.heap.log.free_words() < 5 {
+                // An undo log cannot truncate mid-transaction; if the log
+                // cannot hold this record and the commit or abort marker
+                // beside the in-doubt copies, refuse instead of letting
+                // the append panic or eat the copies' room.
+                if let Err(e) = self.heap.log_room(5) {
                     self.undo_logged.remove(&addr);
-                    return Err(HeapError::LogFull {
-                        needed_words: 5,
-                        free_words: self.heap.log.free_words(),
-                    });
+                    return Err(e);
                 }
                 self.heap.stats.undo_records += 1;
                 let old = self.heap.mem.read_u64(addr);
@@ -1604,14 +1600,14 @@ impl Tx<'_> {
             // transaction, so a crash before the seal simply loses the
             // whole epoch — atomically — and the seal writes one
             // coalesced, fenced record batch for it.
-            self.heap.stats.commits += 1;
             if !self.write_set.is_empty() {
-                if config.uses_stm() {
-                    self.heap.stm.commit(self.write_set.iter().map(|&(a, _)| a));
-                }
                 let write_set = std::mem::take(&mut self.write_set);
-                self.heap.epoch_absorb(self.txid, &write_set);
+                self.heap.epoch_absorb(self.txid, &write_set)?;
+                if config.uses_stm() {
+                    self.heap.stm.commit(write_set.iter().map(|&(a, _)| a));
+                }
             }
+            self.heap.stats.commits += 1;
             return Ok(());
         }
         match config {
@@ -1649,7 +1645,7 @@ impl Tx<'_> {
                     self.heap.mem.sfence();
                 }
                 if self.heap.log.needs_truncation() {
-                    self.heap.truncate_preserving(flush);
+                    self.heap.truncate_log();
                 }
                 Ok(())
             }
@@ -1663,16 +1659,7 @@ impl Tx<'_> {
                 // Make room in the log for the whole commit record set;
                 // in-doubt prepared records are pinned across the
                 // truncation, so the room may genuinely not exist.
-                let needed = self.write_set.len() as u64 * 4 + 1;
-                if self.heap.log.free_words() < needed + 8 {
-                    self.heap.truncate_redo_log();
-                }
-                if self.heap.log.free_words() < needed {
-                    return Err(HeapError::LogFull {
-                        needed_words: needed,
-                        free_words: self.heap.log.free_words(),
-                    });
-                }
+                self.heap.reserve_log(self.write_set.len() as u64 * 4 + 1)?;
                 self.heap.stats.commits += 1;
                 self.heap.stats.redo_records += self.write_set.len() as u64;
                 if flush {
@@ -1750,16 +1737,12 @@ impl Tx<'_> {
                 self.heap.unflushed_lines.insert(line);
             }
         }
-        // The abort marker is an optimization (recovery rolls back any
-        // uncommitted records anyway); skip it rather than panic when
-        // in-doubt records have pinned the log full.
-        if self.heap.log.free_words() >= 1 {
-            self.heap
-                .log
-                .append(&mut self.heap.mem, &LogRecord::abort(self.txid), flush);
-            if flush {
-                self.heap.mem.sfence();
-            }
+        // `begin` and the write barrier left room for this marker.
+        self.heap
+            .log
+            .append(&mut self.heap.mem, &LogRecord::abort(self.txid), flush);
+        if flush {
+            self.heap.mem.sfence();
         }
     }
 }
@@ -1771,25 +1754,6 @@ impl Drop for Tx<'_> {
 }
 
 impl PersistentHeap {
-    /// Truncates the redo log, first flushing every in-place data line
-    /// updated since the last truncation (flush-on-commit only): after
-    /// truncation the log can no longer replay them, so NVRAM must hold
-    /// them directly.
-    fn truncate_redo_log(&mut self) {
-        if self.config.flush_on_commit() {
-            let lines: Vec<u64> = self.unflushed_lines.drain().collect();
-            obs::count_by(obs::Ctr::FlushIssued, lines.len() as u64);
-            for line in lines {
-                self.mem.clflush_range(line * LINE_SIZE, LINE_SIZE);
-            }
-            self.mem.sfence();
-        }
-        // Flush-on-fail: the lines stay tracked — after truncation the
-        // log can no longer replay them, so they are exactly what a
-        // priority (stage-A) flush must make durable.
-        self.truncate_preserving(self.config.flush_on_commit());
-    }
-
     /// In-doubt 2PC pins: global transactions prepared here and still
     /// awaiting the coordinator's decision. A shard holding pins ranks
     /// above its peers in shared-power-domain triage — losing its image
@@ -1800,8 +1764,8 @@ impl PersistentHeap {
     }
 
     /// Log words the in-doubt prepared transactions occupy — what a
-    /// preserving truncation re-appends, and the floor the log can never
-    /// be truncated below while the coordinator's decisions are pending.
+    /// truncation re-appends, and the floor the log can never be
+    /// truncated below while the coordinator's decisions are pending.
     fn prepared_log_words(&self) -> u64 {
         self.prepared
             .values()
@@ -1809,60 +1773,89 @@ impl PersistentHeap {
             .sum()
     }
 
-    /// Truncates the log while keeping every in-doubt prepared global
-    /// transaction recoverable: its write records and PREPARED marker
-    /// are re-appended so the coordinator's eventual decision can still
-    /// be honoured after a crash. When space allows, the copies go in
-    /// *before* the tail pointer moves (fenced), so every durable step
-    /// of the truncation leaves a complete in-doubt record set; when the
-    /// log is too full for the copies, it truncates first — records that
-    /// were live a moment ago always fit in the emptied log.
-    fn truncate_preserving(&mut self, flush: bool) {
-        self.stats.truncations += 1;
-        if self.prepared.is_empty() {
-            self.log.truncate(&mut self.mem, flush);
-            return;
-        }
-        let needed = self.prepared_log_words();
-        let safe_order = self.log.free_words() >= needed;
-        let mark = self.log.mark();
-        if !safe_order {
-            self.log.truncate(&mut self.mem, flush);
-        }
-        let mut gtxids: Vec<u64> = self.prepared.keys().copied().collect();
-        gtxids.sort_unstable();
-        for gtxid in gtxids {
-            let p = &self.prepared[&gtxid];
-            // Undo flavour logged old values, redo flavour final ones —
-            // re-append exactly what prepare wrote.
-            let records: Vec<(u64, u64)> = if self.config.uses_undo_log() {
-                p.olds.clone()
-            } else {
-                p.writes.clone()
-            };
-            for (addr, value) in records {
-                self.log
-                    .append(&mut self.mem, &LogRecord::write(gtxid, addr, value), flush);
-            }
-            self.log.append(&mut self.mem, &LogRecord::prepare(gtxid), flush);
-        }
-        if flush {
-            self.mem.sfence();
-        }
-        if safe_order {
-            self.log.truncate_to(&mut self.mem, mark, flush);
+    /// The log-room rule: `needed` more words fit only if the log keeps
+    /// room beside them for a truncation's copy of every in-doubt
+    /// transaction. Every append stays inside it, so `free_words()`
+    /// never drops below [`PersistentHeap::prepared_log_words`].
+    ///
+    /// # Errors
+    ///
+    /// [`HeapError::LogFull`] when the room is short.
+    fn log_room(&self, needed: u64) -> Result<(), HeapError> {
+        let needed_words = needed + self.prepared_log_words();
+        let free_words = self.log.free_words();
+        if free_words >= needed_words {
+            Ok(())
+        } else {
+            Err(HeapError::LogFull {
+                needed_words,
+                free_words,
+            })
         }
     }
 
-    /// Makes log room ahead of a batched append: flushes replay-dependent
-    /// data lines first for the redo flavour, and always preserves
-    /// in-doubt prepared transactions across the truncation.
-    fn make_log_room(&mut self) {
-        if self.config.uses_redo_log() {
-            self.truncate_redo_log();
-        } else {
-            self.truncate_preserving(true);
+    /// Reserves `needed` log words under [`PersistentHeap::log_room`],
+    /// truncating once when the room is short or within
+    /// `LOG_HEADROOM_WORDS` of it.
+    ///
+    /// # Errors
+    ///
+    /// [`HeapError::LogFull`] when the room is still short after the
+    /// truncation: in-doubt transactions pin the rest.
+    fn reserve_log(&mut self, needed: u64) -> Result<(), HeapError> {
+        if self.log_room(needed + LOG_HEADROOM_WORDS).is_err() {
+            self.truncate_log();
         }
+        self.log_room(needed)
+    }
+
+    /// Truncates the log, keeping every in-doubt prepared global
+    /// transaction recoverable. In one order: the flush-on-commit redo
+    /// flavour first flushes every in-place data line updated since the
+    /// last truncation (the log could replay them until now); then each
+    /// in-doubt transaction's write records and PREPARED marker are
+    /// re-appended and fenced; only then does the tail move past the
+    /// old records. Every durable step leaves either the old log or the
+    /// copies in place, so no crash loses an in-doubt transaction. The
+    /// log-room rule guarantees the copies always fit ahead of the tail.
+    fn truncate_log(&mut self) {
+        let flush = self.config.flush_on_commit();
+        if flush && self.config.uses_redo_log() {
+            let lines: Vec<u64> = self.unflushed_lines.drain().collect();
+            obs::count_by(obs::Ctr::FlushIssued, lines.len() as u64);
+            for line in lines {
+                self.mem.clflush_range(line * LINE_SIZE, LINE_SIZE);
+            }
+            self.mem.sfence();
+        }
+        // Flush-on-fail: the lines stay tracked — after truncation the
+        // log can no longer replay them, so they are exactly what a
+        // priority (stage-A) flush must make durable.
+        assert!(self.log_room(0).is_ok(), "no log room for the in-doubt copies");
+        self.stats.truncations += 1;
+        let mark = self.log.mark();
+        let mut gtxids: Vec<u64> = self.prepared.keys().copied().collect();
+        gtxids.sort_unstable();
+        for &gtxid in &gtxids {
+            let p = &self.prepared[&gtxid];
+            // Undo flavour logged old values, redo flavour final ones —
+            // re-append exactly what prepare wrote.
+            let records = if self.config.uses_undo_log() {
+                &p.olds
+            } else {
+                &p.writes
+            };
+            for &(addr, value) in records {
+                self.log
+                    .append(&mut self.mem, &LogRecord::write(gtxid, addr, value), flush);
+            }
+            self.log
+                .append(&mut self.mem, &LogRecord::prepare(gtxid), flush);
+        }
+        if flush && !gtxids.is_empty() {
+            self.mem.sfence();
+        }
+        self.log.truncate_to(&mut self.mem, mark, flush);
     }
 }
 
@@ -3129,31 +3122,276 @@ mod tests {
 
     #[test]
     fn oversized_second_prepare_refused_with_typed_log_full() {
-        // 64 KiB heap -> 8 KiB log (1023 usable words). The first
-        // prepare pins ~801 words; the second cannot fit even after a
-        // preserving truncation and must refuse, not panic.
+        // 64 KiB heap -> 8 KiB log (1023 usable words). A prepare must
+        // reserve its records, its decision marker and their copy: a
+        // 200-write pin (2 * 801 + 1 words) is refused even on an empty
+        // log. A 100-write pin fits; a second one would fit an empty
+        // log, but not beside the first and its copy, and must refuse,
+        // not panic.
         for config in [HeapConfig::FocStm, HeapConfig::FocUndo] {
             let mut h = PersistentHeap::create(ByteSize::kib(64), config);
             let heap_base = 4096 + 8 * 1024;
-            let big: Vec<(u64, u64)> =
-                (0..200u64).map(|i| (heap_base + i * 8, i)).collect();
-            h.prepare_distributed(GTXID_BASE + 1, &big).unwrap();
-            let big2: Vec<(u64, u64)> =
-                (200..400u64).map(|i| (heap_base + i * 8, i)).collect();
+            let cells = |range: std::ops::Range<u64>| -> Vec<(u64, u64)> {
+                range.map(|i| (heap_base + i * 8, i)).collect()
+            };
             assert!(
                 matches!(
-                    h.prepare_distributed(GTXID_BASE + 2, &big2),
+                    h.prepare_distributed(GTXID_BASE + 1, &cells(0..200)),
+                    Err(HeapError::LogFull { .. })
+                ),
+                "{config}: a 200-write pin exceeds the reserve"
+            );
+            h.prepare_distributed(GTXID_BASE + 1, &cells(0..100))
+                .unwrap();
+            assert!(
+                matches!(
+                    h.prepare_distributed(GTXID_BASE + 2, &cells(100..200)),
                     Err(HeapError::LogFull { .. })
                 ),
                 "{config}"
             );
             // The refused prepare left no trace; the first is intact.
+            assert_eq!(h.in_doubt_pins(), 1, "{config}");
             h.commit_distributed(GTXID_BASE + 1).unwrap();
             let mut r = PersistentHeap::recover(h.crash(false)).unwrap();
             let mut tx = r.begin();
-            assert_eq!(tx.read_word(PmPtr::new(heap_base).unwrap()).unwrap(), 0, "{config}");
+            for i in 0..200u64 {
+                let want = if i < 100 { i } else { 0 };
+                let got = tx
+                    .read_word(PmPtr::new(heap_base + i * 8).unwrap())
+                    .unwrap();
+                assert_eq!(got, want, "{config} cell {i}");
+            }
             tx.commit().unwrap();
         }
+    }
+
+    /// Runs local transactions beside in-doubt global transactions on a
+    /// 64 KiB heap (8 KiB log) and crashes every durable event of each
+    /// one that truncates the log or is refused. Pin `k` writes its own
+    /// `pins[k]` cells; the first local transaction writes `first`
+    /// cells, every later one a single cell. Every image must recover,
+    /// under a commit and under an abort decision, with every pin still
+    /// in doubt and following the decision, every earlier local commit
+    /// intact and the crashed transaction all or nothing. Stops after
+    /// `truncations` truncating transactions; returns the crash points.
+    fn crash_truncations_under_pins(
+        config: HeapConfig,
+        pins: &[u64],
+        first: u64,
+        truncations: u64,
+    ) -> u64 {
+        let mut h = PersistentHeap::create(ByteSize::kib(64), config);
+        let pinned: u64 = pins.iter().sum();
+        let cells = pinned + first.max(64);
+        let base = {
+            let mut tx = h.begin();
+            let p = tx.alloc(cells * 8).unwrap();
+            tx.commit().unwrap();
+            p.offset()
+        };
+        let cell = |i: u64| PmPtr::new(base + i * 8).unwrap();
+        let mut gtxids = Vec::new();
+        let mut pin_writes = Vec::new();
+        for (k, &n) in pins.iter().enumerate() {
+            let from = pin_writes.len() as u64;
+            let writes: Vec<(u64, u64)> = (from..from + n).map(|i| (i, 1000 + i)).collect();
+            let gtxid = GTXID_BASE + 1 + k as u64;
+            let addrs: Vec<(u64, u64)> =
+                writes.iter().map(|&(i, v)| (cell(i).offset(), v)).collect();
+            h.prepare_distributed(gtxid, &addrs).unwrap();
+            gtxids.push(gtxid);
+            pin_writes.extend(writes);
+        }
+        // Local cells follow the pinned ones; all start at zero.
+        let mut model = vec![0u64; cells as usize];
+        let (mut points, mut crashed) = (0, 0);
+        for op in 0..4000u64 {
+            if crashed == truncations {
+                break;
+            }
+            let n = if op == 0 { first } else { 1 };
+            let writes: Vec<(u64, u64)> = (0..n)
+                .map(|j| (pinned + (op + j) % (cells - pinned), op * 1000 + j + 1))
+                .collect();
+            let run = |h: &mut PersistentHeap| {
+                let mut tx = h.begin();
+                for &(i, v) in &writes {
+                    tx.write_word(cell(i), v)?;
+                }
+                tx.commit()
+            };
+            let before = h.clone();
+            let result = run(&mut h);
+            if let Err(e) = &result {
+                assert!(
+                    matches!(e, HeapError::LogFull { .. }),
+                    "{config} op {op}: {e}"
+                );
+            }
+            let truncated = h.stats().truncations > before.stats().truncations;
+            if !truncated && result.is_ok() {
+                for &(i, v) in &writes {
+                    model[i as usize] = v;
+                }
+                continue;
+            }
+            crashed += u64::from(truncated);
+            let events = before.durable_events(run);
+            for event in 0..=events {
+                let image = before.clone().crash_during(event, run);
+                for commit in [true, false] {
+                    let at =
+                        format!("{config} pins {pins:?} op {op} event {event} commit={commit}");
+                    let (mut r, resolution) =
+                        PersistentHeap::recover_distributed(image.clone(), |_| commit).unwrap();
+                    assert_eq!(resolution.in_doubt, gtxids, "{at}");
+                    let mut tx = r.begin();
+                    let mut read = |i: u64| tx.read_word(cell(i)).unwrap();
+                    for &(i, v) in &pin_writes {
+                        assert_eq!(read(i), if commit { v } else { 0 }, "{at}: pin cell {i}");
+                    }
+                    let landed = writes.iter().filter(|&&(i, v)| read(i) == v).count();
+                    assert!(
+                        landed == 0 || landed == writes.len(),
+                        "{at}: {landed} landed"
+                    );
+                    for i in pinned..cells {
+                        if writes.iter().all(|&(w, _)| w != i) {
+                            assert_eq!(read(i), model[i as usize], "{at}: local cell {i}");
+                        }
+                    }
+                }
+            }
+            points += events + 1;
+            if result.is_ok() {
+                for &(i, v) in &writes {
+                    model[i as usize] = v;
+                }
+            }
+        }
+        assert_eq!(
+            crashed, truncations,
+            "{config} pins {pins:?}: too few truncations"
+        );
+        points
+    }
+
+    #[test]
+    fn truncation_under_in_doubt_pins_keeps_every_decision() {
+        // (pins, first local transaction's writes, truncations crashed):
+        // one and several pins beside single-write commits, and a large
+        // pin beside a 180-write transaction the reserve now refuses.
+        let shapes: [(&[u64], u64, u64); 4] = [
+            (&[4], 1, 15),
+            (&[4, 4, 4], 1, 6),
+            (&[40], 180, 4),
+            (&[20, 20], 180, 4),
+        ];
+        for config in [HeapConfig::FocStm, HeapConfig::FocUndo] {
+            let points: u64 = shapes
+                .iter()
+                .map(|&(pins, first, truncations)| {
+                    crash_truncations_under_pins(config, pins, first, truncations)
+                })
+                .sum();
+            assert!(points > 2000, "{config}: {points} crash points");
+        }
+    }
+
+    /// One step of the log-room property.
+    #[derive(Debug, Clone, Copy)]
+    enum RoomOp {
+        /// A local transaction writing `n` cells from local cell `start`.
+        Local { start: u64, n: u64 },
+        /// A prepare writing the next `n` global cells.
+        Prepare { n: u64 },
+        /// The decision on in-doubt pin `pick` (modulo the live pins).
+        Decide { pick: u64, commit: bool },
+    }
+
+    fn room_ops() -> wsp_det::Gen<Vec<RoomOp>> {
+        use wsp_det::gen::{any, in_range, pair, vec_of, weighted};
+        let local = pair(in_range(0u64..256), in_range(1u64..=200))
+            .map(|(start, n)| RoomOp::Local { start, n });
+        let prepare = in_range(1u64..=120).map(|n| RoomOp::Prepare { n });
+        let decide =
+            pair(any::<u64>(), any::<bool>()).map(|(pick, commit)| RoomOp::Decide { pick, commit });
+        vec_of(
+            weighted(vec![(5, local), (3, prepare), (2, decide)]),
+            1..60usize,
+        )
+    }
+
+    #[test]
+    fn log_room_rule_holds_under_random_interleavings() {
+        // 64 KiB heaps -> 8 KiB logs: 256 local cells and 256 global
+        // ones, so local transactions, epoch batches and pins all reach
+        // the reserve.
+        wsp_det::Forall::new(room_ops()).cases(32).check(|ops| {
+            for config in [HeapConfig::FocStm, HeapConfig::FocUndo] {
+                for epoch in [1, 4] {
+                    let mut h = PersistentHeap::create(ByteSize::kib(64), config);
+                    let base = {
+                        let mut tx = h.begin();
+                        let p = tx.alloc(512 * 8).unwrap();
+                        tx.commit().unwrap();
+                        p.offset()
+                    };
+                    h.set_epoch_size(epoch);
+                    let (mut live, mut next, mut cursor) = (Vec::new(), GTXID_BASE, 0u64);
+                    for (step, op) in ops.iter().enumerate() {
+                        let at = format!("{config} epoch {epoch} step {step} {op:?}");
+                        let refused = |e: HeapError| {
+                            assert!(matches!(e, HeapError::LogFull { .. }), "{at}: {e}");
+                        };
+                        match *op {
+                            RoomOp::Local { start, n } => {
+                                let mut tx = h.begin();
+                                let wrote = (0..n).try_for_each(|j| {
+                                    let addr = base + (256 + (start + j) % 256) * 8;
+                                    tx.write_word(PmPtr::new(addr).unwrap(), j)
+                                });
+                                if let Err(e) = wrote.and_then(|()| tx.commit()) {
+                                    refused(e);
+                                }
+                            }
+                            RoomOp::Prepare { n } => {
+                                let writes: Vec<(u64, u64)> = (cursor..cursor + n)
+                                    .map(|i| (base + (i % 256) * 8, i))
+                                    .collect();
+                                next += 1;
+                                match h.prepare_distributed(next, &writes) {
+                                    Ok(()) => {
+                                        live.push(next);
+                                        cursor += n;
+                                    }
+                                    Err(e) => refused(e),
+                                }
+                            }
+                            RoomOp::Decide { pick, commit } if !live.is_empty() => {
+                                let gtxid = live.remove((pick % live.len() as u64) as usize);
+                                if commit {
+                                    h.commit_distributed(gtxid).unwrap();
+                                } else {
+                                    h.abort_distributed(gtxid).unwrap();
+                                }
+                            }
+                            RoomOp::Decide { .. } => {}
+                        }
+                        assert!(
+                            h.log.free_words() >= h.prepared_log_words(),
+                            "{at}: {} free, {} pinned",
+                            h.log.free_words(),
+                            h.prepared_log_words()
+                        );
+                    }
+                    let (_, resolution) =
+                        PersistentHeap::recover_distributed(h.crash(false), |_| true).unwrap();
+                    assert_eq!(resolution.in_doubt, live, "{config} epoch {epoch}");
+                }
+            }
+        });
     }
 
     #[test]

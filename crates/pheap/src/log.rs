@@ -348,8 +348,9 @@ impl TornLog {
     ///
     /// # Panics
     ///
-    /// Panics if the log is full; the owner must truncate first (checked
-    /// via [`TornLog::needs_truncation`]).
+    /// Panics if the log is full; the owner must reserve room first
+    /// (the heap's log reserve, which truncates when the room is short
+    /// and refuses when it stays short).
     pub fn append(&mut self, mem: &mut PersistentMemory, record: &LogRecord, flush: bool) {
         let words = record.kind.words();
         assert!(
@@ -377,7 +378,9 @@ impl TornLog {
     /// # Panics
     ///
     /// Panics if `entries` is empty or the log lacks room; the owner
-    /// must truncate first.
+    /// must make room first (the coordinator pool compacts its decision
+    /// log once [`TornLog::needs_truncation`] holds, re-sealing the
+    /// unsettled decisions ahead of the new tail).
     pub fn append_group_decision(
         &mut self,
         mem: &mut PersistentMemory,
