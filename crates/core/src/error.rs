@@ -25,9 +25,11 @@ pub enum WspError {
     /// is recoverable by log replay/rollback — the second rung of the
     /// recovery ladder.
     PartialImage,
-    /// A module's flash image is torn or stale even though its valid
-    /// marker survived — caught by the per-DIMM checksum or the pool's
-    /// generation-coherence check, never silently resumed.
+    /// A saved image is torn, stale or foreign: a module's flash image
+    /// whose valid marker survived fails the per-DIMM checksum or the
+    /// pool's generation-coherence check, or a 2PC coordinator image is
+    /// shorter than the pool's region or decides a gtxid no pool
+    /// issues. Never silently resumed.
     TornImage {
         /// Which integrity check failed and how.
         detail: String,

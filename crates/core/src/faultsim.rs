@@ -72,10 +72,7 @@ use crate::save::{flush_on_fail_save, SaveReport};
 use crate::supervisor::{clean_failure_trace, glitch_storm_trace, priority_stage_window};
 use crate::sweep;
 use crate::system::{lost_sentinel, scatter_sentinels};
-use crate::txn::{
-    coordinator_of, recover_routing, resolve_cross_shard, CoordinatorPool, GtxidOrigin,
-    RoutedWrite,
-};
+use crate::txn::{coordinator_of, resolve_cross_shard, CoordinatorPool, GtxidOrigin, RoutedWrite};
 use crate::{layout, RestartStrategy, WspError};
 
 pub use crate::lockfree_sweep::{
@@ -469,9 +466,9 @@ impl Scenario {
         let log = pool.crash_image();
         let recovery = resolve_cross_shard(&log, images, &ClusterSpec::memcache_tier(8));
         let recovered = CoordinatorPool::recover(&log, pool.coordinators(), 1);
-        let routed = recover_routing(&log);
+        let routed = recovery.coordinator.routed.as_deref().unwrap_or_default();
         for (t, (&(gtxid, coordinator), ops)) in trail.txns.iter().zip(writes).enumerate() {
-            let decided = recovery.decided.contains(&gtxid);
+            let decided = recovery.coordinator.is_decided(gtxid);
             for &(shard, cell, value) in ops.iter().filter(|_| decided && run.routed) {
                 let addr = model.cell(shard, cell).offset();
                 let write = RoutedWrite { gtxid, shard, addr, value };
@@ -482,7 +479,7 @@ impl Scenario {
             let origin = decided.then_some(GtxidOrigin { coordinator, generation: 1 });
             assert_eq!(recovered.attribute(gtxid), origin, "{at}: txn {t} attribution");
         }
-        assert_eq!(recovery.decided.len(), marked, "{at}: decided count");
+        assert_eq!(recovery.coordinator.decided.len(), marked, "{at}: decided count");
         prefix(marked).audit_fleet(recovery, point.lost, &at);
         marked
     }

@@ -101,9 +101,8 @@ pub use supervisor::{
 pub use system::{OutageReport, WspSystem};
 pub use tradeoff::{CapacitanceTradeoff, TradeoffPoint};
 pub use txn::{
-    coordinator_of, reapply_routed, recover_decisions, recover_routing, recover_settled,
-    resolve_cross_shard, ClusterTxnRecovery, CoordinatorPool, CrossShardTxn, GtxidOrigin,
-    RoutedWrite, ShardRecovery, SubmitOutcome,
+    coordinator_of, reapply_routed, resolve_cross_shard, ClusterTxnRecovery, CoordinatorImage,
+    CoordinatorPool, CrossShardTxn, GtxidOrigin, RoutedWrite, ShardRecovery, SubmitOutcome,
 };
 pub use vm::{VirtualizedHost, VmInstance, VmRestoreMilestone, VmRestoreSchedule};
 

@@ -44,9 +44,7 @@ use crate::domain::{
 use crate::model::committed_fleet;
 use crate::supervisor::{bulk_flush, clean_failure_trace};
 use crate::sweep;
-use crate::txn::{
-    reapply_routed, recover_routing, resolve_cross_shard, CoordinatorPool, SubmitOutcome,
-};
+use crate::txn::{reapply_routed, resolve_cross_shard, CoordinatorPool, SubmitOutcome};
 use crate::WspError;
 
 /// Cells committed per shard, on distinct cache lines: cell 0 carries
@@ -207,7 +205,6 @@ fn climb(
     cluster: &ClusterSpec,
     rebuild: bool,
 ) -> (Vec<Option<PersistentHeap>>, u64, usize, usize) {
-    let routed = recover_routing(coordinator_image);
     let recovery = resolve_cross_shard(coordinator_image, images.to_vec(), cluster);
     let mut heaps = Vec::with_capacity(recovery.shards.len());
     let mut rerouted = 0u64;
@@ -239,7 +236,7 @@ fn climb(
                 let (mut heap, _seq, _took) = backends[shard.shard]
                     .restore()
                     .expect("every shard was checkpointed before the storm");
-                rerouted += reapply_routed(&mut heap, shard.shard, &routed, &recovery.decided)
+                rerouted += reapply_routed(&mut heap, shard.shard, &recovery.coordinator)
                     .expect("routed replay targets checkpointed cells");
                 rebuilt += 1;
                 heaps.push(Some(heap));

@@ -52,6 +52,12 @@
 //! decided write set, so a shard whose NVRAM image the power domain
 //! sacrificed can be rebuilt from a stale back-end checkpoint plus
 //! [`reapply_routed`].
+//!
+//! A crashed pool's bytes are read in one place: [`CoordinatorImage::parse`]
+//! knows the region layout and refuses an image it cannot trust (too
+//! short, or naming a gtxid no pool issues), and [`resolve_cross_shard`],
+//! [`CoordinatorPool::recover`] and [`reapply_routed`] all read the
+//! parsed value.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -214,7 +220,7 @@ struct CoordSlot {
 /// shard or on the log serializes work.
 ///
 /// Feed [`CoordinatorPool::crash_image`] to [`resolve_cross_shard`] or
-/// [`recover_decisions`] after a crash, and to
+/// [`CoordinatorImage::parse`] after a crash, and to
 /// [`CoordinatorPool::recover`] to restart the pool.
 ///
 /// # Examples
@@ -667,8 +673,8 @@ impl CoordinatorPool {
 
     /// The pool's durable bytes as they would survive a power failure
     /// right now: sealed group records (and routed writes), nothing
-    /// buffered. Feed to [`resolve_cross_shard`], [`recover_decisions`],
-    /// [`recover_routing`] or [`CoordinatorPool::recover`].
+    /// buffered. Feed to [`resolve_cross_shard`],
+    /// [`CoordinatorImage::parse`] or [`CoordinatorPool::recover`].
     #[must_use]
     pub fn crash_image(&self) -> Vec<u8> {
         self.mem.clone().crash(false)
@@ -725,20 +731,19 @@ impl CoordinatorPool {
     /// because a shard sacrificed in a later outage is rebuilt by
     /// replaying routed writes filtered on the decided set. The pins
     /// last until [`CoordinatorPool::prune_routing`].
+    ///
+    /// # Panics
+    ///
+    /// Panics with the typed refusal when [`CoordinatorImage::parse`]
+    /// refuses `coordinator_image`, and as [`CoordinatorPool::new`].
     #[must_use]
     pub fn recover(coordinator_image: &[u8], coordinators: usize, group_size: usize) -> Self {
-        let mut pool = if routing_tail(coordinator_image) == 0 {
-            Self::new(coordinators, group_size)
-        } else {
-            Self::with_routing(coordinators, group_size)
+        let image = CoordinatorImage::parse(coordinator_image).expect("coordinator image refused");
+        let mut pool = match image.routed {
+            None => Self::new(coordinators, group_size),
+            Some(_) => Self::with_routing(coordinators, group_size),
         };
-        let mut decided: Vec<(u64, u64)> = decision_records(coordinator_image)
-            .filter(|r| r.kind == RecordKind::GroupDecision)
-            .map(|r| (r.txid, r.addr))
-            .collect();
-        decided.sort_unstable();
-        decided.dedup();
-        for &(gtxid, generation) in &decided {
+        for (&gtxid, &generation) in &image.decided {
             let coordinator = coordinator_of(gtxid);
             if coordinator < pool.coords.len() {
                 let slot = &mut pool.coords[coordinator];
@@ -746,10 +751,8 @@ impl CoordinatorPool {
                 slot.next_seq = slot.next_seq.max(seq + 1);
                 slot.generation = slot.generation.max((generation + 1).min(GROUP_ENTRY_GEN_MAX));
             }
-            pool.recovered.insert(gtxid, generation);
         }
-        let mut routed = recover_routing(coordinator_image);
-        routed.sort_by_key(|w| (w.gtxid, w.shard, w.addr));
+        let routed = image.routed.unwrap_or_default();
         if let Some(routing) = &mut pool.routing {
             for w in &routed {
                 routing.append(
@@ -764,13 +767,11 @@ impl CoordinatorPool {
             }
         }
         let pinned: HashSet<u64> = routed.iter().map(|w| w.gtxid).collect();
-        let settled = recover_settled(coordinator_image);
-        pool.unsettled = pool
-            .recovered
-            .iter()
-            .filter(|(g, _)| !settled.contains(g) || pinned.contains(g))
+        pool.unsettled = (image.decided.iter())
+            .filter(|(g, _)| !image.settled.contains(g) || pinned.contains(g))
             .map(|(&g, &gen)| (g, gen))
             .collect();
+        pool.recovered = image.decided;
         pool.seal_unsettled();
         pool
     }
@@ -803,19 +804,6 @@ impl CoordinatorPool {
     }
 }
 
-/// The routing log's persistent tail word in a crashed pool image. An
-/// initialized tail word is never zero (`TornLog::initialize` packs
-/// polarity = true), but a pool created without routing leaves the word
-/// zeroed — and a zeroed region would decode as an endless run of
-/// polarity-false Write records. Zero therefore means "no routing".
-fn routing_tail(coordinator_image: &[u8]) -> u64 {
-    u64::from_le_bytes(
-        coordinator_image[ROUTING_TAIL_ADDR as usize..ROUTING_TAIL_ADDR as usize + 8]
-            .try_into()
-            .expect("aligned read"),
-    )
-}
-
 /// One write of a decided cross-shard transaction, as recovered from
 /// the pool's routing log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -830,40 +818,118 @@ pub struct RoutedWrite {
     pub value: u64,
 }
 
-/// Scans a crashed pool's routing log (see
-/// [`CoordinatorPool::with_routing`]) and returns every durably routed
-/// write, decided or not — filter against [`recover_decisions`] before
-/// replaying. Empty for a pool without routing.
-#[must_use]
-pub fn recover_routing(coordinator_image: &[u8]) -> Vec<RoutedWrite> {
-    if routing_tail(coordinator_image) == 0 {
-        return Vec::new();
-    }
-    TornLog::recover(
-        coordinator_image,
-        ROUTING_LOG_BASE,
-        ROUTING_LOG_CAP,
-        ROUTING_TAIL_ADDR,
-    )
-    .into_iter()
-    .filter(|r| r.kind == RecordKind::Write)
-    .map(|r| RoutedWrite {
-        gtxid: r.txid,
-        shard: (r.addr >> ROUTE_SHARD_SHIFT) as usize,
-        addr: r.addr & ROUTE_ADDR_MASK,
-        value: r.value,
-    })
-    .collect()
+/// A crashed pool's durable state, parsed once from its image by
+/// [`CoordinatorImage::parse`]: the decisions, the settle markers and
+/// the routed writes that [`resolve_cross_shard`],
+/// [`CoordinatorPool::recover`] and [`reapply_routed`] read.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CoordinatorImage {
+    /// Every member of an intact group record, with the largest
+    /// generation any record sealed it under.
+    pub decided: HashMap<u64, u64>,
+    /// Gtxids with a durable settle marker: every participant holds the
+    /// decision.
+    pub settled: HashSet<u64>,
+    /// Every durably routed write, decided or not, in replay order (by
+    /// gtxid, shard and address, log order among equals); `None` for a
+    /// pool opened without routing.
+    pub routed: Option<Vec<RoutedWrite>>,
 }
 
-/// Replays the *decided* routed writes for `shard` onto a heap rebuilt
-/// from a stale back-end checkpoint, returning how many words were
-/// re-applied. Writes are applied in `(gtxid, addr)` order so a later
-/// transaction's value wins; values are absolute, so replaying writes
-/// the checkpoint already contains is idempotent. This is the last leg
-/// of storm recovery: triage sacrificed the shard's NVRAM image, the
-/// ladder rebuilt it from the back end, and the routing log closes the
-/// gap up to the last committed cross-shard transaction.
+impl CoordinatorImage {
+    /// Parses a crashed pool's image (see
+    /// [`CoordinatorPool::crash_image`]). The decision log is read from
+    /// its persistent tail up to the first torn word: a torn group
+    /// record decides *none* of its members, and every gtxid absent is,
+    /// by the presumed-abort rule, aborted. The routing log's tail word
+    /// is never zero once initialized, so a zero word means the pool
+    /// routed nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`WspError::TornImage`], traced as exactly one `txn/refusal`
+    /// event, when the image is shorter than the pool's region or a
+    /// decided member lies below [`GTXID_BASE`] (no pool issues one).
+    pub fn parse(coordinator_image: &[u8]) -> Result<Self, WspError> {
+        Self::read(coordinator_image).inspect_err(|refusal| {
+            obs::emit_detail(
+                "txn",
+                "refusal",
+                Nanos::ZERO,
+                -1,
+                coordinator_image.len() as i64,
+                refusal.kind().to_string(),
+            );
+        })
+    }
+
+    fn read(image: &[u8]) -> Result<Self, WspError> {
+        if (image.len() as u64) < DECISION_REGION.as_u64() {
+            return Err(WspError::TornImage {
+                detail: format!(
+                    "coordinator image holds {} of the pool region's {} bytes",
+                    image.len(),
+                    DECISION_REGION.as_u64()
+                ),
+            });
+        }
+        let mut decided: HashMap<u64, u64> = HashMap::new();
+        let mut settled = HashSet::new();
+        let log = TornLog::recover(image, DECISION_LOG_BASE, DECISION_LOG_CAP, DECISION_TAIL_ADDR);
+        for r in log {
+            match r.kind {
+                RecordKind::GroupDecision if r.txid < GTXID_BASE => {
+                    return Err(WspError::TornImage {
+                        detail: format!("decided member {:#x} lies below GTXID_BASE", r.txid),
+                    });
+                }
+                RecordKind::GroupDecision => {
+                    let generation = decided.entry(r.txid).or_insert(r.addr);
+                    *generation = (*generation).max(r.addr);
+                }
+                RecordKind::Settle => {
+                    settled.insert(r.txid);
+                }
+                _ => {}
+            }
+        }
+        let tail = &image[ROUTING_TAIL_ADDR as usize..ROUTING_TAIL_ADDR as usize + 8];
+        let routed = (tail != [0; 8]).then(|| {
+            let log = TornLog::recover(image, ROUTING_LOG_BASE, ROUTING_LOG_CAP, ROUTING_TAIL_ADDR);
+            let mut routed: Vec<RoutedWrite> = (log.into_iter())
+                .filter(|r| r.kind == RecordKind::Write)
+                .map(|r| RoutedWrite {
+                    gtxid: r.txid,
+                    shard: (r.addr >> ROUTE_SHARD_SHIFT) as usize,
+                    addr: r.addr & ROUTE_ADDR_MASK,
+                    value: r.value,
+                })
+                .collect();
+            routed.sort_by_key(|w| (w.gtxid, w.shard, w.addr));
+            routed
+        });
+        Ok(CoordinatorImage {
+            decided,
+            settled,
+            routed,
+        })
+    }
+
+    /// True when an intact group record decides `gtxid` (commit).
+    #[must_use]
+    pub fn is_decided(&self, gtxid: u64) -> bool {
+        self.decided.contains_key(&gtxid)
+    }
+}
+
+/// Replays the *decided* routed writes of `image` for `shard` onto a
+/// heap rebuilt from a stale back-end checkpoint, returning how many
+/// words were re-applied. Writes are applied in `(gtxid, addr)` order so
+/// a later transaction's value wins; values are absolute, so replaying
+/// writes the checkpoint already contains is idempotent. This is the
+/// last leg of storm recovery: triage sacrificed the shard's NVRAM
+/// image, the ladder rebuilt it from the back end, and the routing log
+/// closes the gap up to the last committed cross-shard transaction.
 ///
 /// # Errors
 ///
@@ -873,17 +939,14 @@ pub fn recover_routing(coordinator_image: &[u8]) -> Vec<RoutedWrite> {
 pub fn reapply_routed(
     heap: &mut PersistentHeap,
     shard: usize,
-    routed: &[RoutedWrite],
-    decided: &HashSet<u64>,
+    image: &CoordinatorImage,
 ) -> Result<u64, HeapError> {
-    let mut mine: Vec<&RoutedWrite> = routed
-        .iter()
-        .filter(|w| w.shard == shard && decided.contains(&w.gtxid))
+    let mine: Vec<&RoutedWrite> = (image.routed.iter().flatten())
+        .filter(|w| w.shard == shard && image.is_decided(w.gtxid))
         .collect();
     if mine.is_empty() {
         return Ok(0);
     }
-    mine.sort_by_key(|w| (w.gtxid, w.addr));
     let mut tx = heap.begin();
     for w in &mine {
         let p = PmPtr::new(w.addr).ok_or(HeapError::InvalidPointer { offset: w.addr })?;
@@ -899,40 +962,6 @@ pub fn reapply_routed(
         mine.len() as i64,
     );
     Ok(mine.len() as u64)
-}
-
-/// Scans a crashed pool's decision log and returns the set of global
-/// txids with a durable commit decision: every member of an intact
-/// [`RecordKind::GroupDecision`] record. Everything absent is, by the
-/// presumed-abort rule, aborted; a torn group record contributes *none*
-/// of its members.
-#[must_use]
-pub fn recover_decisions(coordinator_image: &[u8]) -> HashSet<u64> {
-    decision_records(coordinator_image)
-        .filter(|r| r.kind == RecordKind::GroupDecision)
-        .map(|r| r.txid)
-        .collect()
-}
-
-/// Scans a crashed pool's decision log for [`RecordKind::Settle`]
-/// markers: decisions every participant has already confirmed, which
-/// recovery-time compaction may prune.
-#[must_use]
-pub fn recover_settled(coordinator_image: &[u8]) -> HashSet<u64> {
-    decision_records(coordinator_image)
-        .filter(|r| r.kind == RecordKind::Settle)
-        .map(|r| r.txid)
-        .collect()
-}
-
-fn decision_records(coordinator_image: &[u8]) -> impl Iterator<Item = LogRecord> {
-    TornLog::recover(
-        coordinator_image,
-        DECISION_LOG_BASE,
-        DECISION_LOG_CAP,
-        DECISION_TAIL_ADDR,
-    )
-    .into_iter()
 }
 
 /// One shard's fate after a cluster-wide 2PC crash resolution.
@@ -951,13 +980,34 @@ pub struct ShardRecovery {
     pub refusal: Option<WspError>,
 }
 
+impl ShardRecovery {
+    /// A shard that cannot recover locally: no heap, and a
+    /// [`RecoveryOutcome::Degraded`] verdict at
+    /// [`LadderRung::ClusterRebuild`] carrying `refusal`.
+    fn rebuild(shard: usize, refusal: WspError, reason: String, took: Nanos) -> Self {
+        ShardRecovery {
+            shard,
+            heap: None,
+            resolution: None,
+            outcome: RecoveryOutcome::Degraded {
+                rung: LadderRung::ClusterRebuild,
+                reason,
+                took,
+            },
+            refusal: Some(refusal),
+        }
+    }
+}
+
 /// The fleet-wide result of [`resolve_cross_shard`].
 #[derive(Debug)]
 pub struct ClusterTxnRecovery {
     /// Per-shard verdicts, in shard order.
     pub shards: Vec<ShardRecovery>,
-    /// Global txids with a durable coordinator decision.
-    pub decided: HashSet<u64>,
+    /// The parsed coordinator image the shards resolved against; empty
+    /// when the image was refused (every shard then carries the
+    /// refusal).
+    pub coordinator: CoordinatorImage,
 }
 
 impl ClusterTxnRecovery {
@@ -969,8 +1019,8 @@ impl ClusterTxnRecovery {
 }
 
 /// Recovers a whole sharded deployment after a crash anywhere in the
-/// 2PC protocol: replays the coordinator's decision log, then recovers
-/// each shard with in-doubt transactions resolved against it
+/// 2PC protocol: parses the coordinator's image, then recovers each
+/// shard with in-doubt transactions resolved against its decision log
 /// (presumed-abort for every txid the log does not answer for).
 ///
 /// A shard whose image is `None` (lost outright — NVDIMM failure, torn
@@ -981,18 +1031,42 @@ impl ClusterTxnRecovery {
 /// semantics, applied fleet-wide. Surviving shards still resolve to the
 /// decision log, so committed cross-shard transactions stay visible on
 /// every shard that still exists.
+///
+/// When [`CoordinatorImage::parse`] refuses the coordinator image, no
+/// shard is recovered: presuming abort without a readable decision log
+/// could split a committed transaction. Every shard degrades at the
+/// cluster-rebuild rung carrying the parse's refusal, which is the one
+/// refusal traced.
 #[must_use]
 pub fn resolve_cross_shard(
     coordinator_image: &[u8],
     shard_images: Vec<Option<CrashImage>>,
     cluster: &ClusterSpec,
 ) -> ClusterTxnRecovery {
-    let decided = recover_decisions(coordinator_image);
+    let coordinator = match CoordinatorImage::parse(coordinator_image) {
+        Ok(coordinator) => coordinator,
+        Err(refusal) => {
+            let took = cluster.backend_recovery_time(1);
+            let shards = (0..shard_images.len())
+                .map(|shard| {
+                    let reason = format!(
+                        "shard {shard} cannot resolve against the coordinator ({refusal}); \
+                         rebuild from the back end"
+                    );
+                    ShardRecovery::rebuild(shard, refusal.clone(), reason, took)
+                })
+                .collect();
+            return ClusterTxnRecovery {
+                shards,
+                coordinator: CoordinatorImage::default(),
+            };
+        }
+    };
     let mut shards = Vec::with_capacity(shard_images.len());
     for (shard, image) in shard_images.into_iter().enumerate() {
         let recovery = match image {
             Some(image) => {
-                match PersistentHeap::recover_distributed(image, |g| decided.contains(&g)) {
+                match PersistentHeap::recover_distributed(image, |g| coordinator.is_decided(g)) {
                     Ok((heap, resolution)) => {
                         obs::emit(
                             "txn",
@@ -1031,17 +1105,8 @@ pub fn resolve_cross_shard(
                             0,
                             refusal.kind().to_string(),
                         );
-                        ShardRecovery {
-                            shard,
-                            heap: None,
-                            resolution: None,
-                            outcome: RecoveryOutcome::Degraded {
-                                rung: LadderRung::ClusterRebuild,
-                                reason,
-                                took: cluster.backend_recovery_time(1),
-                            },
-                            refusal: Some(refusal),
-                        }
+                        let took = cluster.backend_recovery_time(1);
+                        ShardRecovery::rebuild(shard, refusal, reason, took)
                     }
                 }
             }
@@ -1062,28 +1127,22 @@ pub fn resolve_cross_shard(
                     staleness.as_nanos() as i64,
                     refusal.kind().to_string(),
                 );
-                ShardRecovery {
-                    shard,
-                    heap: None,
-                    resolution: None,
-                    outcome: RecoveryOutcome::Degraded {
-                        rung: LadderRung::ClusterRebuild,
-                        reason,
-                        took: staleness,
-                    },
-                    refusal: Some(refusal),
-                }
+                ShardRecovery::rebuild(shard, refusal, reason, staleness)
             }
         };
         shards.push(recovery);
     }
-    ClusterTxnRecovery { shards, decided }
+    ClusterTxnRecovery { shards, coordinator }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use wsp_pheap::HeapConfig;
+
+    fn parse(image: &[u8]) -> CoordinatorImage {
+        CoordinatorImage::parse(image).unwrap()
+    }
 
     fn shard_with_cell(config: HeapConfig, value: u64) -> (PersistentHeap, PmPtr) {
         let mut heap = PersistentHeap::create(ByteSize::kib(256), config);
@@ -1121,7 +1180,7 @@ mod tests {
             "{outcome:?}"
         );
         assert_eq!(pool.buffered(), 0, "a refused txn is never buffered");
-        assert!(recover_decisions(&pool.crash_image()).is_empty());
+        assert!(parse(&pool.crash_image()).decided.is_empty());
         assert_eq!(cell(&mut heaps[0]), 100);
         assert_eq!(cell(&mut heaps[1]), 200);
     }
@@ -1156,8 +1215,9 @@ mod tests {
         let pool = CoordinatorPool::new(2, 4);
         let mut recovered = CoordinatorPool::recover(&pool.crash_image(), 2, 4);
         assert_eq!(recovered.begin(0, 1).gtxid(), GTXID_BASE);
-        assert!(recover_decisions(&recovered.crash_image()).is_empty());
-        assert!(recover_routing(&recovered.crash_image()).is_empty());
+        let image = parse(&recovered.crash_image());
+        assert!(image.decided.is_empty());
+        assert_eq!(image.routed, None);
     }
 
     #[test]
@@ -1210,20 +1270,20 @@ mod tests {
         );
         // Routed when buffered, but durable only at the fence that also
         // seals the covering group record: a crash first leaves neither.
-        let image = pool.crash_image();
-        assert!(recover_routing(&image).is_empty());
-        assert!(recover_decisions(&image).is_empty());
+        let image = parse(&pool.crash_image());
+        assert_eq!(image.routed, Some(vec![]));
+        assert!(image.decided.is_empty());
         pool.drain(0, &mut heaps).unwrap();
         // Prepared but never decided: routed nothing.
         let mut undecided = pool.begin(0, 2);
         undecided.stage(0, cells[0][1], 1);
         assert!(pool.prepare(0, &mut heaps, &undecided).unwrap().is_none());
 
-        let image = pool.crash_image();
-        assert!(recover_decisions(&image).contains(&txn.gtxid()));
+        let image = parse(&pool.crash_image());
+        assert!(image.is_decided(txn.gtxid()));
         assert_eq!(
-            recover_routing(&image),
-            vec![
+            image.routed,
+            Some(vec![
                 RoutedWrite {
                     gtxid: txn.gtxid(),
                     shard: 0,
@@ -1236,7 +1296,7 @@ mod tests {
                     addr: cells[1][0],
                     value: 230
                 },
-            ]
+            ])
         );
         // A pool without routing routes nothing at all.
         let (mut plain_heaps, plain_cells) = pool_rig(HeapConfig::FocUndo, 2);
@@ -1245,7 +1305,7 @@ mod tests {
         t.stage(0, plain_cells[0][0], 1);
         t.stage(1, plain_cells[1][0], 2);
         plain.submit(0, &mut plain_heaps, &t).unwrap();
-        assert!(recover_routing(&plain.crash_image()).is_empty());
+        assert_eq!(parse(&plain.crash_image()).routed, None);
     }
 
     #[test]
@@ -1261,21 +1321,23 @@ mod tests {
             txn.stage(1, cells[1][0], value);
             pool.submit(0, &mut heaps, &txn).unwrap();
         }
-        let image = pool.crash_image();
-        let decided = recover_decisions(&image);
-        let routed = recover_routing(&image);
+        let image = parse(&pool.crash_image());
         // Shard 1's NVRAM image is sacrificed: rebuild from the stale
         // checkpoint, then replay its routed writes.
         let mut rebuilt = checkpoints.into_iter().nth(1).unwrap();
         assert_eq!(cell(&mut rebuilt), 100, "checkpoint is stale");
-        let applied = reapply_routed(&mut rebuilt, 1, &routed, &decided).unwrap();
+        let applied = reapply_routed(&mut rebuilt, 1, &image).unwrap();
         assert_eq!(applied, 2);
         assert_eq!(cell(&mut rebuilt), 260, "last committed value wins");
         // Replaying again is idempotent (absolute values).
-        reapply_routed(&mut rebuilt, 1, &routed, &decided).unwrap();
+        reapply_routed(&mut rebuilt, 1, &image).unwrap();
         assert_eq!(cell(&mut rebuilt), 260);
         // Undecided gtxids replay nothing.
-        let none = reapply_routed(&mut rebuilt, 1, &routed, &HashSet::new()).unwrap();
+        let undecided = CoordinatorImage {
+            decided: HashMap::new(),
+            ..image
+        };
+        let none = reapply_routed(&mut rebuilt, 1, &undecided).unwrap();
         assert_eq!(none, 0);
     }
 
@@ -1291,7 +1353,7 @@ mod tests {
         next.stage(0, cells[0][1], 1);
         pool.submit(0, &mut heaps, &next).unwrap();
         let image = pool.crash_image();
-        assert!(recover_settled(&image).contains(&txn.gtxid()));
+        assert!(parse(&image).settled.contains(&txn.gtxid()));
         (txn, image)
     }
 
@@ -1302,13 +1364,14 @@ mod tests {
         // The pool crashes and restarts; the routed history must survive
         // into the *new* pool's own crash image ...
         let mut recovered = CoordinatorPool::recover(&image, 1, 1);
-        let routed = recover_routing(&recovered.crash_image());
+        let image = parse(&recovered.crash_image());
+        let routed = image.routed.as_ref().unwrap();
         assert_eq!(routed.len(), 3);
         assert!(routed.iter().any(|w| w.shard == 1 && w.value == 230));
         // ... and the settled decision stays answerable: a shard
         // sacrificed later is rebuilt by replaying routed writes
         // filtered on the decided set.
-        assert!(recover_decisions(&recovered.crash_image()).contains(&txn.gtxid()));
+        assert!(image.is_decided(txn.gtxid()));
         assert_eq!(
             recovered.attribute(txn.gtxid()),
             Some(GtxidOrigin {
@@ -1319,11 +1382,11 @@ mod tests {
         // A plain pool prunes the same settled decision at recovery.
         let (txn, image) = settle_one(&mut CoordinatorPool::new(1, 1));
         let plain = CoordinatorPool::recover(&image, 1, 1);
-        assert!(!recover_decisions(&plain.crash_image()).contains(&txn.gtxid()));
+        assert!(!parse(&plain.crash_image()).is_decided(txn.gtxid()));
         assert_eq!(plain.attribute(txn.gtxid()).map(|o| o.generation), Some(1));
         // Pruning empties the history once checkpoints catch up.
         recovered.prune_routing();
-        assert!(recover_routing(&recovered.crash_image()).is_empty());
+        assert_eq!(parse(&recovered.crash_image()).routed, Some(vec![]));
     }
 
     #[test]
@@ -1409,7 +1472,7 @@ mod tests {
             let recovery =
                 resolve_cross_shard(&coordinator_image, images, &ClusterSpec::memcache_tier(8));
             assert!(recovery.fully_recovered(), "{config}");
-            assert_eq!(recovery.decided.len(), 4, "{config}");
+            assert_eq!(recovery.coordinator.decided.len(), 4, "{config}");
         }
     }
 
@@ -1483,9 +1546,9 @@ mod tests {
         let events = pool.durable_events(seal);
         assert_eq!(events, 3, "a header and one word per member");
         for e in 0..=events {
-            let decided = recover_decisions(&pool.clone().crash_during(e, seal));
+            let image = parse(&pool.clone().crash_during(e, seal));
             let want = if e == events { 2 } else { 0 };
-            assert_eq!(decided.len(), want, "{e}/{events} events");
+            assert_eq!(image.decided.len(), want, "{e}/{events} events");
         }
     }
 
@@ -1535,10 +1598,10 @@ mod tests {
 
         let recovered = CoordinatorPool::recover(&pool.crash_image(), 2, 2);
         // Settled group-1 decisions pruned; unsettled decision survives.
-        let replayed = recover_decisions(&recovered.crash_image());
-        assert!(!replayed.contains(&a.gtxid()));
-        assert!(!replayed.contains(&b.gtxid()));
-        assert!(replayed.contains(&c.gtxid()));
+        let replayed = parse(&recovered.crash_image());
+        assert!(!replayed.is_decided(a.gtxid()));
+        assert!(!replayed.is_decided(b.gtxid()));
+        assert!(replayed.is_decided(c.gtxid()));
         // Attribution still names issuer and generation for every
         // decided gtxid the log answers for.
         assert_eq!(
@@ -1608,7 +1671,7 @@ mod tests {
         }
         pool.drain(0, &mut heaps).unwrap();
         assert!(
-            recover_decisions(&pool.crash_image()).contains(&pinned.gtxid()),
+            parse(&pool.crash_image()).is_decided(pinned.gtxid()),
             "pinned unsettled decision lost to pool compaction"
         );
     }
@@ -1650,7 +1713,7 @@ mod tests {
             let recovery = resolve_cross_shard(&image, images, &ClusterSpec::memcache_tier(8));
             assert!(recovery.fully_recovered(), "{e}/{events} events");
             assert!(
-                recovery.decided.contains(&pinned.gtxid()),
+                recovery.coordinator.is_decided(pinned.gtxid()),
                 "pinned decision lost at {e}/{events} events"
             );
             let resolution = recovery.shards[1].resolution.as_ref().unwrap();
@@ -1664,5 +1727,75 @@ mod tests {
                 assert!(!undecided.contains(gtxid), "{e}/{events} events: {gtxid:#x}");
             }
         }
+    }
+
+    #[test]
+    fn short_or_foreign_coordinator_images_are_refused() {
+        let (mut heaps, cells) = pool_rig(HeapConfig::FocUndo, 2);
+        let mut pool = CoordinatorPool::with_routing(1, 1);
+        for value in [70u64, 80] {
+            let mut txn = pool.begin(0, 2);
+            txn.stage(0, cells[0][0], value);
+            txn.stage(1, cells[1][0], 300 - value);
+            pool.submit(0, &mut heaps, &txn).unwrap();
+        }
+        let image = pool.crash_image();
+        assert_eq!(parse(&image).decided.len(), 2);
+        // A group record naming a gtxid no pool issues.
+        let mut foreign = pool.clone();
+        let entry = pack_group_entry(1, GTXID_BASE - 1);
+        foreign.log.append_group_decision(&mut foreign.mem, &[entry], true);
+        foreign.mem.sfence();
+        let foreign = foreign.crash_image();
+
+        let cluster = ClusterSpec::memcache_tier(8);
+        let shard_images: Vec<CrashImage> = heaps.into_iter().map(|h| h.crash(false)).collect();
+        let refusals = |cap: &obs::Capture| {
+            let events = cap.trace.events().iter();
+            (events.filter(|e| e.subsystem == "txn" && e.name == "refusal"))
+                .map(|e| e.detail.clone())
+                .collect::<Vec<_>>()
+        };
+        let check = |bytes: &[u8]| {
+            let at = format!("{} of {} bytes", bytes.len(), image.len());
+            let (parsed, cap) = obs::capture(|| CoordinatorImage::parse(bytes));
+            assert!(
+                matches!(parsed, Err(WspError::TornImage { .. })),
+                "{at}: {parsed:?}"
+            );
+            assert_eq!(refusals(&cap), ["torn-image"], "{at}");
+            let images = shard_images.iter().cloned().map(Some).collect();
+            let (recovery, cap) = obs::capture(|| resolve_cross_shard(bytes, images, &cluster));
+            assert_eq!(refusals(&cap), ["torn-image"], "{at}");
+            assert!(recovery.coordinator.decided.is_empty(), "{at}");
+            assert_eq!(recovery.shards.len(), 2, "{at}");
+            for s in &recovery.shards {
+                assert!(s.heap.is_none(), "{at}: shard {}", s.shard);
+                assert!(
+                    matches!(
+                        s.outcome,
+                        RecoveryOutcome::Degraded {
+                            rung: LadderRung::ClusterRebuild,
+                            ..
+                        }
+                    ),
+                    "{at}: shard {} {:?}",
+                    s.shard,
+                    s.outcome
+                );
+                assert_eq!(s.refusal, parsed.clone().err(), "{at}: shard {}", s.shard);
+            }
+        };
+        // The empty image, then every cut that drops a tail word (at 8
+        // and 16) or a word of the decision or routing log.
+        let routing_end = (ROUTING_LOG_BASE + ROUTING_LOG_CAP.as_u64()) as usize;
+        for len in (0..routing_end).step_by(8) {
+            check(&image[..len]);
+        }
+        check(&foreign);
+        // A pool restart refuses the foreign image with the typed error.
+        let restart = std::panic::catch_unwind(|| CoordinatorPool::recover(&foreign, 1, 1));
+        let message = restart.unwrap_err().downcast::<String>().unwrap();
+        assert!(message.contains("TornImage"), "{message}");
     }
 }

@@ -336,7 +336,7 @@ impl CrossShardKvBench {
         let recovery = resolve_cross_shard(&coordinator_image, images, &cluster);
         if let Some(gtxid) = in_doubt_gtxid {
             assert!(
-                recovery.decided.contains(&gtxid),
+                recovery.coordinator.is_decided(gtxid),
                 "the in-doubt tail transfer has a durable decision"
             );
         }

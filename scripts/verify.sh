@@ -96,10 +96,12 @@ WSP_FAULTSIM_THREADS=1 cargo test -q --offline -p wsp-workloads shard::
 echo "== deny-warnings build =="
 RUSTFLAGS="-D warnings" cargo build --offline --workspace --all-targets
 
-echo "== clippy (deny warnings) =="
-cargo clippy --offline --workspace --all-targets -- -D warnings
-
+# Rustdoc runs ahead of clippy so a clippy failure cannot hide a broken
+# intra-doc link.
 echo "== rustdoc (deny warnings: broken and ambiguous intra-doc links) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
+echo "== clippy (deny warnings) =="
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "verify.sh: all gates passed"

@@ -711,8 +711,8 @@ fn check_interleaved_in_flight_txns(use_stm: bool, interleave: usize) {
     let images = heaps.into_iter().map(|h| Some(h.crash(false))).collect();
     let recovery =
         resolve_cross_shard(&coordinator_image, images, &ClusterSpec::memcache_tier(8));
-    assert!(recovery.decided.contains(&txn_a.gtxid()));
-    assert!(!recovery.decided.contains(&txn_b.gtxid()));
+    assert!(recovery.coordinator.is_decided(txn_a.gtxid()));
+    assert!(!recovery.coordinator.is_decided(txn_b.gtxid()));
     assert!(recovery.fully_recovered());
 
     // A landed everywhere, B nowhere — shard 1 resolved both from the

@@ -247,7 +247,7 @@ fn cross_shard_commit(seed: u64) -> Capture {
             &ClusterSpec::memcache_tier(8),
         );
         assert!(recovery.fully_recovered(), "seed {seed}");
-        assert!(recovery.decided.contains(&gtxid), "seed {seed}");
+        assert!(recovery.coordinator.is_decided(gtxid), "seed {seed}");
         for (s, mut shard) in recovery.shards.into_iter().enumerate() {
             let heap = shard.heap.as_mut().unwrap();
             let mut check = heap.begin();
@@ -283,7 +283,7 @@ fn cross_shard_coordinator_death(seed: u64) -> Capture {
             &ClusterSpec::memcache_tier(8),
         );
         assert!(recovery.fully_recovered(), "seed {seed}");
-        assert!(!recovery.decided.contains(&gtxid), "seed {seed}");
+        assert!(!recovery.coordinator.is_decided(gtxid), "seed {seed}");
         for (s, mut shard) in recovery.shards.into_iter().enumerate() {
             let resolution = shard.resolution.clone().unwrap();
             assert_eq!(resolution.aborted, vec![gtxid], "seed {seed} shard {s}");
