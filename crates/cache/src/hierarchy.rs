@@ -329,7 +329,7 @@ impl CacheHierarchy {
                 dirty |= was_dirty;
             }
         }
-        let mut latency = Nanos::from_secs_f64(self.profile.clflush_ns_per_line * 1e-9);
+        let mut latency = self.flush_line_cost();
         if dirty {
             self.stats.writebacks += 1;
             latency += self.profile.bus.line_writeback();
@@ -338,6 +338,33 @@ impl CacheHierarchy {
             latency,
             wrote_back: dirty,
         }
+    }
+
+    /// The per-line constant of a `clflush`/`clwb`, rounded as each
+    /// instruction charges it.
+    fn flush_line_cost(&self) -> Nanos {
+        Nanos::from_secs_f64(self.profile.clflush_ns_per_line * 1e-9)
+    }
+
+    /// What `clflush`ing each of `lines` in order and then fencing would
+    /// charge: [`clflush`](Self::clflush) per line plus
+    /// [`sfence_fast`](Self::sfence_fast), priced from the current
+    /// contents without changing them (nothing is invalidated and no
+    /// counter moves). A line listed twice is written back at most once,
+    /// on its first flush, because that flush leaves it clean.
+    #[must_use]
+    pub fn clflush_fence_cost(&self, lines: impl IntoIterator<Item = LineAddr>) -> Nanos {
+        let mut written = std::collections::HashSet::new();
+        let (mut flushes, mut writebacks) = (0u64, 0u64);
+        for line in lines {
+            flushes += 1;
+            if self.levels.iter().any(|level| level.is_dirty(line)) && written.insert(line) {
+                writebacks += 1;
+            }
+        }
+        self.flush_line_cost() * flushes
+            + self.profile.bus.line_writeback() * writebacks
+            + self.fence_cost()
     }
 
     /// `clwb`: writes the line back if dirty but leaves it resident and
@@ -350,7 +377,7 @@ impl CacheHierarchy {
         for level in &mut self.levels {
             dirty |= level.clean(line);
         }
-        let mut latency = Nanos::from_secs_f64(self.profile.clflush_ns_per_line * 1e-9);
+        let mut latency = self.flush_line_cost();
         if dirty {
             self.stats.writebacks += 1;
             latency += self.profile.bus.line_writeback();
@@ -433,12 +460,19 @@ impl CacheHierarchy {
     /// buffer keeps its capacity for the next transaction.
     pub fn sfence_fast(&mut self) -> Nanos {
         self.stats.fences += 1;
-        let stream = self.profile.bus.stream_write(ByteSize::new(self.pending_wc));
+        let latency = self.fence_cost();
         self.pending_wc = 0;
-        let drain = self.profile.bus.line_writeback() * self.pending_wc_lines.len() as u64 + stream;
         std::mem::swap(&mut self.wb_scratch, &mut self.pending_wc_lines);
         self.pending_wc_lines.clear();
         self.pending_wc_set.clear();
+        latency
+    }
+
+    /// What the next fence charges: the fence itself plus draining the
+    /// pending write-combining buffers.
+    fn fence_cost(&self) -> Nanos {
+        let stream = self.profile.bus.stream_write(ByteSize::new(self.pending_wc));
+        let drain = self.profile.bus.line_writeback() * self.pending_wc_lines.len() as u64 + stream;
         self.profile.fence_cost + drain
     }
 
@@ -580,6 +614,49 @@ mod tests {
         let r2 = c.clflush(0x40);
         assert!(!r2.wrote_back);
         assert!(r2.latency < r.latency);
+    }
+
+    #[test]
+    fn clflush_fence_cost_is_what_the_flushes_and_fence_charge() {
+        use wsp_det::{gen, Forall};
+        // Lines 512 apart share inner-level sets, so traces evict.
+        let line =
+            gen::pair(gen::in_range(0u64..32), gen::in_range(0u64..8)).map(|(a, b)| a * 512 + b);
+        let trace = gen::vec_of(gen::pair(gen::in_range(0u8..3), line.clone()), 0..400usize);
+        let case = gen::pair(trace, gen::vec_of(line, 0..64usize));
+        for profile in [CpuProfile::intel_c5528(), CpuProfile::amd_4180()] {
+            Forall::new(case.clone()).cases(64).check(|(trace, picks)| {
+                let mut c = CacheHierarchy::new(profile.clone());
+                for &(kind, line) in trace {
+                    let addr = line * LINE_SIZE;
+                    let _ = match kind {
+                        0 => c.load_fast(addr),
+                        1 => c.store_fast(addr),
+                        _ => c.ntstore_fast(addr, 8),
+                    };
+                }
+                // The picks, then their first half again: repeats always.
+                let lines: Vec<LineAddr> = picks
+                    .iter()
+                    .chain(&picks[..picks.len() / 2])
+                    .map(|&line| LineAddr::from_index(line))
+                    .collect();
+                let (stats, dirty) = (c.stats().clone(), c.dirty_lines());
+                let price = c.clflush_fence_cost(lines.iter().copied());
+                assert_eq!(
+                    (c.stats(), c.dirty_lines()),
+                    (&stats, dirty),
+                    "pricing is read-only"
+                );
+                let mut flushed = c.clone();
+                let charged: Nanos = lines
+                    .iter()
+                    .map(|line| flushed.clflush(line.first_byte()).latency)
+                    .sum::<Nanos>()
+                    + flushed.sfence_fast();
+                assert_eq!(price, charged, "{}", profile.name);
+            });
+        }
     }
 
     #[test]

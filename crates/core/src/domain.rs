@@ -48,7 +48,7 @@ use wsp_units::Nanos;
 use crate::feasibility::{pool_save_feasibility, SaveFeasibility};
 use crate::layout;
 use crate::save::save_contexts;
-use crate::supervisor::{bulk_flush, detection, stage_a_probe, MARKER_COST, SAVE_ATTEMPTS};
+use crate::supervisor::{bulk_flush, detection, MARKER_COST, SAVE_ATTEMPTS};
 use crate::WspError;
 
 /// Pool modules a shared domain reserves for its control state (CPU
@@ -235,7 +235,7 @@ pub(crate) fn shard_needs(
     heap: &PersistentHeap,
     share: Nanos,
 ) -> (Nanos, Nanos) {
-    let partial = stage_a_probe(heap) + MARKER_COST + machine.monitor().i2c_command_latency;
+    let partial = heap.priority_flush_cost() + MARKER_COST + machine.monitor().i2c_command_latency;
     (partial + share, partial)
 }
 
@@ -327,8 +327,8 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
     let arm_cost = machine.monitor().i2c_command_latency;
     let contexts_cost = machine.profile().context_save;
 
-    // Feasibility + triage plan. The scores and needs are
-    // probed on clones — planning costs no trace events.
+    // Feasibility + triage plan. The needs are priced from the cache
+    // model — planning clones no heap and costs no trace events.
     let infeasible = match pool_save_feasibility(machine.nvram()) {
         SaveFeasibility::Degraded { reason } => Some(reason),
         _ => None,
@@ -485,8 +485,8 @@ pub fn domain_save(input: DomainInput<'_>) -> Result<DomainSaveReport, WspError>
             continue;
         }
 
-        // Stage A on the live heap (the plan probed a clone, so the
-        // cost matches); stage B is charged only for full grants.
+        // Stage A on the live heap (the triage priced this very flush,
+        // so the cost matches); stage B is charged only for full grants.
         let stage_a = heaps[shard].priority_flush();
         used += stage_a;
         shards[shard].stage_a = stage_a;
@@ -1101,6 +1101,7 @@ mod tests {
         };
         let (report, restored) = save_at(Nanos::ZERO);
         assert_eq!(report.shards[0].verdict, ShardVerdict::PartialPriority);
+        assert_eq!(report.used, report.window, "the plan priced the save it ran");
         assert!(report.armed);
         assert_eq!(report.shards[0].stage_b, Nanos::ZERO);
         assert!(

@@ -584,11 +584,7 @@ fn progress_sig(machines: &[ThreadMachine]) -> Vec<u64> {
 /// Cuts power at the current tree node and audits (memoized).
 fn audit_crash(sc: &Scenario, state: &SweepState, t: &mut Tally, cache: &mut AuditCache) {
     obs::count(Ctr::FaultsInjected);
-    let image = match sc.lay.policy {
-        FlushPolicy::FlushOnCommit => state.region.durable_snapshot(),
-        FlushPolicy::FlushOnFail => state.region.crash_image(),
-    };
-    let key = (image, progress_sig(&state.machines));
+    let key = (state.region.crash_image(), progress_sig(&state.machines));
     let cached = match cache.get(&key) {
         Some(&c) => c,
         None => {

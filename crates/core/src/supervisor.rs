@@ -13,7 +13,9 @@
 //!    feasibility (aged ultracapacitors, [`pool_save_feasibility`]) is
 //!    checked up front — an infeasible module save is refused, never
 //!    attempted and torn.
-//! 3. The flush is staged by priority. Stage A ([`stage_a_probe`])
+//! 3. The flush is staged by priority. Stage A
+//!    ([`PersistentHeap::priority_flush`], budgeted beforehand by
+//!    [`PersistentHeap::priority_flush_cost`] from the cache model)
 //!    makes the register contexts and the persistent heap's log and
 //!    metadata lines durable (cheap, microseconds); stage B
 //!    ([`bulk_flush`]) is the bulk `wbinvd` writeback (milliseconds). If
@@ -36,7 +38,6 @@
 
 use wsp_cache::FlushMethod;
 use wsp_machine::{Machine, SystemLoad};
-use wsp_obs as obs;
 use wsp_pheap::PersistentHeap;
 use wsp_power::PwrOkSample;
 use wsp_units::Nanos;
@@ -62,15 +63,6 @@ pub(crate) fn detection(machine: &Machine) -> Nanos {
     machine.monitor().debounce + machine.monitor().interrupt_latency + machine.profile().ipi_latency
 }
 
-/// Stage A's cost for `heap`: the priority flush run on a clone (the
-/// simulation's stand-in for the supervisor's line-count bookkeeping).
-/// Planning, not flushing: the probe runs inside [`obs::capture`] and
-/// is dropped, so it leaves no events or counters behind.
-pub(crate) fn stage_a_probe(heap: &PersistentHeap) -> Nanos {
-    let mut probe = heap.clone();
-    obs::capture(|| probe.priority_flush()).0
-}
-
 /// Stage B's cost: the `wbinvd` time of one of `shards` equal shares
 /// of the machine's dirty estimate at `load`.
 pub(crate) fn bulk_flush(machine: &Machine, load: SystemLoad, shards: usize) -> Nanos {
@@ -81,9 +73,9 @@ pub(crate) fn bulk_flush(machine: &Machine, load: SystemLoad, shards: usize) -> 
 }
 
 /// The window a save needs to land *exactly* the priority stage for one
-/// shard: outage detection, the CPU contexts, the shard's stage-A probe
-/// (measured on a clone, off the trace), the marker, the arm command
-/// and [`PARTIAL_STAGE_SLACK`].
+/// shard: outage detection, the CPU contexts, the shard's stage-A price
+/// ([`PersistentHeap::priority_flush_cost`]), the marker, the arm
+/// command and [`PARTIAL_STAGE_SLACK`].
 ///
 /// The supervisor budgets per-shard priority stages from one window, so
 /// the formula lives here once, with the marker and arm tail explicit.
@@ -93,7 +85,7 @@ pub(crate) fn bulk_flush(machine: &Machine, load: SystemLoad, shards: usize) -> 
 pub fn priority_stage_window(machine: &Machine, heap: &PersistentHeap) -> Nanos {
     detection(machine)
         + machine.profile().context_save
-        + stage_a_probe(heap)
+        + heap.priority_flush_cost()
         + MARKER_COST
         + machine.monitor().i2c_command_latency
         + PARTIAL_STAGE_SLACK

@@ -677,7 +677,7 @@ impl CoordinatorPool {
     /// [`CoordinatorImage::parse`] or [`CoordinatorPool::recover`].
     #[must_use]
     pub fn crash_image(&self) -> Vec<u8> {
-        self.mem.clone().crash(false)
+        self.mem.image()
     }
 
     /// Arms `cut` on the pool's decision-log memory (see

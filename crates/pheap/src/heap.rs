@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use crate::fasthash::{FastMap, FastSet};
 
-use wsp_cache::{CpuProfile, LineWalk, LINE_SIZE};
+use wsp_cache::{CpuProfile, LineAddr, LineWalk, LINE_SIZE};
 use wsp_obs as obs;
 use wsp_power::PowerCut;
 use wsp_units::{ByteSize, Nanos};
@@ -819,23 +819,49 @@ impl PersistentHeap {
         self.unflushed_lines.len() as u64
     }
 
+    /// The priority flush's line plan, in flush order: the header span,
+    /// the log span, then the coalesced unflushed data lines; with the
+    /// number of data lines. Line 0 is often planned twice (`set_root`
+    /// and every allocation write the header); its second flush finds
+    /// it clean.
+    fn priority_plan(&self) -> (u64, impl Iterator<Item = LineAddr>) {
+        let mut data: Vec<LineAddr> = self
+            .unflushed_lines
+            .iter()
+            .map(|&line| LineAddr::from_index(line))
+            .collect();
+        wsp_cache::coalesce_lines(&mut data);
+        let log_cap = log_capacity(self.mem.capacity()).as_u64();
+        let count = data.len() as u64;
+        let plan = LineAddr::span(0, LOG_BASE)
+            .chain(LineAddr::span(LOG_BASE, log_cap))
+            .chain(data);
+        (count, plan)
+    }
+
+    /// What [`PersistentHeap::priority_flush`] would charge now, priced
+    /// from the cache model: the heap is not cloned or changed, and no
+    /// event or counter is recorded. This is the supervisor's stage-A
+    /// budget.
+    #[must_use]
+    pub fn priority_flush_cost(&self) -> Nanos {
+        self.mem.cache().clflush_fence_cost(self.priority_plan().1)
+    }
+
     /// The priority (stage-A) flush of a degraded save: makes the heap
     /// header, the whole log area, and every tracked committed data line
     /// durable — the minimal set from which [`PersistentHeap::recover_partial`]
     /// can rebuild all committed state. Bulk dirty lines are left for a
     /// later stage (or for flush-on-fail of the whole cache). Returns
-    /// the simulated time the flush cost.
+    /// the simulated time the flush cost, which
+    /// [`PersistentHeap::priority_flush_cost`] prices beforehand.
     pub fn priority_flush(&mut self) -> Nanos {
         let before = self.mem.elapsed();
-        let log_cap = log_capacity(self.mem.capacity());
-        self.mem.clflush_range(0, LOG_BASE);
-        self.mem.clflush_range(LOG_BASE, log_cap.as_u64());
-        let mut lines: Vec<u64> = self.unflushed_lines.drain().collect();
-        wsp_cache::coalesce_lines(&mut lines);
-        let line_count = lines.len() as u64;
-        for line in lines {
-            self.mem.clflush_range(line * LINE_SIZE, LINE_SIZE);
+        let (line_count, plan) = self.priority_plan();
+        for line in plan {
+            self.mem.clflush_range(line.first_byte(), LINE_SIZE);
         }
+        self.unflushed_lines.clear();
         self.mem.sfence();
         let cost = self.mem.elapsed() - before;
         obs::emit(
@@ -2052,6 +2078,72 @@ mod tests {
             PersistentHeap::recover_partial(image),
             Err(HeapError::Unrecoverable { .. })
         ));
+    }
+
+    #[test]
+    fn priority_flush_cost_is_what_the_flush_charges() {
+        // Prices `h`, checks that pricing changed nothing and that the
+        // flush run on a clone charges the price, and returns it.
+        fn priced(h: &PersistentHeap, at: &str) -> Nanos {
+            let state = |h: &PersistentHeap| {
+                (
+                    h.elapsed(),
+                    h.mem.durable_events(),
+                    h.mem.cache().stats().clone(),
+                    h.unflushed_line_count(),
+                    h.mem.image(),
+                )
+            };
+            let before = state(h);
+            let price = h.priority_flush_cost();
+            assert!(state(h) == before, "{at}: pricing changed the heap");
+            assert_eq!(price, h.clone().priority_flush(), "{at}: price vs flush");
+            price
+        }
+        fn commit_some(h: &mut PersistentHeap, root: PmPtr, n: u64) {
+            for i in 0..n {
+                let mut tx = h.begin();
+                let cell = tx.alloc(8).unwrap();
+                tx.write_word(cell, i).unwrap();
+                tx.write_word(root, i).unwrap();
+                tx.commit().unwrap();
+            }
+        }
+        let line0 = LineAddr::from_index(0);
+        let mut line0_twice = 0;
+        for config in HeapConfig::all() {
+            for epoch in [1, 32] {
+                for flit in [true, false] {
+                    let at = format!("{config} epoch {epoch} flit {flit}");
+                    let mut h = heap(config);
+                    h.set_epoch_size(epoch);
+                    h.set_flit_enabled(flit);
+                    let root = put_one(&mut h, 1);
+                    // `set_root` and the allocation wrote line 0: the plan
+                    // flushes it in the header span and again as data.
+                    let dirty0 = h.mem.cache().levels().iter().any(|l| l.is_dirty(line0));
+                    line0_twice += u32::from(dirty0 && h.unflushed_lines.contains(&0));
+                    priced(&h, &format!("{at}, root set"));
+                    // Enough commits to truncate the log.
+                    commit_some(&mut h, root, 300);
+                    let price = priced(&h, &format!("{at}, 300 commits"));
+                    assert_eq!(h.priority_flush(), price, "{at}: the live flush");
+                    priced(&h, &format!("{at}, flushed"));
+                    commit_some(&mut h, root, 5);
+                    h.mem.ntstore_u64(root.offset(), 7);
+                    priced(&h, &format!("{at}, NT store pending"));
+                    // The pending store is event 0: power fails first.
+                    let cut = PowerCut::after(0);
+                    h.arm(&cut);
+                    h.mem.sfence();
+                    assert_eq!(cut.events(), 1, "{at}: the cut struck");
+                    commit_some(&mut h, root, 5);
+                    let price = priced(&h, &format!("{at}, cut struck"));
+                    assert_eq!(h.priority_flush(), price, "{at}: the armed live flush");
+                }
+            }
+        }
+        assert!(line0_twice > 0, "no heap planned a dirty line 0 twice");
     }
 
     #[test]

@@ -290,23 +290,15 @@ impl LfRegion {
     }
 
     /// Takes a crash image under the region's flush policy, leaving
-    /// the live region untouched.
+    /// the live region untouched. Flush-on-commit drops the volatile
+    /// state, so its image is read without cloning the memory;
+    /// flush-on-fail runs the save on a clone.
     #[must_use]
     pub fn crash_image(&self) -> Vec<u8> {
-        self.mem
-            .clone()
-            .crash(matches!(self.lay.policy, FlushPolicy::FlushOnFail))
-    }
-
-    /// Copy of the durable media exactly as it stands — byte-identical
-    /// to [`LfRegion::crash_image`] under flush-on-commit (a FoC crash
-    /// simply drops the volatile state), but much cheaper: no memory
-    /// clone, no cache-model teardown. Under flush-on-fail the two
-    /// differ (the save drains dirty cache into the image); use
-    /// [`LfRegion::crash_image`] there.
-    #[must_use]
-    pub fn durable_snapshot(&self) -> Vec<u8> {
-        self.mem.durable_bytes().to_vec()
+        match self.lay.policy {
+            FlushPolicy::FlushOnCommit => self.mem.image(),
+            FlushPolicy::FlushOnFail => self.mem.clone().crash(true),
+        }
     }
 
     /// Writes a word durably (store + line flush), for structure

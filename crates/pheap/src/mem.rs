@@ -514,6 +514,15 @@ impl PersistentMemory {
         self.budget.frozen.unwrap_or(self.durable)
     }
 
+    /// The image [`PersistentMemory::crash`] returns without a save,
+    /// taken without consuming or cloning the memory: the durable bytes
+    /// frozen when an armed [`PowerCut`] struck, else the durable bytes
+    /// as they stand.
+    #[must_use]
+    pub fn image(&self) -> Vec<u8> {
+        self.budget.frozen.as_ref().unwrap_or(&self.durable).clone()
+    }
+
     /// Rebuilds a memory from a durable image (the power-on path: cold
     /// caches, empty overlay).
     #[must_use]
@@ -718,6 +727,22 @@ mod tests {
         m.flush_all();
         assert_eq!(slots(&m.crash(true), 2), [1, 0], "frozen at the landing");
         assert_eq!(slots(&probe.crash(true), 2), [1, 2], "the clone is unarmed");
+    }
+
+    #[test]
+    fn image_is_the_crash_image_without_a_save() {
+        let mut m = mem();
+        m.write_u64(64, 1);
+        m.ntstore_u64(128, 2);
+        assert_eq!(m.image(), m.clone().crash(false));
+        assert_eq!(slots(&m.image(), 2), [0, 0], "cached and unfenced stores");
+        m.arm(&PowerCut::after(1));
+        m.sfence(); // event 0 lands
+        m.write_u64(64, 3);
+        m.clflush_range(64, 8); // event 1: power fails first
+        assert_eq!(slots(&m.image(), 2), [0, 2], "the image froze at the cut");
+        assert_eq!(slots(m.durable_bytes(), 2), [3, 2], "the durable view lands on");
+        assert_eq!(m.image(), m.crash(false));
     }
 
     #[test]

@@ -192,8 +192,8 @@ fn recovery_ladder_sweep_is_reproducible() {
     assert_eq!(a.glitches_ignored, b.glitches_ignored);
 }
 
-/// Planning a save is not flushing: the ladder sweep's stage-A cost
-/// probes run off the trace, so every recorded `pheap priority_flush`
+/// Planning a save is not flushing: the ladder sweep's stage-A prices
+/// record nothing, so every recorded `pheap priority_flush`
 /// event (and every `PriorityFlushes` count) is a live stage A — one
 /// per `domain shard_flushed`, none on the glitch points where nothing
 /// is touched.
